@@ -22,9 +22,6 @@ from .maps import (
     PolynomialMap,
     ScaledMap,
     SpiralMap,
-    eval_jet,
-    moebius_apply,
-    moebius_inverse,
 )
 from .grids import AnnulusGrid, DiskGrid
 from .udisk import u_disk_center_radius, u_disk_contains, u_disk_margin, u_disk_ratio
@@ -55,8 +52,6 @@ from .loewner import (
     composed_extension,
     construction_for_criterion,
     default_times,
-    eval_extension,
-    transition_ratio,
     validate_chain,
 )
 from .qcverify import (
@@ -76,8 +71,6 @@ from .sector import (
     fit_sector,
     p_extension,
     p_extension_inverse,
-    q2_apply,
-    q2_jet,
     sup_abs_on_boundary,
 )
 from .svg import write_heatmap_svg

@@ -299,18 +299,23 @@ def cmd_check(sc: Scenario, args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_extend(sc: Scenario, args) -> int:
+def _chain_and_extension(sc: Scenario):
+    """The chain realizing the scenario's criterion, its extension and the
+    dilatation bound (k_prime, else k) it is checked against."""
     f, companion, params = sc.pieces()
-    construction = construction_for_criterion(sc.criterion)
-    chain = build_chain(construction, f, companion, params)
-    ext = build_extension(chain)
+    chain = build_chain(construction_for_criterion(sc.criterion), f, companion,
+                        params)
+    return chain, build_extension(chain), params.bound
+
+
+def cmd_extend(sc: Scenario, args) -> int:
+    chain, ext, bound = _chain_and_extension(sc)
     gap = ext.continuity_gap(sc.grid_angular)
-    bound = params.k_prime if params.k_prime is not None else params.k
     validation = validate_chain(chain, DiskGrid(16, 32, sc.grid_eps),
                                 default_times(sc.t_max, sc.t_count),
                                 dilatation_bound=bound)
     _print_block("extension-report", {
-        "construction": construction,
+        "construction": chain.construction,
         "continuity_gap": gap,
         "continuity_pass": gap < 1e-6,
         "chain_ok": validation.ok,
@@ -339,16 +344,12 @@ def cmd_extend(sc: Scenario, args) -> int:
 
 
 def cmd_beltrami(sc: Scenario, args) -> int:
-    f, companion, params = sc.pieces()
-    construction = construction_for_criterion(sc.criterion)
-    chain = build_chain(construction, f, companion, params)
-    ext = build_extension(chain)
+    chain, ext, bound = _chain_and_extension(sc)
     grid = sc.annulus_grid()
     h = sc.fd_step
     if grid.inner < 1 + 3 * h:
         raise PreconditionError("annulus inner radius must clear the 3h guard band")
     est, est_half, stable, delta = stable_beltrami(ext, grid, h)
-    bound = params.k_prime if params.k_prime is not None else params.k
     passed = est.sup_abs_mu < 1 and stable
     if bound is not None:
         passed = passed and est.sup_abs_mu <= bound + 2e-3
@@ -364,7 +365,7 @@ def cmd_beltrami(sc: Scenario, args) -> int:
         "flagged_samples": len(est.flagged),
         "bound": bound if bound is not None else "",
         "passed": passed,
-        "note": ROTATION_NOTE if companion.label == "sector" else "",
+        "note": ROTATION_NOTE if chain.q.label == "sector" else "",
     })
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -377,7 +378,7 @@ def cmd_beltrami(sc: Scenario, args) -> int:
             spath = os.path.join(args.out, f"{sc.prefix}_beltrami.svg")
             vals = np.abs(est.mu).reshape(grid.n_radial, grid.n_angular)
             write_heatmap_svg(spath, grid.radii(), grid.angles(), vals,
-                              title=f"|mu| of the extension ({construction})")
+                              title=f"|mu| of the extension ({chain.construction})")
             print(f"svg={spath}")
     return 0 if passed else 1
 

@@ -1,8 +1,9 @@
 """Pointwise criterion functionals and their grid sup-estimation.
 
 Each sufficient condition is exposed twice: as a pointwise functional
-(returning the complex criterion value at one z) and through
-`evaluate_criterion`, which scans a disk grid, applies one local refinement
+(returning the complex criterion value at one z) and as a row of the
+criterion table `CRITERIA`, which `evaluate_criterion` looks up and hands
+to `sup_over_grid`: that scans a disk grid, applies one local refinement
 pass around the worst sample, and emits a CriterionReport.
 
 A reported pass means "numerically passes on this grid"; it is evidence,
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -77,6 +78,11 @@ class CriterionParams:
             raise PreconditionError("Re s must be positive")
         if self.a is not None and not 0 < self.a < 2:
             raise PreconditionError("sector opening a must lie in (0, 2)")
+
+    @property
+    def bound(self) -> float | None:
+        """The criterion bound k_prime, falling back to k."""
+        return self.k if self.k_prime is None else self.k_prime
 
 
 @dataclass(frozen=True)
@@ -247,25 +253,8 @@ def sector_nw_value(f: AnalyticMap, w0: complex, a: float, z: complex) -> comple
 
 
 # ---------------------------------------------------------------------------
-# grid scan machinery
+# grid scan: one scan / refine / report core
 # ---------------------------------------------------------------------------
-
-
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
-def _scan(score_fn: Callable[[complex], float], points: Sequence[complex]):
-    scores = ordered_map(score_fn, points)
-    best = -_INF
-    worst = 0j
-    for z, sc in zip(points, scores):
-        if not _finite(sc):
-            return _INF, z, len(points), False
-        if sc > best:
-            best = sc
-            worst = z
-    return best, worst, len(points), True
 
 
 def _refined_neighborhood(grid: DiskGrid, worst: complex) -> np.ndarray:
@@ -283,48 +272,70 @@ def _refined_neighborhood(grid: DiskGrid, worst: complex) -> np.ndarray:
     return (rs[:, None] * np.exp(1j * ts[None, :])).ravel()
 
 
-def sup_over_grid(score_fn: Callable[[complex], float], grid: DiskGrid,
-                  threshold: float, *, strict: bool = False, criterion: str = "",
-                  refine: bool = True) -> CriterionReport:
+def sup_over_grid(value_fn: Callable[[complex], object], grid: DiskGrid,
+                  threshold: float, *, score: Callable[[object], float] = float,
+                  ratio: Callable[[object], float] | None = None,
+                  strict: bool = False, criterion: str = "",
+                  rows: list | None = None) -> CriterionReport:
     """Deterministic sup scan with one local refinement pass.
 
-    The functional returns a real score per point; the criterion passes when
-    the final sup is <= threshold (or < threshold when `strict`).  Non-finite
-    scores fail the scan immediately at the offending point.
+    `value_fn` gives a value per point and `score` turns it into a real
+    score (by default the value is the score).  The criterion passes when
+    the final sup is <= threshold (or < threshold when `strict`); a
+    non-finite score fails the scan at the offending point.  With `ratio`,
+    smallest_bound is the sup of ratio(value): None when the grid pass
+    fails, the grid pass's alone when the refinement pass fails.  A `rows`
+    list receives every scanned (z, value) pair.
     """
-    points = grid.points()
-    sup, worst, n, ok = _scan(score_fn, points)
-    if ok and refine:
-        extra = _refined_neighborhood(grid, worst)
-        sup2, worst2, n2, ok2 = _scan(score_fn, extra)
-        n += n2
-        if not ok2:
-            sup, worst, ok = _INF, worst2, False
-        elif sup2 > sup:
-            sup, worst = sup2, worst2
+
+    def scan(points):
+        values = ordered_map(value_fn, points)
+        if rows is not None:
+            rows.extend(zip(points, values))
+        sup, worst, bound = -_INF, 0j, -_INF
+        for z, v in zip(points, values):
+            sc = score(v)
+            if not math.isfinite(sc):
+                return False, _INF, z, _INF
+            if sc > sup:
+                sup, worst = sc, z
+            if ratio is not None:
+                rb = ratio(v)
+                if rb > bound:
+                    bound = rb
+        return True, sup, worst, bound
+
+    points = list(grid.points())
+    ok, sup, worst, bound = scan(points)
+    n = len(points)
+    if ok:
+        patch = list(_refined_neighborhood(grid, worst))
+        ok, sup2, worst2, bound2 = scan(patch)
+        n += len(patch)
+        if not ok:
+            sup, worst = _INF, worst2
+        else:
+            if sup2 > sup:
+                sup, worst = sup2, worst2
+            bound = max(bound, bound2)
     sup = float(sup)
-    passed = bool(ok and (sup < threshold if strict else sup <= threshold))
     return CriterionReport(
         criterion=criterion,
         sup_value=sup,
         threshold=float(threshold),
         strict=strict,
-        passed=passed,
-        margin=threshold - sup if _finite(sup) else -_INF,
+        passed=bool(ok and (sup < threshold if strict else sup <= threshold)),
+        margin=threshold - sup if math.isfinite(sup) else -_INF,
         worst_point=complex(worst),
         samples=n,
+        smallest_bound=(float(bound) if ratio is not None and math.isfinite(bound)
+                        else None),
     )
 
 
 # ---------------------------------------------------------------------------
-# criterion dispatch
+# preconditions
 # ---------------------------------------------------------------------------
-
-RE_CRITERIA = ("phi_like", "bazilevic")
-SUP_CRITERIA = ("gen_becker", "moebius_becker", "sector_becker")
-UDISK_CRITERIA = ("nw", "moebius_nw", "sector_nw", "phi_like_udisk", "bazilevic_udisk")
-
-ALL_CRITERIA = RE_CRITERIA + SUP_CRITERIA + UDISK_CRITERIA
 
 
 def check_starlike(p: AnalyticMap, grid: DiskGrid | None = None) -> None:
@@ -364,59 +375,121 @@ def _sector_contains_image(f: AnalyticMap, sector, grid: DiskGrid) -> None:
             )
 
 
-def _value_scan(value_fn: Callable[[complex], complex], grid: DiskGrid,
-                score: Callable[[complex], float],
-                ratio: Callable[[complex], float] | None,
-                threshold: float, strict: bool, criterion: str,
-                collect: bool):
-    """Scan values once, deriving score sup and (optionally) smallest bound."""
-    points = list(grid.points())
-    values = ordered_map(value_fn, points)
-    rows = list(zip(points, values)) if collect else None
+def _require_sector(params: CriterionParams):
+    from .sector import SectorDomain
 
-    def one_pass(pts, vals):
-        sup, worst, bound, ok = -_INF, 0j, -_INF, True
-        for z, v in zip(pts, vals):
-            sc = score(v)
-            if not _finite(sc):
-                return _INF, z, _INF, False
-            if sc > sup:
-                sup, worst = sc, z
-            if ratio is not None:
-                rb = ratio(v)
-                if rb > bound:
-                    bound = rb
-        return sup, worst, bound, ok
+    if params.w0 is None or params.lambda0 is None or params.a is None:
+        raise PreconditionError("sector criteria need w0, lambda0 and a")
+    return SectorDomain(params.w0, params.lambda0, params.a)
 
-    sup, worst, bound, ok = one_pass(points, values)
-    n = len(points)
-    if ok:
-        extra = list(_refined_neighborhood(grid, worst))
-        vals2 = ordered_map(value_fn, extra)
-        if rows is not None:
-            rows.extend(zip(extra, vals2))
-        sup2, worst2, bound2, ok2 = one_pass(extra, vals2)
-        n += len(extra)
-        if not ok2:
-            sup, worst, ok = _INF, worst2, False
-        else:
-            if sup2 > sup:
-                sup, worst = sup2, worst2
-            bound = max(bound, bound2)
-    sup = float(sup)
-    passed = bool(ok and (sup < threshold if strict else sup <= threshold))
-    report = CriterionReport(
-        criterion=criterion,
-        sup_value=sup,
-        threshold=float(threshold),
-        strict=strict,
-        passed=passed,
-        margin=threshold - sup if _finite(sup) else -_INF,
-        worst_point=complex(worst),
-        samples=n,
-        smallest_bound=(float(bound) if ratio is not None and _finite(bound) else None),
-    )
-    return report, rows
+
+# ---------------------------------------------------------------------------
+# value-function builders: check the hypotheses, return z -> criterion value
+# ---------------------------------------------------------------------------
+
+
+def _gen_becker(f, q, params, grid):
+    if q is None:
+        raise PreconditionError("gen_becker needs a companion map")
+    c = params.c
+    return lambda z: gen_becker_value(f, q, c, z)
+
+
+def _moebius_becker(f, q, params, grid):
+    if params.c2 is None:
+        raise PreconditionError("moebius_becker needs c2")
+    _image_avoids(f, params.c2, grid, "c2")
+    c1, c2 = params.c, params.c2
+    return lambda z: moebius_becker_value(f, c1, c2, z)
+
+
+def _sector_becker(f, q, params, grid):
+    sector = _require_sector(params)
+    _sector_contains_image(f, sector, grid)
+    c, w0, a = params.c, sector.w0, sector.a
+    return lambda z: sector_becker_value(f, c, w0, a, z)
+
+
+def _nw(f, q, params, grid):
+    if q is None:
+        raise PreconditionError("nw needs a companion map")
+    return lambda z: nw_value(f, q, z)
+
+
+def _moebius_nw(f, q, params, grid):
+    g, d = params.gamma, params.delta
+    if g is None or d is None:
+        raise PreconditionError("moebius_nw needs gamma and delta")
+    if g == 0:
+        raise PreconditionError("moebius_nw requires gamma != 0 "
+                                "(the affine case is the classical condition)")
+    _image_avoids(f, -d / g, grid, "-delta/gamma")
+    return lambda z: moebius_nw_value(f, g, d, z)
+
+
+def _sector_nw(f, q, params, grid):
+    sector = _require_sector(params)
+    _sector_contains_image(f, sector, grid)
+    w0, a = sector.w0, sector.a
+    return lambda z: sector_nw_value(f, w0, a, z)
+
+
+def _phi_like(f, phi, params, grid):
+    if phi is None:
+        raise PreconditionError("phi_like needs a companion (or direct Phi)")
+    return lambda z: phi_like_value(f, phi, z)
+
+
+def _bazilevic(f, psi, params, grid):
+    if psi is None:
+        raise PreconditionError("bazilevic needs a companion (or direct Psi)")
+    p = params.p or IdentityMap()
+    check_starlike(p)
+    s = params.s
+    return lambda z: gen_bazilevic_value(f, psi, s, p, z)
+
+
+# ---------------------------------------------------------------------------
+# the criterion table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CriterionSpec:
+    """One criterion: how its value is built, scored, bounded and realized.
+
+    score         "abs" (sup |v| <= bound), "udisk" (v in U(bound)) or
+                  "re" (Re v > 0, no bound and no concluded dilatation)
+    bound         "k", "k_prime" (CriterionParams.bound) or None for "re"
+    build         (f, companion, params, grid) -> z -> value; raises
+                  PreconditionError when a hypothesis fails
+    construction  the loewner chain family that realizes the criterion
+    sector        the concluded dilatation composes the bound with |1 - a|
+                  rather than with the companion's extension dilatation
+    """
+
+    score: str
+    bound: str | None
+    build: Callable
+    construction: str
+    sector: bool = False
+
+
+CRITERIA: dict[str, CriterionSpec] = {
+    "phi_like": CriterionSpec("re", None, _phi_like, "phi_like"),
+    "bazilevic": CriterionSpec("re", None, _bazilevic, "bazilevic"),
+    "gen_becker": CriterionSpec("abs", "k_prime", _gen_becker, "gen_becker"),
+    "moebius_becker": CriterionSpec("abs", "k", _moebius_becker, "gen_becker"),
+    "sector_becker": CriterionSpec("abs", "k", _sector_becker, "gen_becker",
+                                   sector=True),
+    "nw": CriterionSpec("udisk", "k_prime", _nw, "nw"),
+    "moebius_nw": CriterionSpec("udisk", "k", _moebius_nw, "nw"),
+    "sector_nw": CriterionSpec("udisk", "k", _sector_nw, "nw", sector=True),
+    "phi_like_udisk": CriterionSpec("udisk", "k_prime", _phi_like, "phi_like"),
+    "bazilevic_udisk": CriterionSpec("udisk", "k_prime", _bazilevic, "bazilevic"),
+}
+
+ALL_CRITERIA = tuple(CRITERIA)
 
 
 def evaluate_criterion(criterion: str, f: AnalyticMap,
@@ -430,150 +503,32 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
     where rows is the list of (z, criterion value) pairs scanned.
     """
     grid = grid or DiskGrid()
-    if criterion not in ALL_CRITERIA:
+    spec = CRITERIA.get(criterion)
+    if spec is None:
         raise PreconditionError(
             f"unknown criterion {criterion!r}; valid ids: {', '.join(ALL_CRITERIA)}"
         )
+    bound = None
+    if spec.bound is not None:
+        bound = params.k if spec.bound == "k" else params.bound
+        if bound is None:
+            needs = "k" if spec.bound == "k" else "k_prime (or k)"
+            raise PreconditionError(f"{criterion} needs {needs}")
+    value_fn = spec.build(f, companion, params, grid)
 
-    kq = getattr(companion, "extension_dilatation", 0.0) if companion is not None else 0.0
-    threshold, strict = 0.0, False
-    ratio: Callable[[complex], float] | None = None
+    if spec.score == "re":
+        score, ratio, threshold, strict = (lambda v: -v.real), None, 0.0, True
+    elif spec.score == "abs":
+        score, ratio, threshold, strict = abs, abs, bound, False
+    else:  # "udisk"
+        score, ratio, threshold, strict = (
+            (lambda v: -u_disk_margin(v, bound)), u_disk_ratio, 0.0, False)
 
-    if criterion in ("gen_becker",):
-        if companion is None:
-            raise PreconditionError("gen_becker needs a companion map")
-        kp = params.k_prime if params.k_prime is not None else params.k
-        if kp is None:
-            raise PreconditionError("gen_becker needs k_prime (or k)")
-        c = params.c
-        value_fn = lambda z: gen_becker_value(f, companion, c, z)
-        score = abs
-        ratio = abs
-        threshold = kp
-    elif criterion == "moebius_becker":
-        if params.c2 is None or params.k is None:
-            raise PreconditionError("moebius_becker needs c2 and k")
-        _image_avoids(f, params.c2, grid, "c2")
-        c1, c2 = params.c, params.c2
-        value_fn = lambda z: moebius_becker_value(f, c1, c2, z)
-        score = abs
-        ratio = abs
-        threshold = params.k
-    elif criterion == "sector_becker":
-        sector = _require_sector(params)
-        if params.k is None:
-            raise PreconditionError("sector_becker needs k")
-        _sector_contains_image(f, sector, grid)
-        c, w0, a = params.c, sector.w0, sector.a
-        value_fn = lambda z: sector_becker_value(f, c, w0, a, z)
-        score = abs
-        ratio = abs
-        threshold = params.k
-        kq = abs(1 - sector.a)
-    elif criterion == "nw":
-        if companion is None:
-            raise PreconditionError("nw needs a companion map")
-        kp = params.k_prime if params.k_prime is not None else params.k
-        if kp is None:
-            raise PreconditionError("nw needs k_prime (or k)")
-        value_fn = lambda z: nw_value(f, companion, z)
-        score = lambda v: -u_disk_margin(v, kp)
-        ratio = u_disk_ratio
-        threshold = 0.0
-    elif criterion == "moebius_nw":
-        if params.gamma is None or params.delta is None or params.k is None:
-            raise PreconditionError("moebius_nw needs gamma, delta and k")
-        if params.gamma == 0:
-            raise PreconditionError("moebius_nw requires gamma != 0 "
-                                    "(the affine case is the classical condition)")
-        pole = -params.delta / params.gamma
-        _image_avoids(f, pole, grid, "-delta/gamma")
-        g, d, kk = params.gamma, params.delta, params.k
-        value_fn = lambda z: moebius_nw_value(f, g, d, z)
-        score = lambda v: -u_disk_margin(v, kk)
-        ratio = u_disk_ratio
-        threshold = 0.0
-    elif criterion == "sector_nw":
-        sector = _require_sector(params)
-        if params.k is None:
-            raise PreconditionError("sector_nw needs k")
-        _sector_contains_image(f, sector, grid)
-        w0, a, kk = sector.w0, sector.a, params.k
-        value_fn = lambda z: sector_nw_value(f, w0, a, z)
-        score = lambda v: -u_disk_margin(v, kk)
-        ratio = u_disk_ratio
-        threshold = 0.0
-        kq = abs(1 - sector.a)
-    elif criterion in ("phi_like", "phi_like_udisk"):
-        if companion is None:
-            raise PreconditionError("phi_like needs a companion (or direct Phi)")
-        value_fn = lambda z: phi_like_value(f, companion, z)
-        if criterion == "phi_like":
-            score = lambda v: -v.real
-            strict = True
-        else:
-            kp = params.k_prime if params.k_prime is not None else params.k
-            if kp is None:
-                raise PreconditionError("phi_like_udisk needs k_prime (or k)")
-            score = lambda v: -u_disk_margin(v, kp)
-            ratio = u_disk_ratio
-    elif criterion in ("bazilevic", "bazilevic_udisk"):
-        if companion is None:
-            raise PreconditionError("bazilevic needs a companion (or direct Psi)")
-        p = params.p or IdentityMap()
-        check_starlike(p)
-        s = params.s
-        value_fn = lambda z: gen_bazilevic_value(f, companion, s, p, z)
-        if criterion == "bazilevic":
-            score = lambda v: -v.real
-            strict = True
-        else:
-            kp = params.k_prime if params.k_prime is not None else params.k
-            if kp is None:
-                raise PreconditionError("bazilevic_udisk needs k_prime (or k)")
-            score = lambda v: -u_disk_margin(v, kp)
-            ratio = u_disk_ratio
-    else:  # pragma: no cover
-        raise PreconditionError(f"unhandled criterion {criterion!r}")
-
-    report, rows = _value_scan(value_fn, grid, score, ratio, threshold, strict,
-                               criterion, collect)
-
-    concluded = None
-    if report.passed and criterion not in RE_CRITERIA:
-        bound_used = params.k_prime if params.k_prime is not None else params.k
-        if criterion in ("moebius_becker", "moebius_nw", "sector_becker",
-                         "sector_nw"):
-            bound_used = params.k
-        if bound_used is not None:
-            concluded = compose_dilatation(bound_used, kq)
-    if concluded is not None:
-        report = _with_concluded(report, concluded)
-    if collect:
-        return report, rows
-    return report
-
-
-def _with_concluded(report: CriterionReport, value: float) -> CriterionReport:
-    return CriterionReport(
-        criterion=report.criterion,
-        sup_value=report.sup_value,
-        threshold=report.threshold,
-        strict=report.strict,
-        passed=report.passed,
-        margin=report.margin,
-        worst_point=report.worst_point,
-        samples=report.samples,
-        smallest_bound=report.smallest_bound,
-        concluded_dilatation=value,
-        note=report.note,
-    )
-
-
-
-def _require_sector(params: CriterionParams):
-    from .sector import SectorDomain
-
-    if params.w0 is None or params.lambda0 is None or params.a is None:
-        raise PreconditionError("sector criteria need w0, lambda0 and a")
-    return SectorDomain(params.w0, params.lambda0, params.a)
+    rows = [] if collect else None
+    report = sup_over_grid(value_fn, grid, threshold, score=score, ratio=ratio,
+                           strict=strict, criterion=criterion, rows=rows)
+    if report.passed and bound is not None:
+        kq = (abs(1 - params.a) if spec.sector
+              else getattr(companion, "extension_dilatation", 0.0))
+        report = replace(report, concluded_dilatation=compose_dilatation(bound, kq))
+    return (report, rows) if collect else report

@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .branches import BranchTrackingError, tracked_log
-from .criteria import CriterionParams, PreconditionError
+from .criteria import CRITERIA, CriterionParams, PreconditionError
 from .grids import DiskGrid
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
-
-CONSTRUCTIONS = ("gen_becker", "nw", "phi_like", "bazilevic")
 
 _INF = float("inf")
 
@@ -279,6 +277,8 @@ _CHAIN_CLASSES = {
     "bazilevic": BazilevicChain,
 }
 
+CONSTRUCTIONS = tuple(_CHAIN_CLASSES)
+
 
 def build_chain(construction: str, f: AnalyticMap, q: CompanionMap,
                 params: CriterionParams | None = None) -> LoewnerChain:
@@ -290,22 +290,12 @@ def build_chain(construction: str, f: AnalyticMap, q: CompanionMap,
     return _CHAIN_CLASSES[construction](f, q, params or CriterionParams())
 
 
-def transition_ratio(chain: LoewnerChain, z: complex, t: float) -> complex:
-    """p(z, t) = dF/dt / (z dF/dz) of a chain (function form of the method)."""
-    return chain.transition_ratio(z, t)
-
-
 def construction_for_criterion(criterion: str) -> str:
-    """Which chain realizes a given criterion id."""
-    if criterion in ("gen_becker", "moebius_becker", "sector_becker"):
-        return "gen_becker"
-    if criterion in ("nw", "moebius_nw", "sector_nw"):
-        return "nw"
-    if criterion.startswith("phi_like"):
-        return "phi_like"
-    if criterion.startswith("bazilevic"):
-        return "bazilevic"
-    raise PreconditionError(f"no chain construction for criterion {criterion!r}")
+    """Which chain realizes a given criterion id (its criterion-table row)."""
+    spec = CRITERIA.get(criterion)
+    if spec is None:
+        raise PreconditionError(f"no chain construction for criterion {criterion!r}")
+    return spec.construction
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +439,6 @@ class ExtensionMap:
 
 def build_extension(chain: LoewnerChain, clamp: float = 1e-6) -> ExtensionMap:
     return ExtensionMap(chain, clamp)
-
-
-def eval_extension(ext: ExtensionMap, w: complex) -> complex:
-    return ext(w)
 
 
 def composed_extension(ext: ExtensionMap,

@@ -84,11 +84,6 @@ def as_map(x) -> AnalyticMap:
     return ConstMap(complex(x))
 
 
-def eval_jet(m, z: complex) -> Jet2:
-    """Evaluate any jet-capable map (AnalyticMap, MoebiusMap, ...) at z."""
-    return m.jet(z)
-
-
 # ---------------------------------------------------------------------------
 # catalog primitives
 # ---------------------------------------------------------------------------
@@ -333,14 +328,6 @@ class MoebiusMap:
 
     def __call__(self, w: complex) -> complex:
         return self.apply(w)
-
-
-def moebius_apply(m: MoebiusMap, w: complex) -> complex:
-    return m.apply(w)
-
-
-def moebius_inverse(m: MoebiusMap, w: complex) -> complex:
-    return m.inverse(w)
 
 
 # ---------------------------------------------------------------------------

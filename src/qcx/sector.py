@@ -103,15 +103,6 @@ class SectorPowerMap(AnalyticMap):
         return self._raw_jet(0j).d1
 
 
-def q2_apply(sector: SectorDomain, w: complex) -> complex:
-    """Q2(w): conformal from the sector onto the upper half-plane."""
-    return SectorPowerMap(sector).jet(w).value
-
-
-def q2_jet(sector: SectorDomain, w: complex) -> Jet2:
-    return SectorPowerMap(sector).jet(w)
-
-
 def companion_from_sector(sector: SectorDomain, normalized: bool = True) -> CompanionMap:
     """The sector map as a companion with its declared dilatation |1 - a|."""
     base = SectorPowerMap(sector, normalized=normalized)

@@ -166,7 +166,7 @@ def test_05_criterion_implies_dilatation():
     for name, f, q, criterion, params in REGRESSIONS:
         rep = evaluate_criterion(criterion, f, q, params, GRID)
         assert rep.passed, f"{name}: regression criterion must pass"
-        kp = params.k_prime if params.k_prime is not None else params.k
+        kp = params.bound
         ext = build_extension(build_chain(criterion, f, q, params))
         est, est_half, stable, delta = stable_beltrami(
             ext, AnnulusGrid(24, 48, 1.001, 3.0), 1e-5, tol=5e-3)

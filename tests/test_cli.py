@@ -159,6 +159,16 @@ def test_beltrami_fail_exit_code(tmp_path, capsys):
     assert "passed=false" in out
 
 
+def test_unknown_criterion_rejected_by_every_command(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    doc["criterion"] = "phi_like_typo"
+    path = write_scenario(tmp_path, doc)
+    for command in ("check", "extend", "beltrami"):
+        code, _, err = run([command, "--scenario", path], capsys)
+        assert code == 2, command
+        assert "phi_like_typo" in err
+
+
 # -- compose / fit-sector -----------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from qcx import (
+    ALL_CRITERIA,
     AnalyticMap,
     CayleyMap,
     CompanionMap,
@@ -362,6 +363,25 @@ def test_sup_over_grid_nonfinite_fails():
     assert rep.sup_value == math.inf
 
 
+def test_sup_over_grid_smallest_bound_on_failure():
+    grid = DiskGrid(6, 12, 1e-2)
+    on_grid = set(complex(z) for z in grid.points())
+
+    def off_grid_fails(z):
+        return abs(z) if complex(z) in on_grid else math.inf
+
+    # the refinement patch leaves the grid: the grid pass's bound stays
+    rep = sup_over_grid(off_grid_fails, grid, 10.0, ratio=abs)
+    assert not rep.passed and rep.sup_value == math.inf
+    assert rep.smallest_bound == max(abs(z) for z in on_grid)
+
+    # a failure in the grid pass leaves no bound
+    rep = sup_over_grid(lambda z: math.inf if abs(z - 0.5) < 0.2 else 0.0,
+                        grid, 10.0, ratio=abs)
+    assert not rep.passed and rep.smallest_bound is None
+    assert rep.samples == len(grid.points())
+
+
 def test_refinement_improves_koebe_sup():
     q = CompanionMap.identity()
     f = KoebeMap()
@@ -370,9 +390,9 @@ def test_refinement_improves_koebe_sup():
         return abs(gen_becker_value(f, q, 0j, z))
 
     coarse = DiskGrid(12, 16, 1e-3)
-    no_ref = sup_over_grid(score, coarse, 1.0, refine=False)
-    with_ref = sup_over_grid(score, coarse, 1.0, refine=True)
-    assert with_ref.sup_value >= no_ref.sup_value
+    grid_sup = max(score(z) for z in coarse.points())
+    with_ref = sup_over_grid(score, coarse, 1.0)
+    assert with_ref.sup_value >= grid_sup
 
 
 def test_evaluate_deterministic_and_collect():
@@ -383,6 +403,65 @@ def test_evaluate_deterministic_and_collect():
                                   SMALL_GRID, collect=True)
     assert r1 == r2
     assert len(rows) == r1.samples
+
+
+# -- the criterion table ---------------------------------------------------------
+
+GOLDEN_GRID = DiskGrid(6, 12, 1e-2)
+GOLDEN_SECTOR = dict(w0=-2 + 0j, lambda0=1.8333333333333333, a=0.3333333333333333)
+GOLDEN_Q = CompanionMap.from_map(PolynomialMap([1, 0.05]), 0.2)
+
+# One fixed case per criterion id.  moebius_nw and sector_becker take
+# k_prime < k and must conclude from k; phi_like concludes no dilatation;
+# gen_becker and nw compose their bound with the companion's 0.2.
+GOLDEN_CASES = {
+    "phi_like": (PolynomialMap([1, 0.25]), CompanionMap.identity(),
+                 CriterionParams()),
+    "bazilevic": (PolynomialMap([1, 0.25]), CompanionMap.identity(),
+                  CriterionParams(s=1 + 0.5j)),
+    "gen_becker": (PolynomialMap([1, 0.25]), GOLDEN_Q,
+                   CriterionParams(k=0.7, k_prime=0.6, c=0.1)),
+    "moebius_becker": (PolynomialMap([1, 0.2]), None,
+                       CriterionParams(k=0.9, k_prime=0.5, c2=-3 + 0j)),
+    "sector_becker": (PolynomialMap([1, 0.1]), None,
+                      CriterionParams(k=0.65, k_prime=0.3, **GOLDEN_SECTOR)),
+    "nw": (PolynomialMap([1, 0.25]), GOLDEN_Q,
+           CriterionParams(k=0.6, k_prime=0.45)),
+    "moebius_nw": (PolynomialMap([1, 0.2]), None,
+                   CriterionParams(k=0.6, k_prime=0.3, gamma=0.2 + 0j,
+                                   delta=1 + 0j)),
+    "sector_nw": (PolynomialMap([1, 0.1]), None,
+                  CriterionParams(k=0.75, k_prime=0.5, **GOLDEN_SECTOR)),
+    "phi_like_udisk": (PolynomialMap([1, 0.25]), CompanionMap.identity(),
+                       CriterionParams(k=0.5, k_prime=0.5)),
+    "bazilevic_udisk": (PolynomialMap([1, 0.1]), ConstMap(1.0),
+                        CriterionParams(k=0.5, k_prime=0.5)),
+}
+
+GOLDEN_FIELDS = ("passed", "sup_value", "threshold", "strict", "margin",
+                 "worst_re", "worst_im", "samples", "smallest_bound",
+                 "concluded_dilatation")
+GOLDEN_REPORTS = {
+    "phi_like": (True, -0.67109634551495, 0.0, True, 0.67109634551495, -0.99, 1.2124003311558797e-16, 153, None, None),
+    "bazilevic": (True, -0.49990447152719514, 0.0, True, 0.49990447152719514, -0.99, 1.2124003311558797e-16, 153, None, None),
+    "gen_becker": (True, 0.2665952053014155, 0.6, False, 0.3334047946985845, -0.6018928294465028, 7.371061270114035e-17, 153, 0.2665952053014155, 0.7142857142857143),
+    "moebius_becker": (True, 0.13549512310935927, 0.9, False, 0.7645048768906407, 0.5813838286205785, -0.15578132737139824, 153, 0.13549512310935927, 0.9),
+    "sector_becker": (True, 0.5580651491726969, 0.65, False, 0.09193485082730313, -0.6018928294465028, 7.371061270114035e-17, 153, 0.5580651491726969, 0.9186046511627909),
+    "nw": (True, -0.1276992056249998, 0.0, False, 0.1276992056249998, -0.99, 1.2124003311558797e-16, 153, 0.36297461235745543, 0.5963302752293578),
+    "moebius_nw": (True, -0.9656967094897674, 0.0, False, 0.9656967094897674, -0.99, 1.2124003311558797e-16, 153, 0.07900446790816419, 0.6),
+    "sector_nw": (True, -0.0828406481646371, 0.0, False, 0.0828406481646371, -0.49500000000000044, -0.857365149746594, 153, 0.6921888235674948, 0.9444444444444445),
+    "phi_like_udisk": (True, -0.506644518272425, 0.0, False, 0.506644518272425, -0.99, 1.2124003311558797e-16, 153, 0.19681908548707766, 0.5),
+    "bazilevic_udisk": (True, -0.7029999999999995, 0.0, False, 0.7029999999999995, -0.99, 1.2124003311558797e-16, 153, 0.10987791342952294, 0.5),
+
+}
+
+
+@pytest.mark.parametrize("criterion", ALL_CRITERIA)
+def test_criterion_table_reports_are_pinned(criterion):
+    f, q, params = GOLDEN_CASES[criterion]
+    report = evaluate_criterion(criterion, f, q, params, GOLDEN_GRID)
+    expected = dict(zip(GOLDEN_FIELDS, GOLDEN_REPORTS[criterion]))
+    assert report.as_dict() == {"criterion": criterion, "note": "", **expected}
 
 
 # -- U(k')-strengthened variants ----------------------------------------------------

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from qcx import (
+    ALL_CRITERIA,
+    CONSTRUCTIONS,
     CayleyMap,
     CompanionMap,
     CriterionParams,
@@ -23,7 +25,6 @@ from qcx import (
     composed_extension,
     construction_for_criterion,
     default_times,
-    eval_extension,
     u_disk_margin,
     validate_chain,
 )
@@ -122,6 +123,10 @@ def test_construction_for_criterion():
     assert construction_for_criterion("sector_nw") == "nw"
     assert construction_for_criterion("phi_like_udisk") == "phi_like"
     assert construction_for_criterion("bazilevic") == "bazilevic"
+    for criterion in ALL_CRITERIA:
+        assert construction_for_criterion(criterion) in CONSTRUCTIONS
+    with pytest.raises(PreconditionError):
+        construction_for_criterion("phi_like_typo")
 
 
 # -- transition ratio -------------------------------------------------------------
@@ -240,7 +245,7 @@ def test_extension_identity_everywhere():
     for _ in range(50):
         w = cmath.rect(rng.uniform(0, 3), rng.uniform(0, 2 * math.pi))
         assert abs(ext(w) - w) < 1e-12 * (1 + abs(w))
-    assert abs(eval_extension(ext, 0j)) == 0
+    assert abs(ext(0j)) == 0
 
 
 def test_extension_gen_becker_identity():

@@ -202,7 +202,7 @@ def test_criterion_bound_controls_measured_dilatation(name, f, q, criterion, par
     grid = DiskGrid(24, 48, 1e-3)
     report = evaluate_criterion(criterion, f, q, params, grid)
     assert report.passed, f"{name}: criterion unexpectedly failed"
-    kp = params.k_prime if params.k_prime is not None else params.k
+    kp = params.bound
     ch = build_chain(criterion if criterion in ("gen_becker", "nw") else "nw",
                      f, q, params)
     ext = build_extension(ch)

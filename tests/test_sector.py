@@ -15,14 +15,13 @@ from qcx import (
     PreconditionError,
     ScaledMap,
     SectorDomain,
+    SectorPowerMap,
     beltrami_on_grid,
     companion_from_sector,
     extend_q2,
     fit_sector,
     p_extension,
     p_extension_inverse,
-    q2_apply,
-    q2_jet,
     sup_abs_on_boundary,
 )
 
@@ -70,43 +69,44 @@ def test_q2_identity_on_upper_half_plane():
     sec = SectorDomain(0, 0, 1.0)
     for w in (1j, -2 + 0.5j, 3 + 4j):
         w = complex(w)
-        assert abs(q2_apply(sec, w) - w) < 1e-14
+        assert abs(SectorPowerMap(sec).jet(w).value - w) < 1e-14
 
 
 def test_q2_quarter_plane_square():
     sec = SectorDomain(0, 0, 0.5)
     w = cmath.exp(1j * math.pi / 4)
-    assert abs(q2_apply(sec, w) - 1j) < 1e-14
+    assert abs(SectorPowerMap(sec).jet(w).value - 1j) < 1e-14
 
 
 def test_q2_maps_into_upper_half_plane():
     sec = SectorDomain(1 + 1j, 0.3, 1.4)
     for w in sector_points(sec, 100, seed=1):
-        assert q2_apply(sec, w).imag > 0
+        assert SectorPowerMap(sec).jet(w).value.imag > 0
 
 
 def test_q2_jet_log_derivative():
     # Q2''/Q2' = (1/a - 1)/(w - w0)
     sec = SectorDomain(-2, 11 / 6, 1 / 3)
     for w in sector_points(sec, 40, seed=2, rmax=4.0):
-        j = q2_jet(sec, w)
+        j = SectorPowerMap(sec).jet(w)
         expected = (1 / sec.a - 1) / (w - sec.w0)
         assert abs(j.d2 / j.d1 - expected) < 1e-12
 
 
 def test_q2_jet_vs_finite_differences():
     sec = SectorDomain(-2, 11 / 6, 1 / 3)
+    q2 = SectorPowerMap(sec)
     h = 1e-6
     for w in sector_points(sec, 30, seed=3, rmin=0.5, rmax=3.0, inset=0.1):
-        j = q2_jet(sec, w)
-        fd1 = (q2_apply(sec, w + h) - q2_apply(sec, w - h)) / (2 * h)
+        j = q2.jet(w)
+        fd1 = (q2.jet(w + h).value - q2.jet(w - h).value) / (2 * h)
         assert abs(j.d1 - fd1) / (1 + abs(j.d1)) < 1e-8
 
 
 def test_q2_outside_domain():
     sec = SectorDomain(0, 0, 0.5)
     with pytest.raises(DomainError):
-        q2_jet(sec, -1 + 0j)
+        SectorPowerMap(sec).jet(-1 + 0j)
 
 
 def test_normalized_companion_unit_derivative():
@@ -168,7 +168,7 @@ def test_extend_q2_restriction_matches_q2():
     sec = SectorDomain(1 + 1j, 0.25, 0.5)
     ext = extend_q2(sec)
     for w in sector_points(sec, 100, seed=5):
-        assert abs(ext(w) - q2_apply(sec, w)) < 1e-9
+        assert abs(ext(w) - SectorPowerMap(sec).jet(w).value) < 1e-9
 
 
 def test_extend_q2_inverse_roundtrip():
