@@ -9,7 +9,7 @@ Beltrami estimation.
 """
 
 from .jets import DomainError, Jet2, compose, jet_exp, jet_power
-from .branches import BranchTrackingError, tracked_log, tracked_ratio_log
+from .branches import BranchLattice, BranchTrackingError, tracked_log, tracked_ratio_log
 from .maps import (
     AnalyticMap,
     CATALOG,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .branches import BranchTrackingError
-from .criteria import CriterionParams, PreconditionError, evaluate_criterion
+from .criteria import CRITERIA, CriterionParams, PreconditionError, evaluate_criterion
 from .grids import AnnulusGrid, DiskGrid
 from .jets import DomainError
 from .loewner import (
@@ -301,10 +301,18 @@ def cmd_check(sc: Scenario, args) -> int:
 
 def _chain_and_extension(sc: Scenario):
     """The chain realizing the scenario's criterion, its extension and the
-    dilatation bound (k_prime, else k) it is checked against."""
+    dilatation bound (k_prime, else k) it is checked against.  A moebius_* or
+    sector_* criterion needs the matching companion: its chain is built from
+    the companion, so any other would extend a different map."""
     f, companion, params = sc.pieces()
-    chain = build_chain(construction_for_criterion(sc.criterion), f, companion,
-                        params)
+    construction = construction_for_criterion(sc.criterion)
+    needed = CRITERIA[sc.criterion].companion
+    if needed is not None and companion.label != needed:
+        raise PreconditionError(
+            f"{sc.criterion} needs a {needed} companion to build its chain "
+            f"(the scenario's companion is {companion.label!r})"
+        )
+    chain = build_chain(construction, f, companion, params)
     return chain, build_extension(chain), params.bound
 
 

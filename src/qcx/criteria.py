@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import tracked_log, tracked_ratio_log
+from .branches import BranchLattice, tracked_log, tracked_ratio_log
 from .grids import DiskGrid
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
@@ -175,6 +175,26 @@ def nw_value(f: AnalyticMap, q: CompanionMap, z: complex) -> complex:
     return jf.d1 * q.jet(jf.value).d1
 
 
+def _bazilevic_lattice(f: AnalyticMap, psi) -> BranchLattice:
+    """The log of the ratio a Bazilevic value raises to s - 1: G(w)/w with
+    G = Q o f when `psi` is a companion Q, else f(w)/w."""
+    if isinstance(psi, CompanionMap):
+        jf0 = f.jet(0j)
+        return BranchLattice(lambda w: psi.jet(f.jet(w).value).value / w,
+                             cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
+    return BranchLattice.ratio(f)
+
+
+def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: complex,
+                         lg: complex, lp: complex) -> complex:
+    """The Bazilevic value at z given the logs of its two ratios."""
+    jf = f.jet(z)
+    power = cmath.exp((s - 1) * lg - s.real * lp)
+    if isinstance(psi, CompanionMap):
+        return psi.jet(jf.value).d1 * jf.d1 * power
+    return jf.d1 * power * psi.jet(jf.value).value
+
+
 def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
                         z: complex) -> complex:
     """f'(z) (f/z)^{s-1} / (p/z)^{alpha} * Psi(f(z)), branch-tracked from 0.
@@ -182,34 +202,14 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
     `psi` is either an AnalyticMap used directly as Psi, or a CompanionMap Q,
     in which case Psi(w) = (Q(w)/w)^{s-1} Q'(w) and the whole product is
     evaluated as (Q(f)/z)^{s-1} * (Q o f)'(z) / (p/z)^{alpha} with a single
-    tracked branch.
+    tracked branch.  Each call tracks both logs from the origin; the
+    criterion scan shares them through a BranchLattice instead.
     """
-    alpha = s.real
-    if isinstance(psi, CompanionMap):
-        def g_ratio(w: complex) -> complex:
-            return psi.jet(f.jet(w).value).value / w
-
-        jf0 = f.jet(0j)
-        g0 = psi.jet(jf0.value).d1 * jf0.d1  # (Q o f)'(0)
-        if z == 0:
-            lg = cmath.log(g0)
-            lp = 0j
-            head = g0
-        else:
-            lg = tracked_log(g_ratio, z, cmath.log(g0))
-            lp = tracked_ratio_log(p, z)
-            jf = f.jet(z)
-            head = psi.jet(jf.value).d1 * jf.d1
-        return head * cmath.exp((s - 1) * lg - alpha * lp)
-    # direct Psi
-    jf = f.jet(z)
+    g = _bazilevic_lattice(f, psi)
     if z == 0:
-        lf = cmath.log(jf.d1)
-        lp = 0j
-    else:
-        lf = tracked_ratio_log(f, z)
-        lp = tracked_ratio_log(p, z)
-    return jf.d1 * cmath.exp((s - 1) * lf - alpha * lp) * psi.jet(jf.value).value
+        return _bazilevic_from_logs(f, psi, s, z, g.anchor, 0j)
+    return _bazilevic_from_logs(f, psi, s, z, tracked_log(g.fn, z, g.anchor),
+                                tracked_ratio_log(p, z))
 
 
 def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex, z: complex) -> complex:
@@ -430,8 +430,17 @@ def _moebius_nw(f, q, params, grid):
 def _sector_nw(f, q, params, grid):
     sector = _require_sector(params)
     _sector_contains_image(f, sector, grid)
-    w0, a = sector.w0, sector.a
-    return lambda z: sector_nw_value(f, w0, a, z)
+    w0, expo = sector.w0, 1 / sector.a - 1
+    lattice = BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)
+
+    def value(z):
+        jf = f.jet(z)
+        if z == 0:
+            return jf.d1
+        lg = tracked_log(lattice.fn, z, **lattice.continue_from(z))
+        return jf.d1 * cmath.exp(expo * lg)
+
+    return value
 
 
 def _phi_like(f, phi, params, grid):
@@ -446,7 +455,17 @@ def _bazilevic(f, psi, params, grid):
     p = params.p or IdentityMap()
     check_starlike(p)
     s = params.s
-    return lambda z: gen_bazilevic_value(f, psi, s, p, z)
+    g = _bazilevic_lattice(f, psi)
+    pz = BranchLattice.ratio(p)
+
+    def value(z):
+        if z == 0:
+            return _bazilevic_from_logs(f, psi, s, z, g.anchor, 0j)
+        lg = tracked_log(g.fn, z, **g.continue_from(z))
+        lp = tracked_log(pz.fn, z, **pz.continue_from(z))
+        return _bazilevic_from_logs(f, psi, s, z, lg, lp)
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +483,30 @@ class CriterionSpec:
     build         (f, companion, params, grid) -> z -> value; raises
                   PreconditionError when a hypothesis fails
     construction  the loewner chain family that realizes the criterion
-    sector        the concluded dilatation composes the bound with |1 - a|
-                  rather than with the companion's extension dilatation
+    companion     the companion label ("moebius", "sector") the chain must be
+                  built from, or None for any companion; a sector row's
+                  concluded dilatation composes the bound with |1 - a| rather
+                  than with the companion's extension dilatation
     """
 
     score: str
     bound: str | None
     build: Callable
     construction: str
-    sector: bool = False
+    companion: str | None = None
 
 
 CRITERIA: dict[str, CriterionSpec] = {
     "phi_like": CriterionSpec("re", None, _phi_like, "phi_like"),
     "bazilevic": CriterionSpec("re", None, _bazilevic, "bazilevic"),
     "gen_becker": CriterionSpec("abs", "k_prime", _gen_becker, "gen_becker"),
-    "moebius_becker": CriterionSpec("abs", "k", _moebius_becker, "gen_becker"),
+    "moebius_becker": CriterionSpec("abs", "k", _moebius_becker, "gen_becker",
+                                    "moebius"),
     "sector_becker": CriterionSpec("abs", "k", _sector_becker, "gen_becker",
-                                   sector=True),
+                                   "sector"),
     "nw": CriterionSpec("udisk", "k_prime", _nw, "nw"),
-    "moebius_nw": CriterionSpec("udisk", "k", _moebius_nw, "nw"),
-    "sector_nw": CriterionSpec("udisk", "k", _sector_nw, "nw", sector=True),
+    "moebius_nw": CriterionSpec("udisk", "k", _moebius_nw, "nw", "moebius"),
+    "sector_nw": CriterionSpec("udisk", "k", _sector_nw, "nw", "sector"),
     "phi_like_udisk": CriterionSpec("udisk", "k_prime", _phi_like, "phi_like"),
     "bazilevic_udisk": CriterionSpec("udisk", "k_prime", _bazilevic, "bazilevic"),
 }
@@ -528,7 +550,7 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
     report = sup_over_grid(value_fn, grid, threshold, score=score, ratio=ratio,
                            strict=strict, criterion=criterion, rows=rows)
     if report.passed and bound is not None:
-        kq = (abs(1 - params.a) if spec.sector
+        kq = (abs(1 - params.a) if spec.companion == "sector"
               else getattr(companion, "extension_dilatation", 0.0))
         report = replace(report, concluded_dilatation=compose_dilatation(bound, kq))
     return (report, rows) if collect else report

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .branches import BranchTrackingError, tracked_log
+from .branches import BranchLattice, BranchTrackingError, tracked_log
 from .criteria import CRITERIA, CriterionParams, PreconditionError
 from .grids import DiskGrid
 from .maps import AnalyticMap, CompanionMap, IdentityMap
@@ -53,21 +53,26 @@ class LoewnerChain:
         self.q = q
         self.params = params
 
-    def value(self, z: complex, t: float) -> complex:
-        return self.partials(z, t).value
+    def branch_data(self, z: complex):
+        """What every time t shares at z (the Bazilevic chain's logs), passed
+        back as `branch` to skip recomputing it; None when nothing is shared."""
+        return None
 
-    def partials(self, z: complex, t: float) -> ChainPartials:
+    def value(self, z: complex, t: float, branch=None) -> complex:
+        return self.partials(z, t, branch).value
+
+    def partials(self, z: complex, t: float, branch=None) -> ChainPartials:
         raise NotImplementedError
 
     def a1(self, t: float) -> complex:
         """Leading coefficient dF/dz(0, t)."""
         raise NotImplementedError
 
-    def transition_ratio(self, z: complex, t: float) -> complex:
+    def transition_ratio(self, z: complex, t: float, branch=None) -> complex:
         """p(z, t) = dF/dt / (z dF/dz); the chain condition is Re p > 0."""
         if z == 0:
             return self._ratio_origin(t)
-        part = self.partials(z, t)
+        part = self.partials(z, t, branch)
         den = part.zdz
         if den == 0:
             return complex(_INF, 0)
@@ -87,7 +92,7 @@ class GenBeckerChain(LoewnerChain):
             raise PreconditionError("gen_becker chain needs 1 + c != 0")
         self._kappa = 1 / (1 + c)
 
-    def partials(self, z, t):
+    def partials(self, z, t, branch=None):
         kappa = self._kappa
         et = math.exp(t)
         emt = math.exp(-t)
@@ -117,7 +122,7 @@ class GenBeckerChain(LoewnerChain):
 class NWChain(LoewnerChain):
     construction = "nw"
 
-    def partials(self, z, t):
+    def partials(self, z, t, branch=None):
         et = math.exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
@@ -130,7 +135,7 @@ class NWChain(LoewnerChain):
         jf0 = self.f.jet(0j)
         return self.q.jet(jf0.value).d1 * jf0.d1 + math.exp(t) - 1
 
-    def transition_ratio(self, z, t):
+    def transition_ratio(self, z, t, branch=None):
         # the z factor cancels analytically, so the origin is regular
         et = math.exp(t)
         jf = self.f.jet(z)
@@ -151,7 +156,7 @@ class PhiLikeChain(LoewnerChain):
         if abs(q.jet(0j).value) > 1e-12:
             raise PreconditionError("phi_like chain needs Q(0) = 0")
 
-    def partials(self, z, t):
+    def partials(self, z, t, branch=None):
         et = math.exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
@@ -179,34 +184,27 @@ class BazilevicChain(LoewnerChain):
         jp0 = self.p.jet(0j)
         if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
             raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
-        self._ray_cache: dict[complex, tuple] = {}
+        jf0 = f.jet(0j)
+        self._g = BranchLattice(lambda w: self._g_jet(w)[0] / w,
+                                cmath.log(q.jet(jf0.value).d1 * jf0.d1))
+        self._pz = BranchLattice(lambda w: self.p.jet(w).value / w, 0j)
 
     # F = z * B^{1/s} with B = (G/z)^s + s(e^t - 1)(p/z)^alpha,  G = Q o f.
-    # The ratio powers are branch-tracked along [0, z]; the outer 1/s power
-    # is continued in t from LB(0) = s*log(G/z) so that F(z, 0) = G(z).
+    # The ratio powers take their logs from two branch lattices shared by
+    # every point; the outer 1/s power is continued in t from
+    # LB(0) = s*log(G/z) so that F(z, 0) = G(z).
 
     def _g_jet(self, z):
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         return jq.value, jq.d1 * jf.d1
 
-    def _ray(self, z):
-        got = self._ray_cache.get(z)
-        if got is not None:
-            return got
+    def branch_data(self, z):
+        """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z)."""
         s = self.params.s
-        alpha = s.real
-        g0 = self.q.jet(self.f.jet(0j).value).d1 * self.f.jet(0j).d1
-        if z == 0:
-            lg = cmath.log(g0)
-            lp = 0j
-        else:
-            lg = tracked_log(lambda w: self._g_jet(w)[0] / w, z, cmath.log(g0))
-            lp = tracked_log(lambda w: self.p.jet(w).value / w, z, 0j)
-        data = (cmath.exp(s * lg), cmath.exp(alpha * lp), s * lg)
-        if len(self._ray_cache) < 250000:
-            self._ray_cache[z] = data
-        return data
+        lg = tracked_log(self._g.fn, z, **self._g.continue_from(z))
+        lp = tracked_log(self._pz.fn, z, **self._pz.continue_from(z))
+        return cmath.exp(s * lg), cmath.exp(s.real * lp), s * lg
 
     def _lb(self, t, big_h, big_r, lb0):
         """log B continued from t = 0 along the time axis."""
@@ -233,13 +231,13 @@ class BazilevicChain(LoewnerChain):
                 raise BranchTrackingError("time continuation of the chain bracket failed")
             steps *= 2
 
-    def partials(self, z, t):
+    def partials(self, z, t, branch=None):
         s = self.params.s
         alpha, beta = s.real, s.imag
         et = math.exp(t)
         if z == 0:
             return ChainPartials(0j, 0j, 0j)
-        big_h, big_r, lb0 = self._ray(z)
+        big_h, big_r, lb0 = branch or self.branch_data(z)
         b = big_h + s * (et - 1) * big_r
         lb = self._lb(t, big_h, big_r, lb0)
         value = z * cmath.exp(lb / s)
@@ -343,6 +341,9 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     growth_max = 0.0
     a1_abs: list[float] = []
 
+    # each point's branch data once per call, shared by all of its times
+    branches = [chain.branch_data(z) for z in points]
+
     for t in times:
         a1 = chain.a1(t)
         a1_abs.append(abs(a1))
@@ -350,12 +351,13 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
             failures.append(f"a1({t}) = 0")
             continue
 
-        def one(z, t=t, a1=a1):
-            p = chain.transition_ratio(z, t)
-            fv = chain.value(z, t)
+        def one(item, t=t, a1=a1):
+            z, branch = item
+            p = chain.transition_ratio(z, t, branch)
+            fv = chain.value(z, t, branch)
             return p, abs(fv) / abs(a1)
 
-        for z, (p, g) in zip(points, ordered_map(one, points)):
+        for z, (p, g) in zip(points, ordered_map(one, zip(points, branches))):
             if not (math.isfinite(p.real) and math.isfinite(p.imag)):
                 failures.append(f"transition ratio not finite at z={z!r}, t={t}")
                 continue

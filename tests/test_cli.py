@@ -321,6 +321,54 @@ def test_sector_scenario_end_to_end(tmp_path, capsys):
     assert "rotation_convention" in out  # beltrami report names the reading
 
 
+def test_sector_criterion_needs_a_sector_companion_to_extend(tmp_path, capsys):
+    # check only tests f against the sector; extend and beltrami build the
+    # chain from the companion, so an identity companion would extend the
+    # plain nw chain instead of the sector extension
+    doc = {
+        "version": 1,
+        "function": {"kind": "polynomial", "coefficients": [[0.1, 0.0]]},
+        "companion": {"kind": "identity"},
+        "criterion": "sector_nw",
+        "params": {"k": 0.75, "w0": [-2.0, 0.0],
+                   "lambda0": 1.8333333333333333, "a": 0.3333333333333333},
+        "grid": {"radial": 16, "angular": 32},
+        "annulus": {"radial": 6, "angular": 12, "inner": 1.001, "outer": 3.0},
+        "times": {"t_max": 2.0, "count": 5},
+    }
+    path = write_scenario(tmp_path, doc)
+    code, out, _ = run(["check", "--scenario", path], capsys)
+    assert code == 0 and "passed=true" in out
+    for command in ("extend", "beltrami"):
+        code, out, err = run([command, "--scenario", path], capsys)
+        assert code == 2, command
+        assert "needs a sector companion" in err
+        assert "report" not in out
+
+
+def test_moebius_criterion_needs_a_moebius_companion_to_extend(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "function": {"kind": "polynomial", "coefficients": [[0.2, 0.0]]},
+        "criterion": "moebius_nw",
+        "params": {"k": 0.6, "gamma": [0.2, 0.0], "delta": [1.0, 0.0]},
+        "grid": {"radial": 16, "angular": 32},
+        "annulus": {"radial": 6, "angular": 12, "inner": 1.001, "outer": 3.0},
+        "times": {"t_max": 2.0, "count": 5},
+    }
+    path = write_scenario(tmp_path, doc)
+    for command in ("extend", "beltrami"):
+        code, _, err = run([command, "--scenario", path], capsys)
+        assert code == 2, command
+        assert "needs a moebius companion" in err
+    doc["companion"] = {"kind": "moebius", "alpha": [1.0, 0.0], "beta": [0.0, 0.0],
+                        "gamma": [0.2, 0.0], "delta": [1.0, 0.0]}
+    path = write_scenario(tmp_path, doc, "matching.json")
+    for command in ("extend", "beltrami"):
+        code, _, err = run([command, "--scenario", path], capsys)
+        assert code == 0, (command, err)
+
+
 def test_moebius_becker_cancellation_scenario(tmp_path, capsys):
     doc = {
         "version": 1,

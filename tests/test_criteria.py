@@ -443,16 +443,15 @@ GOLDEN_FIELDS = ("passed", "sup_value", "threshold", "strict", "margin",
                  "concluded_dilatation")
 GOLDEN_REPORTS = {
     "phi_like": (True, -0.67109634551495, 0.0, True, 0.67109634551495, -0.99, 1.2124003311558797e-16, 153, None, None),
-    "bazilevic": (True, -0.49990447152719514, 0.0, True, 0.49990447152719514, -0.99, 1.2124003311558797e-16, 153, None, None),
+    "bazilevic": (True, -0.49990447152719536, 0.0, True, 0.49990447152719536, -0.99, 1.2124003311558797e-16, 153, None, None),
     "gen_becker": (True, 0.2665952053014155, 0.6, False, 0.3334047946985845, -0.6018928294465028, 7.371061270114035e-17, 153, 0.2665952053014155, 0.7142857142857143),
     "moebius_becker": (True, 0.13549512310935927, 0.9, False, 0.7645048768906407, 0.5813838286205785, -0.15578132737139824, 153, 0.13549512310935927, 0.9),
     "sector_becker": (True, 0.5580651491726969, 0.65, False, 0.09193485082730313, -0.6018928294465028, 7.371061270114035e-17, 153, 0.5580651491726969, 0.9186046511627909),
     "nw": (True, -0.1276992056249998, 0.0, False, 0.1276992056249998, -0.99, 1.2124003311558797e-16, 153, 0.36297461235745543, 0.5963302752293578),
     "moebius_nw": (True, -0.9656967094897674, 0.0, False, 0.9656967094897674, -0.99, 1.2124003311558797e-16, 153, 0.07900446790816419, 0.6),
-    "sector_nw": (True, -0.0828406481646371, 0.0, False, 0.0828406481646371, -0.49500000000000044, -0.857365149746594, 153, 0.6921888235674948, 0.9444444444444445),
+    "sector_nw": (True, -0.08284064816463754, 0.0, False, 0.08284064816463754, -0.4949999999999998, 0.8573651497465943, 153, 0.692188823567495, 0.9444444444444445),
     "phi_like_udisk": (True, -0.506644518272425, 0.0, False, 0.506644518272425, -0.99, 1.2124003311558797e-16, 153, 0.19681908548707766, 0.5),
-    "bazilevic_udisk": (True, -0.7029999999999995, 0.0, False, 0.7029999999999995, -0.99, 1.2124003311558797e-16, 153, 0.10987791342952294, 0.5),
-
+    "bazilevic_udisk": (True, -0.7030000000000001, 0.0, False, 0.7030000000000001, -0.99, 1.2124003311558797e-16, 153, 0.10987791342952273, 0.5),
 }
 
 
