@@ -11,6 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BLOCK = 512  # points evaluated together by the array paths
+
+
+def blocks(points, size: int = BLOCK) -> list[np.ndarray]:
+    """Consecutive slices of at most `size` points (rows of a 2-D array), in
+    input order.  Array evaluation goes block by block, which bounds its
+    temporaries."""
+    points = np.asarray(points)
+    return [points[i:i + size] for i in range(0, len(points), size)]
+
 
 @dataclass(frozen=True)
 class DiskGrid:

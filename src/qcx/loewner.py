@@ -13,6 +13,11 @@ numerical differentiation.  Validation checks the classical chain
 conditions on samples: Re p > 0, p inside U(k) when a dilatation target is
 given, and the leading coefficient a1(t) = dF/dz(0, t) growing without
 bound.
+
+Chains and the extension evaluate a point or, elementwise, a 1-D complex
+array of points, with a scalar t or an array of times matching the points.
+Validation and the CLI's extension samples go through blocks of at most
+`grids.BLOCK` points.
 """
 
 from __future__ import annotations
@@ -22,9 +27,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .branches import BranchLattice, BranchTrackingError, tracked_log
 from .criteria import CRITERIA, CriterionParams, PreconditionError
-from .grids import DiskGrid
+from .grids import DiskGrid, blocks
+from .jets import lib, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
@@ -34,9 +42,17 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class ChainPartials:
-    value: complex
-    dt: complex
-    zdz: complex
+    value: complex | np.ndarray
+    dt: complex | np.ndarray
+    zdz: complex | np.ndarray
+
+
+def _ratio(num, den):
+    """num / den, with inf where den vanishes."""
+    if type(den) is np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den == 0, complex(_INF, 0), num / den)
+    return num / den if den != 0 else complex(_INF, 0)
 
 
 class LoewnerChain:
@@ -54,8 +70,9 @@ class LoewnerChain:
         self.params = params
 
     def branch_data(self, z: complex):
-        """What every time t shares at z (the Bazilevic chain's logs), passed
-        back as `branch` to skip recomputing it; None when nothing is shared."""
+        """What every time t shares at z, a point or an array (the Bazilevic
+        chain's logs), passed back as `branch` to skip recomputing it; None
+        when nothing is shared."""
         return None
 
     def value(self, z: complex, t: float, branch=None) -> complex:
@@ -68,15 +85,14 @@ class LoewnerChain:
         """Leading coefficient dF/dz(0, t)."""
         raise NotImplementedError
 
-    def transition_ratio(self, z: complex, t: float, branch=None) -> complex:
-        """p(z, t) = dF/dt / (z dF/dz); the chain condition is Re p > 0."""
-        if z == 0:
-            return self._ratio_origin(t)
-        part = self.partials(z, t, branch)
-        den = part.zdz
-        if den == 0:
-            return complex(_INF, 0)
-        return part.dt / den
+    def transition_ratio(self, z: complex, t: float, branch=None,
+                         part: ChainPartials | None = None) -> complex:
+        """p(z, t) = dF/dt / (z dF/dz); the chain condition is Re p > 0.
+        `part`, the partials at (z, t) when the caller has them, saves
+        evaluating them again."""
+        if part is None:
+            part = self.partials(z, t, branch)
+        return lib(z).where(z == 0, self._ratio_origin(t), _ratio(part.dt, part.zdz))
 
     def _ratio_origin(self, t: float) -> complex:
         raise NotImplementedError
@@ -94,8 +110,8 @@ class GenBeckerChain(LoewnerChain):
 
     def partials(self, z, t, branch=None):
         kappa = self._kappa
-        et = math.exp(t)
-        emt = math.exp(-t)
+        et = lib(t).exp(t)
+        emt = lib(t).exp(-t)
         u = emt * z
         jf = self.f.jet(u)
         jq = self.q.jet(jf.value)
@@ -108,14 +124,14 @@ class GenBeckerChain(LoewnerChain):
         return ChainPartials(value, dt, zdz)
 
     def a1(self, t):
-        et = math.exp(t)
-        emt = math.exp(-t)
+        et = lib(t).exp(t)
+        emt = lib(t).exp(-t)
         s0 = self.q.jet(self.f.jet(0j).value).d1 * self.f.jet(0j).d1
         return s0 * (emt + self._kappa * (et - emt))
 
     def _ratio_origin(self, t):
         c = self.params.c
-        w = c * math.exp(-2 * t)
+        w = c * lib(t).exp(-2 * t)
         return (1 - w) / (1 + w)
 
 
@@ -123,7 +139,7 @@ class NWChain(LoewnerChain):
     construction = "nw"
 
     def partials(self, z, t, branch=None):
-        et = math.exp(t)
+        et = lib(t).exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         value = jq.value + (et - 1) * z
@@ -133,19 +149,11 @@ class NWChain(LoewnerChain):
 
     def a1(self, t):
         jf0 = self.f.jet(0j)
-        return self.q.jet(jf0.value).d1 * jf0.d1 + math.exp(t) - 1
-
-    def transition_ratio(self, z, t, branch=None):
-        # the z factor cancels analytically, so the origin is regular
-        et = math.exp(t)
-        jf = self.f.jet(z)
-        den = self.q.jet(jf.value).d1 * jf.d1 + et - 1
-        if den == 0:
-            return complex(_INF, 0)
-        return et / den
+        return self.q.jet(jf0.value).d1 * jf0.d1 + lib(t).exp(t) - 1
 
     def _ratio_origin(self, t):
-        return self.transition_ratio(0j, t)
+        # the z factor of dt and zdz cancels, so the origin is regular
+        return _ratio(lib(t).exp(t), self.a1(t))
 
 
 class PhiLikeChain(LoewnerChain):
@@ -157,14 +165,14 @@ class PhiLikeChain(LoewnerChain):
             raise PreconditionError("phi_like chain needs Q(0) = 0")
 
     def partials(self, z, t, branch=None):
-        et = math.exp(t)
+        et = lib(t).exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         return ChainPartials(et * jq.value, et * jq.value, et * z * jq.d1 * jf.d1)
 
     def a1(self, t):
         jf0 = self.f.jet(0j)
-        return math.exp(t) * self.q.jet(jf0.value).d1 * jf0.d1
+        return lib(t).exp(t) * self.q.jet(jf0.value).d1 * jf0.d1
 
     def _ratio_origin(self, t):
         return 1 + 0j
@@ -199,55 +207,81 @@ class BazilevicChain(LoewnerChain):
         jq = self.q.jet(jf.value)
         return jq.value, jq.d1 * jf.d1
 
+    def _logs(self, z):
+        """log(G/z) and log(p/z) at one point, through the two lattices."""
+        return (tracked_log(self._g.fn, z, **self._g.continue_from(z)),
+                tracked_log(self._pz.fn, z, **self._pz.continue_from(z)))
+
     def branch_data(self, z):
-        """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z)."""
+        """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z).
+        The logs are continued point by point, an array's too."""
         s = self.params.s
-        lg = tracked_log(self._g.fn, z, **self._g.continue_from(z))
-        lp = tracked_log(self._pz.fn, z, **self._pz.continue_from(z))
-        return cmath.exp(s * lg), cmath.exp(s.real * lp), s * lg
+        if type(z) is np.ndarray:
+            lg, lp = np.array([self._logs(w) for w in z.tolist()],
+                              complex).reshape(-1, 2).T
+        else:
+            lg, lp = self._logs(z)
+        m = lib(lg)
+        return m.cexp(s * lg), m.cexp(s.real * lp), s * lg
 
     def _lb(self, t, big_h, big_r, lb0):
-        """log B continued from t = 0 along the time axis."""
+        """log B continued from t = 0 along the time axis, elementwise.
+
+        Each point takes max(4, ceil(|t| / 0.2)) equal steps; a point where
+        one step turns B by more than 1.5 radians starts over with twice
+        as many.
+        """
         s = self.params.s
-        steps = max(4, int(math.ceil(abs(t) / 0.2)))
-        while True:
-            lb = lb0
-            prev = big_h
-            ok = True
-            for j in range(1, steps + 1):
-                tj = t * j / steps
-                b = big_h + s * (math.exp(tj) - 1) * big_r
-                if b == 0:
+        args = np.broadcast_arrays(t, big_h, big_r, lb0)
+        shape = args[0].shape
+        t, big_h, big_r, lb0 = (np.ravel(x) for x in args)
+        steps = np.maximum(4, np.ceil(np.abs(t) / 0.2)).astype(int)
+        out = np.empty(t.shape, complex)
+        todo = np.arange(t.size)
+        while todo.size:
+            n, tt, h, r = steps[todo], t[todo], big_h[todo], big_r[todo]
+            lb = lb0[todo].astype(complex)
+            prev = h.astype(complex)
+            ok = np.ones(todo.size, bool)
+            for j in range(1, int(n.max()) + 1):
+                live = ok & (j <= n)
+                b = h + s * (np.exp(tt * j / n) - 1) * r
+                if (live & (b == 0)).any():
                     raise BranchTrackingError("chain bracket vanished on the time path")
-                inc = cmath.log(b / prev)
-                if abs(inc.imag) > 1.5:
-                    ok = False
-                    break
-                lb += inc
-                prev = b
-            if ok:
-                return lb
-            if steps > 4096:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    inc = np.log(b / prev)
+                ok &= ~(live & (np.abs(inc.imag) > 1.5))
+                step = live & ok
+                lb = np.where(step, lb + inc, lb)
+                prev = np.where(step, b, prev)
+            out[todo[ok]] = lb[ok]
+            todo = todo[~ok]
+            if (steps[todo] > 4096).any():
                 raise BranchTrackingError("time continuation of the chain bracket failed")
-            steps *= 2
+            steps[todo] *= 2
+        return out.reshape(shape)[()]
 
     def partials(self, z, t, branch=None):
+        if type(z) is not np.ndarray and z == 0:
+            return ChainPartials(0j, 0j, 0j)
         s = self.params.s
         alpha, beta = s.real, s.imag
-        et = math.exp(t)
-        if z == 0:
-            return ChainPartials(0j, 0j, 0j)
-        big_h, big_r, lb0 = branch or self.branch_data(z)
+        et = lib(t).exp(t)
+        big_h, big_r, lb0 = self.branch_data(z) if branch is None else branch
         b = big_h + s * (et - 1) * big_r
         lb = self._lb(t, big_h, big_r, lb0)
-        value = z * cmath.exp(lb / s)
-        gv, gd = self._g_jet(z)
-        jp = self.p.jet(z)
-        zgg = z * gd / gv
-        zpp = z * jp.d1 / jp.value
-        dt = value * et * big_r / b
-        zdz = value * (big_h * zgg + (et - 1) * big_r * (alpha * zpp + 1j * beta)) / b
-        return ChainPartials(value, dt, zdz)
+        # at the origin of an array z G'/G and z p'/p are 0/0; the origin's
+        # partials are 0, set below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = z * lib(lb).cexp(lb / s)
+            gv, gd = self._g_jet(z)
+            jp = self.p.jet(z)
+            zgg = z * gd / gv
+            zpp = z * jp.d1 / jp.value
+            dt = value * et * big_r / b
+            zdz = value * (big_h * zgg + (et - 1) * big_r * (alpha * zpp + 1j * beta)) / b
+        m = lib(z)
+        return ChainPartials(*(m.where(z == 0, 0j, x) for x in (value, dt, zdz)))
 
     def a1(self, t):
         s = self.params.s
@@ -255,17 +289,14 @@ class BazilevicChain(LoewnerChain):
         lb0 = s * cmath.log(g0)
         big_h = cmath.exp(lb0)
         lb = self._lb(t, big_h, 1 + 0j, lb0)
-        return cmath.exp(lb / s)
+        return lib(lb).cexp(lb / s)
 
     def _ratio_origin(self, t):
         s = self.params.s
-        et = math.exp(t)
+        et = lib(t).exp(t)
         g0 = self.q.jet(self.f.jet(0j).value).d1 * self.f.jet(0j).d1
         h0 = cmath.exp(s * cmath.log(g0))
-        den = h0 + (et - 1) * s
-        if den == 0:
-            return complex(_INF, 0)
-        return et / den
+        return _ratio(et, h0 + (et - 1) * s)
 
 
 _CHAIN_CLASSES = {
@@ -333,7 +364,7 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     """Check Re p > 0, optional p in U(k), growth and |a1(t)| monotonicity."""
     grid = grid or DiskGrid()
     times = tuple(times) if times is not None else default_times()
-    points = list(grid.points())
+    points = blocks(grid.points())
     failures: list[str] = []
 
     re_min, re_arg = _INF, (0j, 0.0)
@@ -341,9 +372,11 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     growth_max = 0.0
     a1_abs: list[float] = []
 
-    # each point's branch data once per call, shared by all of its times
+    # each block's branch data once per call, shared by all of its times
     branches = [chain.branch_data(z) for z in points]
 
+    # times outer, points in grid order: ties go to the first minimum and
+    # failures are listed in that order
     for t in times:
         a1 = chain.a1(t)
         a1_abs.append(abs(a1))
@@ -351,26 +384,30 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
             failures.append(f"a1({t}) = 0")
             continue
 
-        def one(item, t=t, a1=a1):
+        def one(item, t=t):
             z, branch = item
-            p = chain.transition_ratio(z, t, branch)
-            fv = chain.value(z, t, branch)
-            return p, abs(fv) / abs(a1)
+            part = chain.partials(z, t, branch)
+            return chain.transition_ratio(z, t, part=part), part.value
 
-        for z, (p, g) in zip(points, ordered_map(one, zip(points, branches))):
-            if not (math.isfinite(p.real) and math.isfinite(p.imag)):
-                failures.append(f"transition ratio not finite at z={z!r}, t={t}")
+        for z, (p, fv) in zip(points, ordered_map(one, zip(points, branches))):
+            g = np.abs(fv) / abs(a1)
+            p_ok = np.isfinite(p)
+            g_ok = np.isfinite(g)
+            for i in np.flatnonzero(~(p_ok & g_ok)):
+                what = "|F/a1|" if p_ok[i] else "transition ratio"
+                failures.append(f"{what} not finite at z={z[i]!r}, t={t}")
+            if not p_ok.any():
                 continue
-            if p.real < re_min:
-                re_min, re_arg = p.real, (z, t)
+            z, p, g = z[p_ok], p[p_ok], g[p_ok]
+            i = int(np.argmin(p.real))
+            if p.real[i] < re_min:
+                re_min, re_arg = float(p.real[i]), (z[i], t)
             if dilatation_bound is not None:
-                m = u_disk_margin(p, dilatation_bound)
-                if m < um_min:
-                    um_min, um_arg = m, (z, t)
-            if math.isfinite(g):
-                growth_max = max(growth_max, g)
-            else:
-                failures.append(f"|F/a1| not finite at z={z!r}, t={t}")
+                margin = u_disk_margin(p, dilatation_bound)
+                i = int(np.argmin(margin))
+                if margin[i] < um_min:
+                    um_min, um_arg = float(margin[i]), (z[i], t)
+            growth_max = max(growth_max, float(g.max(initial=0.0, where=np.isfinite(g))))
 
     if re_min <= 0:
         failures.append(
@@ -420,23 +457,29 @@ class ExtensionMap:
         self.fixes_infinity = chain.q.fixes_infinity
 
     def __call__(self, w: complex) -> complex:
+        """fhat at a point, or elementwise at a 1-D complex array."""
+        return piecewise(abs(w) < 1, self._inside, self._outside, w)
+
+    def _inside(self, w):
+        return self.chain.value(w, 0.0)
+
+    def _outside(self, w):
         r = abs(w)
-        if r < 1:
-            return self.chain.value(w, 0.0)
         zb = w / r
         if self.chain.f.analyticity_radius <= 1:
-            zb *= 1 - self.clamp
-        return self.chain.value(zb, math.log(r))
+            zb = zb * (1 - self.clamp)
+        return self.chain.value(zb, lib(r).log(r))
+
+    def on_blocks(self, points) -> np.ndarray:
+        """fhat at every point, evaluated in blocks of at most grids.BLOCK."""
+        values = ordered_map(self, blocks(points))
+        return np.concatenate(values) if values else np.empty(0, complex)
 
     def continuity_gap(self, n_angles: int = 256, delta: float = 1e-7) -> float:
         """Max mismatch of the radial limits across |w| = 1."""
-        worst = 0.0
-        for j in range(n_angles):
-            w = cmath.exp(2j * math.pi * j / n_angles)
-            inner = self((1 - delta) * w)
-            outer = self((1 + delta) * w)
-            worst = max(worst, abs(inner - outer))
-        return worst
+        w = np.exp(1j * (2 * math.pi * np.arange(n_angles) / n_angles))
+        limits = self(np.concatenate([(1 - delta) * w, (1 + delta) * w]))
+        return float(np.abs(limits[:n_angles] - limits[n_angles:]).max(initial=0.0))
 
 
 def build_extension(chain: LoewnerChain, clamp: float = 1e-6) -> ExtensionMap:
@@ -446,7 +489,8 @@ def build_extension(chain: LoewnerChain, clamp: float = 1e-6) -> ExtensionMap:
 def composed_extension(ext: ExtensionMap,
                        inverse: Callable[[complex], complex]) -> Callable[[complex], complex]:
     """w -> inverse(fhat(w)): the extension of f itself when the companion's
-    quasiconformal extension is explicitly invertible (Moebius, sector)."""
+    quasiconformal extension is explicitly invertible (Moebius, sector).
+    Elementwise on an array when `inverse` is."""
 
     def h(w: complex) -> complex:
         return inverse(ext(w))

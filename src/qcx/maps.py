@@ -4,7 +4,8 @@ The catalog covers the standard exemplars of geometric function theory:
 identity, the Koebe map z/(1-z)^2, the half-plane (Cayley-type) map z/(1-z),
 a spiral-like power map, class-A polynomials and rescalings r*f(z/r).
 Maps combine into arithmetic/composition trees through operator overloading,
-and every map evaluates to an exact second-order jet.
+and every map evaluates to an exact second-order jet, at a point or
+elementwise at a 1-D numpy array of points.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .jets import DomainError, Jet2, compose
+from .jets import DomainError, Jet2, compose, first_where, lib
 
 _DERIV_ORIGIN_TOL = 1e-12
 
@@ -25,6 +26,8 @@ class AnalyticMap:
     Subclasses set `analyticity_radius` (the map is analytic on
     |z| < analyticity_radius) and implement `jet`.  Instances are immutable
     and evaluation is pure, so maps can be shared freely across threads.
+    `jet`, `__call__` and `deriv` take a point or a 1-D complex array; a
+    guard raises at the first offending point of an array.
     """
 
     analyticity_radius: float = math.inf
@@ -39,9 +42,16 @@ class AnalyticMap:
         return self.jet(z).d1
 
     def _check_radius(self, z: complex) -> None:
-        if abs(z) >= self.analyticity_radius:
+        outside = abs(z) >= self.analyticity_radius
+        try:  # a point's test first: the criterion scans run it on every jet
+            if not outside:
+                return
+        except ValueError:  # an array's mask has no single truth value
+            pass
+        bad = first_where(outside, z)
+        if bad is not None:
             raise DomainError(
-                f"|z| = {abs(z):.6g} outside analyticity radius "
+                f"|z| = {abs(bad):.6g} outside analyticity radius "
                 f"{self.analyticity_radius:.6g}"
             )
 
@@ -145,7 +155,8 @@ class SpiralMap(AnalyticMap):
         p = self.p
         w = 1 - z
         # 1-z stays in the right half-plane on the disk, principal powers are safe
-        wp2 = cmath.exp((p - 2) * cmath.log(w))
+        m = lib(w)
+        wp2 = m.cexp((p - 2) * m.clog(w))
         wp1 = wp2 * w
         wp = wp1 * w
         return Jet2(z * wp, wp1 * (w - p * z), wp2 * (p * (p - 1) * z - 2 * p * w))
@@ -233,8 +244,9 @@ class QuotientMap(AnalyticMap):
 
     def jet(self, z: complex) -> Jet2:
         den = self.b.jet(z)
-        if den.value == 0:
-            raise DomainError("pole of a quotient node at z = %r" % (z,))
+        bad = first_where(den.value == 0, z)
+        if bad is not None:
+            raise DomainError("pole of a quotient node at z = %r" % (bad,))
         return self.a.jet(z) / den
 
 
@@ -304,20 +316,23 @@ class MoebiusMap:
 
     def apply(self, w: complex) -> complex:
         den = self.gamma * w + self.delta
-        if den == 0:
-            raise DomainError("Moebius pole at w = %r" % (w,))
+        bad = first_where(den == 0, w)
+        if bad is not None:
+            raise DomainError("Moebius pole at w = %r" % (bad,))
         return (self.alpha * w + self.beta) / den
 
     def inverse(self, w: complex) -> complex:
         den = -self.gamma * w + self.alpha
-        if den == 0:
-            raise DomainError("Moebius inverse pole at w = %r" % (w,))
+        bad = first_where(den == 0, w)
+        if bad is not None:
+            raise DomainError("Moebius inverse pole at w = %r" % (bad,))
         return (self.delta * w - self.beta) / den
 
     def jet(self, w: complex) -> Jet2:
         den = self.gamma * w + self.delta
-        if den == 0:
-            raise DomainError("Moebius pole at w = %r" % (w,))
+        bad = first_where(den == 0, w)
+        if bad is not None:
+            raise DomainError("Moebius pole at w = %r" % (bad,))
         den2 = den * den
         # det = 1 after normalization
         return Jet2(

@@ -4,6 +4,12 @@ Wirtinger derivatives come from a 4-point central stencil, the Beltrami
 coefficient is their ratio, and the composition arithmetic of dilatation
 bounds closes the loop from criterion report to measured extension.
 
+The map under test is evaluated elementwise on 1-D complex arrays: every
+map, chain extension, sector extension and composed extension of the
+package is, and a callable `f` handed to `wirtinger` or `beltrami_on_grid`
+must be too.  Each call gets the stencils of a block of grid points, at
+most grids.BLOCK samples.
+
 The extensions built downstream are merely continuous (not smooth) across
 the unit circle, so estimation grids must keep a guard band of 3h around
 |z| = 1 and every accepted estimate has to survive a step-halving check.
@@ -17,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import AnnulusGrid, DiskGrid
+from .grids import BLOCK, AnnulusGrid, DiskGrid, blocks
 from .parallel import ordered_map
 
 _DEGENERATE_DZ = 1e-10
@@ -30,27 +36,35 @@ def compose_dilatation(k1: float, k2: float) -> float:
     return (k1 + k2) / (1 + k1 * k2)
 
 
-def wirtinger(f: Callable[[complex], complex], z: complex,
-              h: float = 1e-5) -> tuple[complex, complex]:
-    """Central-difference Wirtinger derivatives (df/dz, df/dzbar) at z.
+def _stencil(z: np.ndarray, h: float) -> np.ndarray:
+    """The four stencil samples of every point, point by point: z+h, z-h,
+    z+ih, z-ih."""
+    return np.stack([z + h, z - h, z + 1j * h, z - 1j * h], axis=1).ravel()
 
-    Exact (up to rounding) on affine maps a*z + b*conj(z) + c by linearity
-    of the stencil.
+
+def wirtinger(f: Callable[[np.ndarray], np.ndarray], z, h: float = 1e-5):
+    """Central-difference Wirtinger derivatives (df/dz, df/dzbar) at z, a
+    point or a 1-D array of points (then two arrays).
+
+    f is called once, on the stencil samples of all the points.  Exact (up
+    to rounding) on affine maps a*z + b*conj(z) + c by linearity of the
+    stencil.  A non-finite sample (a pole) raises ValueError naming the
+    first point whose stencil hit it.
     """
-    try:
-        fe = f(z + h)
-        fw = f(z - h)
-        fn = f(z + 1j * h)
-        fs = f(z - 1j * h)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"non-finite sample in Wirtinger stencil at {z!r}") from exc
-    for v in (fe, fw, fn, fs):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"non-finite sample in Wirtinger stencil at {z!r}")
+    points = np.atleast_1d(np.asarray(z, complex))
+    with np.errstate(all="ignore"):
+        samples = np.asarray(f(_stencil(points, h)), complex).reshape(-1, 4)
+    bad = ~np.isfinite(samples).all(axis=1)
+    if bad.any():
+        at = z if np.ndim(z) == 0 else points[int(np.argmax(bad))]
+        raise ValueError(f"non-finite sample in Wirtinger stencil at {at!r}")
+    fe, fw, fn, fs = samples.T
     du = fe - fw
     dv = fn - fs
     dz = (du - 1j * dv) / (4 * h)
     dzbar = (du + 1j * dv) / (4 * h)
+    if np.ndim(z) == 0:
+        return complex(dz[0]), complex(dzbar[0])
     return dz, dzbar
 
 
@@ -79,78 +93,69 @@ class BeltramiEstimate:
         return (1 + self.sup_abs_mu) / (1 - self.sup_abs_mu)
 
 
-def _guard_violated(points: Sequence[complex], h: float) -> complex | None:
-    for z in points:
-        if 1 - 3 * h <= abs(z) <= 1 + 3 * h:
-            return z
-    return None
-
-
-def beltrami_on_grid(f: Callable[[complex], complex],
+def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
                      grid: AnnulusGrid | DiskGrid | Sequence[complex],
                      h: float = 1e-5,
-                     seam: Callable[[complex], float] | None = None) -> BeltramiEstimate:
+                     seam: Callable[[np.ndarray], np.ndarray] | None = None) -> BeltramiEstimate:
     """Estimate the Beltrami coefficient of f on every grid sample.
 
     Parameters
     ----------
     f : callable
-        Total map of the plane (an extension, or any complex map).
+        Total map of the plane (an extension, or any complex map),
+        elementwise on a 1-D complex array.
     grid : AnnulusGrid, DiskGrid or sequence of points
         Samples; must avoid the band |z| in [1-3h, 1+3h] where extensions
         are not differentiable.
     h : float
         Stencil step.
     seam : callable, optional
-        Real-valued indicator whose sign change across the stencil marks a
-        sample as sitting on a non-smooth seam; such samples are skipped
-        (the derivative does not exist there).
+        Real-valued indicator, elementwise on a 1-D complex array, whose
+        sign change across the stencil marks a sample as sitting on a
+        non-smooth seam; such samples are skipped (the derivative does not
+        exist there) and f is not evaluated for them.
     """
-    points = grid.points() if hasattr(grid, "points") else np.asarray(list(grid))
-    bad = _guard_violated(points, h)
-    if bad is not None:
+    points = np.asarray(grid.points() if hasattr(grid, "points") else list(grid), complex)
+    r = np.abs(points)
+    band = (1 - 3 * h <= r) & (r <= 1 + 3 * h)
+    if band.any():
         raise ValueError(
-            f"grid point {bad!r} lies inside the guard band |z| in [1-3h, 1+3h]"
+            f"grid point {points[int(np.argmax(band))]!r} lies inside the guard "
+            "band |z| in [1-3h, 1+3h]"
         )
 
-    def one(z: complex):
+    def one(z: np.ndarray):
+        """mu on a block, with its skipped and flagged masks."""
+        skipped = np.zeros(len(z), bool)
         if seam is not None:
-            signs = {math.copysign(1.0, seam(z + d))
-                     for d in (h, -h, 1j * h, -1j * h)}
-            if len(signs) > 1:
-                return None  # stencil straddles the seam
-        dz, dzb = wirtinger(f, z, h)
-        if abs(dz) < _DEGENERATE_DZ:
-            return False  # degenerate Jacobian
-        return dzb / dz
+            with np.errstate(all="ignore"):
+                signs = np.copysign(1.0, seam(_stencil(z, h))).reshape(-1, 4)
+            skipped = (signs != signs[:, :1]).any(axis=1)  # stencil straddles the seam
+        kept = np.flatnonzero(~skipped)
+        dz, dzb = wirtinger(f, z[kept], h)
+        degenerate = np.abs(dz) < _DEGENERATE_DZ  # degenerate Jacobian
+        flagged = np.zeros(len(z), bool)
+        flagged[kept[degenerate]] = True
+        mu = np.full(len(z), np.nan, complex)
+        mu[kept[~degenerate]] = dzb[~degenerate] / dz[~degenerate]
+        return mu, skipped, flagged
 
-    results = ordered_map(one, list(points))
-    mu = np.zeros(len(points), dtype=complex)
-    flagged: list[int] = []
-    skipped: list[int] = []
-    sup = 0.0
-    worst = complex(points[0]) if len(points) else 0j
-    for i, res in enumerate(results):
-        if res is None:
-            skipped.append(i)
-            mu[i] = np.nan
-            continue
-        if res is False:
-            flagged.append(i)
-            mu[i] = np.nan
-            continue
-        mu[i] = res
-        if abs(res) > sup:
-            sup = abs(res)
-            worst = complex(points[i])
+    empty = (np.empty(0, complex), np.empty(0, bool), np.empty(0, bool))
+    parts = ordered_map(one, blocks(points, BLOCK // 4)) or [empty]
+    mu, skipped, flagged = (np.concatenate(column) for column in zip(*parts))
+    # the sup and its first maximizer over the samples that count; with no
+    # positive |mu| the worst point is the first sample
+    size = np.where(skipped | flagged, -1.0, np.abs(mu))
+    i = int(np.argmax(size)) if len(points) else 0
+    sup = float(size[i]) if len(points) and size[i] > 0 else 0.0
     return BeltramiEstimate(
-        points=np.asarray(points),
+        points=points,
         mu=mu,
-        sup_abs_mu=float(sup),
-        worst_point=complex(worst),
+        sup_abs_mu=sup,
+        worst_point=complex(points[i if sup > 0 else 0]) if len(points) else 0j,
         h=float(h),
-        flagged=tuple(flagged),
-        skipped=tuple(skipped),
+        flagged=tuple(np.flatnonzero(flagged).tolist()),
+        skipped=tuple(np.flatnonzero(skipped).tolist()),
     )
 
 

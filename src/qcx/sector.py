@@ -12,6 +12,9 @@ sector and a radial power stretch on the complementary sector; the stretch
 side is reached through the rotation e^{-i pi a} z, which is what makes the
 two branches agree on both shared boundary rays (an executable fact, see
 the continuity tests).
+
+The power map, the plane extension, its inverse and the seam indicators
+take a point or, elementwise, a 1-D complex array.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 from .criteria import PreconditionError
 from .grids import DiskGrid
-from .jets import DomainError, Jet2
+from .jets import DomainError, Jet2, first_where, lib, piecewise
 from .maps import AnalyticMap, CompanionMap
 
 _TWO_PI = 2 * math.pi
@@ -46,20 +49,19 @@ class SectorDomain:
         if not 0 <= self.lambda0 < 2:
             raise PreconditionError("lambda0 must lie in [0, 2)")
         object.__setattr__(self, "w0", complex(self.w0))
+        object.__setattr__(self, "_rot", cmath.exp(-1j * math.pi * self.lambda0))
 
     def local_angle(self, w: complex) -> float:
         """arg(e^{-i pi lambda0}(w - w0)) reduced to [0, 2pi)."""
-        zeta = cmath.exp(-1j * math.pi * self.lambda0) * (w - self.w0)
-        ang = math.atan2(zeta.imag, zeta.real)
-        if ang < 0:
-            ang += _TWO_PI
-        return ang
+        return _arg_0_2pi(self._rot * (w - self.w0))
 
     def contains(self, w: complex) -> bool:
-        if w == self.w0:
-            return False
-        ang = self.local_angle(w)
-        return 0 < ang < math.pi * self.a
+        return self._contains_at(w, self.local_angle(w))
+
+    def _contains_at(self, w: complex, ang: float) -> bool:
+        """contains(w), given ang = local_angle(w)."""
+        inside = (0 < ang) & (ang < math.pi * self.a)
+        return lib(w).where(w != self.w0, inside, False)
 
 
 class SectorPowerMap(AnalyticMap):
@@ -84,12 +86,14 @@ class SectorPowerMap(AnalyticMap):
 
     def _raw_jet(self, w: complex) -> Jet2:
         sec = self.sector
-        if not sec.contains(w):
-            raise DomainError(f"w = {w!r} outside the sector domain")
-        zeta = self._rot * (w - sec.w0)
+        m = lib(w)
         ang = sec.local_angle(w)
+        bad = first_where(m.not_(sec._contains_at(w, ang)), w)
+        if bad is not None:
+            raise DomainError(f"w = {bad!r} outside the sector domain")
+        zeta = self._rot * (w - sec.w0)
         inv_a = 1 / sec.a
-        val = cmath.exp(inv_a * complex(math.log(abs(zeta)), ang))
+        val = m.cexp(inv_a * m.complex(m.log(abs(zeta)), ang))
         d1 = inv_a * val / (w - sec.w0)
         d2 = inv_a * (inv_a - 1) * val / ((w - sec.w0) ** 2)
         return Jet2(val, d1, d2)
@@ -115,8 +119,13 @@ def companion_from_sector(sector: SectorDomain, normalized: bool = True) -> Comp
 
 
 def _arg_0_2pi(z: complex) -> float:
-    ang = math.atan2(z.imag, z.real)
-    return ang + _TWO_PI if ang < 0 else ang
+    return lib(z).atan2(z.imag, z.real) % _TWO_PI
+
+
+def _power(z: complex, ang: float, p: float) -> complex:
+    """z^p on the branch with arg z = ang."""
+    m = lib(z)
+    return m.cexp(p * m.complex(m.log(abs(z)), ang))
 
 
 def p_extension(a: float, z: complex) -> complex:
@@ -129,23 +138,31 @@ def p_extension(a: float, z: complex) -> complex:
     """
     if not 0 < a < 2:
         raise PreconditionError("opening a must lie in (0, 2)")
-    if z == 0:
-        return 0j
-    ang = _arg_0_2pi(z)
-    if 0 < ang < math.pi * a:
-        return cmath.exp((1 / a) * complex(math.log(abs(z)), ang))
-    # stretch branch: zeta = e^{-i pi a} z has arg in [0, (2-a) pi]
+
+    def nonzero(z):
+        ang = _arg_0_2pi(z)
+        sector = (0 < ang) & (ang < math.pi * a)
+        return piecewise(sector, lambda z: _power(z, _arg_0_2pi(z), 1 / a),
+                         lambda z: _stretch(a, z), z)
+
+    return piecewise(z == 0, _zero, nonzero, z)
+
+
+def _stretch(a: float, z: complex) -> complex:
+    """p_extension on the closed complementary sector (z != 0)."""
+    m = lib(z)
+    # zeta = e^{-i pi a} z has arg in [0, (2-a) pi], up to rounding at either
+    # end; an angle rounded below 0 is reduced to near 2 pi: fold it to 0
     zeta = cmath.exp(-1j * math.pi * a) * z
     ang_z = _arg_0_2pi(zeta)
-    if ang_z > (2 - a) * math.pi:
-        # rounding pushed the boundary ray below 0; fold it back
-        ang_z -= _TWO_PI
-        if ang_z < 0:
-            ang_z = 0.0
-    p1 = cmath.exp((1 / (2 - a)) * complex(math.log(abs(zeta)), ang_z))
+    p1 = _power(zeta, m.where(ang_z > (2 - a / 2) * math.pi, 0.0, ang_z), 1 / (2 - a))
     # radial stretch preserves the argument
     p2 = abs(p1) ** ((2 - a) / a) * (p1 / abs(p1))
     return -p2
+
+
+def _zero(z: complex) -> complex:
+    return 0j
 
 
 def p_extension_inverse(a: float, v: complex) -> complex:
@@ -153,16 +170,18 @@ def p_extension_inverse(a: float, v: complex) -> complex:
     unwound stretch on the lower half-plane."""
     if not 0 < a < 2:
         raise PreconditionError("opening a must lie in (0, 2)")
-    if v == 0:
-        return 0j
-    ang = _arg_0_2pi(v)
-    if 0 < ang <= math.pi:
-        return cmath.exp(a * complex(math.log(abs(v)), ang))
-    w = -v  # arg in (0, pi]
-    ang_w = _arg_0_2pi(w)
-    y = abs(w) ** (a / (2 - a)) * (w / abs(w))
-    zeta = cmath.exp((2 - a) * complex(math.log(abs(y)), ang_w))
-    return cmath.exp(1j * math.pi * a) * zeta
+
+    def unstretch(v):
+        w = -v  # arg in (0, pi]
+        y = abs(w) ** (a / (2 - a)) * (w / abs(w))
+        return cmath.exp(1j * math.pi * a) * _power(y, _arg_0_2pi(w), 2 - a)
+
+    def nonzero(v):
+        ang = _arg_0_2pi(v)
+        upper = (0 < ang) & (ang <= math.pi)
+        return piecewise(upper, lambda v: _power(v, _arg_0_2pi(v), a), unstretch, v)
+
+    return piecewise(v == 0, _zero, nonzero, v)
 
 
 class SectorExtension:
@@ -197,9 +216,9 @@ class SectorExtension:
         """Positive inside the sector, negative outside, zero on the rays."""
         ang = self.sector.local_angle(w)
         opening = math.pi * self.sector.a
-        if ang < opening:
-            return min(ang, opening - ang)
-        return -min(ang - opening, _TWO_PI - ang)
+        m = lib(ang)
+        return m.where(ang < opening, m.minimum(ang, opening - ang),
+                       -m.minimum(ang - opening, _TWO_PI - ang))
 
     def image_seam(self, v: complex) -> float:
         """Sign changes where the inverse switches branch (the real axis of

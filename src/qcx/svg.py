@@ -7,7 +7,6 @@ external assets, inline styles only, deterministic formatting.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -16,14 +15,18 @@ import numpy as np
 _ANCHORS = ((0.15, 0.10, 0.45), (0.10, 0.60, 0.60), (0.95, 0.90, 0.25))
 
 
-def _color(x: float) -> str:
-    x = min(max(x, 0.0), 1.0)
-    if x <= 0.5:
-        lo, hi, t = _ANCHORS[0], _ANCHORS[1], 2 * x
-    else:
-        lo, hi, t = _ANCHORS[1], _ANCHORS[2], 2 * x - 1
-    rgb = tuple(round(255 * (a + (b - a) * t)) for a, b in zip(lo, hi))
-    return "#%02x%02x%02x" % rgb
+def _colors(x: np.ndarray) -> list[str]:
+    """The fill of every value of x in [0, 1] (clipped), as #rrggbb."""
+    x = np.clip(x, 0.0, 1.0)
+    low = x <= 0.5
+    t = np.where(low, 2 * x, 2 * x - 1)
+    code = np.zeros(x.shape, int)
+    for c0, c1, c2 in zip(*_ANCHORS):  # one channel at a time
+        a = np.where(low, c0, c1)
+        b = np.where(low, c1, c2)
+        # rint rounds half to even, as round() does
+        code = code * 256 + np.rint(255 * (a + (b - a) * t)).astype(int)
+    return ["#%06x" % c for c in code.tolist()]
 
 
 def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float],
@@ -31,57 +34,48 @@ def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float]
                       label: str = "|mu|") -> None:
     """Write a heat map of values[i_radius, i_angle] as a standalone SVG."""
     values = np.asarray(values, dtype=float).reshape(len(radii), len(angles))
-    finite = values[np.isfinite(values)]
-    vmax = float(finite.max()) if finite.size else 0.0
+    finite = np.isfinite(values)
+    vmax = float(values[finite].max()) if finite.any() else 0.0
     scale = vmax if vmax > 0 else 1.0
+    fills = np.full(values.shape, "#cccccc", dtype=object)
+    fills[finite] = _colors(values[finite] / scale)
 
     cell_w, cell_h = 6, 4
     width = len(angles) * cell_w + 140
     height = max(len(radii) * cell_h + 60, 220)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="10" y="20" font-family="monospace" font-size="13">{title}</text>',
-    ]
     x0, y0 = 10, 40
-    for i in range(len(radii)):
-        for j in range(len(angles)):
-            v = values[i, j]
-            fill = "#cccccc" if not math.isfinite(v) else _color(v / scale)
-            x = x0 + j * cell_w
-            # larger radii on top
-            y = y0 + (len(radii) - 1 - i) * cell_h
-            lines.append(
-                f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
-                f'fill="{fill}"/>'
-            )
-    # legend: vertical gradient bar with min/max labels
     lx = x0 + len(angles) * cell_w + 20
     bar_h = 120
     steps = 24
-    for s in range(steps):
-        frac = 1 - s / (steps - 1)
-        lines.append(
-            f'<rect x="{lx}" y="{y0 + s * bar_h // steps}" width="16" '
-            f'height="{bar_h // steps + 1}" fill="{_color(frac)}"/>'
-        )
-    lines.append(
-        f'<text x="{lx + 22}" y="{y0 + 10}" font-family="monospace" '
-        f'font-size="11">{vmax:.6g}</text>'
-    )
-    lines.append(
-        f'<text x="{lx + 22}" y="{y0 + bar_h}" font-family="monospace" '
-        f'font-size="11">0</text>'
-    )
-    lines.append(
-        f'<text x="{lx}" y="{y0 + bar_h + 20}" font-family="monospace" '
-        f'font-size="11">{label}</text>'
-    )
-    lines.append(
-        f'<text x="10" y="{y0 + len(radii) * cell_h + 16}" font-family="monospace" '
-        f'font-size="11">x: angle 0..2pi, y: radius {radii[0]:.6g}..{radii[-1]:.6g}</text>'
-    )
-    lines.append("</svg>")
+    legend = _colors(np.array([1 - s / (steps - 1) for s in range(steps)]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+            f'<rect width="{width}" height="{height}" fill="white"/>\n'
+            f'<text x="10" y="20" font-family="monospace" font-size="13">{title}</text>\n'
+        )
+        for i, row in enumerate(fills.tolist()):
+            y = y0 + (len(radii) - 1 - i) * cell_h  # larger radii on top
+            fh.write("".join(
+                f'<rect x="{x0 + j * cell_w}" y="{y}" width="{cell_w}" height="{cell_h}" '
+                f'fill="{fill}"/>\n'
+                for j, fill in enumerate(row)
+            ))
+        # legend: vertical gradient bar with min/max labels
+        fh.write("".join(
+            f'<rect x="{lx}" y="{y0 + s * bar_h // steps}" width="16" '
+            f'height="{bar_h // steps + 1}" fill="{fill}"/>\n'
+            for s, fill in enumerate(legend)
+        ))
+        fh.write(
+            f'<text x="{lx + 22}" y="{y0 + 10}" font-family="monospace" '
+            f'font-size="11">{vmax:.6g}</text>\n'
+            f'<text x="{lx + 22}" y="{y0 + bar_h}" font-family="monospace" '
+            f'font-size="11">0</text>\n'
+            f'<text x="{lx}" y="{y0 + bar_h + 20}" font-family="monospace" '
+            f'font-size="11">{label}</text>\n'
+            f'<text x="10" y="{y0 + len(radii) * cell_h + 16}" font-family="monospace" '
+            f'font-size="11">x: angle 0..2pi, y: radius {radii[0]:.6g}..{radii[-1]:.6g}</text>\n'
+            "</svg>\n"
+        )

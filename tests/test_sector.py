@@ -142,6 +142,19 @@ def test_p_extension_continuity_across_rays():
                 assert abs(minus - plus) < 1e-9
 
 
+def test_p_extension_on_the_rays_is_the_limit_from_either_side():
+    # exactly on a boundary ray the stretch branch's angle may round past
+    # (2 - a) pi; only an angle rounded below 0 (reduced to near 2 pi) is
+    # folded back to 0, so the ray keeps the value of its neighbours
+    for a in np.linspace(0.05, 1.95, 39):
+        for rho in (0.3, 0.95, 2.5):
+            for base in (0.0, math.pi * a):
+                on = p_extension(a, cmath.rect(rho, base))
+                for side in (-1e-11, 1e-11):
+                    near = p_extension(a, cmath.rect(rho, base + side))
+                    assert abs(on - near) <= 1e-8 * abs(on), (a, rho, base)
+
+
 def test_p_extension_roundtrip():
     rng = random.Random(4)
     for a in (0.25, 0.5, 0.75, 1.25, 1.75):
