@@ -297,8 +297,9 @@ def cmd_check(sc: Scenario, args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{sc.prefix}_check.csv")
+        z, v = rows.T
         write_csv(path, ["re_z", "im_z", "re_value", "im_value"],
-                  [(z.real, z.imag, v.real, v.imag) for z, v in rows])
+                  np.column_stack([z.real, z.imag, v.real, v.imag]))
         print(f"csv={path}")
     return 0 if report.passed else 1
 

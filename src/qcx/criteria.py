@@ -1,10 +1,11 @@
 """Pointwise criterion functionals and their grid sup-estimation.
 
 Each sufficient condition is exposed twice: as a pointwise functional
-(returning the complex criterion value at one z) and as a row of the
-criterion table `CRITERIA`, which `evaluate_criterion` looks up and hands
-to `sup_over_grid`: that scans a disk grid, applies one local refinement
-pass around the worst sample, and emits a CriterionReport.
+(returning the complex criterion value at one z, or elementwise at a 1-D
+array of points) and as a row of the criterion table `CRITERIA`, which
+`evaluate_criterion` looks up and hands to `sup_over_grid`: that scores a
+disk grid block by block, applies one local refinement pass around the
+worst sample, and emits a CriterionReport.
 
 A reported pass means "numerically passes on this grid"; it is evidence,
 not a proof, since the supremum may be attained only in the limit |z| -> 1.
@@ -20,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .branches import BranchLattice, tracked_log, tracked_ratio_log
-from .grids import DiskGrid
+from .grids import DiskGrid, blocks
+from .jets import lib, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
@@ -119,8 +121,33 @@ class CriterionReport:
 
 
 # ---------------------------------------------------------------------------
-# pointwise functionals
+# pointwise functionals: one formula for a point or, elementwise, a 1-D array
 # ---------------------------------------------------------------------------
+
+_INF_Z = complex(_INF, 0)
+# a decorator (a `with` block takes a fresh np.errstate): evaluation is
+# quiet, since an inf or an overflow is scored, not warned about
+_quiet = np.errstate(all="ignore")
+
+
+def _finite_where(ok, formula, *args):
+    """formula(*args) where `ok` holds and complex inf elsewhere: the value a
+    criterion takes where one of its denominators vanishes.  `ok` is a bool
+    for a point, a mask for an array; on an array the formula sees only the
+    points where `ok` holds (each array argument cut to them)."""
+    if type(ok) is not np.ndarray:
+        return formula(*args) if ok else _INF_Z
+    if ok.all():
+        return formula(*args)
+    out = np.full(ok.shape, _INF_Z)
+    out[ok] = formula(*(a[ok] if type(a) is np.ndarray else a for a in args))
+    return out
+
+
+def _becker(c: complex, z: complex, bracket: complex) -> complex:
+    """c|z|^2 + (1-|z|^2) * bracket, the shape of every Becker-type value."""
+    r2 = abs(z) ** 2
+    return c * r2 + (1 - r2) * bracket
 
 
 def _phi_at(phi, w: complex) -> complex:
@@ -136,6 +163,7 @@ def _phi_deriv_origin(phi) -> complex:
     return phi.jet(0j).d1
 
 
+@_quiet
 def phi_like_value(f: AnalyticMap, phi, z: complex) -> complex:
     """z*f'(z)/Phi(f(z)); at z = 0 the limit f'(0)/Phi'(0).
 
@@ -144,31 +172,32 @@ def phi_like_value(f: AnalyticMap, phi, z: complex) -> complex:
     is the phi-like (univalence) condition; spiral-likeness is the special
     case Phi(w) = e^{i*lam} * w.
     """
-    jf = f.jet(z)
-    if z == 0:
+
+    def origin(z):
         d = _phi_deriv_origin(phi)
-        if d == 0:
-            return complex(_INF, 0)
-        return jf.d1 / d
-    den = _phi_at(phi, jf.value)
-    if den == 0:
-        return complex(_INF, 0)
-    return z * jf.d1 / den
+        return _finite_where(d != 0, lambda d1: d1 / d, f.jet(z).d1)
+
+    def inside(z):
+        jf = f.jet(z)
+        den = _phi_at(phi, jf.value)
+        return _finite_where(den != 0, lambda z, d1, den: z * d1 / den,
+                             z, jf.d1, den)
+
+    return piecewise(z == 0, origin, inside, z)
 
 
+@_quiet
 def gen_becker_value(f: AnalyticMap, q: CompanionMap, c: complex, z: complex) -> complex:
     """c|z|^2 + (1-|z|^2) * { z f''/f' + z f' * Omega(f(z)) } with Omega = Q''/Q'."""
     jf = f.jet(z)
-    if jf.d1 == 0:
-        return complex(_INF, 0)
     jq = q.jet(jf.value)
-    if jq.d1 == 0:
-        return complex(_INF, 0)
-    r2 = abs(z) ** 2
-    bracket = z * jf.d2 / jf.d1 + z * jf.d1 * (jq.d2 / jq.d1)
-    return c * r2 + (1 - r2) * bracket
+    return _finite_where(
+        (jf.d1 != 0) & (jq.d1 != 0),
+        lambda z, d1, d2, q1, q2: _becker(c, z, z * d2 / d1 + z * d1 * (q2 / q1)),
+        z, jf.d1, jf.d2, jq.d1, jq.d2)
 
 
+@_quiet
 def nw_value(f: AnalyticMap, q: CompanionMap, z: complex) -> complex:
     """f'(z) * Q'(f(z)): the derivative condition tested against U(k')."""
     jf = f.jet(z)
@@ -189,7 +218,7 @@ def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: complex,
                          lg: complex, lp: complex) -> complex:
     """The Bazilevic value at z given the logs of its two ratios."""
     jf = f.jet(z)
-    power = cmath.exp((s - 1) * lg - s.real * lp)
+    power = lib(lg).cexp((s - 1) * lg - s.real * lp)
     if isinstance(psi, CompanionMap):
         return psi.jet(jf.value).d1 * jf.d1 * power
     return jf.d1 * power * psi.jet(jf.value).value
@@ -202,8 +231,8 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
     `psi` is either an AnalyticMap used directly as Psi, or a CompanionMap Q,
     in which case Psi(w) = (Q(w)/w)^{s-1} Q'(w) and the whole product is
     evaluated as (Q(f)/z)^{s-1} * (Q o f)'(z) / (p/z)^{alpha} with a single
-    tracked branch.  Each call tracks both logs from the origin; the
-    criterion scan shares them through a BranchLattice instead.
+    tracked branch.  Each call tracks both logs from the origin, at one
+    point; the criterion scan shares them through a BranchLattice instead.
     """
     g = _bazilevic_lattice(f, psi)
     if z == 0:
@@ -212,44 +241,54 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
                                 tracked_ratio_log(p, z))
 
 
+@_quiet
 def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex, z: complex) -> complex:
     """c1|z|^2 + (1-|z|^2) * { z f''/f' - 2 z f'/(f - c2) }."""
     jf = f.jet(z)
-    if jf.d1 == 0 or jf.value == c2:
-        return complex(_INF, 0)
-    r2 = abs(z) ** 2
-    bracket = z * jf.d2 / jf.d1 - 2 * z * jf.d1 / (jf.value - c2)
-    return c1 * r2 + (1 - r2) * bracket
+    return _finite_where(
+        (jf.d1 != 0) & (jf.value != c2),
+        lambda z, v, d1, d2: _becker(c1, z, z * d2 / d1 - 2 * z * d1 / (v - c2)),
+        z, jf.value, jf.d1, jf.d2)
 
 
+@_quiet
 def moebius_nw_value(f: AnalyticMap, gamma: complex, delta: complex, z: complex) -> complex:
     """f'(z)/(gamma*f(z) + delta)^2, tested against U(k)."""
     jf = f.jet(z)
     den = gamma * jf.value + delta
-    if den == 0:
-        return complex(_INF, 0)
-    return jf.d1 / (den * den)
+    return _finite_where(den != 0, lambda d1, den: d1 / (den * den), jf.d1, den)
 
 
+@_quiet
 def sector_becker_value(f: AnalyticMap, c: complex, w0: complex, a: float,
                         z: complex) -> complex:
     """c|z|^2 + (1-|z|^2) * { z f''/f' + (1/a - 1) z f'/(f - w0) }."""
     jf = f.jet(z)
-    if jf.d1 == 0 or jf.value == w0:
-        return complex(_INF, 0)
-    r2 = abs(z) ** 2
-    bracket = z * jf.d2 / jf.d1 + (1 / a - 1) * z * jf.d1 / (jf.value - w0)
-    return c * r2 + (1 - r2) * bracket
+    return _finite_where(
+        (jf.d1 != 0) & (jf.value != w0),
+        lambda z, v, d1, d2: _becker(
+            c, z, z * d2 / d1 + (1 / a - 1) * z * d1 / (v - w0)),
+        z, jf.value, jf.d1, jf.d2)
 
 
 def sector_nw_value(f: AnalyticMap, w0: complex, a: float, z: complex) -> complex:
-    """f'(z) * (1 - f(z)/w0)^{1/a - 1}, branch tracked along [0, z]."""
+    """f'(z) * (1 - f(z)/w0)^{1/a - 1}, branch tracked along [0, z] (one
+    point; the criterion scan shares the branch through a BranchLattice)."""
     jf = f.jet(z)
     expo = 1 / a - 1
     if z == 0:
         return jf.d1
     lg = tracked_log(lambda w: 1 - f.jet(w).value / w0, z, 0j)
     return jf.d1 * cmath.exp(expo * lg)
+
+
+def _per_point(one, z):
+    """one(z) at a point z; at an array, one(w) at each point w in input
+    order, so a block's branch queries stay one point at a time.  A `one`
+    that returns a pair gives a pair of arrays."""
+    if type(z) is not np.ndarray:
+        return one(z)
+    return np.array([one(w) for w in z.tolist()], complex).T
 
 
 # ---------------------------------------------------------------------------
@@ -272,52 +311,60 @@ def _refined_neighborhood(grid: DiskGrid, worst: complex) -> np.ndarray:
     return (rs[:, None] * np.exp(1j * ts[None, :])).ravel()
 
 
-def sup_over_grid(value_fn: Callable[[complex], object], grid: DiskGrid,
-                  threshold: float, *, score: Callable[[object], float] = float,
-                  ratio: Callable[[object], float] | None = None,
+def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
+                  threshold: float, *,
+                  score: Callable[[np.ndarray], np.ndarray] = np.asarray,
+                  ratio: Callable[[np.ndarray], np.ndarray] | None = None,
                   strict: bool = False, criterion: str = "",
                   rows: list | None = None) -> CriterionReport:
     """Deterministic sup scan with one local refinement pass.
 
-    `value_fn` gives a value per point and `score` turns it into a real
-    score (by default the value is the score).  The criterion passes when
-    the final sup is <= threshold (or < threshold when `strict`); a
-    non-finite score fails the scan at the offending point.  With `ratio`,
-    smallest_bound is the sup of ratio(value): None when the grid pass
-    fails, the grid pass's alone when the refinement pass fails.  A `rows`
-    list receives every scanned (z, value) pair.
+    `value_fn` is elementwise on a 1-D complex array: the scan hands it the
+    grid a block of points at a time (`grids.blocks`), then the refinement
+    patch as one more block, and a scalar result stands for a constant
+    block.  `score` turns a block of values into real scores (by default the
+    values are the scores).  The worst point is the first maximum in input
+    order.  The criterion passes when the final sup is <= threshold (or
+    < threshold when `strict`); a non-finite score fails the scan at the
+    first offending point in input order.  With `ratio`, smallest_bound is
+    the sup of ratio(values): None when the grid pass fails, the grid pass's
+    alone when the refinement pass fails.  A `rows` list receives every
+    scanned block as an (n, 2) complex array of (z, value) rows.
     """
 
     def scan(points):
-        values = ordered_map(value_fn, points)
+        parts = blocks(points)
+        values = [np.broadcast_to(v, z.shape)
+                  for z, v in zip(parts, ordered_map(value_fn, parts))]
         if rows is not None:
-            rows.extend(zip(points, values))
+            rows.extend(np.column_stack([z, v]) for z, v in zip(parts, values))
         sup, worst, bound = -_INF, 0j, -_INF
-        for z, v in zip(points, values):
+        for z, v in zip(parts, values):
             sc = score(v)
-            if not math.isfinite(sc):
-                return False, _INF, z, _INF
-            if sc > sup:
-                sup, worst = sc, z
+            bad = ~np.isfinite(sc)
+            if bad.any():
+                return False, _INF, z[np.argmax(bad)], _INF
+            i = int(np.argmax(sc))
+            if sc[i] > sup:
+                sup, worst = sc[i], z[i]
             if ratio is not None:
-                rb = ratio(v)
-                if rb > bound:
-                    bound = rb
+                bound = max(bound, np.max(ratio(v)))
         return True, sup, worst, bound
 
-    points = list(grid.points())
-    ok, sup, worst, bound = scan(points)
-    n = len(points)
-    if ok:
-        patch = list(_refined_neighborhood(grid, worst))
-        ok, sup2, worst2, bound2 = scan(patch)
-        n += len(patch)
-        if not ok:
-            sup, worst = _INF, worst2
-        else:
-            if sup2 > sup:
-                sup, worst = sup2, worst2
-            bound = max(bound, bound2)
+    points = grid.points()
+    with np.errstate(all="ignore"):
+        ok, sup, worst, bound = scan(points)
+        n = len(points)
+        if ok:
+            patch = _refined_neighborhood(grid, worst)
+            ok, sup2, worst2, bound2 = scan(patch)
+            n += len(patch)
+            if not ok:
+                sup, worst = _INF, worst2
+            else:
+                if sup2 > sup:
+                    sup, worst = sup2, worst2
+                bound = max(bound, bound2)
     sup = float(sup)
     return CriterionReport(
         criterion=criterion,
@@ -334,7 +381,7 @@ def sup_over_grid(value_fn: Callable[[complex], object], grid: DiskGrid,
 
 
 # ---------------------------------------------------------------------------
-# preconditions
+# preconditions: one array evaluation each, naming the first failing point
 # ---------------------------------------------------------------------------
 
 
@@ -343,22 +390,24 @@ def check_starlike(p: AnalyticMap, grid: DiskGrid | None = None) -> None:
     j0 = p.jet(0j)
     if j0.value != 0 or abs(j0.d1 - 1) > 1e-12:
         raise PreconditionError("comparison map must satisfy p(0)=0, p'(0)=1")
-    grid = grid or DiskGrid(24, 48, 1e-2)
-    for z in grid.points():
-        if z == 0:
-            continue
-        j = p.jet(z)
-        if j.value == 0:
+    z = (grid or DiskGrid(24, 48, 1e-2)).points()
+    z = z[z != 0]
+    j = p.jet(z)
+    vanishes = j.value == 0
+    with np.errstate(all="ignore"):
+        bad = vanishes | ((z * j.d1 / j.value).real <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if vanishes[i]:
             raise PreconditionError("comparison map vanishes inside the disk")
-        if (z * j.d1 / j.value).real <= 0:
-            raise PreconditionError(
-                f"comparison map is not starlike on the grid (violation at {z!r})"
-            )
+        raise PreconditionError(
+            f"comparison map is not starlike on the grid (violation at {z[i]!r})"
+        )
 
 
 def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid,
                   what: str, tol: float = 1e-9) -> None:
-    gap = min(abs(f.jet(z).value - omitted) for z in grid.points())
+    gap = np.min(np.abs(f.jet(grid.points()).value - omitted))
     if gap <= tol:
         raise PreconditionError(
             f"{what} = {omitted!r} is not separated from the image "
@@ -367,12 +416,14 @@ def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid,
 
 
 def _sector_contains_image(f: AnalyticMap, sector, grid: DiskGrid) -> None:
-    for z in grid.points():
-        w = f.jet(z).value
-        if not sector.contains(w):
-            raise PreconditionError(
-                f"image point f({z!r}) = {w!r} escapes the sector domain"
-            )
+    z = grid.points()
+    escapes = ~sector.contains(f.jet(z).value)
+    if escapes.any():
+        z = z[np.argmax(escapes)]
+        w = f.jet(z).value  # the point's own jet: the message a point gives
+        raise PreconditionError(
+            f"image point f({z!r}) = {w!r} escapes the sector domain"
+        )
 
 
 def _require_sector(params: CriterionParams):
@@ -385,6 +436,7 @@ def _require_sector(params: CriterionParams):
 
 # ---------------------------------------------------------------------------
 # value-function builders: check the hypotheses, return z -> criterion value
+# (z a point or a 1-D array, as sup_over_grid's blocks)
 # ---------------------------------------------------------------------------
 
 
@@ -433,12 +485,15 @@ def _sector_nw(f, q, params, grid):
     w0, expo = sector.w0, 1 / sector.a - 1
     lattice = BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)
 
+    def log(w):
+        if w == 0:
+            return 0j
+        return tracked_log(lattice.fn, w, **lattice.continue_from(w))
+
+    @_quiet
     def value(z):
-        jf = f.jet(z)
-        if z == 0:
-            return jf.d1
-        lg = tracked_log(lattice.fn, z, **lattice.continue_from(z))
-        return jf.d1 * cmath.exp(expo * lg)
+        lg = _per_point(log, z)
+        return f.jet(z).d1 * lib(lg).cexp(expo * lg)
 
     return value
 
@@ -458,12 +513,15 @@ def _bazilevic(f, psi, params, grid):
     g = _bazilevic_lattice(f, psi)
     pz = BranchLattice.ratio(p)
 
+    def logs(w):
+        if w == 0:
+            return g.anchor, 0j
+        return (tracked_log(g.fn, w, **g.continue_from(w)),
+                tracked_log(pz.fn, w, **pz.continue_from(w)))
+
+    @_quiet
     def value(z):
-        if z == 0:
-            return _bazilevic_from_logs(f, psi, s, z, g.anchor, 0j)
-        lg = tracked_log(g.fn, z, **g.continue_from(z))
-        lp = tracked_log(pz.fn, z, **pz.continue_from(z))
-        return _bazilevic_from_logs(f, psi, s, z, lg, lp)
+        return _bazilevic_from_logs(f, psi, s, z, *_per_point(logs, z))
 
     return value
 
@@ -480,8 +538,9 @@ class CriterionSpec:
     score         "abs" (sup |v| <= bound), "udisk" (v in U(bound)) or
                   "re" (Re v > 0, no bound and no concluded dilatation)
     bound         "k", "k_prime" (CriterionParams.bound) or None for "re"
-    build         (f, companion, params, grid) -> z -> value; raises
-                  PreconditionError when a hypothesis fails
+    build         (f, companion, params, grid) -> z -> value, elementwise on
+                  a 1-D array; raises PreconditionError when a hypothesis
+                  fails
     construction  the loewner chain family that realizes the criterion
     companion     the companion label ("moebius", "sector") the chain must be
                   built from, or None for any companion; a sector row's
@@ -522,7 +581,8 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
     """Run one named criterion over a grid and report.
 
     Returns the CriterionReport, or (report, rows) when `collect` is set,
-    where rows is the list of (z, criterion value) pairs scanned.
+    where rows is an (n, 2) complex array of the scanned (z, criterion
+    value) pairs.
     """
     grid = grid or DiskGrid()
     spec = CRITERIA.get(criterion)
@@ -553,4 +613,4 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
         kq = (abs(1 - params.a) if spec.companion == "sector"
               else getattr(companion, "extension_dilatation", 0.0))
         report = replace(report, concluded_dilatation=compose_dilatation(bound, kq))
-    return (report, rows) if collect else report
+    return (report, np.concatenate(rows)) if collect else report

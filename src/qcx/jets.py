@@ -9,10 +9,10 @@ evaluated close to the unit circle where finite differences lose accuracy.
 Every formula is written once for both kinds of input.  `lib` picks the
 elementary functions by input type (cmath/math for a Python number, numpy
 for an array: np.exp on a Python complex costs three times cmath.exp, and
-the criterion scans evaluate point by point), `first_where` finds the point
-a guard names, and `piecewise` evaluates a branch only where it applies.
-An array is an np.ndarray; the test is `type(x) is np.ndarray`, the
-cheapest there is, since the scans pay it on every call.
+branch tracking still evaluates one point at a time), `first_where` finds
+the point a guard names, and `piecewise` evaluates a branch only where it
+applies.  An array is an np.ndarray; the test is `type(x) is np.ndarray`,
+the cheapest there is, since branch tracking pays it on every step.
 """
 
 from __future__ import annotations

@@ -393,23 +393,25 @@ class CompanionMap:
     def __call__(self, w: complex) -> complex:
         return self.base.jet(w).value
 
+    def _jet_with_d1(self, w: complex) -> Jet2:
+        """The jet of Q at w, whose Q' must not vanish at any point."""
+        j = self.base.jet(w)
+        bad = first_where(j.d1 == 0, w)
+        if bad is not None:
+            raise DomainError("Q' vanishes at w = %r" % (bad,))
+        return j
+
     def omega(self, w: complex) -> complex:
         """Q''(w)/Q'(w), the log-derivative of Q'."""
-        j = self.base.jet(w)
-        if j.d1 == 0:
-            raise DomainError("Q' vanishes at w = %r" % (w,))
+        j = self._jet_with_d1(w)
         return j.d2 / j.d1
 
     def phi(self, w: complex) -> complex:
         """Q(w)/Q'(w), the functional entering the phi-like condition."""
-        j = self.base.jet(w)
-        if j.d1 == 0:
-            raise DomainError("Q' vanishes at w = %r" % (w,))
+        j = self._jet_with_d1(w)
         return j.value / j.d1
 
     def phi_deriv(self, w: complex) -> complex:
         """(Q/Q')'(w) = 1 - Q*Q''/Q'^2."""
-        j = self.base.jet(w)
-        if j.d1 == 0:
-            raise DomainError("Q' vanishes at w = %r" % (w,))
+        j = self._jet_with_d1(w)
         return 1 - j.value * j.d2 / (j.d1 * j.d1)

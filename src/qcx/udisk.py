@@ -3,12 +3,15 @@
 Equivalently the closed disk with center (1+k^2)/(1-k^2) and radius
 2k/(1-k^2).  Membership of a criterion value in U(k) is what forces the
 k-quasiconformal extendibility in the Becker-type results, so everything
-here reports a signed margin rather than a bare boolean.
+here reports a signed margin rather than a bare boolean.  The margin and
+the ratio take a point or, elementwise, a numpy array of points.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def _check_k(k: float) -> float:
@@ -31,12 +34,12 @@ def u_disk_contains(w: complex, k: float) -> tuple[bool, float]:
 
 
 def u_disk_ratio(w: complex) -> float:
-    """|w-1|/|w+1|: the smallest k whose disk U(k) contains w (inf at w=-1)."""
-    den = abs(w + 1)
-    num = abs(w - 1)
-    if den == 0:
-        return math.inf if num > 0 else 0.0
-    return num / den
+    """|w-1|/|w+1|: the smallest k whose disk U(k) contains w (inf at w=-1,
+    where |w-1| = 2)."""
+    num, den = abs(w - 1), abs(w + 1)
+    if type(den) is np.ndarray:
+        return np.divide(num, den, out=np.full(den.shape, math.inf), where=den != 0)
+    return num / den if den else math.inf
 
 
 def u_disk_center_radius(k: float) -> tuple[float, float]:

@@ -384,15 +384,50 @@ def test_cli_outputs_match_the_recording(tmp_path, capsys):
                     assert all(abs(int(a[i:i + 2], 16) - int(b[i:i + 2], 16)) <= 1
                                for i in (0, 2, 4)), (name, line, old)
             continue
-        header, rows = _csv(new)
-        old_header, old_rows = _csv(recorded.decode())
-        assert header == old_header and len(rows) == len(old_rows)
-        tol = 1e-12 if "extension" in name else 1e-9
-        for row, old in zip(rows, old_rows):
-            assert row[:2] == old[:2]  # the sample points, digit for digit
-            for x, y in zip(row[2:], old[2:]):
-                x, y = float(x), float(y)
-                assert (math.isnan(x) and math.isnan(y)) or abs(x - y) <= tol * max(1, abs(y))
+        _assert_csv_matches(new, recorded.decode(), 1e-12 if "extension" in name else 1e-9)
+
+
+def _assert_csv_matches(new, recorded, tol):
+    """Header, sample points and row count byte-equal; values to `tol`."""
+    header, rows = _csv(new)
+    old_header, old_rows = _csv(recorded)
+    assert header == old_header and len(rows) == len(old_rows)
+    for row, old in zip(rows, old_rows):
+        assert row[:2] == old[:2]  # the sample points, digit for digit
+        for x, y in zip(row[2:], old[2:]):
+            x, y = float(x), float(y)
+            assert (math.isnan(x) and math.isnan(y)) or abs(x - y) <= tol * max(1, abs(y))
+
+
+# sha256 of `check --out` of two scenarios on a two-block grid (10x56 plus the
+# 81-point patch), written by the per-point criterion scan
+CHECK_RECORDED = {
+    "nw_check.csv": "32ec40fd86b5f65f9800a48504cfd77d1a07901e2d8b14edf10c0dd52f1f5be9",
+    "sector_becker_check.csv":
+        "55d85c6c05d651dbc3ef528f3fcaaac6a9f27628e75dbebc32e0e7d07130493f",
+}
+CHECK_GRID = {"grid": {"radial": 10, "angular": 56}}
+CHECK_SCENARIOS = {
+    "nw": dict(SCENARIOS["nw"], **CHECK_GRID),
+    "sector_becker": dict(version=1, function={"kind": "polynomial",
+                                               "coefficients": [[0.1, 0.0]]},
+                          criterion="sector_becker", params=dict(k=0.65, **SECTOR),
+                          **CHECK_GRID),
+}
+
+
+def test_check_outputs_match_the_recording(tmp_path, capsys):
+    """The block scan writes the per-point scan's table: the same points in
+    the same order, the values within 1e-12."""
+    for name, doc in CHECK_SCENARIOS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(doc, output={"prefix": name})))
+        assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, digest in CHECK_RECORDED.items():
+        recorded = (DATA / name).read_bytes()
+        assert hashlib.sha256(recorded).hexdigest() == digest
+        _assert_csv_matches((tmp_path / name).read_text(), recorded.decode(), 1e-12)
 
 
 def test_writers_are_byte_identical_to_the_recording(tmp_path):

@@ -4,7 +4,9 @@ precondition handling, and the grid scan machinery."""
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from qcx import (
@@ -22,6 +24,8 @@ from qcx import (
     PolynomialMap,
     PreconditionError,
     ScaledMap,
+    SpiralMap,
+    check_starlike,
     evaluate_criterion,
     gen_bazilevic_value,
     gen_becker_value,
@@ -30,10 +34,13 @@ from qcx import (
     nw_value,
     phi_like_value,
     sector_becker_value,
+    sector_nw_value,
     sup_over_grid,
     tracked_ratio_log,
     u_disk_margin,
 )
+from qcx.criteria import CRITERIA, _refined_neighborhood
+from qcx.grids import BLOCK
 from qcx.sector import SectorDomain, companion_from_sector
 
 SMALL_GRID = DiskGrid(24, 48, 1e-3)
@@ -348,7 +355,8 @@ def test_report_monotone_in_threshold():
 
 
 def test_sup_over_grid_constant():
-    rep = sup_over_grid(lambda z: 0.0, SMALL_GRID, 0.3, criterion="const")
+    rep = sup_over_grid(lambda z: np.zeros(z.shape), SMALL_GRID, 0.3,
+                        criterion="const")
     assert rep.passed
     assert rep.sup_value == 0.0
     assert abs(rep.margin - 0.3) < 1e-15
@@ -356,7 +364,7 @@ def test_sup_over_grid_constant():
 
 def test_sup_over_grid_nonfinite_fails():
     def fn(z):
-        return math.inf if abs(z - 0.5) < 0.05 else 0.0
+        return np.where(abs(z - 0.5) < 0.05, math.inf, 0.0)
 
     rep = sup_over_grid(fn, SMALL_GRID, 10.0, criterion="bad")
     assert not rep.passed
@@ -368,7 +376,7 @@ def test_sup_over_grid_smallest_bound_on_failure():
     on_grid = set(complex(z) for z in grid.points())
 
     def off_grid_fails(z):
-        return abs(z) if complex(z) in on_grid else math.inf
+        return np.where(np.isin(z, grid.points()), abs(z), math.inf)
 
     # the refinement patch leaves the grid: the grid pass's bound stays
     rep = sup_over_grid(off_grid_fails, grid, 10.0, ratio=abs)
@@ -376,7 +384,7 @@ def test_sup_over_grid_smallest_bound_on_failure():
     assert rep.smallest_bound == max(abs(z) for z in on_grid)
 
     # a failure in the grid pass leaves no bound
-    rep = sup_over_grid(lambda z: math.inf if abs(z - 0.5) < 0.2 else 0.0,
+    rep = sup_over_grid(lambda z: np.where(abs(z - 0.5) < 0.2, math.inf, 0.0),
                         grid, 10.0, ratio=abs)
     assert not rep.passed and rep.smallest_bound is None
     assert rep.samples == len(grid.points())
@@ -386,11 +394,11 @@ def test_refinement_improves_koebe_sup():
     q = CompanionMap.identity()
     f = KoebeMap()
 
-    def score(z):
+    def score(z):  # a point or, elementwise, a block
         return abs(gen_becker_value(f, q, 0j, z))
 
     coarse = DiskGrid(12, 16, 1e-3)
-    grid_sup = max(score(z) for z in coarse.points())
+    grid_sup = max(score(complex(z)) for z in coarse.points())
     with_ref = sup_over_grid(score, coarse, 1.0)
     assert with_ref.sup_value >= grid_sup
 
@@ -445,11 +453,16 @@ GOLDEN_REPORTS = {
     "phi_like": (True, -0.67109634551495, 0.0, True, 0.67109634551495, -0.99, 1.2124003311558797e-16, 153, None, None),
     "bazilevic": (True, -0.49990447152719536, 0.0, True, 0.49990447152719536, -0.99, 1.2124003311558797e-16, 153, None, None),
     "gen_becker": (True, 0.2665952053014155, 0.6, False, 0.3334047946985845, -0.6018928294465028, 7.371061270114035e-17, 153, 0.2665952053014155, 0.7142857142857143),
-    "moebius_becker": (True, 0.13549512310935927, 0.9, False, 0.7645048768906407, 0.5813838286205785, -0.15578132737139824, 153, 0.13549512310935927, 0.9),
+    "moebius_becker": (True, 0.13549512310935924, 0.9, False, 0.7645048768906408, 0.5813838286205785, -0.15578132737139824, 153, 0.13549512310935924, 0.9),
     "sector_becker": (True, 0.5580651491726969, 0.65, False, 0.09193485082730313, -0.6018928294465028, 7.371061270114035e-17, 153, 0.5580651491726969, 0.9186046511627909),
     "nw": (True, -0.1276992056249998, 0.0, False, 0.1276992056249998, -0.99, 1.2124003311558797e-16, 153, 0.36297461235745543, 0.5963302752293578),
     "moebius_nw": (True, -0.9656967094897674, 0.0, False, 0.9656967094897674, -0.99, 1.2124003311558797e-16, 153, 0.07900446790816419, 0.6),
-    "sector_nw": (True, -0.08284064816463754, 0.0, False, 0.08284064816463754, -0.4949999999999998, 0.8573651497465943, 153, 0.692188823567495, 0.9444444444444445),
+    # sector_nw's worst point is one of a pair of grid points that are
+    # conjugate up to the rounding of their angles, and f has real
+    # coefficients in a sector symmetric about the real axis: in exact
+    # arithmetic their scores tie, in floating point they differ by 1e-16,
+    # and the block scan's rounding favours the point below the axis
+    "sector_nw": (True, -0.08284064816463765, 0.0, False, 0.08284064816463765, -0.49500000000000044, -0.857365149746594, 153, 0.6921888235674949, 0.9444444444444445),
     "phi_like_udisk": (True, -0.506644518272425, 0.0, False, 0.506644518272425, -0.99, 1.2124003311558797e-16, 153, 0.19681908548707766, 0.5),
     "bazilevic_udisk": (True, -0.7030000000000001, 0.0, False, 0.7030000000000001, -0.99, 1.2124003311558797e-16, 153, 0.10987791342952273, 0.5),
 }
@@ -502,3 +515,240 @@ def test_nw_identity_margin_is_twice_the_bound():
                              CriterionParams(k=0.3, k_prime=0.3), SMALL_GRID)
     assert rep.passed
     assert abs(rep.margin - 0.6) < 1e-12
+
+
+# -- the array path: functionals, block closures, prechecks and the block scan -------
+
+
+def _close(a, b, tol=1e-12):
+    """a matches b to `tol` relative (a non-finite b must be matched exactly)."""
+    a, b = complex(a), complex(b)
+    if not math.isfinite(abs(b)):
+        return a == b
+    return abs(a - b) <= tol * abs(b) + 1e-300
+
+
+def _assert_matches_per_point(fn, points):
+    """fn on the array of points against fn called at one point at a time."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        values = np.broadcast_to(fn(points), points.shape)
+        expected = [fn(complex(z)) for z in points]
+    for i, (a, b) in enumerate(zip(values, expected)):
+        assert _close(a, b), (i, points[i], a, b)
+
+
+def _array_points():
+    """The golden grid, the refinement patches around an interior and an
+    outer-ring point, and the origin once more."""
+    pts = GOLDEN_GRID.points()
+    return np.concatenate([pts, _refined_neighborhood(GOLDEN_GRID, complex(pts[40])),
+                           _refined_neighborhood(GOLDEN_GRID, complex(pts[-5])), [0j]])
+
+
+ARRAY_F = {"poly": PolynomialMap([1, 0.25, -0.05j]), "cayley": ScaledMap(CayleyMap(), 3.0),
+           "spiral": SpiralMap(0.6)}
+ARRAY_Q = {"identity": CompanionMap.identity(),
+           "moebius": CompanionMap.from_moebius(MoebiusMap.with_pole(-3 + 0.5j)),
+           "catalog": GOLDEN_Q}
+SECTOR_Q = companion_from_sector(SectorDomain(-2, 11 / 6, 1 / 3), normalized=True)
+
+
+def _functional_cases():
+    cases = []
+    for fn_name, f in ARRAY_F.items():
+        for q_name, q in ARRAY_Q.items():
+            cases += [
+                pytest.param(lambda z, f=f, q=q: nw_value(f, q, z),
+                             id=f"nw-{fn_name}-{q_name}"),
+                pytest.param(lambda z, f=f, q=q: gen_becker_value(f, q, 0.1 - 0.05j, z),
+                             id=f"gen_becker-{fn_name}-{q_name}"),
+                pytest.param(lambda z, f=f, q=q: phi_like_value(f, q, z),
+                             id=f"phi_like-{fn_name}-{q_name}"),
+            ]
+        cases += [
+            pytest.param(lambda z, f=f: phi_like_value(
+                f, ConstMap(cmath.exp(0.4j)) * IdentityMap(), z),
+                id=f"phi_like-{fn_name}-direct"),
+            pytest.param(lambda z, f=f: moebius_becker_value(f, 0.1 - 0.05j, -3 + 0.3j, z),
+                         id=f"moebius_becker-{fn_name}"),
+            pytest.param(lambda z, f=f: moebius_nw_value(f, 0.2 + 0j, 1 + 0j, z),
+                         id=f"moebius_nw-{fn_name}"),
+        ]
+    small = PolynomialMap([1, 0.1])
+    cases += [
+        pytest.param(lambda z: sector_becker_value(small, 0.05j, -2 + 0j, 1 / 3, z),
+                     id="sector_becker-poly"),
+        pytest.param(lambda z: nw_value(small, SECTOR_Q, z), id="nw-poly-sector"),
+        pytest.param(lambda z: gen_becker_value(small, SECTOR_Q, 0.05j, z),
+                     id="gen_becker-poly-sector"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("fn", _functional_cases())
+def test_array_functionals_match_per_point_calls(fn):
+    _assert_matches_per_point(fn, _array_points())
+
+
+def _closure_cases():
+    poly = PolynomialMap([1, 0.25, -0.05j])
+    return [
+        pytest.param("bazilevic", poly, CompanionMap.identity(),
+                     CriterionParams(s=1.2 + 0.5j, p=KoebeMap()), id="bazilevic-identity"),
+        pytest.param("bazilevic", ScaledMap(CayleyMap(), 3.0),
+                     CompanionMap.from_moebius(MoebiusMap(5, 0, -1, 5)),  # Q(0) = 0
+                     CriterionParams(s=1 + 0.5j), id="bazilevic-moebius"),
+        pytest.param("bazilevic", SpiralMap(0.6), ConstMap(1.0),
+                     CriterionParams(s=0.9 - 0.3j), id="bazilevic-direct"),
+        pytest.param("bazilevic_udisk", poly, CompanionMap.identity(),
+                     CriterionParams(k=0.6, k_prime=0.6, s=0.9 - 0.3j, p=KoebeMap()),
+                     id="bazilevic_udisk"),
+        pytest.param("sector_nw", PolynomialMap([1, 0.1]), None,
+                     CriterionParams(k=0.75, **GOLDEN_SECTOR), id="sector_nw"),
+    ]
+
+
+@pytest.mark.parametrize("criterion, f, psi, params", _closure_cases())
+def test_block_closures_match_per_point_calls(criterion, f, psi, params):
+    value = CRITERIA[criterion].build(f, psi, params, GOLDEN_GRID)
+    points = _array_points()
+    _assert_matches_per_point(value, points)
+    # and the branch tracked from the origin at each point, with no lattice
+    if criterion == "sector_nw":
+        def oracle(z):
+            return sector_nw_value(f, params.w0, params.a, z)
+    else:
+        def oracle(z):
+            return gen_bazilevic_value(f, psi, params.s, params.p or IdentityMap(), z)
+    for z, v in zip(points, value(points)):
+        assert _close(v, oracle(complex(z))), z
+
+
+def _on(f, z):
+    """f(z) from the point's own jet: a value the masks below hit exactly."""
+    return f.jet(complex(z)).value
+
+
+POLY = PolynomialMap([1, 0.2])
+MASKED_CASES = {
+    # value function, the point where the criterion has no finite value
+    "f' = 0": (lambda z: gen_becker_value(PolynomialMap([1, 1.0]),
+                                          CompanionMap.identity(), 0.1j, z), -0.5),
+    "Q' = 0": (lambda z: gen_becker_value(
+        IdentityMap(), CompanionMap.from_map(PolynomialMap([1, 1.0]), 0.0), 0.1j, z), -0.5),
+    "f' = 0, moebius_becker": (lambda z: moebius_becker_value(
+        PolynomialMap([1, 1.0]), 0j, 5 + 0j, z), -0.5),
+    "f = c2": (lambda z: moebius_becker_value(POLY, 0.1j, _on(POLY, 0.5), z), 0.5),
+    "f = w0": (lambda z: sector_becker_value(POLY, 0.1j, _on(POLY, 0.5), 1 / 3, z), 0.5),
+    "f' = 0, sector_becker": (lambda z: sector_becker_value(
+        PolynomialMap([1, 1.0]), 0j, -2 + 0j, 1 / 3, z), -0.5),
+    "gamma f + delta = 0": (lambda z: moebius_nw_value(POLY, 2 + 0j, -2 * _on(POLY, 0.5), z),
+                            0.5),
+    "Phi(f) = 0": (lambda z: phi_like_value(PolynomialMap([1, 2.0]), IdentityMap(), z), -0.5),
+    "Phi'(0) = 0": (lambda z: phi_like_value(
+        IdentityMap(), PolynomialMap([0, 1], class_a=False), z), 0),
+}
+
+
+@pytest.mark.parametrize("case", MASKED_CASES)
+def test_masked_points_are_inf_where_the_point_path_is(case):
+    fn, bad = MASKED_CASES[case]
+    points = np.array([0.3 + 0.1j, bad, -0.2j, 0.7, bad, 0.1 - 0.6j], complex)
+    values = np.broadcast_to(fn(points), points.shape)
+    assert [not np.isfinite(v) for v in values] == [z == bad for z in points]
+    assert all(values[points == bad] == complex(math.inf, 0))
+    _assert_matches_per_point(fn, points)
+
+
+def test_prechecks_name_the_first_failing_point():
+    """One array evaluation each, and the text a per-point loop gives."""
+    grid = DiskGrid(24, 48, 1e-3)
+    bad_p = PolynomialMap([1, 0.9])
+    first = next(z for z in grid.points()[1:]
+                 if z != 0 and (z * bad_p.jet(z).d1 / bad_p.jet(z).value).real <= 0)
+    with pytest.raises(PreconditionError) as err:
+        check_starlike(bad_p, grid)
+    assert str(err.value) == ("comparison map is not starlike on the grid "
+                              f"(violation at {first!r})")
+
+    sector = SectorDomain(-2 + 0j, 11 / 6, 1 / 3)
+    f = PolynomialMap([1, 0.3])
+    first = next(z for z in grid.points() if not sector.contains(f.jet(z).value))
+    with pytest.raises(PreconditionError) as err:
+        evaluate_criterion("sector_becker", f, None,
+                           CriterionParams(k=0.65, w0=sector.w0, lambda0=sector.lambda0,
+                                           a=sector.a), grid)
+    assert str(err.value) == (f"image point f({first!r}) = {f.jet(first).value!r} "
+                              "escapes the sector domain")
+
+    c2 = complex(CayleyMap().jet(grid.points()[500]).value)
+    with pytest.raises(PreconditionError, match=r"min distance 0\)"):
+        evaluate_criterion("moebius_becker", CayleyMap(), None,
+                           CriterionParams(k=0.5, c2=c2), grid)
+
+
+# a grid of two blocks: points 0-511 and 512-639
+TWO_BLOCKS = DiskGrid(10, 64, 1e-2)
+
+
+def test_scan_fails_at_the_earlier_of_two_non_finite_points():
+    pts = TWO_BLOCKS.points()
+    assert len(pts) == 640 and BLOCK == 512
+    for early, late in ((pts[100], pts[600]), (pts[520], pts[630])):
+        def fn(z):
+            return np.where(z == late, math.inf, np.where(z == early, math.nan, abs(z)))
+
+        rep = sup_over_grid(fn, TWO_BLOCKS, 10.0, ratio=abs)
+        assert not rep.passed and rep.sup_value == math.inf
+        assert rep.worst_point == complex(early)
+        assert rep.samples == 640 and rep.smallest_bound is None
+    # a larger finite score in the first block does not outrank a failure
+    rep = sup_over_grid(lambda z: np.where(z == pts[600], math.inf, 5.0 * (z == pts[3])),
+                        TWO_BLOCKS, 10.0)
+    assert not rep.passed and rep.worst_point == complex(pts[600])
+
+
+def test_equal_maximum_scores_report_the_earliest_point():
+    pts = TWO_BLOCKS.points()
+    top = {130, 140, 580}  # two in the first block, one in the second
+
+    def fn(z):
+        return np.where(np.isin(z, pts[sorted(top)]), 5.0, 0.5 * abs(z))
+
+    rep = sup_over_grid(fn, TWO_BLOCKS, 10.0)
+    assert rep.sup_value == 5.0 and rep.worst_point == complex(pts[130])
+    # only the second block holds the maximum: its first occurrence wins
+    rep = sup_over_grid(lambda z: np.where(np.isin(z, pts[[600, 580]]), 5.0, 0.0),
+                        TWO_BLOCKS, 10.0)
+    assert rep.worst_point == complex(pts[580])
+    # a constant: the first grid point, which the refinement patch's tie keeps
+    rep = sup_over_grid(lambda z: np.ones(z.shape), TWO_BLOCKS, 10.0)
+    assert rep.sup_value == 1.0 and rep.worst_point == complex(pts[0])
+
+
+def test_smallest_bound_contracts_hold_across_blocks():
+    pts = TWO_BLOCKS.points()
+    # the refinement patch leaves the grid: the bound is the whole grid's
+    rep = sup_over_grid(lambda z: np.where(np.isin(z, pts), abs(z), math.inf),
+                        TWO_BLOCKS, 10.0, ratio=abs)
+    assert not rep.passed and rep.sup_value == math.inf
+    assert rep.smallest_bound == np.abs(pts).max() == np.abs(pts[512:]).max()
+    assert rep.samples == 640 + 81
+    # a failure in the second block of the grid pass leaves no bound
+    rep = sup_over_grid(lambda z: np.where(z == pts[639], math.inf, abs(z)),
+                        TWO_BLOCKS, 10.0, ratio=abs)
+    assert not rep.passed and rep.smallest_bound is None and rep.samples == 640
+    # passing: the sup of the ratio over both blocks and the patch
+    rep = sup_over_grid(lambda z: abs(z), TWO_BLOCKS, 10.0, ratio=lambda v: 2 * v)
+    assert rep.passed and rep.smallest_bound == 2 * rep.sup_value
+
+
+def test_collected_rows_are_every_block_in_scan_order():
+    f, q = PolynomialMap([1, 0.25]), CompanionMap.identity()
+    rep, rows = evaluate_criterion("nw", f, q, CriterionParams(k=0.4, k_prime=0.4),
+                                   TWO_BLOCKS, collect=True)
+    patch = _refined_neighborhood(TWO_BLOCKS, rep.worst_point)
+    assert rows.shape == (rep.samples, 2)
+    assert np.array_equal(rows[:, 0], np.concatenate([TWO_BLOCKS.points(), patch]))
+    assert np.array_equal(rows[:, 1], nw_value(f, q, rows[:, 0]))

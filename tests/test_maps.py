@@ -15,6 +15,7 @@ from qcx import (
     DomainError,
     KoebeMap,
     MoebiusMap,
+    PolynomialMap,
     u_disk_center_radius,
     u_disk_contains,
     u_disk_margin,
@@ -104,6 +105,32 @@ def test_companion_views():
     assert not m.fixes_infinity
 
 
+W_POINTS = np.array([0.1 + 0.2j, 0.3j, -0.45 + 0.05j, 0.6 - 0.3j, 0j])
+
+
+@pytest.mark.parametrize("q", [
+    CompanionMap.identity(),
+    CompanionMap.from_map(PolynomialMap([1, 0.05]), 0.2),
+    CompanionMap.from_moebius(MoebiusMap(1.3, -0.4, 1, 2 + 0.8j)),
+], ids=["identity", "catalog", "moebius"])
+def test_companion_views_on_arrays_match_point_calls(q):
+    for view in (q.phi, q.omega, q.phi_deriv):
+        values = np.broadcast_to(view(W_POINTS), W_POINTS.shape)
+        for w, v in zip(W_POINTS, values):
+            expected = view(complex(w))
+            assert abs(v - expected) <= 1e-12 * abs(expected), (view, w)
+
+
+def test_companion_views_name_the_first_point_where_q_prime_vanishes():
+    q = CompanionMap.from_map(PolynomialMap([1, 1.0]), 0.0)  # Q' = 1 + 2w
+    w = np.array([0.1 + 0.2j, -0.5, 0.3j, -0.5])
+    for view in (q.phi, q.omega, q.phi_deriv):
+        with pytest.raises(DomainError, match=r"Q' vanishes at w = \(-0\.5\+0j\)"):
+            view(w)
+        with pytest.raises(DomainError, match=r"Q' vanishes at w = -0\.5"):
+            view(-0.5)
+
+
 # -- U(k) disk ---------------------------------------------------------------
 
 
@@ -138,6 +165,23 @@ def test_u_disk_monotone_in_k():
         k2 = rng.uniform(k1, 0.99)
         if u_disk_contains(w, k1)[0]:
             assert u_disk_contains(w, k2)[0]
+
+
+def test_u_disk_margin_and_ratio_on_arrays_match_point_calls():
+    rng = random.Random(23)
+    w = np.array([complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50)]
+                 + [-1, 1, 3, 1j, complex(math.inf, 0)], complex)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf/inf at w = inf
+        margins = u_disk_margin(w, 0.5)
+        ratios = u_disk_ratio(w)
+    for x, m, r in zip(w, margins, ratios):
+        x = complex(x)
+        for got, expected in ((m, u_disk_margin(x, 0.5)), (r, u_disk_ratio(x))):
+            if math.isnan(expected) or math.isinf(expected):
+                assert got == expected or (math.isnan(got) and math.isnan(expected)), x
+            else:  # numpy's complex abs rounds on its own
+                assert abs(got - expected) <= 1e-12 * abs(expected), x
+    assert ratios[50] == math.inf  # w = -1, where |w - 1| = 2 over |w + 1| = 0
 
 
 def test_u_disk_rejects_bad_k():
