@@ -282,15 +282,6 @@ def sector_nw_value(f: AnalyticMap, w0: complex, a: float, z: complex) -> comple
     return jf.d1 * cmath.exp(expo * lg)
 
 
-def _per_point(one, z):
-    """one(z) at a point z; at an array, one(w) at each point w in input
-    order, so a block's branch queries stay one point at a time.  A `one`
-    that returns a pair gives a pair of arrays."""
-    if type(z) is not np.ndarray:
-        return one(z)
-    return np.array([one(w) for w in z.tolist()], complex).T
-
-
 # ---------------------------------------------------------------------------
 # grid scan: one scan / refine / report core
 # ---------------------------------------------------------------------------
@@ -485,14 +476,9 @@ def _sector_nw(f, q, params, grid):
     w0, expo = sector.w0, 1 / sector.a - 1
     lattice = BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)
 
-    def log(w):
-        if w == 0:
-            return 0j
-        return tracked_log(lattice.fn, w, **lattice.continue_from(w))
-
     @_quiet
     def value(z):
-        lg = _per_point(log, z)
+        lg = lattice.log(z)
         return f.jet(z).d1 * lib(lg).cexp(expo * lg)
 
     return value
@@ -513,15 +499,9 @@ def _bazilevic(f, psi, params, grid):
     g = _bazilevic_lattice(f, psi)
     pz = BranchLattice.ratio(p)
 
-    def logs(w):
-        if w == 0:
-            return g.anchor, 0j
-        return (tracked_log(g.fn, w, **g.continue_from(w)),
-                tracked_log(pz.fn, w, **pz.continue_from(w)))
-
     @_quiet
     def value(z):
-        return _bazilevic_from_logs(f, psi, s, z, *_per_point(logs, z))
+        return _bazilevic_from_logs(f, psi, s, z, g.log(z), pz.log(z))
 
     return value
 

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .branches import BranchLattice, BranchTrackingError, tracked_log
+# tracked_log is not called here; perfbench/tracing.py wraps this module's name
+from .branches import BranchLattice, BranchTrackingError, tracked_log  # noqa: F401
 from .criteria import CRITERIA, CriterionParams, PreconditionError
 from .grids import DiskGrid, blocks
 from .jets import lib, piecewise
@@ -207,20 +208,12 @@ class BazilevicChain(LoewnerChain):
         jq = self.q.jet(jf.value)
         return jq.value, jq.d1 * jf.d1
 
-    def _logs(self, z):
-        """log(G/z) and log(p/z) at one point, through the two lattices."""
-        return (tracked_log(self._g.fn, z, **self._g.continue_from(z)),
-                tracked_log(self._pz.fn, z, **self._pz.continue_from(z)))
-
     def branch_data(self, z):
-        """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z).
-        The logs are continued point by point, an array's too."""
+        """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z),
+        both logs continued from the origin through the lattices, a block of
+        points at a time."""
         s = self.params.s
-        if type(z) is np.ndarray:
-            lg, lp = np.array([self._logs(w) for w in z.tolist()],
-                              complex).reshape(-1, 2).T
-        else:
-            lg, lp = self._logs(z)
+        lg, lp = self._g.log(z), self._pz.log(z)
         m = lib(lg)
         return m.cexp(s * lg), m.cexp(s.real * lp), s * lg
 

@@ -23,6 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .criteria import PreconditionError
 from .grids import DiskGrid
 from .jets import DomainError, Jet2, first_where, lib, piecewise
@@ -243,18 +245,19 @@ def sup_abs_on_boundary(f: AnalyticMap, n_angles: int = 1024,
     with one angular refinement pass around the maximizer."""
     if radius is None:
         radius = min(1 - 1e-3, 0.999 * f.analyticity_radius)
-    best, best_j = -1.0, 0
-    for j in range(n_angles):
-        v = abs(f.jet(radius * cmath.exp(2j * math.pi * j / n_angles)).value)
-        if v > best:
-            best, best_j = v, j
+    theta = _TWO_PI * np.arange(n_angles) / n_angles
+    ring = np.abs(_image(f, radius * np.exp(1j * theta)))
+    best_j = int(np.argmax(ring))  # the first maximizer
     step = _TWO_PI / n_angles
     center = best_j * step
-    for j in range(64):
-        theta = center - step + 2 * step * j / 63
-        v = abs(f.jet(radius * cmath.exp(1j * theta)).value)
-        best = max(best, v)
-    return best
+    theta = center - step + 2 * step * np.arange(64) / 63
+    window = np.abs(_image(f, radius * np.exp(1j * theta)))
+    return float(max(ring[best_j], window.max()))
+
+
+def _image(f: AnalyticMap, z: np.ndarray) -> np.ndarray:
+    """f at every point of z (a constant map gives one value for all)."""
+    return np.broadcast_to(f.jet(z).value, z.shape)
 
 
 def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
@@ -282,11 +285,10 @@ def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
     ) / math.pi
     lam %= 2.0
     sector = SectorDomain(w0, lam, a)
-    check = grid or DiskGrid()
-    for z in check.points():
-        w = f.jet(z).value
-        if not sector.contains(w):
-            raise ContainmentError(
-                f"fitted sector misses image point f({z!r}) = {w!r}"
-            )
+    z = (grid or DiskGrid()).points()
+    misses = ~sector.contains(_image(f, z))
+    if misses.any():
+        z = z[np.argmax(misses)]  # the first in grid order, as a numpy scalar
+        w = f.jet(z).value  # the point's own jet: the message a point gives
+        raise ContainmentError(f"fitted sector misses image point f({z!r}) = {w!r}")
     return sector, big_r

@@ -37,9 +37,11 @@ from qcx import (
     u_disk_margin,
     validate_chain,
 )
-from qcx.branches import BranchLattice
+from qcx import branches
+from qcx.branches import BranchLattice, BranchTrackingError
 from qcx.cli import main
-from qcx.criteria import CRITERIA, _refined_neighborhood
+from qcx.criteria import CRITERIA, _bazilevic_lattice, _refined_neighborhood
+from qcx.jets import lib
 from qcx.loewner import ChainPartials, LoewnerChain
 from qcx.sector import fit_sector
 
@@ -110,6 +112,67 @@ def test_shared_lattice_matches_per_point_oracle(criterion, f, psi, params):
         assert _close(value(z), oracle(z)), z
 
 
+def _block(grid=GRID):
+    """One query block: the grid (origin ring included), the refinement
+    patches and a ring inside the first lattice ring, where a query
+    continues from the origin itself."""
+    inner = 0.01 * np.exp(2j * np.pi * (np.arange(12) + 0.3) / 12)
+    return np.concatenate([grid.points(), _patches(grid), inner])
+
+
+def _lattices(criterion, f, psi, params):
+    """The lattices a criterion's value function queries."""
+    if criterion == "sector_nw":
+        w0 = params.w0
+        return [BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)]
+    return [_bazilevic_lattice(f, psi), BranchLattice.ratio(params.p or IdentityMap())]
+
+
+def _assert_close_arrays(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bad = np.abs(got - want) > tol * (1 + np.abs(want))
+    assert not bad.any(), (np.flatnonzero(bad)[:5], got[bad][:5], want[bad][:5])
+
+
+@pytest.mark.parametrize("criterion, f, psi, params", _cases())
+def test_block_queries_match_the_per_point_oracles(criterion, f, psi, params):
+    block = _block()
+    value = CRITERIA[criterion].build(f, psi, params, GRID)
+    oracle = _oracle(criterion, f, psi, params)
+    _assert_close_arrays(value(block), [oracle(z) for z in block.tolist()])
+    # each lattice query against tracked_log from the node continue_from
+    # walks out to, one segment at a time
+    points = block[::3]
+    for lattice in _lattices(criterion, f, psi, params):
+        _assert_close_arrays(lattice.log(points), [
+            tracked_log(lattice.fn, z, **lattice.continue_from(z))
+            for z in points.tolist()])
+
+
+def test_a_block_of_more_than_512_points_matches_the_oracle():
+    f = PolynomialMap([1, 0.3, -0.1j])
+    lattice = BranchLattice.ratio(f)
+    block = _block(DiskGrid(12, 64, 1e-3))
+    assert len(block) > 512
+    _assert_close_arrays(lattice.log(block), [
+        tracked_log(lattice.fn, z, **lattice.continue_from(z)) for z in block.tolist()])
+    # a point query is a block of one
+    for z in block[::37].tolist():
+        assert lattice.log(z) == lattice.log(np.array([z]))[0]
+        assert type(lattice.log(z)) is complex
+
+
+# Bazilevic chains: (f, companion Q, comparison map p or None for the identity)
+CHAINS = [
+    (PolynomialMap([1, 0.2, -0.04j]), CompanionMap.identity(), None),
+    (PolynomialMap([1, 0.15]), MOEBIUS_Q, PolynomialMap([1, 0.1])),
+    (ScaledMap(CayleyMap(), 3.0), MOEBIUS_Q, None),
+    (SpiralMap(0.6), CompanionMap.identity(), KoebeMap()),
+]
+CHAIN_IDS = ["poly-identity", "poly-moebius-poly_p", "cayley-moebius", "spiral-koebe_p"]
+
+
 def _chain_oracle_branch(chain, z):
     """The Bazilevic chain's branch data, tracked from the origin per point."""
     s = chain.params.s
@@ -130,13 +193,7 @@ def _stencil_directions(chain, annulus, h=1e-5):
             for d in (h, -h, 1j * h, -1j * h)]
 
 
-@pytest.mark.parametrize("f, q, p", [
-    (PolynomialMap([1, 0.2, -0.04j]), CompanionMap.identity(), None),
-    (PolynomialMap([1, 0.15]), MOEBIUS_Q, PolynomialMap([1, 0.1])),
-    (ScaledMap(CayleyMap(), 3.0), MOEBIUS_Q, None),
-    (SpiralMap(0.6), CompanionMap.identity(), KoebeMap()),
-], ids=["poly-identity", "poly-moebius-poly_p", "cayley-moebius",
-        "spiral-koebe_p"])
+@pytest.mark.parametrize("f, q, p", CHAINS, ids=CHAIN_IDS)
 def test_chain_partials_on_the_unit_circle_match_oracle(f, q, p):
     chain = build_chain("bazilevic", f, q, CriterionParams(s=1.3 + 0.4j, p=p))
     points = _stencil_directions(chain, AnnulusGrid(6, 12, 1.001, 3.0))
@@ -154,6 +211,19 @@ def test_chain_partials_on_the_unit_circle_match_oracle(f, q, p):
                 assert _close(a, b), (z, t)
 
 
+@pytest.mark.parametrize("f, q, p", CHAINS, ids=CHAIN_IDS)
+def test_chain_branch_data_of_a_stencil_block_matches_oracle(f, q, p):
+    chain = build_chain("bazilevic", f, q, CriterionParams(s=1.3 + 0.4j, p=p))
+    points = np.array(_stencil_directions(chain, AnnulusGrid(6, 12, 1.001, 3.0)))
+    if f.analyticity_radius <= 1:
+        points = points[np.abs(points - 1) > 1e-3]
+    points = np.concatenate([points, _block()])
+    got = chain.branch_data(points)
+    want = np.array([_chain_oracle_branch(chain, z) for z in points.tolist()]).T
+    for a, b in zip(got, want):
+        _assert_close_arrays(a, b)
+
+
 def test_queries_evaluate_nothing_beyond_their_radius():
     seen = []
 
@@ -166,6 +236,62 @@ def test_queries_evaluate_nothing_beyond_their_radius():
         del seen[:]
         tracked_log(lattice.fn, z, **lattice.continue_from(z))
         assert max(seen, default=0.0) <= abs(z) * (1 + 1e-12), z
+
+
+def test_block_queries_evaluate_nothing_beyond_their_radius():
+    seen = []
+
+    def ratio(w):
+        seen.append(np.max(np.abs(w), initial=0.0))
+        return KoebeMap().jet(w).value / w
+
+    points = GRID.points().reshape(GRID.n_radial, GRID.n_angular)
+    blocks = list(points) + [_refined_neighborhood(GRID, z)
+                             for z in (0.43 * cmath.exp(-1.0j),
+                                       GRID.max_radius * cmath.exp(0.05j))]
+    for block in blocks:  # a fresh lattice each time, so rings grow too
+        del seen[:]
+        BranchLattice(ratio, 0j).log(block)
+        assert max(seen, default=0.0) <= np.max(np.abs(block)) * (1 + 1e-12)
+
+
+def test_a_vanishing_value_on_a_block_raises():
+    # fn = w - z0 vanishes at z0, which lies between the lattice's nodes
+    z0 = 0.3 + 0.2j
+    lattice = BranchLattice(lambda w: w - z0, cmath.log(-z0))
+    with pytest.raises(BranchTrackingError, match="vanished"):
+        lattice.log(np.concatenate([GRID.points(), [z0]]))
+    # ... or at a node, 0.5 on ray 0: only the queries continuing along
+    # that ray past it fail
+    lattice = BranchLattice(lambda w: w - 0.5, cmath.log(-0.5))
+    away = -GRID.points()[GRID.points().real > 0.1]
+    _assert_close_arrays(lattice.log(away), [
+        tracked_log(lattice.fn, z, **lattice.continue_from(z)) for z in away.tolist()])
+    for z in (0.5, 0.75, 0.9 + 0.001j):
+        with pytest.raises(BranchTrackingError, match="vanished"):
+            lattice.log(np.array([0.1j, z]))
+
+
+@pytest.mark.parametrize("c", [110.0, 250.0])  # 250 turns a 1/48 segment past pi
+def test_the_twisted_spiral_takes_the_scalar_fallback(monkeypatch, c):
+    fn, _ = _twisted_spiral(1.2, c)
+    lattice = BranchLattice(fn, 0j)
+    block = np.concatenate([_refined_neighborhood(GRID, cmath.rect(0.97, 0.4)),
+                            GRID.points()])
+    calls = []
+
+    def spy(fn, z, *args, **kwargs):
+        calls.append(z)
+        return tracked_log(fn, z, *args, **kwargs)
+
+    monkeypatch.setattr(branches, "tracked_log", spy)
+    got = lattice.log(block)
+    monkeypatch.undo()
+    queries = set(block.tolist())
+    assert any(z in queries for z in calls)  # points fell back
+    assert any(z not in queries for z in calls)  # and lattice segments did
+    _assert_close_arrays(got, [tracked_log(fn, z, **lattice.continue_from(z))
+                               for z in block.tolist()])
 
 
 # -- conjugate symmetry ---------------------------------------------------------------
@@ -185,6 +311,20 @@ def test_real_coefficients_give_bit_exact_conjugate_values(criterion, f, psi, pa
         assert value(z.conjugate()) == value(z).conjugate(), z
 
 
+@pytest.mark.parametrize("criterion, f, psi, params", [
+    ("sector_nw", PolynomialMap([1, 0.1, -0.02]), None,
+     CriterionParams(k=0.75, **SECTOR)),
+    ("bazilevic", PolynomialMap([1, 0.25]), CompanionMap.identity(),
+     CriterionParams(s=1.5 + 0j, p=KoebeMap())),
+    ("bazilevic_udisk", PolynomialMap([1, 0.1]), ConstMap(1.0),
+     CriterionParams(k=0.5, k_prime=0.5, s=0.8 + 0j)),
+])
+def test_real_coefficients_give_bit_exact_conjugate_blocks(criterion, f, psi, params):
+    value = CRITERIA[criterion].build(f, psi, params, GRID)
+    block = _block()
+    assert np.array_equal(value(block.conj()), value(block).conj())
+
+
 # -- property test: a dense unwrapped-phase reference ------------------------------------
 
 
@@ -193,7 +333,7 @@ def _twisted_spiral(lam, c):
     spiral = SpiralMap(lam)
 
     def fn(w):
-        return spiral.jet(w).value / w * cmath.exp(1j * c * w)
+        return spiral.jet(w).value / w * lib(w).cexp(1j * c * w)
 
     return fn, spiral.p
 
@@ -245,21 +385,28 @@ def test_the_subdividing_example_really_subdivides():
 
 
 def test_threads_querying_one_lattice_walk_each_ray_once():
-    # threaded scans (QCX_THREADS > 1) share a lattice: a ray extended by two
-    # threads at once would hold a duplicated or misplaced node
+    # threaded scans (QCX_THREADS > 1) share a lattice: rings grown by two
+    # threads at once would hold duplicated or misplaced nodes
     fn, _ = _twisted_spiral(0.9, 40.0)
-    points = list(DiskGrid(12, 64, 1e-3).points())
+    points = DiskGrid(12, 64, 1e-3).points()
     serial = BranchLattice(fn, 0j)
-    for z in points:
-        serial.continue_from(z)
+    want = serial.log(points)  # every ring grown in one step
     shared = BranchLattice(fn, 0j)
     results = []
 
     def work(seed):
-        order = points[:]
-        random.Random(seed).shuffle(order)
-        results.append([tracked_log(shared.fn, z, **shared.continue_from(z))
-                        for z in order])
+        # blocks of 1 to 40 points, outward or shuffled, so every thread
+        # grows the rings in its own steps
+        rng = random.Random(seed)
+        order = list(range(len(points)))
+        if seed % 2:
+            rng.shuffle(order)
+        got = np.empty_like(want)
+        while order:
+            size = rng.randint(1, 40)
+            idx, order = order[:size], order[size:]
+            got[idx] = shared.log(points[idx])
+        results.append(got)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -273,7 +420,9 @@ def test_threads_querying_one_lattice_walk_each_ray_once():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert len(results) == 8
-    assert shared._logs == serial._logs
+    assert np.array_equal(shared._logs, serial._logs)
+    for got in results:
+        _assert_close_arrays(got, want)
 
 
 # -- chain validation shares a point's branch data across its times ---------------------
@@ -354,28 +503,59 @@ def _tracer():
     return module.Tracer()
 
 
-def test_traced_run_sees_branch_tracking_of_both_callers(tmp_path, capsys):
-    # the tracer wraps qcx.criteria.tracked_log and qcx.loewner.tracked_log;
-    # a refactor that stops calling through those names reads 0 here
-    from qcx import branches, criteria, loewner
+def test_traced_run_sees_branch_tracking_of_both_callers(tmp_path, capsys, monkeypatch):
+    # the tracer counts the per-point tracked_log calls made through
+    # qcx.criteria's and qcx.loewner's names, and the evaluations inside
+    # qcx.branches.tracked_log.  Block queries of the lattices call neither,
+    # so the calls read 0 and the evaluations are those of the scalar
+    # fallbacks the lattices take, counted here on their own
+    from qcx import criteria, loewner
 
-    doc = {"version": 1,
-           "function": {"kind": "polynomial", "coefficients": [[0.25, 0.0]]},
-           "companion": {"kind": "identity"}, "criterion": "bazilevic",
-           "params": {"s": [1.0, 0.5]}, "grid": {"radial": 8, "angular": 16},
-           "times": {"t_max": 2.0, "count": 5}}
-    path = tmp_path / "bazilevic.json"
-    path.write_text(json.dumps(doc))
+    fallback = {"calls": 0, "evals": 0}
+    scalar = branches.tracked_log
+
+    def counted_fallback(fn, z, *args, **kwargs):
+        fallback["calls"] += 1
+
+        def counted(w):
+            fallback["evals"] += 1
+            return fn(w)
+
+        return scalar(counted, z, *args, **kwargs)
+
+    monkeypatch.setattr(branches, "tracked_log", counted_fallback)
+
+    def scenario(name, function):
+        doc = {"version": 1, "function": function,
+               "companion": {"kind": "identity"}, "criterion": "bazilevic",
+               "params": {"s": [1.0, 0.5]}, "grid": {"radial": 8, "angular": 16},
+               "times": {"t_max": 2.0, "count": 5}}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    poly = scenario("poly", {"kind": "polynomial", "coefficients": [[0.25, 0.0]]})
+    # the spiral's ratio turns fast near z = 1: steps there fall back
+    spiral = scenario("spiral", {"kind": "spiral", "lam": 1.2})
     tracer = _tracer()
     tracer.install()
     try:
-        assert main(["check", "--scenario", str(path)]) == 0
-        assert main(["extend", "--scenario", str(path)]) == 0
+        assert main(["check", "--scenario", poly]) == 0
+        assert main(["extend", "--scenario", poly]) == 0
+        quiet = tracer.pass_metrics()
+        assert fallback == {"calls": 0, "evals": 0}
+        assert main(["check", "--scenario", spiral]) == 1
+        assert main(["extend", "--scenario", spiral]) == 1
         metrics = tracer.pass_metrics()
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert metrics["branches.calls.criteria"] > 0
-    assert metrics["branches.calls.loewner"] > 0
-    assert metrics["branches.evals"] > 0
-    assert criteria.tracked_log is loewner.tracked_log is branches.tracked_log
+    assert quiet["branches.evals"] == 0 and quiet["branches.max_steps"] == 0
+    assert fallback["calls"] > 0
+    for m in (quiet, metrics):
+        assert m["branches.calls.criteria"] == m["branches.calls.loewner"] == 0
+        assert m["branches.self_s"] == 0
+    assert metrics["branches.evals"] == fallback["evals"]
+    assert 1 <= metrics["branches.max_steps"] <= fallback["evals"]
+    assert 0 < metrics["branches.pass_efficiency"] <= 1
+    assert criteria.tracked_log is loewner.tracked_log is scalar

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from qcx import (
+    CayleyMap,
+    ConstMap,
+    ContainmentError,
     PolynomialMap,
     DiskGrid,
     DomainError,
@@ -16,6 +19,7 @@ from qcx import (
     ScaledMap,
     SectorDomain,
     SectorPowerMap,
+    SpiralMap,
     beltrami_on_grid,
     companion_from_sector,
     extend_q2,
@@ -233,6 +237,73 @@ def test_extend_q2_measured_dilatation():
 def test_sup_abs_estimate():
     assert abs(sup_abs_on_boundary(IdentityMap()) - 0.999) < 1e-12
     assert abs(sup_abs_on_boundary(ScaledMap(IdentityMap(), 1.0)) - 0.999) < 1e-12
+
+
+def _sup_abs_per_point(f, n_angles=1024):
+    """sup_abs_on_boundary point by point: the ring's first maximizer, then
+    the 64-point window around it.  Returns (estimate, window points)."""
+    radius = min(1 - 1e-3, 0.999 * f.analyticity_radius)
+    best, best_j = -1.0, 0
+    for j in range(n_angles):
+        v = abs(f.jet(radius * cmath.exp(2j * math.pi * j / n_angles)).value)
+        if v > best:
+            best, best_j = v, j
+    step = 2 * math.pi / n_angles
+    window = [radius * cmath.exp(1j * (best_j * step - step + 2 * step * j / 63))
+              for j in range(64)]
+    return max([best] + [abs(f.jet(w).value) for w in window]), window
+
+
+@pytest.mark.parametrize("f", [
+    IdentityMap(),
+    PolynomialMap([1, 0.1]),
+    PolynomialMap([1, 0.3 - 0.2j, 0.05j]),  # the maximizer off the real axis
+    ScaledMap(CayleyMap(), 3.0),
+    SpiralMap(0.6),
+], ids=["identity", "poly", "poly_complex", "cayley", "spiral"])
+def test_boundary_scan_matches_a_per_point_loop(f):
+    got, (want, _) = sup_abs_on_boundary(f), _sup_abs_per_point(f)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-12 * want
+
+
+class _RecordedConst(ConstMap):
+    """A constant map that records the points it is asked for."""
+
+    def __init__(self, c):
+        super().__init__(c)
+        self.calls = []
+
+    def jet(self, z):
+        self.calls.append(z)
+        return super().jet(z)
+
+
+def test_boundary_scan_refines_around_the_first_of_tied_maxima():
+    # |f| ties exactly all around the circle: the window is the one around
+    # the first sample, as point by point
+    f = _RecordedConst(0.3)
+    assert sup_abs_on_boundary(f) == 0.3
+    _, window = _sup_abs_per_point(ConstMap(0.3))
+    assert np.allclose(f.calls[-1], window, rtol=0, atol=1e-15)
+    # a constant map is one value for the whole array
+    assert fit_sector(ConstMap(0.3), -2)[1] == 0.3
+
+
+def test_failing_fit_names_the_point_a_per_point_loop_names():
+    f = PolynomialMap([1, 0.1])
+    # the sector fitted around R = 0.6 < sup |f|; a one-point grid passes
+    sector, _ = fit_sector(f, -2, radius=0.6, grid=DiskGrid(2, 1, 0.99))
+    want = None
+    for z in DiskGrid().points():
+        w = f.jet(z).value
+        if not sector.contains(w):
+            want = f"fitted sector misses image point f({z!r}) = {w!r}"
+            break
+    assert want is not None
+    with pytest.raises(ContainmentError) as info:
+        fit_sector(f, -2, radius=0.6)
+    assert str(info.value) == want
 
 
 def test_fit_identity_vertex_minus_two():
