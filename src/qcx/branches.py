@@ -12,17 +12,22 @@ log fn(z) + 2*pi*i*k, so it depends on fn(z) and k alone, not on the path.
 `BranchLattice` shares that work between all the points one scan, chain
 validation or Beltrami stencil asks for, and answers a block of them at
 once: `lattice.log(z)` takes a point or a 1-D array.  Its nodes sit at
-radii k/48 (0 <= k < 48, so inside the unit disk) on 256 rays.  The lattice
-grows outward, all rays together and only as far out as a block needs:
-one fn call on the nodes of up to eight new rings, one log step per segment
-and a cumulative sum along each ray.  A query at z continues from the nearest
-node whose radius is at most |z| along one short segment, in tracked_log's
-steps, each one fn call for the whole block; so no map is evaluated beyond
-the block's largest radius (the Koebe map has radius 1).  The few rays or
-points where a step turns by more than _MAX_STEP_IMAG, or where fn vanishes
-or is not finite, fall back to `tracked_log`, which subdivides the step or
-raises.  `continue_from` walks a ray node by node with `tracked_log`: with
-it, tracked_log is the per-point oracle of `log`.
+radii k/48 (0 <= k < 48, so inside the unit disk) on 256 rays.
+
+Ring growth and block queries are one walk: from nodes whose logs are
+known, along collinear sample points (the next rings of every ray, or a
+query's steps from its node), with one fn call on all of them, the turns
+between samples and a cumulative sum along each path.  The rings grow
+outward, all rays together and only as far out as a block needs; a query
+at z continues from the nearest node whose radius is at most |z|, so no map
+is evaluated beyond the block's largest radius (the Koebe map has radius
+1).  A step that turns by more than _MAX_STEP_IMAG, or where fn vanishes or
+is not finite, is repaired one segment at a time: `tracked_log` subdivides
+that segment, and the rest of its path takes the repaired winding.  A path
+whose repair fails is NaN from there on, and a query that meets such a NaN
+is answered per point by `tracked_log` from the node `continue_from` walks
+out to, which names the error.  With `continue_from`, tracked_log is the
+per-point oracle of `log`.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ class BranchTrackingError(ValueError):
 
 
 _MAX_STEP_IMAG = 1.5  # just under pi/2: one step may not rotate this much
+_STEPS = 48  # continuation steps per unit length, and the lattice's rings
 _TWO_PI = 2 * math.pi
 
 
@@ -60,7 +66,6 @@ def _turn(arg, prev):
 
 
 def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex,
-                initial_steps: int = 48, max_steps: int = 3072,
                 start: complex | None = None) -> complex:
     """log(fn(z)) continued along a segment ending at z.
 
@@ -74,14 +79,13 @@ def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex,
     anchor : complex
         A logarithm of fn at the start (of its limit lim_{t->0+} fn(t*z)
         when the start is the origin); fixes the branch.
-    initial_steps : int
-        Steps of the first attempt: all of them on the ray [0, z] when
-        `start` is None; with a `start`, one per 1/initial_steps of the
-        segment's length (at least one), the spacing a unit ray gets.
-        Every step rotating by more than _MAX_STEP_IMAG doubles the count,
-        up to `max_steps`.
     start : complex, optional
         Where the segment starts; None means the origin.
+
+    The first attempt takes _STEPS steps on a ray [0, z] from the origin,
+    and one per 1/_STEPS of the segment's length (at least one) from a
+    `start`, the spacing a unit ray gets.  Every step rotating by more than
+    _MAX_STEP_IMAG doubles the count, up to 64 times _STEPS.
 
     Returns
     -------
@@ -89,9 +93,9 @@ def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex,
         log fn(z) + 2*pi*i*k, with k the winding the continuation picks.
     """
     if start is None:
-        start, n = 0j, initial_steps
+        start, n = 0j, _STEPS
     else:  # the slack keeps a lattice cell's 1/48 segment at one step
-        n = max(1, math.ceil(initial_steps * abs(z - start) - 1e-9))
+        n = max(1, math.ceil(_STEPS * abs(z - start) - 1e-9))
     if z == start:
         return anchor
     delta = z - start
@@ -117,10 +121,10 @@ def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex,
             prev = w
         if ok:
             return _wound(cmath.log(prev), log_val.imag)
-        if n >= max_steps:
+        if n >= 64 * _STEPS:
             raise BranchTrackingError(
                 "branch tracking did not stabilize: value crosses 0 or winds "
-                f"faster than {max_steps} subdivisions resolve"
+                f"faster than {64 * _STEPS} subdivisions resolve"
             )
         n *= 2
 
@@ -135,7 +139,7 @@ def _ratio_anchor(m) -> complex:
     return cmath.log(j0.d1)
 
 
-def tracked_ratio_log(m, z: complex, initial_steps: int = 48) -> complex:
+def tracked_ratio_log(m, z: complex) -> complex:
     """log(m(z)/z) continued along [0, z], anchored at log(m'(0)).
 
     `m` is any jet-capable map with m(0) = 0; for class-A maps the anchor is
@@ -144,7 +148,7 @@ def tracked_ratio_log(m, z: complex, initial_steps: int = 48) -> complex:
     anchor = _ratio_anchor(m)
     if z == 0:
         return anchor
-    return tracked_log(lambda w: m.jet(w).value / w, z, anchor, initial_steps)
+    return tracked_log(lambda w: m.jet(w).value / w, z, anchor)
 
 
 def _bad_steps(w, turn):
@@ -162,7 +166,7 @@ class BranchLattice:
     """
 
     RAYS = 256
-    RINGS = 48  # node radii k / RINGS for 0 <= k < RINGS
+    RINGS = _STEPS  # node radii k / RINGS for 0 <= k < RINGS
     GROW = 8  # rings per fn call: 2048 nodes, which bounds growth's temporaries
     # the unit vector of every ray, as cmath.rect gives it
     _UNIT = np.array([cmath.rect(1.0, angle)
@@ -200,6 +204,45 @@ class BranchLattice:
                               start=u * ((i - 1) / self.RINGS))
         return {"anchor": log, "start": u * (ring / self.RINGS)}
 
+    def _walk(self, start, anchor, points, n):
+        """fn at `points` and its argument continued from known logs, path
+        after path: path i leaves start[i], where log fn is anchor[i], and
+        visits its n[i] points in order along one segment.  One fn call on
+        all the points; a bad step is repaired on its own segment by
+        tracked_log, and a path whose anchor is NaN, or whose repair fails,
+        is NaN from there on."""
+        if not points.size:
+            return points, points.real
+        path = np.repeat(np.arange(len(n)), n)
+        first = np.cumsum(n) - n  # each path's first point
+        w = self.fn(points)
+        arg = np.angle(w)
+        prev = np.empty_like(arg)
+        prev[1:] = arg[:-1]
+        prev[first] = anchor.imag
+        turn = _turn(arg, prev)
+        bad = _bad_steps(w, turn)
+        # a NaN turn is a NaN anchor's, or a bad step's: it must not reach
+        # the other paths through the cumulative sum
+        turn[~np.isfinite(turn)] = 0
+        total = np.cumsum(turn)
+        wind = (anchor.imag - (total - turn)[first])[path] + total
+        for k in np.flatnonzero(bad):  # path by path, outward
+            if np.isnan(wind[k]):
+                continue  # its path already broke
+            i = path[k]
+            below, at = ((anchor[i], start[i]) if k == first[i] else
+                         (_wound(cmath.log(w[k - 1]), wind[k - 1]), points[k - 1]))
+            end = first[i] + n[i]
+            try:
+                fixed = tracked_log(self.fn, complex(points[k]), complex(below),
+                                    start=complex(at))
+            except BranchTrackingError:
+                wind[k:end] = np.nan
+                continue
+            wind[k:end] += fixed.imag - wind[k]
+        return w, wind
+
     def _grow(self, ring: int) -> np.ndarray:
         """The node logs, every ray continued out to `ring` at least."""
         logs = self._logs
@@ -211,39 +254,19 @@ class BranchLattice:
             return self._logs
 
     def _rings(self, ring: int) -> np.ndarray:
-        """The node logs with every ray continued out to `ring`: one fn
-        call on the new nodes."""
+        """The node logs with every ray continued out to `ring`: one walk
+        along every ray over the new nodes."""
         logs = self._logs
         first = len(logs)
         radii = np.arange(first, ring + 1) / self.RINGS
-        nodes = self._UNIT * radii[:, None]
-        w = self.fn(nodes.ravel()).reshape(nodes.shape)
-        arg = np.angle(w)
-        turn = _turn(arg, np.concatenate([logs[-1:].imag, arg[:-1]]))
-        wind = logs[-1].imag + np.cumsum(turn, axis=0)
-        # the scalar walk of a segment that cannot be taken in one step
-        # fixes that segment's winding, and so the rest of its ray's
-        broken = ~np.isfinite(logs[-1])
-        for i, ray in zip(*np.nonzero(_bad_steps(w, turn))):
-            if broken[ray]:
-                continue
-            below = (logs[-1, ray] if i == 0
-                     else _wound(cmath.log(w[i - 1, ray]), wind[i - 1, ray]))
-            u = complex(self._UNIT[ray])
-            try:
-                fixed = tracked_log(self.fn, u * ((first + i) / self.RINGS),
-                                    below,
-                                    start=u * ((first + i - 1) / self.RINGS))
-            except BranchTrackingError:
-                broken[ray] = True
-                wind[i:, ray] = np.nan
-                continue
-            wind[i:, ray] += fixed.imag - wind[i, ray]
+        nodes = self._UNIT[:, None] * radii  # ray -> ring
+        w, wind = self._walk(self._UNIT * ((first - 1) / self.RINGS), logs[-1],
+                             nodes.ravel(), np.full(self.RAYS, radii.size))
         # a node's log only carries its winding to the queries, whose
         # results are wound from fn at their own point: the cheap real
         # logarithm log|w| does for its real part
-        new = _wound(lib(w).complex(np.log(np.abs(w)), arg), wind)
-        return np.concatenate([logs, new])
+        new = _wound(lib(w).complex(np.log(np.abs(w)), np.angle(w)), wind)
+        return np.concatenate([logs, new.reshape(nodes.shape).T])
 
     def log(self, z):
         """log fn at z, continued from the origin: a point, or elementwise a
@@ -252,34 +275,20 @@ class BranchLattice:
         zs = np.atleast_1d(np.asarray(z, complex))
         with np.errstate(all="ignore"):
             ring, ray = self._node(zs)
-            logs = self._grow(int(ring.max(initial=0)))
-            anchor = logs[ring, ray]
+            out = self._grow(int(ring.max(initial=0)))[ring, ray]
             start = self._UNIT[ray] * (ring / self.RINGS)
-            delta = zs - start
+            q = np.flatnonzero(zs != start)  # a query on its node takes its log
+            delta = zs[q] - start[q]
             n = np.maximum(1, np.ceil(self.RINGS * np.abs(delta) - 1e-9)).astype(int)
-            moving = zs != start  # a query on its node takes the node's log
-            fallback = ~np.isfinite(anchor)  # its ray broke: walk it per point
-            wind, last = anchor.imag.copy(), np.empty_like(zs)
-            for j in range(1, int(n[moving].max(initial=0)) + 1):
-                point = np.where(j == n, zs, start + delta * (j / n))
-                live = np.flatnonzero(moving & ~fallback & (j <= n)
-                                      & (point != start))
-                if not live.size:
-                    continue
-                w = self.fn(point[live])
-                arg = np.angle(w)
-                turn = _turn(arg, wind[live])
-                bad = _bad_steps(w, turn)
-                fallback[live[bad]] = True
-                live, ok = live[~bad], ~bad
-                wind[live] += turn[ok]
-                last[live] = w[ok]
-            out = anchor.copy()
-            done = moving & ~fallback
-            out[done] = _wound(np.log(last[done]), wind[done])
-        for i in np.flatnonzero(fallback):  # input order: the first error raises
-            q = complex(zs[i])
-            node = ({"anchor": complex(anchor[i]), "start": complex(start[i])}
-                    if np.isfinite(anchor[i]) else self.continue_from(q))
-            out[i] = tracked_log(self.fn, q, **node)
+            # each query's steps, tracked_log's first attempt from its node;
+            # the last is the query point itself
+            last = np.cumsum(n) - 1
+            path = np.repeat(np.arange(q.size), n)
+            back = last[path] - np.arange(path.size)  # steps still to take
+            points = zs[q[path]] - delta[path] * (back / n[path])
+            w, wind = self._walk(start[q], out[q], points, n)
+            out[q] = _wound(np.log(w[last]), wind[last])
+        for i in np.flatnonzero(~np.isfinite(out)):  # input order: the first error raises
+            zi = complex(zs[i])
+            out[i] = tracked_log(self.fn, zi, **self.continue_from(zi))
         return out if type(z) is np.ndarray else complex(out[0])

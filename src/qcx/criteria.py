@@ -407,8 +407,10 @@ def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid,
 
 
 def _sector_contains_image(f: AnalyticMap, sector, grid: DiskGrid) -> None:
+    from .sector import _image
+
     z = grid.points()
-    escapes = ~sector.contains(f.jet(z).value)
+    escapes = ~sector.contains(_image(f, z))
     if escapes.any():
         z = z[np.argmax(escapes)]
         w = f.jet(z).value  # the point's own jet: the message a point gives

@@ -31,7 +31,7 @@ import numpy as np
 
 # tracked_log is not called here; perfbench/tracing.py wraps this module's name
 from .branches import BranchLattice, BranchTrackingError, tracked_log  # noqa: F401
-from .criteria import CRITERIA, CriterionParams, PreconditionError
+from .criteria import CRITERIA, CriterionParams, PreconditionError, _bazilevic_lattice
 from .grids import DiskGrid, blocks
 from .jets import lib, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
@@ -184,24 +184,24 @@ class BazilevicChain(LoewnerChain):
 
     def __init__(self, f, q, params):
         super().__init__(f, q, params)
-        s = params.s
-        if s.real <= 0:
-            raise PreconditionError("bazilevic chain needs Re s > 0")
         if abs(q.jet(0j).value) > 1e-12:
             raise PreconditionError("bazilevic chain needs Q(0) = 0")
         self.p = params.p or IdentityMap()
         jp0 = self.p.jet(0j)
         if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
             raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
-        jf0 = f.jet(0j)
-        self._g = BranchLattice(lambda w: self._g_jet(w)[0] / w,
-                                cmath.log(q.jet(jf0.value).d1 * jf0.d1))
-        self._pz = BranchLattice(lambda w: self.p.jet(w).value / w, 0j)
+        self._g = _bazilevic_lattice(f, q)  # anchored at log (Q o f)'(0)
+        self._pz = BranchLattice.ratio(self.p)
+        # the origin's branch data: H = (Q o f)'(0)^s, R = 1
+        self._lb0 = params.s * self._g.anchor
+        self._h0 = cmath.exp(self._lb0)
 
     # F = z * B^{1/s} with B = (G/z)^s + s(e^t - 1)(p/z)^alpha,  G = Q o f.
     # The ratio powers take their logs from two branch lattices shared by
-    # every point; the outer 1/s power is continued in t from
-    # LB(0) = s*log(G/z) so that F(z, 0) = G(z).
+    # every point.  With H = (G/z)^s, F = G (B/H)^{1/s}: as t runs from 0,
+    # e^t - 1 is real and monotone, so B runs along the straight segment
+    # from H to B(t), and log B = s log(G/z) + Log(B/H) continues it in t
+    # exactly, unless the segment passes through 0.
 
     def _g_jet(self, z):
         jf = self.f.jet(z)
@@ -217,42 +217,14 @@ class BazilevicChain(LoewnerChain):
         m = lib(lg)
         return m.cexp(s * lg), m.cexp(s.real * lp), s * lg
 
-    def _lb(self, t, big_h, big_r, lb0):
-        """log B continued from t = 0 along the time axis, elementwise.
-
-        Each point takes max(4, ceil(|t| / 0.2)) equal steps; a point where
-        one step turns B by more than 1.5 radians starts over with twice
-        as many.
-        """
-        s = self.params.s
-        args = np.broadcast_arrays(t, big_h, big_r, lb0)
-        shape = args[0].shape
-        t, big_h, big_r, lb0 = (np.ravel(x) for x in args)
-        steps = np.maximum(4, np.ceil(np.abs(t) / 0.2)).astype(int)
-        out = np.empty(t.shape, complex)
-        todo = np.arange(t.size)
-        while todo.size:
-            n, tt, h, r = steps[todo], t[todo], big_h[todo], big_r[todo]
-            lb = lb0[todo].astype(complex)
-            prev = h.astype(complex)
-            ok = np.ones(todo.size, bool)
-            for j in range(1, int(n.max()) + 1):
-                live = ok & (j <= n)
-                b = h + s * (np.exp(tt * j / n) - 1) * r
-                if (live & (b == 0)).any():
-                    raise BranchTrackingError("chain bracket vanished on the time path")
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    inc = np.log(b / prev)
-                ok &= ~(live & (np.abs(inc.imag) > 1.5))
-                step = live & ok
-                lb = np.where(step, lb + inc, lb)
-                prev = np.where(step, b, prev)
-            out[todo[ok]] = lb[ok]
-            todo = todo[~ok]
-            if (steps[todo] > 4096).any():
-                raise BranchTrackingError("time continuation of the chain bracket failed")
-            steps[todo] *= 2
-        return out.reshape(shape)[()]
+    def _bracket(self, et, big_h, big_r, lb0):
+        """B = H + s(e^t - 1)R and log B continued from LB(0) = lb0 along the
+        time axis, elementwise, given et = e^t."""
+        b = big_h + self.params.s * (et - 1) * big_r
+        ratio = b / big_h
+        if np.any((np.imag(ratio) == 0) & (np.real(ratio) <= 0)):
+            raise BranchTrackingError("chain bracket vanished on the time path")
+        return b, lb0 + lib(ratio).clog(ratio)
 
     def partials(self, z, t, branch=None):
         if type(z) is not np.ndarray and z == 0:
@@ -261,8 +233,7 @@ class BazilevicChain(LoewnerChain):
         alpha, beta = s.real, s.imag
         et = lib(t).exp(t)
         big_h, big_r, lb0 = self.branch_data(z) if branch is None else branch
-        b = big_h + s * (et - 1) * big_r
-        lb = self._lb(t, big_h, big_r, lb0)
+        b, lb = self._bracket(et, big_h, big_r, lb0)
         # at the origin of an array z G'/G and z p'/p are 0/0; the origin's
         # partials are 0, set below
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -277,19 +248,12 @@ class BazilevicChain(LoewnerChain):
         return ChainPartials(*(m.where(z == 0, 0j, x) for x in (value, dt, zdz)))
 
     def a1(self, t):
-        s = self.params.s
-        g0 = self.q.jet(self.f.jet(0j).value).d1 * self.f.jet(0j).d1
-        lb0 = s * cmath.log(g0)
-        big_h = cmath.exp(lb0)
-        lb = self._lb(t, big_h, 1 + 0j, lb0)
-        return lib(lb).cexp(lb / s)
+        _, lb = self._bracket(lib(t).exp(t), self._h0, 1.0, self._lb0)
+        return lib(lb).cexp(lb / self.params.s)
 
     def _ratio_origin(self, t):
-        s = self.params.s
         et = lib(t).exp(t)
-        g0 = self.q.jet(self.f.jet(0j).value).d1 * self.f.jet(0j).d1
-        h0 = cmath.exp(s * cmath.log(g0))
-        return _ratio(et, h0 + (et - 1) * s)
+        return _ratio(et, self._bracket(et, self._h0, 1.0, self._lb0)[0])
 
 
 _CHAIN_CLASSES = {

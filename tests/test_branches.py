@@ -294,6 +294,59 @@ def test_the_twisted_spiral_takes_the_scalar_fallback(monkeypatch, c):
                                for z in block.tolist()])
 
 
+# a 512-point block off the lattice rays by 0.4 of their spacing, so that
+# some queries take two steps from their node
+OFF_RAYS = DiskGrid(16, 32).points() * cmath.exp(0.8j * math.pi / BranchLattice.RAYS)
+
+
+def test_the_walk_pads_no_samples_and_repeats_none(monkeypatch):
+    lattice = _bazilevic_lattice(PolynomialMap([1, 0.25, -0.05j]), CompanionMap.identity())
+    fn, sizes = lattice.fn, []
+
+    def counted(w):
+        sizes.append(np.size(w))
+        return fn(w)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("no step of this case needs the scalar walk")
+
+    lattice.fn = counted
+    monkeypatch.setattr(branches, "tracked_log", no_fallback)
+    lattice.log(OFF_RAYS)  # grows every ring, then answers the block
+    grown, sizes[:] = sum(sizes), []
+    lattice.log(OFF_RAYS)
+    queried = sum(sizes)
+    ring, ray = lattice._node(OFF_RAYS)
+    node = BranchLattice._UNIT[ray] * (ring / BranchLattice.RINGS)
+    away = OFF_RAYS != node
+    # every node of rings 1 to 47 once, and each query's steps from its node
+    assert grown - queried == 47 * BranchLattice.RAYS == 12032
+    assert queried == np.ceil(48 * np.abs(OFF_RAYS - node)[away]).sum() == 608
+
+
+def test_a_bad_second_query_step_is_repaired_on_its_own(monkeypatch):
+    # c = 160 turns some two-step queries by more than _MAX_STEP_IMAG on
+    # their second step only
+    fn, _ = _twisted_spiral(1.2, 160.0)
+    lattice = BranchLattice(fn, 0j)
+    lattice.log(OFF_RAYS)  # rings grown: what follows repairs query steps only
+    starts = []
+
+    def spy(fn, z, *args, **kwargs):
+        if z in queries:
+            starts.append(kwargs["start"])
+        return tracked_log(fn, z, *args, **kwargs)
+
+    queries = set(OFF_RAYS.tolist())
+    monkeypatch.setattr(branches, "tracked_log", spy)
+    got = lattice.log(OFF_RAYS)
+    monkeypatch.undo()
+    # a node lies at radius k/48; a query's own first sample does not
+    assert any(abs(abs(a) * 48 - round(abs(a) * 48)) > 1e-6 for a in starts)
+    _assert_close_arrays(got, [tracked_log(fn, z, **lattice.continue_from(z))
+                               for z in OFF_RAYS.tolist()])
+
+
 # -- conjugate symmetry ---------------------------------------------------------------
 
 

@@ -316,6 +316,17 @@ def test_sector_containment_precondition():
                            SMALL_GRID)
 
 
+def test_sector_containment_of_a_constant_map():
+    # a constant map's jet gives one value for the whole grid; the precheck
+    # broadcasts it as fit_sector does
+    params = CriterionParams(k=0.65, w0=-2 + 0j, lambda0=11 / 6, a=1 / 3)
+    grid = DiskGrid(8, 16)
+    rep = evaluate_criterion("sector_becker", ConstMap(0.3), None, params, grid)
+    assert not rep.passed and rep.sup_value == math.inf  # f' = 0 scores inf
+    with pytest.raises(PreconditionError, match="escapes the sector domain"):
+        evaluate_criterion("sector_becker", ConstMap(-3.0), None, params, grid)
+
+
 def test_sector_nw_identity_passes_fitted_sector():
     rep = evaluate_criterion("sector_nw", IdentityMap(), None,
                              CriterionParams(k=0.65, w0=-2 + 0j, lambda0=11 / 6,

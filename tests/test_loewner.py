@@ -4,10 +4,14 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qcx import (
     ALL_CRITERIA,
+    BranchTrackingError,
     CONSTRUCTIONS,
     CayleyMap,
     CompanionMap,
@@ -426,6 +430,49 @@ def test_bazilevic_time_continuity_no_branch_jumps():
                 cur = ch.value(z, t)
                 assert abs(cur - prev) / (1 + abs(prev)) < 0.1
                 prev = cur
+
+
+def _unwrapped_time_log(big_h, big_r, s, t, n=10_000):
+    """log(B(t)/H), B = H + s(e^tau - 1)R, continued over tau in [0, t] by
+    unwrapping the phase of 10^4 samples.  B/H runs along a straight
+    segment, so consecutive samples are joined by chords of the path; None
+    when some chord is as long as the samples' distance from 0, where the
+    unwrap could miss a turn."""
+    vals = 1 + s * (np.exp(t * np.arange(n + 1) / n) - 1) * big_r / big_h
+    if np.abs(np.diff(vals)).max() >= np.abs(vals).min():
+        return None
+    return complex(math.log(abs(vals[-1])), np.unwrap(np.angle(vals))[-1])
+
+
+TIME_CHAIN = (PolynomialMap([1, 0.2]), CompanionMap.identity())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lb0=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-8.0, 8.0)),
+       big_r=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       s=st.builds(complex, st.floats(0.2, 2.0), st.floats(-1.5, 1.5)),
+       t=st.floats(0.0, 3.0))
+# B/H runs from 1 to -1 + 0.002i, passing within 1e-3 of 0
+@example(lb0=0j, big_r=(-2 + 0.002j) / (math.e - 1), s=1 + 0j, t=1.0)
+def test_time_branch_matches_unwrapped_dense_reference(lb0, big_r, s, t):
+    big_h = cmath.exp(lb0)
+    want = _unwrapped_time_log(big_h, big_r, s, t)
+    assume(want is not None)
+    chain = build_chain("bazilevic", *TIME_CHAIN, CriterionParams(s=s))
+    z = 0.3 + 0.1j
+    got = chain.partials(z, t, branch=(big_h, big_r, lb0)).value
+    expected = z * cmath.exp((lb0 + want) / s)
+    assert abs(got - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("s", [1 + 0j, 0.7 - 0.3j])
+def test_a_bracket_vanishing_on_the_time_path_raises(s):
+    chain = build_chain("bazilevic", *TIME_CHAIN, CriterionParams(s=s))
+    for m in (1, 2):  # B(1) = 0, or B(1)/H = -1
+        branch = (1 + 0j, -m / (s * (math.e - 1)), 0j)
+        with pytest.raises(BranchTrackingError, match="chain bracket vanished"):
+            chain.partials(0.3 + 0.1j, 1.0, branch=branch)
+    chain.partials(0.3 + 0.1j, 0.5, branch=branch)  # short of the zero
 
 
 def test_extension_continuity_other_constructions():
