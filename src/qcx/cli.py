@@ -14,6 +14,7 @@ runs are byte-identical.  Exit codes: 0 pass, 1 numerical fail,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,6 +80,21 @@ def _cplx(v, where: str) -> complex:
     if isinstance(v, list) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
     raise ScenarioError(f"{where}: expected number or [re, im] pair, got {v!r}")
+
+
+def _integer(v, where: str) -> int:
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ScenarioError(f"{where}: expected an integer, got {v!r}")
+    return v
+
+
+def _number(v, where: str) -> float:
+    # int and float compare exactly, so this also rejects ints no float holds
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ScenarioError(f"{where}: expected a finite number, got {v!r}")
+    return float(v)
 
 
 def _cplx_json(z: complex) -> list[float]:
@@ -198,23 +214,37 @@ class Scenario:
         self.params_spec = doc.get("params", {})
         grid = dict(doc.get("grid", {}))
         _require_keys(grid, {"radial", "angular", "eps"}, "grid")
-        self.grid_radial = int(grid.get("radial", 64))
-        self.grid_angular = int(grid.get("angular", 128))
-        self.grid_eps = float(grid.get("eps", 1e-3))
+        self.grid_radial = _integer(grid.get("radial", 64), "grid.radial")
+        self.grid_angular = _integer(grid.get("angular", 128), "grid.angular")
+        self.grid_eps = _number(grid.get("eps", 1e-3), "grid.eps")
         ann = dict(doc.get("annulus", {}))
         _require_keys(ann, {"radial", "angular", "inner", "outer"}, "annulus")
-        self.ann_radial = int(ann.get("radial", 64))
-        self.ann_angular = int(ann.get("angular", 128))
-        self.ann_inner = float(ann.get("inner", 1.001))
-        self.ann_outer = float(ann.get("outer", 3.0))
+        self.ann_radial = _integer(ann.get("radial", 64), "annulus.radial")
+        self.ann_angular = _integer(ann.get("angular", 128), "annulus.angular")
+        self.ann_inner = _number(ann.get("inner", 1.001), "annulus.inner")
+        self.ann_outer = _number(ann.get("outer", 3.0), "annulus.outer")
         times = dict(doc.get("times", {}))
         _require_keys(times, {"t_max", "count"}, "times")
-        self.t_max = float(times.get("t_max", 2.0))
-        self.t_count = int(times.get("count", 21))
-        self.fd_step = float(doc.get("fd_step", 1e-5))
+        self.t_max = _number(times.get("t_max", 2.0), "times.t_max")
+        self.t_count = _integer(times.get("count", 21), "times.count")
+        self.fd_step = _number(doc.get("fd_step", 1e-5), "fd_step")
         out = dict(doc.get("output", {}))
         _require_keys(out, {"prefix"}, "output")
         self.prefix = str(out.get("prefix", "qcx"))
+
+    def check_ranges(self) -> None:
+        """Reject sizes and steps that the grids, the time samples or the
+        stencil cannot use, naming the section or field at fault."""
+        for where, build in (("grid", self.disk_grid), ("annulus", self.annulus_grid),
+                             ("times", lambda: default_times(self.t_max, self.t_count))):
+            try:
+                build()
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
+        if not self.t_max > 0:
+            raise ScenarioError(f"times.t_max must be positive, got {self.t_max!r}")
+        if not self.fd_step > 0:
+            raise ScenarioError(f"fd_step must be positive, got {self.fd_step!r}")
 
     def resolved(self) -> dict:
         return {
@@ -254,6 +284,7 @@ def load_scenario(path: str, args) -> Scenario:
         sc.grid_radial = args.grid_radial
     if args.grid_angular:
         sc.grid_angular = args.grid_angular
+    sc.check_ranges()
     return sc
 
 
@@ -267,15 +298,192 @@ def echo_config(sc: Scenario) -> None:
 # ---------------------------------------------------------------------------
 
 
+# write_csv prints every float as "%.17g" does, a block of rows at a time on
+# numpy arrays.  A float's text is a field of 12 uint32 words, 48 bytes in
+# output order; zero bytes are padding and are dropped before the write:
+#   w0      separator before the field (newline for a row's first), sign,
+#           "0." when the decimal exponent E is negative
+#   w1      the zeros of "0.000" for E <= -2, then the leading digit d0
+#   w2-w5   digits d1..d16 before the decimal point (all of them after "0.")
+#   w6      the decimal point after the leading digits, in its last byte
+#   w7-w10  digits d1..d16 after that point, up to the last one written
+#   w11     "e+XX" in exponent notation
+# The digits written are the leading ones up to the last nonzero digit, and
+# all digits before the point in fixed notation.
+# Tables indexed by a word's bytes are built through _words, so they do not
+# depend on the machine's byte order.
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_Q0 = -16  # 10**q is tabulated for q in [_Q0, 48], enough for 1e-30 <= |x| <= 1e30
+_E0 = -32  # tables over the decimal exponent cover E in [_E0, 31]
+
+
+def _split(a):
+    """a = hi + lo exactly, with hi holding the top 26 bits of the significand."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10_table():
+    """10**q = hi + lo (+ at most 2**-106 * 10**q) for q in [_Q0, 48]: hi is the
+    double nearest 10**q and lo the double nearest the remainder, both from
+    Python ints (int / int is correctly rounded).  Returns hi, hi's two
+    halves and lo."""
+    hi, lo = [], []
+    for q in range(_Q0, 49):
+        if q >= 0:
+            h = float(10 ** q)
+            rest = float(10 ** q - int(h))
+        else:
+            d = 10 ** -q
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            rest = (den - num * d) / (den * d)
+        hi.append(h)
+        lo.append(rest)
+    hi = np.array(hi)
+    return (hi, *_split(hi), np.array(lo))
+
+
+def _words(rows) -> np.ndarray:
+    """uint32 words whose bytes, in memory order, are the rows of a (k, 4) byte table."""
+    return np.ascontiguousarray(rows, np.uint8).view(np.uint32).ravel()
+
+
+_P10_HI, _P10_HH, _P10_HL, _P10_LO = _pow10_table()
+_digit = np.arange(10)
+_d4 = np.empty((10, 10, 10, 10, 4), np.uint8)  # "%04d" % g, for g < 10**4
+_d4[..., 0] = 48 + _digit[:, None, None, None]
+_d4[..., 1] = 48 + _digit[:, None, None]
+_d4[..., 2] = 48 + _digit[:, None]
+_d4[..., 3] = 48 + _digit
+_DIGITS4 = _words(_d4.reshape(-1, 4))
+_z = (_digit == 0).astype(np.int64)  # trailing zeros of "%04d" % g
+_TRAILING0 = (_z + (_z[:, None] & _z) + (_z[:, None, None] & _z[:, None] & _z)
+              + (_z[:, None, None, None] & _z[:, None, None] & _z[:, None] & _z)).ravel()
+_KEEP = _words(255 * (np.arange(4) < np.arange(-16, 21)[:, None]))  # [m + 16]: first m bytes
+_LEAD = _words(np.outer(48 + _digit, [0, 0, 0, 1]))
+_e = np.arange(_E0, 32)
+_fixed = (-4 <= _e) & (_e < 17)
+_small = _fixed & (_e < 0)
+_HEAD = np.where(_small, 17, np.where(_fixed, _e + 1, 1))  # digits before the point
+_MIN_DIGITS = np.where(_fixed & ~_small, _e + 1, 1)  # the integer digits, zeros or not
+_PREFIX0 = _words(np.stack([0 * _e, 0 * _e, 48 * _small, 46 * _small], 1))
+_PREFIX1 = _words(np.stack([48 * (_small & (_e <= -2)), 48 * (_small & (_e <= -3)),
+                            48 * (_small & (_e <= -4)), 0 * _e], 1))
+_EXPONENT = _words(np.stack([101 * ~_fixed, np.where(_e < 0, 45, 43) * ~_fixed,
+                             (48 + abs(_e) // 10) * ~_fixed, (48 + abs(_e) % 10) * ~_fixed], 1))
+_POINT, _SIGN, _COMMA, _NEWLINE = _words([[0, 0, 0, 46], [0, 45, 0, 0], [44, 0, 0, 0], [10, 0, 0, 0]])
+del _digit, _d4, _z, _e, _fixed, _small
+
+
+def _scaled(a, q):
+    """(F, frac) with F + frac = a * 10**q, F an int64 array and frac in
+    [0, 1): to within 1e-14 where a * 10**q < 10**17, 1e-13 below 10**18."""
+    i = q - _Q0
+    hi, hh, hl, lo = _P10_HI.take(i), _P10_HH.take(i), _P10_HL.take(i), _P10_LO.take(i)
+    p = a * hi
+    ah, al = _split(a)
+    e = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # Dekker: a * hi = p + e exactly
+    fp = np.floor(p)
+    t = (p - fp) + (e + a * lo)
+    ft = np.floor(t)
+    return fp.astype(np.int64) + ft.astype(np.int64), t - ft
+
+
+def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
+    """The "%.17g" texts of the floats x, each preceded by its separator word
+    in seps, as one byte string.
+
+    Method: for 1e-30 <= |x| <= 1e30, E = floor(log10|x|) and the 17
+    significant digits are N = round(|x| * 10**(16 - E)).  The product is a
+    double-double: 10**q = hi + lo from the table, a * hi = p + e exactly by
+    Dekker's split product (no fused multiply-add needed), and the small
+    terms e + a * lo are added in double.  Every term below p is at most
+    2**-52 of the product, so for a product under 10**17 the error is under
+    1e-14, and N is exact unless the fraction lies within 1e-14 of one half.
+    Values within 1e-6 of a rounding tie, exact ties included, are left to
+    "%.17g" itself.  log10 may put E one off next to a power of ten; a
+    product outside [10**16, 10**17) moves E by one and is computed again.
+    Where the product lies within the error bound of 10**16 or 10**17, N
+    rounds to 10**16 or 10**17 either way, and both give the digit 1 at the
+    right exponent (10**17 carries into E + 1, as "%.17g" does).  Any N
+    still out of range is left to "%.17g" too, as are 0, -0, nan, +-inf and
+    |x| outside [1e-30, 1e30].  The digits are then laid out as "%.17g"
+    lays them out: fixed notation for -4 <= E < 17, exponent notation
+    otherwise, trailing zeros of the fraction and a bare point dropped, the
+    sign taken from the sign bit.
+    """
+    n = len(x)
+    a = np.abs(x)
+    ok = (a >= 1e-30) & (a <= 1e30)  # false on 0, nan and inf
+    a[~ok] = 1.0
+    E = np.floor(np.log10(a)).astype(np.int64)
+    F, frac = _scaled(a, 16 - E)
+    off = (F < 10 ** 16).astype(np.int64) - (F >= 10 ** 17)
+    redo = np.flatnonzero(off)
+    if len(redo):
+        E[redo] -= off[redo]
+        F[redo], frac[redo] = _scaled(a[redo], 16 - E[redo])
+    N = F + (frac >= 0.5)
+    carry = np.flatnonzero(N == 10 ** 17)
+    N[carry] = 10 ** 16
+    E[carry] += 1
+    ok &= (np.abs(frac - 0.5) > 1e-6) & (N >= 10 ** 16) & (N < 10 ** 17)
+
+    # N = d0 g1 g2 g3 g4 in groups of four digits
+    d0 = N // 10 ** 16
+    low = N - d0 * 10 ** 16
+    g12 = low // 10 ** 8
+    g34 = low - g12 * 10 ** 8
+    g1 = g12 // 10 ** 4
+    g3 = g34 // 10 ** 4
+    groups = (g1, g12 - g1 * 10 ** 4, g3, g34 - g3 * 10 ** 4)
+    t1, t2, t3, t4 = (_TRAILING0.take(g) for g in groups)
+    zeros = t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1))
+    e = E - _E0
+    digits = np.maximum(17 - zeros, _MIN_DIGITS.take(e))  # digits written
+    head = np.minimum(_HEAD.take(e), digits)  # those before the point
+
+    out = np.empty((n, 12), np.uint32)
+    out[:, 0] = seps | np.signbit(x) * _SIGN | _PREFIX0.take(e)
+    out[:, 1] = _PREFIX1.take(e) | _LEAD.take(d0)
+    # the m-th group holds digits 4m+1 .. 4m+4; keep the first (head - 4m - 1)
+    # bytes before the point and up to (digits - 4m - 1) in all
+    before, upto = head + 15, digits + 15
+    for m, g in enumerate(groups):
+        w = _DIGITS4.take(g)
+        out[:, 2 + m] = w_before = w & _KEEP.take(before - 4 * m)
+        out[:, 7 + m] = (w & _KEEP.take(upto - 4 * m)) ^ w_before
+    out[:, 6] = (digits > head) * _POINT
+    out[:, 11] = _EXPONENT.take(e)
+
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        text = np.array([b"%.17g" % v for v in x[bad].tolist()], "S24")
+        fields = out.view(np.uint8)
+        fields[bad, 1:] = 0
+        fields[bad, 1:25] = text.view(np.uint8).reshape(len(bad), 24)
+    flat = out.view(np.uint8).ravel()
+    return flat[flat != 0].tobytes()
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
-    """A table of floats (a 2-D array, or rows that make one) at 17
-    significant digits, formatted a few rows at a time."""
+    """A table of floats (a 2-D array, or rows that make one) with a header
+    row, comma separators and LF line endings.  Every float reads as
+    "%.17g" % x would print it, byte for byte, but is formatted on numpy
+    arrays a block of at most BLOCK rows at a time, one write per block."""
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in blocks(rows, BLOCK // 4):
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    seps = np.full((BLOCK, len(header)), _COMMA)
+    seps[:, 0] = _NEWLINE
+    seps = seps.ravel()
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode("ascii"))
+        for block in blocks(rows):
+            x = block.ravel()
+            fh.write(_format_block(x, seps[:len(x)]))
+        fh.write(b"\n")
 
 
 def _print_block(title: str, items: dict) -> None:
@@ -443,7 +651,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(prog="qcx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

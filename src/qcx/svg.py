@@ -55,13 +55,16 @@ def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float]
             f'<rect width="{width}" height="{height}" fill="white"/>\n'
             f'<text x="10" y="20" font-family="monospace" font-size="13">{title}</text>\n'
         )
+        # one template for every row: the cells' x are fixed, y is filled in
+        # per row and the fills per cell
+        row_t = "".join(
+            f'<rect x="{x0 + j * cell_w}" y="{{y}}" width="{cell_w}" height="{cell_h}" '
+            'fill="%s"/>\n'
+            for j in range(len(angles))
+        )
         for i, row in enumerate(fills.tolist()):
             y = y0 + (len(radii) - 1 - i) * cell_h  # larger radii on top
-            fh.write("".join(
-                f'<rect x="{x0 + j * cell_w}" y="{y}" width="{cell_w}" height="{cell_h}" '
-                f'fill="{fill}"/>\n'
-                for j, fill in enumerate(row)
-            ))
+            fh.write(row_t.replace("{y}", str(y)) % tuple(row))
         # legend: vertical gradient bar with min/max labels
         fh.write("".join(
             f'<rect x="{lx}" y="{y0 + s * bar_h // steps}" width="16" '

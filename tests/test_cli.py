@@ -3,7 +3,9 @@
 import json
 import os
 
-from qcx.cli import main
+import pytest
+
+from qcx.cli import main, make_parser
 
 BASE = {
     "version": 1,
@@ -69,6 +71,62 @@ def test_defaults_echoed(tmp_path, capsys):
     assert resolved["grid"] == {"radial": 64, "angular": 128, "eps": 1e-3}
     assert resolved["fd_step"] == 1e-5
     assert resolved["times"] == {"t_max": 2.0, "count": 21}
+
+
+def _with(doc, field, value):
+    doc = json.loads(json.dumps(doc))
+    if "." in field:
+        section, key = field.split(".")
+        doc.setdefault(section, {})[key] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid.eps", 0),
+    ("annulus.radial", 1),
+    ("times.count", 1),
+    ("grid.radial", "x"),
+    pytest.param("grid.eps", 10 ** 400, id="grid.eps-10**400"),
+    ("fd_step", -1e-5),
+    ("annulus.inner", 0.9),
+    ("times.t_max", 0),
+])
+def test_bad_numeric_field_is_an_input_error(tmp_path, capsys, field, value):
+    # each was an uncaught exception (exit 1, the code of a numerical fail)
+    # or was accepted: a negative fd_step turned the stencil's guard band off
+    sc = write_scenario(tmp_path, _with(BASE, field, value))
+    for command in ("check", "beltrami"):
+        code, out, err = run([command, "--scenario", sc], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {field.split('.')[0]}")
+        assert out == ""
+
+
+def test_grid_override_below_two_radii_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(["check", "--scenario", write_scenario(tmp_path, BASE),
+                          "--grid-radial", "1"], capsys)
+    assert code == 2
+    assert err.startswith("error: grid")
+    assert out == ""
+
+
+def test_consecutive_calls_share_the_parser_but_no_state(tmp_path, capsys):
+    assert make_parser() is make_parser()
+    sc = write_scenario(tmp_path, BASE)
+    with_svg, without = tmp_path / "with_svg", tmp_path / "without"
+    assert run(["beltrami", "--scenario", sc, "--out", str(with_svg), "--svg"], capsys)[0] == 0
+    assert run(["beltrami", "--scenario", sc, "--out", str(without)], capsys)[0] == 0
+    assert (with_svg / "qcx_beltrami.svg").exists()
+    assert not (without / "qcx_beltrami.svg").exists()
+
+    radial = []
+    for flags in (["--grid-radial", "8"], []):
+        code, out, _ = run(["check", "--scenario", sc, *flags], capsys)
+        assert code == 0
+        radial.append(json.loads(out.splitlines()[1])["grid"]["radial"])
+    assert radial == [8, BASE["grid"]["radial"]]
 
 
 # -- check ---------------------------------------------------------------------
