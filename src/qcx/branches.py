@@ -14,20 +14,22 @@ validation or Beltrami stencil asks for, and answers a block of them at
 once: `lattice.log(z)` takes a point or a 1-D array.  Its nodes sit at
 radii k/48 (0 <= k < 48, so inside the unit disk) on 256 rays.
 
-Ring growth and block queries are one walk: from nodes whose logs are
-known, along collinear sample points (the next rings of every ray, or a
-query's steps from its node), with one fn call on all of them, the turns
-between samples and a cumulative sum along each path.  The rings grow
-outward, all rays together and only as far out as a block needs; a query
-at z continues from the nearest node whose radius is at most |z|, so no map
-is evaluated beyond the block's largest radius (the Koebe map has radius
-1).  A step that turns by more than _MAX_STEP_IMAG, or where fn vanishes or
-is not finite, is repaired one segment at a time: `tracked_log` subdivides
-that segment, and the rest of its path takes the repaired winding.  A path
-whose repair fails is NaN from there on, and a query that meets such a NaN
-is answered per point by `tracked_log` from the node `continue_from` walks
-out to, which names the error.  With `continue_from`, tracked_log is the
-per-point oracle of `log`.
+Growth and block queries are one walk: from nodes whose logs are known,
+along collinear sample points (the next nodes of a ray, or a query's steps
+from its node), with one fn call on all of them, the turns between samples
+and a cumulative sum along each path.  A query at z continues from the
+nearest node whose radius is at most |z|.  Each ray grows outward on its
+own, only when a block queries it and only out to the deepest node the
+block asks of it: every ray that falls short is one path of one walk, of at
+most GROW nodes (a larger growth takes more walks).  So no map is evaluated
+beyond the block's largest radius (the Koebe map has radius 1), nor on a
+ray no query uses.  A step that turns by more than _MAX_STEP_IMAG, or where
+fn vanishes or is not finite, is repaired one segment at a time:
+`tracked_log` subdivides that segment, and the rest of its path takes the
+repaired winding.  A path whose repair fails is NaN from there on, and a
+query that meets such a NaN is answered per point by `tracked_log` from the
+node `continue_from` walks out to, which names the error.  With
+`continue_from`, tracked_log is the per-point oracle of `log`.
 """
 
 from __future__ import annotations
@@ -157,17 +159,25 @@ def _bad_steps(w, turn):
     return (w == 0) | ~np.isfinite(w) | (np.abs(turn) > _MAX_STEP_IMAG)
 
 
+def _paths(n):
+    """Paths laid end to end, path i taking n[i] >= 1 samples: the path of
+    every sample, and each path's first and last sample."""
+    last = np.cumsum(n) - 1
+    return np.repeat(np.arange(len(n)), n), last - n + 1, last
+
+
 class BranchLattice:
     """log fn continued from the origin once, for every query to share.
 
     `log(z)` answers a point or a 1-D array of points; `fn` must evaluate
-    elementwise on a 1-D complex array.  Rings are grown under a lock, so
-    threaded scans share one lattice safely.
+    elementwise on a 1-D complex array.  Each ray grows on its own, only as
+    far out as a query needs; rays are grown, and their heights read, under
+    a lock, so threaded scans share one lattice safely.
     """
 
     RAYS = 256
     RINGS = _STEPS  # node radii k / RINGS for 0 <= k < RINGS
-    GROW = 8  # rings per fn call: 2048 nodes, which bounds growth's temporaries
+    GROW = 8 * RAYS  # nodes per growth fn call, which bounds growth's temporaries
     # the unit vector of every ray, as cmath.rect gives it
     _UNIT = np.array([cmath.rect(1.0, angle)
                       for angle in _TWO_PI * np.arange(RAYS) / RAYS])
@@ -175,9 +185,12 @@ class BranchLattice:
     def __init__(self, fn: Callable[[complex], complex], anchor: complex):
         self.fn = fn
         self.anchor = anchor
-        # ring -> ray -> log fn at the node; NaN past a node a ray could not
-        # reach, which only a query continuing from it reports
-        self._logs = np.full((1, self.RAYS), complex(anchor))
+        # ring -> ray -> log fn at the node; NaN on the rings a ray has not
+        # grown to, and past a node the ray could not reach, which only a
+        # query continuing from it reports
+        self._logs = np.full((self.RINGS, self.RAYS), np.nan, complex)
+        self._logs[0] = anchor
+        self._height = np.ones(self.RAYS, np.int8)  # rings grown along each ray, <= RINGS
         self._lock = threading.Lock()
 
     @classmethod
@@ -204,17 +217,15 @@ class BranchLattice:
                               start=u * ((i - 1) / self.RINGS))
         return {"anchor": log, "start": u * (ring / self.RINGS)}
 
-    def _walk(self, start, anchor, points, n):
+    def _walk(self, start, anchor, points, path, first, last):
         """fn at `points` and its argument continued from known logs, path
-        after path: path i leaves start[i], where log fn is anchor[i], and
-        visits its n[i] points in order along one segment.  One fn call on
-        all the points; a bad step is repaired on its own segment by
-        tracked_log, and a path whose anchor is NaN, or whose repair fails,
-        is NaN from there on."""
+        after path (see _paths): path i leaves start[i], where log fn is
+        anchor[i], and visits its points in order along one segment.  One
+        fn call on all the points; a bad step is repaired on its own segment
+        by tracked_log, and a path whose anchor is NaN, or whose repair
+        fails, is NaN from there on."""
         if not points.size:
             return points, points.real
-        path = np.repeat(np.arange(len(n)), n)
-        first = np.cumsum(n) - n  # each path's first point
         w = self.fn(points)
         arg = np.angle(w)
         prev = np.empty_like(arg)
@@ -233,7 +244,7 @@ class BranchLattice:
             i = path[k]
             below, at = ((anchor[i], start[i]) if k == first[i] else
                          (_wound(cmath.log(w[k - 1]), wind[k - 1]), points[k - 1]))
-            end = first[i] + n[i]
+            end = last[i] + 1
             try:
                 fixed = tracked_log(self.fn, complex(points[k]), complex(below),
                                     start=complex(at))
@@ -243,30 +254,34 @@ class BranchLattice:
             wind[k:end] += fixed.imag - wind[k]
         return w, wind
 
-    def _grow(self, ring: int) -> np.ndarray:
-        """The node logs, every ray continued out to `ring` at least."""
-        logs = self._logs
-        if len(logs) > ring:
-            return logs
+    def _grow(self, ring, ray):
+        """The node logs at (ring, ray), elementwise, once every ray is
+        continued out to the deepest ring asked of it: one walk along each
+        ray that falls short, over its new nodes, at most GROW nodes per fn
+        call."""
+        need = np.full(self.RAYS, -1)  # the deepest ring asked of each ray
+        np.maximum.at(need, ray, ring)
         with self._lock:
-            while len(self._logs) <= ring:
-                self._logs = self._rings(min(ring, len(self._logs) + self.GROW - 1))
-            return self._logs
-
-    def _rings(self, ring: int) -> np.ndarray:
-        """The node logs with every ray continued out to `ring`: one walk
-        along every ray over the new nodes."""
-        logs = self._logs
-        first = len(logs)
-        radii = np.arange(first, ring + 1) / self.RINGS
-        nodes = self._UNIT[:, None] * radii  # ray -> ring
-        w, wind = self._walk(self._UNIT * ((first - 1) / self.RINGS), logs[-1],
-                             nodes.ravel(), np.full(self.RAYS, radii.size))
-        # a node's log only carries its winding to the queries, whose
-        # results are wound from fn at their own point: the cheap real
-        # logarithm log|w| does for its real part
-        new = _wound(lib(w).complex(np.log(np.abs(w)), np.angle(w)), wind)
-        return np.concatenate([logs, new.reshape(nodes.shape).T])
+            while True:
+                short = np.flatnonzero(self._height <= need)
+                if not short.size:
+                    return self._logs[ring, ray]
+                low = self._height[short].astype(int)  # each short ray's first new ring
+                # each short ray gets an equal share of the node budget
+                top = np.minimum(need[short], low + self.GROW // short.size - 1)
+                path, first, last = _paths(top - low + 1)
+                rings = low[path] + (np.arange(path.size) - first[path])
+                rays = short[path]
+                w, wind = self._walk(self._UNIT[short] * ((low - 1) / self.RINGS),
+                                     self._logs[low - 1, short],
+                                     self._UNIT[rays] * (rings / self.RINGS),
+                                     path, first, last)
+                # a node's log only carries its winding to the queries,
+                # whose results are wound from fn at their own point: the
+                # cheap real logarithm log|w| does for its real part
+                self._logs[rings, rays] = _wound(
+                    lib(w).complex(np.log(np.abs(w)), np.angle(w)), wind)
+                self._height[short] = top + 1
 
     def log(self, z):
         """log fn at z, continued from the origin: a point, or elementwise a
@@ -275,18 +290,17 @@ class BranchLattice:
         zs = np.atleast_1d(np.asarray(z, complex))
         with np.errstate(all="ignore"):
             ring, ray = self._node(zs)
-            out = self._grow(int(ring.max(initial=0)))[ring, ray]
+            out = self._grow(ring, ray)
             start = self._UNIT[ray] * (ring / self.RINGS)
             q = np.flatnonzero(zs != start)  # a query on its node takes its log
             delta = zs[q] - start[q]
             n = np.maximum(1, np.ceil(self.RINGS * np.abs(delta) - 1e-9)).astype(int)
             # each query's steps, tracked_log's first attempt from its node;
             # the last is the query point itself
-            last = np.cumsum(n) - 1
-            path = np.repeat(np.arange(q.size), n)
+            path, first, last = _paths(n)
             back = last[path] - np.arange(path.size)  # steps still to take
             points = zs[q[path]] - delta[path] * (back / n[path])
-            w, wind = self._walk(start[q], out[q], points, n)
+            w, wind = self._walk(start[q], out[q], points, path, first, last)
             out[q] = _wound(np.log(w[last]), wind[last])
         for i in np.flatnonzero(~np.isfinite(out)):  # input order: the first error raises
             zi = complex(zs[i])

@@ -15,18 +15,25 @@ import numpy as np
 _ANCHORS = ((0.15, 0.10, 0.45), (0.10, 0.60, 0.60), (0.95, 0.90, 0.25))
 
 
-def _colors(x: np.ndarray) -> list[str]:
+# the hex digits' character codes, a unicode string's code points
+_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
+
+
+def _colors(x: np.ndarray) -> np.ndarray:
     """The fill of every value of x in [0, 1] (clipped), as #rrggbb."""
     x = np.clip(x, 0.0, 1.0)
     low = x <= 0.5
     t = np.where(low, 2 * x, 2 * x - 1)
-    code = np.zeros(x.shape, int)
-    for c0, c1, c2 in zip(*_ANCHORS):  # one channel at a time
+    text = np.empty((x.size, 7), np.uint32)  # one row of code points a fill
+    text[:, 0] = ord("#")
+    for i, (c0, c1, c2) in enumerate(zip(*_ANCHORS)):  # one channel at a time
         a = np.where(low, c0, c1)
         b = np.where(low, c1, c2)
         # rint rounds half to even, as round() does
-        code = code * 256 + np.rint(255 * (a + (b - a) * t)).astype(int)
-    return ["#%06x" % c for c in code.tolist()]
+        c = np.rint(255 * (a + (b - a) * t)).astype(int)
+        text[:, 1 + 2 * i] = _DIGITS[c >> 4]
+        text[:, 2 + 2 * i] = _DIGITS[c & 15]
+    return text.view("U7").ravel()
 
 
 def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float],
@@ -37,7 +44,7 @@ def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float]
     finite = np.isfinite(values)
     vmax = float(values[finite].max()) if finite.any() else 0.0
     scale = vmax if vmax > 0 else 1.0
-    fills = np.full(values.shape, "#cccccc", dtype=object)
+    fills = np.full(values.shape, "#cccccc")
     fills[finite] = _colors(values[finite] / scale)
 
     cell_w, cell_h = 6, 4

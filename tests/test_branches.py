@@ -299,29 +299,105 @@ def test_the_twisted_spiral_takes_the_scalar_fallback(monkeypatch, c):
 OFF_RAYS = DiskGrid(16, 32).points() * cmath.exp(0.8j * math.pi / BranchLattice.RAYS)
 
 
-def test_the_walk_pads_no_samples_and_repeats_none(monkeypatch):
-    lattice = _bazilevic_lattice(PolynomialMap([1, 0.25, -0.05j]), CompanionMap.identity())
+def _sizes(lattice):
+    """Spy on a lattice's fn: the list of the sizes it is called with."""
     fn, sizes = lattice.fn, []
 
     def counted(w):
         sizes.append(np.size(w))
         return fn(w)
 
+    lattice.fn = counted
+    return sizes
+
+
+def test_the_walk_pads_no_samples_and_repeats_none(monkeypatch):
+    lattice = _bazilevic_lattice(PolynomialMap([1, 0.25, -0.05j]), CompanionMap.identity())
+    sizes = _sizes(lattice)
+
     def no_fallback(*args, **kwargs):
         raise AssertionError("no step of this case needs the scalar walk")
 
-    lattice.fn = counted
     monkeypatch.setattr(branches, "tracked_log", no_fallback)
-    lattice.log(OFF_RAYS)  # grows every ring, then answers the block
+    lattice.log(OFF_RAYS)  # grows the rays the block uses, then answers it
     grown, sizes[:] = sum(sizes), []
     lattice.log(OFF_RAYS)
     queried = sum(sizes)
     ring, ray = lattice._node(OFF_RAYS)
     node = BranchLattice._UNIT[ray] * (ring / BranchLattice.RINGS)
     away = OFF_RAYS != node
-    # every node of rings 1 to 47 once, and each query's steps from its node
-    assert grown - queried == 47 * BranchLattice.RAYS == 12032
+    # every node of rings 1 to 47 of the block's 32 rays once, and each
+    # query's steps from its node
+    assert np.unique(ray).size == 32
+    assert grown - queried == 47 * 32 == 1504
     assert queried == np.ceil(48 * np.abs(OFF_RAYS - node)[away]).sum() == 608
+
+
+def test_a_second_block_on_new_rays_grows_only_those_rays():
+    lattice = BranchLattice.ratio(PolynomialMap([1, 0.3, -0.1j]))
+    sizes = _sizes(lattice)
+    grid = DiskGrid(16, 32).points()  # on rays 8j, out to ring 47
+    lattice.log(grid)
+    assert np.array_equal(np.flatnonzero(lattice._height > 1), np.arange(0, 256, 8))
+    logs = lattice._logs.copy()
+    # the same grid turned by two rays: 32 new rays of 47 new nodes each,
+    # in one growth call, then the query call
+    del sizes[:]
+    lattice.log(grid * BranchLattice._UNIT[2])
+    assert sizes[0] == 32 * 47 and len(sizes) == 2
+    new = np.zeros(BranchLattice.RAYS, bool)
+    new[0::8] = new[2::8] = True
+    assert np.array_equal(lattice._height, np.where(new, BranchLattice.RINGS, 1))
+    assert np.array_equal(lattice._logs[:, 0::8], logs[:, 0::8])
+    assert not np.isnan(lattice._logs[:, 2::8]).any()
+    # a block on grown rays grows nothing: its one call is the query's
+    del sizes[:]
+    lattice.log(grid[::5])
+    assert len(sizes) == 1
+
+
+def test_growth_walks_at_most_grow_nodes_a_call():
+    lattice = BranchLattice.ratio(PolynomialMap([1, 0.25, -0.05j]))
+    sizes = _sizes(lattice)
+    grid = DiskGrid(64, 128).points()  # the default grid, as one block
+    got = lattice.log(grid)
+    *growth, _ = sizes  # the last call is the query's
+    # the grid's 128 rays out to ring 47, at most 2048 nodes a call
+    assert max(growth) <= BranchLattice.GROW == 2048
+    assert sum(growth) == 128 * 47
+    blocks = BranchLattice.ratio(PolynomialMap([1, 0.25, -0.05j]))
+    _assert_close_arrays(got, np.concatenate(
+        [blocks.log(grid[i:i + 512]) for i in range(0, grid.size, 512)]))
+    assert np.array_equal(lattice._logs, blocks._logs, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_node_logs_do_not_depend_on_how_rays_grow(data):
+    # rays grown by blocks of any order and subset of the points, under the
+    # full node budget or one of RAYS nodes a call, hold the nodes of one
+    # block of all the points, bit for bit, and no ring past the deepest
+    # one queried
+    fn, _ = _twisted_spiral(0.9, 40.0)
+    points = DiskGrid(12, 64, 1e-3).points()
+    whole = BranchLattice(fn, 0j)
+    whole.log(points)
+    queried = data.draw(st.permutations(range(points.size)))
+    queried = queried[:data.draw(st.integers(1, points.size))]
+    lattice = BranchLattice(fn, 0j)
+    lattice.GROW = data.draw(st.sampled_from([BranchLattice.RAYS, BranchLattice.GROW]))
+    rest = queried
+    while rest:
+        size = data.draw(st.integers(1, 300))
+        block, rest = rest[:size], rest[size:]
+        lattice.log(points[block])
+    ring, ray = lattice._node(points[queried])
+    deepest = np.ones(BranchLattice.RAYS, int)
+    np.maximum.at(deepest, ray, ring + 1)
+    assert np.array_equal(lattice._height, deepest)
+    grown = np.arange(BranchLattice.RINGS)[:, None] < lattice._height
+    assert np.array_equal(lattice._logs[grown], whole._logs[grown], equal_nan=True)
+    assert np.isnan(lattice._logs[~grown]).all()
 
 
 def test_a_bad_second_query_step_is_repaired_on_its_own(monkeypatch):
@@ -438,13 +514,18 @@ def test_the_subdividing_example_really_subdivides():
 
 
 def test_threads_querying_one_lattice_walk_each_ray_once():
-    # threaded scans (QCX_THREADS > 1) share a lattice: rings grown by two
+    # threaded scans (QCX_THREADS > 1) share a lattice: a ray grown by two
     # threads at once would hold duplicated or misplaced nodes
     fn, _ = _twisted_spiral(0.9, 40.0)
     points = DiskGrid(12, 64, 1e-3).points()
     serial = BranchLattice(fn, 0j)
-    want = serial.log(points)  # every ring grown in one step
+    serial_sizes = _sizes(serial)
+    want = serial.log(points)  # every ray the points use grown by one block
+    grown_and_queried, serial_sizes[:] = sum(serial_sizes), []
+    serial.log(points)
+    queried = sum(serial_sizes)
     shared = BranchLattice(fn, 0j)
+    sizes = _sizes(shared)
     results = []
 
     def work(seed):
@@ -473,7 +554,12 @@ def test_threads_querying_one_lattice_walk_each_ray_once():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert len(results) == 8
-    assert np.array_equal(shared._logs, serial._logs)
+    # rays no block uses stay ungrown, NaN in both
+    assert np.array_equal(shared._height, serial._height)
+    assert np.array_equal(shared._logs, serial._logs, equal_nan=True)
+    # every node walked once, by one of the threads, and each query's steps
+    # by every thread
+    assert sum(sizes) == grown_and_queried + 7 * queried
     for got in results:
         _assert_close_arrays(got, want)
 

@@ -1,6 +1,6 @@
 """The output writers against their per-value definitions: every float that
 write_csv prints is "%.17g" % x byte for byte, and write_heatmap_svg writes
-what a per-cell f-string writer writes."""
+what a per-cell f-string writer with "#%06x" fills writes."""
 
 import math
 from decimal import Decimal
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcx.cli import write_csv
-from qcx.svg import _colors, write_heatmap_svg
+from qcx.svg import _ANCHORS, _colors, write_heatmap_svg
 
 
 def _table(rows) -> np.ndarray:
@@ -114,6 +114,31 @@ def test_csv_floats_match_percent_17g(scratch, values, columns):
 # -- SVG ---------------------------------------------------------------------------------
 
 
+def _per_cell_colors(x):
+    """The fills as they were, "#%06x" of each cell's packed channels."""
+    x = np.clip(x, 0.0, 1.0)
+    low = x <= 0.5
+    t = np.where(low, 2 * x, 2 * x - 1)
+    code = np.zeros(x.shape, int)
+    for c0, c1, c2 in zip(*_ANCHORS):
+        a = np.where(low, c0, c1)
+        b = np.where(low, c1, c2)
+        code = code * 256 + np.rint(255 * (a + (b - a) * t)).astype(int)
+    return ["#%06x" % c for c in code.tolist()]
+
+
+def test_colors_match_the_per_cell_fills():
+    rng = np.random.default_rng(5)
+    # both sides of the middle anchor, the clipped ends, and a sweep of
+    # [0, 1] dense enough to cross every rounding step of every channel
+    x = np.concatenate([rng.random(20_000) * 1.4 - 0.2, np.linspace(0, 1, 20_001),
+                        [0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1), -0.0]])
+    got = _colors(x)
+    assert got.shape == x.shape
+    assert got.tolist() == _per_cell_colors(x)
+    assert _colors(np.array([])).tolist() == []
+
+
 def _per_cell_svg(path, radii, angles, values, title="heat map", label="|mu|"):
     """The writer as it was, one f-string per cell: the oracle."""
     values = np.asarray(values, dtype=float).reshape(len(radii), len(angles))
@@ -121,7 +146,7 @@ def _per_cell_svg(path, radii, angles, values, title="heat map", label="|mu|"):
     vmax = float(values[finite].max()) if finite.any() else 0.0
     scale = vmax if vmax > 0 else 1.0
     fills = np.full(values.shape, "#cccccc", dtype=object)
-    fills[finite] = _colors(values[finite] / scale)
+    fills[finite] = _per_cell_colors(values[finite] / scale)
     cell_w, cell_h = 6, 4
     width = len(angles) * cell_w + 140
     height = max(len(radii) * cell_h + 60, 220)
@@ -129,7 +154,7 @@ def _per_cell_svg(path, radii, angles, values, title="heat map", label="|mu|"):
     lx = x0 + len(angles) * cell_w + 20
     bar_h = 120
     steps = 24
-    legend = _colors(np.array([1 - s / (steps - 1) for s in range(steps)]))
+    legend = _per_cell_colors(np.array([1 - s / (steps - 1) for s in range(steps)]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
