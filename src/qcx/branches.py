@@ -7,6 +7,18 @@ origin, where its limit is known (ratios of class-A maps tend to 1 there).
 The continuation only decides the winding: every result is snapped to
 log fn(z) + 2*pi*i*k, so it depends on fn(z) and k alone, not on the path.
 
+Where the tracked quantity is a ratio m(w)/w that factors as
+m'(0) * prod (1 - w/r_j)^e_j, the continuation has a closed form:
+`ratio_branch(m)` returns a `FactoredRatio`, log m'(0) + sum e_j Log(1 - w/r_j),
+for every map that declares its factors (`AnalyticMap.ratio_factors`: the
+identity, Koebe, Cayley, spiral and polynomial maps, and `scaled` ones of
+these) unless some root has |r_j| <= 1 and lies below the map's analyticity
+radius.  Such a root is a zero of the ratio on the closed unit disk (the
+Bazilevic chain queries polynomial maps on |w| = 1), which the branch would
+wind round; that map, like every ratio of a combination tree and every
+other tracked quantity (sector_nw's 1 - f/w0, Q(f(w))/w of a companion Q
+other than the identity), takes a `BranchLattice`.
+
 `tracked_log` continues along one straight segment, one point at a time:
 [0, z], or [z0, z] from a point z0 whose logarithm is already known.  A
 `BranchLattice` shares that work between all the points one scan, chain
@@ -23,13 +35,15 @@ own, only when a block queries it and only out to the deepest node the
 block asks of it: every ray that falls short is one path of one walk, of at
 most GROW nodes (a larger growth takes more walks).  So no map is evaluated
 beyond the block's largest radius (the Koebe map has radius 1), nor on a
-ray no query uses.  A step that turns by more than _MAX_STEP_IMAG, or where
-fn vanishes or is not finite, is repaired one segment at a time:
-`tracked_log` subdivides that segment, and the rest of its path takes the
-repaired winding.  A path whose repair fails is NaN from there on, and a
-query that meets such a NaN is answered per point by `tracked_log` from the
-node `continue_from` walks out to, which names the error.  With
-`continue_from`, tracked_log is the per-point oracle of `log`.
+ray no query uses.  A scan whose points are known before its first block
+grows their rays once, with `reserve`, rather than a few rings per block.
+A step that turns by more than _MAX_STEP_IMAG, or where fn vanishes or is
+not finite, is repaired one segment at a time: `tracked_log` subdivides
+that segment, and the rest of its path takes the repaired winding.  A
+path whose repair fails is NaN from there on, and a query that meets such a
+NaN is answered per point by `tracked_log` from the node `continue_from`
+walks out to, which names the error.  With `continue_from`, tracked_log is
+the per-point oracle of `log`.
 """
 
 from __future__ import annotations
@@ -141,6 +155,49 @@ def _ratio_anchor(m) -> complex:
     return cmath.log(j0.d1)
 
 
+class FactoredRatio:
+    """log(m(w)/w) in closed form, for a map whose ratio factors as
+    m'(0) * prod (1 - w/r_j)^e_j (`AnalyticMap.ratio_factors`):
+    log m'(0) + sum e_j Log(1 - w/r_j).  At every |w| < |r_j|, 1 - w/r_j
+    lies in the right half-plane, where the principal Log is continuous, so
+    on a disk that holds no root this is the branch continued from the
+    origin that a `BranchLattice` of the same ratio tracks: the same `fn`,
+    `anchor` and `log`, without the walk."""
+
+    def __init__(self, m, roots, exponents):
+        self.fn = lambda w: m.jet(w).value / w
+        self.anchor = _ratio_anchor(m)
+        self._map = m
+        self._factors = tuple(zip(roots, exponents))
+
+    def log(self, z):
+        """The log at a point, or elementwise at a 1-D array.  A point at or
+        past m's analyticity radius raises m's DomainError, as fn does."""
+        zs = np.atleast_1d(np.asarray(z, complex))
+        if (np.abs(zs) >= self._map.analyticity_radius).any():
+            self._map.jet(zs)
+        out = np.full(zs.shape, self.anchor)
+        with np.errstate(all="ignore"):
+            for root, expo in self._factors:
+                w = 1 - zs / root
+                # log|w| + i Arg w: a tenth of the cost of a complex np.log
+                out += expo * lib(w).complex(np.log(np.abs(w)), np.angle(w))
+        return out if type(z) is np.ndarray else complex(out[0])
+
+
+def ratio_branch(m):
+    """The branch of log(m(w)/w) continued from the origin: a FactoredRatio
+    when m declares its ratio factors and none of its roots r_j has
+    |r_j| <= 1 and |r_j| below m's analyticity radius (a root there is a
+    zero of m(w)/w on the closed unit disk, which the branch would wind
+    round), else `BranchLattice.ratio(m)`."""
+    factors = m.ratio_factors()
+    if factors is None or any(abs(r) <= 1 and abs(r) < m.analyticity_radius
+                              for r in factors[0]):
+        return BranchLattice.ratio(m)
+    return FactoredRatio(m, *factors)
+
+
 def tracked_ratio_log(m, z: complex) -> complex:
     """log(m(z)/z) continued along [0, z], anchored at log(m'(0)).
 
@@ -197,6 +254,14 @@ class BranchLattice:
     def ratio(cls, m) -> "BranchLattice":
         """The lattice of log(m(w)/w), anchored at log m'(0) (m(0) = 0)."""
         return cls(lambda w: m.jet(w).value / w, _ratio_anchor(m))
+
+    def reserve(self, z) -> None:
+        """Grow every ray out to the nodes that queries at the points z (an
+        array) continue from, so that the blocks of a scan of those points
+        grow nothing: one growth for the whole scan, in as few walks as
+        GROW allows.  Node logs do not depend on how the rays grew."""
+        with np.errstate(all="ignore"):
+            self._grow(*self._node(np.asarray(z, complex)))
 
     def _node(self, z):
         """Ring and ray of the node a query at z continues from: the nearest

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import BranchLattice, tracked_log, tracked_ratio_log
+from .branches import BranchLattice, ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
 from .jets import lib, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
@@ -204,14 +204,16 @@ def nw_value(f: AnalyticMap, q: CompanionMap, z: complex) -> complex:
     return jf.d1 * q.jet(jf.value).d1
 
 
-def _bazilevic_lattice(f: AnalyticMap, psi) -> BranchLattice:
+def _bazilevic_branch(f: AnalyticMap, psi):
     """The log of the ratio a Bazilevic value raises to s - 1: G(w)/w with
-    G = Q o f when `psi` is a companion Q, else f(w)/w."""
-    if isinstance(psi, CompanionMap):
+    G = Q o f when `psi` is a companion Q, else G = f.  With G = f (a direct
+    Psi, or the identity companion) it is `ratio_branch(f)`, in closed form
+    when f's ratio factors; G = Q o f of any other Q keeps a lattice."""
+    if isinstance(psi, CompanionMap) and not isinstance(psi.base, IdentityMap):
         jf0 = f.jet(0j)
         return BranchLattice(lambda w: psi.jet(f.jet(w).value).value / w,
                              cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
-    return BranchLattice.ratio(f)
+    return ratio_branch(f)
 
 
 def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: complex,
@@ -231,10 +233,11 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
     `psi` is either an AnalyticMap used directly as Psi, or a CompanionMap Q,
     in which case Psi(w) = (Q(w)/w)^{s-1} Q'(w) and the whole product is
     evaluated as (Q(f)/z)^{s-1} * (Q o f)'(z) / (p/z)^{alpha} with a single
-    tracked branch.  Each call tracks both logs from the origin, at one
-    point; the criterion scan shares them through a BranchLattice instead.
+    tracked branch.  Each call tracks both logs from the origin with
+    `tracked_log`, at one point: the per-point oracle of the criterion scan,
+    which takes both logs from `_bazilevic_branch` and `ratio_branch`.
     """
-    g = _bazilevic_lattice(f, psi)
+    g = _bazilevic_branch(f, psi)
     if z == 0:
         return _bazilevic_from_logs(f, psi, s, z, g.anchor, 0j)
     return _bazilevic_from_logs(f, psi, s, z, tracked_log(g.fn, z, g.anchor),
@@ -477,6 +480,7 @@ def _sector_nw(f, q, params, grid):
     _sector_contains_image(f, sector, grid)
     w0, expo = sector.w0, 1 / sector.a - 1
     lattice = BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)
+    lattice.reserve(grid.points())
 
     @_quiet
     def value(z):
@@ -495,11 +499,17 @@ def _phi_like(f, phi, params, grid):
 def _bazilevic(f, psi, params, grid):
     if psi is None:
         raise PreconditionError("bazilevic needs a companion (or direct Psi)")
+    # Q(f(w))/w has a pole at 0 unless Q(0) = 0
+    if isinstance(psi, CompanionMap) and abs(psi.jet(0j).value) > 1e-12:
+        raise PreconditionError("bazilevic needs Q(0) = 0")
     p = params.p or IdentityMap()
     check_starlike(p)
     s = params.s
-    g = _bazilevic_lattice(f, psi)
-    pz = BranchLattice.ratio(p)
+    g = _bazilevic_branch(f, psi)
+    pz = ratio_branch(p)
+    for branch in (g, pz):
+        if isinstance(branch, BranchLattice):
+            branch.reserve(grid.points())
 
     @_quiet
     def value(z):

@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 # tracked_log is not called here; perfbench/tracing.py wraps this module's name
-from .branches import BranchLattice, BranchTrackingError, tracked_log  # noqa: F401
-from .criteria import CRITERIA, CriterionParams, PreconditionError, _bazilevic_lattice
+from .branches import BranchTrackingError, ratio_branch, tracked_log  # noqa: F401
+from .criteria import CRITERIA, CriterionParams, PreconditionError, _bazilevic_branch
 from .grids import DiskGrid, blocks
 from .jets import lib, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
@@ -190,18 +190,19 @@ class BazilevicChain(LoewnerChain):
         jp0 = self.p.jet(0j)
         if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
             raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
-        self._g = _bazilevic_lattice(f, q)  # anchored at log (Q o f)'(0)
-        self._pz = BranchLattice.ratio(self.p)
+        self._g = _bazilevic_branch(f, q)  # anchored at log (Q o f)'(0)
+        self._pz = ratio_branch(self.p)
         # the origin's branch data: H = (Q o f)'(0)^s, R = 1
         self._lb0 = params.s * self._g.anchor
         self._h0 = cmath.exp(self._lb0)
 
     # F = z * B^{1/s} with B = (G/z)^s + s(e^t - 1)(p/z)^alpha,  G = Q o f.
-    # The ratio powers take their logs from two branch lattices shared by
-    # every point.  With H = (G/z)^s, F = G (B/H)^{1/s}: as t runs from 0,
-    # e^t - 1 is real and monotone, so B runs along the straight segment
-    # from H to B(t), and log B = s log(G/z) + Log(B/H) continues it in t
-    # exactly, unless the segment passes through 0.
+    # The ratio powers take their logs from two branches shared by every
+    # point: closed forms where the ratio factors, lattices otherwise.  With
+    # H = (G/z)^s, F = G (B/H)^{1/s}: as t runs from 0, e^t - 1 is real and
+    # monotone, so B runs along the straight segment from H to B(t), and
+    # log B = s log(G/z) + Log(B/H) continues it in t exactly, unless the
+    # segment passes through 0.
 
     def _g_jet(self, z):
         jf = self.f.jet(z)
@@ -210,7 +211,7 @@ class BazilevicChain(LoewnerChain):
 
     def branch_data(self, z):
         """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z),
-        both logs continued from the origin through the lattices, a block of
+        both logs continued from the origin through the branches, a block of
         points at a time."""
         s = self.params.s
         lg, lp = self._g.log(z), self._pz.log(z)

@@ -11,9 +11,12 @@ elementwise at a 1-D numpy array of points.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .jets import DomainError, Jet2, compose, first_where, lib
 
@@ -40,6 +43,13 @@ class AnalyticMap:
 
     def deriv(self, z: complex) -> complex:
         return self.jet(z).d1
+
+    def ratio_factors(self):
+        """(roots, exponents) with m(z)/z = m'(0) * prod (1 - z/r_j)^e_j, the
+        principal powers on the disk |z| < min |r_j| (where each 1 - z/r_j
+        lies in the right half-plane), or None when the map declares none:
+        combination nodes and maps without a finite factorization."""
+        return None
 
     def _check_radius(self, z: complex) -> None:
         outside = abs(z) >= self.analyticity_radius
@@ -103,6 +113,9 @@ class IdentityMap(AnalyticMap):
     def jet(self, z: complex) -> Jet2:
         return Jet2.variable(z)
 
+    def ratio_factors(self):
+        return (), ()
+
 
 class ConstMap(AnalyticMap):
     def __init__(self, c: complex):
@@ -123,6 +136,9 @@ class KoebeMap(AnalyticMap):
         w2 = w * w
         return Jet2(z / w2, (1 + z) / (w2 * w), (4 + 2 * z) / (w2 * w2))
 
+    def ratio_factors(self):
+        return (1.0,), (-2.0,)
+
 
 class CayleyMap(AnalyticMap):
     """f(z) = z/(1-z), the half-plane map with image Re w > -1/2."""
@@ -133,6 +149,9 @@ class CayleyMap(AnalyticMap):
         self._check_radius(z)
         w = 1 - z
         return Jet2(z / w, 1 / (w * w), 2 / (w * w * w))
+
+    def ratio_factors(self):
+        return (1.0,), (-1.0,)
 
 
 class SpiralMap(AnalyticMap):
@@ -160,6 +179,9 @@ class SpiralMap(AnalyticMap):
         wp1 = wp2 * w
         wp = wp1 * w
         return Jet2(z * wp, wp1 * (w - p * z), wp2 * (p * (p - 1) * z - 2 * p * w))
+
+    def ratio_factors(self):
+        return (1.0,), (self.p,)
 
 
 class PolynomialMap(AnalyticMap):
@@ -189,6 +211,14 @@ class PolynomialMap(AnalyticMap):
             v = v * z + c
         return Jet2(v * z, d1 * z + v, d2 * z + 2 * d1)
 
+    @functools.cached_property
+    def _roots(self):
+        """The roots of f(z)/z, found once."""
+        return tuple(complex(r) for r in np.roots(self.coefficients[::-1]))
+
+    def ratio_factors(self):
+        return self._roots, (1.0,) * len(self._roots)
+
 
 class ScaledMap(AnalyticMap):
     """r * base(z/r): same power series scaled so the radius grows to r*R."""
@@ -203,6 +233,13 @@ class ScaledMap(AnalyticMap):
     def jet(self, z: complex) -> Jet2:
         j = self.base.jet(z / self.r)
         return Jet2(self.r * j.value, j.d1, j.d2 / self.r)
+
+    def ratio_factors(self):
+        factors = self.base.ratio_factors()
+        if factors is None:
+            return None
+        roots, exponents = factors
+        return tuple(self.r * r for r in roots), exponents
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from qcx import (
     SpiralMap,
     build_chain,
     default_times,
+    evaluate_criterion,
     gen_bazilevic_value,
     sector_nw_value,
     tracked_log,
@@ -38,10 +39,10 @@ from qcx import (
     validate_chain,
 )
 from qcx import branches
-from qcx.branches import BranchLattice, BranchTrackingError
+from qcx.branches import BranchLattice, BranchTrackingError, FactoredRatio, ratio_branch
 from qcx.cli import main
-from qcx.criteria import CRITERIA, _bazilevic_lattice, _refined_neighborhood
-from qcx.jets import lib
+from qcx.criteria import CRITERIA, _refined_neighborhood
+from qcx.jets import DomainError, lib
 from qcx.loewner import ChainPartials, LoewnerChain
 from qcx.sector import fit_sector
 
@@ -121,11 +122,19 @@ def _block(grid=GRID):
 
 
 def _lattices(criterion, f, psi, params):
-    """The lattices a criterion's value function queries."""
+    """Lattices of the logs a criterion's value function takes, built
+    explicitly: the value function itself takes a closed form where the
+    ratio factors."""
     if criterion == "sector_nw":
         w0 = params.w0
         return [BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)]
-    return [_bazilevic_lattice(f, psi), BranchLattice.ratio(params.p or IdentityMap())]
+    p = BranchLattice.ratio(params.p or IdentityMap())
+    if not isinstance(psi, CompanionMap):
+        return [BranchLattice.ratio(f), p]
+    jf0 = f.jet(0j)
+    g = BranchLattice(lambda w: psi.jet(f.jet(w).value).value / w,
+                      cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
+    return [g, p]
 
 
 def _assert_close_arrays(got, want, tol=1e-12):
@@ -312,7 +321,7 @@ def _sizes(lattice):
 
 
 def test_the_walk_pads_no_samples_and_repeats_none(monkeypatch):
-    lattice = _bazilevic_lattice(PolynomialMap([1, 0.25, -0.05j]), CompanionMap.identity())
+    lattice = BranchLattice.ratio(PolynomialMap([1, 0.25, -0.05j]))
     sizes = _sizes(lattice)
 
     def no_fallback(*args, **kwargs):
@@ -421,6 +430,111 @@ def test_a_bad_second_query_step_is_repaired_on_its_own(monkeypatch):
     assert any(abs(abs(a) * 48 - round(abs(a) * 48)) > 1e-6 for a in starts)
     _assert_close_arrays(got, [tracked_log(fn, z, **lattice.continue_from(z))
                                for z in OFF_RAYS.tolist()])
+
+
+# -- closed forms of factored ratios ----------------------------------------------------
+
+
+# where a polynomial chain is queried: ExtensionMap._outside takes |z| = 1
+CIRCLE = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+
+
+@st.composite
+def _class_a_polynomials(draw):
+    """Class-A polynomials of degree 2 to 5 with f(z)/z = prod (1 - z/r_j),
+    every |r_j| in [1.1, 4]: outside the closed disk, and at least 0.1 from
+    the unit circle, where the two logs' rounding (eps / |z - r_j|) stays
+    far under the 1e-12 they are compared at."""
+    roots = draw(st.lists(st.builds(cmath.rect, st.floats(1.1, 4.0),
+                                    st.floats(0.0, 2 * math.pi)),
+                          min_size=1, max_size=4))
+    coeffs = np.poly(roots)[::-1]  # of prod (z - r_j), lowest degree first
+    coeffs = coeffs / coeffs[0]
+    coeffs[0] = 1  # exactly, as class A requires
+    return PolynomialMap(coeffs.tolist())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=_class_a_polynomials())
+def test_factored_polynomial_ratios_match_their_lattice(f):
+    branch = ratio_branch(f)
+    assert type(branch) is FactoredRatio
+    lattice = BranchLattice.ratio(f)
+    assert branch.anchor == lattice.anchor
+    points = np.concatenate([_block(), CIRCLE])
+    _assert_close_arrays(branch.log(points), lattice.log(points))
+    assert branch.fn(points[-1]) == lattice.fn(points[-1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(base=st.sampled_from([KoebeMap(), CayleyMap(), SpiralMap(0.6), IdentityMap(),
+                             PolynomialMap([1, 0.25, -0.05j])]),
+       lam=st.floats(-1.5, 1.5), r=st.floats(1.0, 4.0))
+def test_factored_catalog_ratios_match_their_lattice(base, lam, r):
+    points = _block()
+    for m in (base, SpiralMap(lam), ScaledMap(base, r)):
+        branch = ratio_branch(m)
+        assert type(branch) is FactoredRatio
+        _assert_close_arrays(branch.log(points), BranchLattice.ratio(m).log(points))
+        for z in points[::50].tolist():  # a point query is a block of one
+            assert branch.log(z) == branch.log(np.array([z]))[0]
+            assert type(branch.log(z)) is complex
+
+
+def test_a_factored_query_past_the_radius_raises_the_maps_domain_error():
+    # the Bazilevic chain of a polynomial f queries p on |z| = 1, where the
+    # Koebe map is not analytic: the same error the lattice's fn raised
+    for m in (KoebeMap(), ScaledMap(SpiralMap(0.6), 0.5)):
+        outside = m.analyticity_radius * np.array([0.5, 1.0, 1j])
+        with pytest.raises(DomainError) as closed:
+            ratio_branch(m).log(outside)
+        with pytest.raises(DomainError) as lattice:
+            BranchLattice.ratio(m).log(outside)
+        assert str(closed.value) == str(lattice.value)
+
+
+@pytest.mark.parametrize("f", [
+    CayleyMap() + KoebeMap(),  # a combination node declares no factors
+    PolynomialMap([1, 1.0]),  # the root -1 lies on the circle
+    ScaledMap(PolynomialMap([1, 0.25]), 0.2),  # root -4 scaled to -0.8
+], ids=["sum", "root_on_circle", "scaled_root_inside"])
+def test_ratios_that_do_not_factor_keep_the_lattice(f):
+    assert type(ratio_branch(f)) is BranchLattice
+
+
+def test_a_root_inside_the_disk_keeps_the_lattice_and_its_verdict():
+    # f(z)/z = 1 + 2z vanishes at -1/2 and 1 + z at -1: neither f is
+    # univalent, and the scans fail as they did on the lattice, to the bit
+    grid = DiskGrid(16, 32)
+    params = CriterionParams(s=1 + 0.5j)
+    with pytest.raises(BranchTrackingError, match="did not stabilize"):
+        evaluate_criterion("bazilevic", PolynomialMap([1, 2.0]),
+                           CompanionMap.identity(), params, grid)
+    report = evaluate_criterion("bazilevic", PolynomialMap([1, 1.0]),
+                                CompanionMap.identity(), params, grid)
+    assert not report.passed
+    assert report.sup_value == 2.2138074580860185
+    assert report.worst_point == complex(-0.94060252111783782, -0.33655296353882769)
+
+
+def test_a_sector_nw_scan_grows_its_lattice_before_its_blocks(monkeypatch):
+    # the scan grows the 64 rays of its grid out to ring 47 before the first
+    # block, in GROW-node walks; each 512-point block then walks its queries
+    # only, and the refinement patch, between the grid's rays, grows its own
+    walks = []
+    walk = BranchLattice._walk
+
+    def counted(self, start, anchor, points, *args):
+        walks.append(points.size)
+        return walk(self, start, anchor, points, *args)
+
+    monkeypatch.setattr(BranchLattice, "_walk", counted)
+    evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
+                       CriterionParams(k=0.75, **SECTOR), DiskGrid(32, 64))
+    assert walks[:2] == [BranchLattice.GROW, 64 * 47 - BranchLattice.GROW]
+    # four blocks: the first one's 64 origin points sit on their node
+    assert walks[2:6] == [512 - 64, 512, 512, 512]
+    assert len(walks) == 8
 
 
 # -- conjugate symmetry ---------------------------------------------------------------
@@ -664,18 +778,23 @@ def test_traced_run_sees_branch_tracking_of_both_callers(tmp_path, capsys, monke
 
     monkeypatch.setattr(branches, "tracked_log", counted_fallback)
 
-    def scenario(name, function):
+    def scenario(name, function, companion):
         doc = {"version": 1, "function": function,
-               "companion": {"kind": "identity"}, "criterion": "bazilevic",
+               "companion": companion, "criterion": "bazilevic",
                "params": {"s": [1.0, 0.5]}, "grid": {"radial": 8, "angular": 16},
                "times": {"t_max": 2.0, "count": 5}}
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         return str(path)
 
-    poly = scenario("poly", {"kind": "polynomial", "coefficients": [[0.25, 0.0]]})
-    # the spiral's ratio turns fast near z = 1: steps there fall back
-    spiral = scenario("spiral", {"kind": "spiral", "lam": 1.2})
+    poly = scenario("poly", {"kind": "polynomial", "coefficients": [[0.25, 0.0]]},
+                    {"kind": "identity"})
+    # Q(f(z))/z turns fast near z = 1 with the spiral's ratio: steps there
+    # fall back.  A catalog companion Q keeps the lattice; with the identity
+    # the spiral's ratio has a closed form
+    catalog_q = {"kind": "catalog", "extension_dilatation": 0.0,
+                 "base": {"kind": "polynomial", "coefficients": [[0.05, 0.0]]}}
+    spiral = scenario("spiral", {"kind": "spiral", "lam": 1.2}, catalog_q)
     tracer = _tracer()
     tracer.install()
     try:

@@ -156,6 +156,19 @@ def test_check_precondition_exit_code(tmp_path, capsys):
     assert "sector" in err
 
 
+def test_bazilevic_companion_must_fix_the_origin(tmp_path, capsys):
+    # Q(f(w))/w has a pole at 0 unless Q(0) = 0: named before any scan, not
+    # a branch-tracking failure after walking into the pole
+    doc = json.loads(json.dumps(BASE))
+    doc["criterion"] = "bazilevic"
+    doc["companion"] = {"kind": "moebius", "beta": [0.1, 0.0]}
+    doc["params"] = {"s": [1.0, 0.5]}
+    code, _, err = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "bazilevic needs Q(0) = 0" in err
+    assert "branch tracking" not in err
+
+
 def test_check_csv_written(tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     code, _, _ = run(["check", "--scenario", write_scenario(tmp_path, BASE),
