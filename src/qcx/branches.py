@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from typing import Callable
 
 import numpy as np
@@ -228,8 +227,7 @@ class BranchLattice:
 
     `log(z)` answers a point or a 1-D array of points; `fn` must evaluate
     elementwise on a 1-D complex array.  Each ray grows on its own, only as
-    far out as a query needs; rays are grown, and their heights read, under
-    a lock, so threaded scans share one lattice safely.
+    far out as a query needs.
     """
 
     RAYS = 256
@@ -248,7 +246,6 @@ class BranchLattice:
         self._logs = np.full((self.RINGS, self.RAYS), np.nan, complex)
         self._logs[0] = anchor
         self._height = np.ones(self.RAYS, np.int8)  # rings grown along each ray, <= RINGS
-        self._lock = threading.Lock()
 
     @classmethod
     def ratio(cls, m) -> "BranchLattice":
@@ -326,27 +323,26 @@ class BranchLattice:
         call."""
         need = np.full(self.RAYS, -1)  # the deepest ring asked of each ray
         np.maximum.at(need, ray, ring)
-        with self._lock:
-            while True:
-                short = np.flatnonzero(self._height <= need)
-                if not short.size:
-                    return self._logs[ring, ray]
-                low = self._height[short].astype(int)  # each short ray's first new ring
-                # each short ray gets an equal share of the node budget
-                top = np.minimum(need[short], low + self.GROW // short.size - 1)
-                path, first, last = _paths(top - low + 1)
-                rings = low[path] + (np.arange(path.size) - first[path])
-                rays = short[path]
-                w, wind = self._walk(self._UNIT[short] * ((low - 1) / self.RINGS),
-                                     self._logs[low - 1, short],
-                                     self._UNIT[rays] * (rings / self.RINGS),
-                                     path, first, last)
-                # a node's log only carries its winding to the queries,
-                # whose results are wound from fn at their own point: the
-                # cheap real logarithm log|w| does for its real part
-                self._logs[rings, rays] = _wound(
-                    lib(w).complex(np.log(np.abs(w)), np.angle(w)), wind)
-                self._height[short] = top + 1
+        while True:
+            short = np.flatnonzero(self._height <= need)
+            if not short.size:
+                return self._logs[ring, ray]
+            low = self._height[short].astype(int)  # each short ray's first new ring
+            # each short ray gets an equal share of the node budget
+            top = np.minimum(need[short], low + self.GROW // short.size - 1)
+            path, first, last = _paths(top - low + 1)
+            rings = low[path] + (np.arange(path.size) - first[path])
+            rays = short[path]
+            w, wind = self._walk(self._UNIT[short] * ((low - 1) / self.RINGS),
+                                 self._logs[low - 1, short],
+                                 self._UNIT[rays] * (rings / self.RINGS),
+                                 path, first, last)
+            # a node's log only carries its winding to the queries,
+            # whose results are wound from fn at their own point: the
+            # cheap real logarithm log|w| does for its real part
+            self._logs[rings, rays] = _wound(
+                lib(w).complex(np.log(np.abs(w)), np.angle(w)), wind)
+            self._height[short] = top + 1
 
     def log(self, z):
         """log fn at z, continued from the origin: a point, or elementwise a

@@ -8,7 +8,7 @@ rejected and the fully resolved configuration (defaults materialized) is
 echoed before any numbers.  Outputs are CSV with a header row, comma
 separators, LF line endings and 17-significant-digit floats, so repeated
 runs are byte-identical.  Exit codes: 0 pass, 1 numerical fail,
-2 input/precondition error.  QCX_THREADS caps internal parallelism.
+2 input/precondition error.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 def _cplx(v, where: str) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
+        return complex(_number(v, where))
     if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_number(v[0], where), _number(v[1], where))
     raise ScenarioError(f"{where}: expected number or [re, im] pair, got {v!r}")
 
 
@@ -97,8 +97,10 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
-def _cplx_json(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _flag(v, where: str) -> bool:
+    if not isinstance(v, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +127,19 @@ def build_function(spec: dict, where: str = "function") -> AnalyticMap:
     if kind == "cayley":
         return CayleyMap()
     if kind == "spiral":
-        return SpiralMap(float(spec.get("lam", 0.0)))
+        return SpiralMap(_number(spec.get("lam", 0.0), where + ".lam"))
     if kind == "polynomial":
         coeffs = spec.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise ScenarioError(f"{where}: polynomial needs a coefficients list")
         # coefficients are [a2, a3, ...]; a1 = 1 is the class-A normalization
-        return PolynomialMap([1] + [_cplx(c, where) for c in coeffs])
+        return PolynomialMap([1] + [_cplx(c, where + ".coefficients") for c in coeffs])
     if kind == "scaled":
         base = spec.get("base")
         if not isinstance(base, dict):
             raise ScenarioError(f"{where}: scaled map needs a base function spec")
-        return ScaledMap(build_function(base, where + ".base"), float(spec.get("radius", 2.0)))
+        return ScaledMap(build_function(base, where + ".base"),
+                         _number(spec.get("radius", 2.0), where + ".radius"))
     raise ScenarioError(f"{where}: unknown function kind {kind!r}")
 
 
@@ -160,10 +163,11 @@ def build_companion(spec: dict | None) -> CompanionMap:
     if kind == "sector":
         sector = SectorDomain(
             _cplx(spec.get("w0", -2), "companion.w0"),
-            float(spec.get("lambda0", 0.0)),
-            float(spec.get("a", 1.0)),
+            _number(spec.get("lambda0", 0.0), "companion.lambda0"),
+            _number(spec.get("a", 1.0), "companion.a"),
         )
-        return companion_from_sector(sector, bool(spec.get("normalized", True)))
+        return companion_from_sector(sector, _flag(spec.get("normalized", True),
+                                                   "companion.normalized"))
     if kind == "catalog":
         if "extension_dilatation" not in spec:
             raise ScenarioError("catalog companion needs an explicit extension_dilatation")
@@ -172,8 +176,8 @@ def build_companion(spec: dict | None) -> CompanionMap:
             raise ScenarioError("catalog companion needs a base function spec")
         return CompanionMap.from_map(
             build_function(base, "companion.base"),
-            float(spec["extension_dilatation"]),
-            bool(spec.get("fixes_infinity", True)),
+            _number(spec["extension_dilatation"], "companion.extension_dilatation"),
+            _flag(spec.get("fixes_infinity", True), "companion.fixes_infinity"),
         )
     raise ScenarioError(f"unknown companion kind {kind!r}")
 
@@ -188,7 +192,7 @@ def build_params(spec: dict | None) -> CriterionParams:
     kw = {}
     for name in ("k", "k_prime", "lambda0", "a"):
         if spec.get(name) is not None:
-            kw[name] = float(spec[name])
+            kw[name] = _number(spec[name], f"params.{name}")
     for name in ("c", "s", "c2", "gamma", "delta", "w0"):
         if spec.get(name) is not None:
             kw[name] = _cplx(spec[name], f"params.{name}")
@@ -605,7 +609,7 @@ def cmd_compose(sc: Scenario, args) -> int:
     spec = sc.params_spec or {}
     if "k1" not in spec or "k2" not in spec:
         raise ScenarioError("compose needs params.k1 and params.k2")
-    k1, k2 = float(spec["k1"]), float(spec["k2"])
+    k1, k2 = _number(spec["k1"], "params.k1"), _number(spec["k2"], "params.k2")
     try:
         k = compose_dilatation(k1, k2)
     except ValueError as exc:
@@ -619,7 +623,7 @@ def cmd_fit_sector(sc: Scenario, args) -> int:
     spec = sc.params_spec or {}
     w0 = _cplx(spec.get("w0", -2), "params.w0")
     z0 = _cplx(spec.get("z0", 0), "params.z0")
-    radius = float(spec["R"]) if spec.get("R") is not None else None
+    radius = _number(spec["R"], "params.R") if spec.get("R") is not None else None
     try:
         sector, r_used = fit_sector(f, w0, z0, radius, sc.disk_grid())
         contained = True

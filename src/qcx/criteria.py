@@ -399,10 +399,9 @@ def check_starlike(p: AnalyticMap, grid: DiskGrid | None = None) -> None:
         )
 
 
-def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid,
-                  what: str, tol: float = 1e-9) -> None:
+def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid, what: str) -> None:
     gap = np.min(np.abs(f.jet(grid.points()).value - omitted))
-    if gap <= tol:
+    if gap <= 1e-9:
         raise PreconditionError(
             f"{what} = {omitted!r} is not separated from the image "
             f"(min distance {gap:.3g})"

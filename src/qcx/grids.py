@@ -14,12 +14,12 @@ import numpy as np
 BLOCK = 512  # points evaluated together by the array paths
 
 
-def blocks(points, size: int = BLOCK) -> list[np.ndarray]:
-    """Consecutive slices of at most `size` points (rows of a 2-D array), in
+def blocks(points) -> list[np.ndarray]:
+    """Consecutive slices of at most BLOCK points (rows of a 2-D array), in
     input order.  Array evaluation goes block by block, which bounds its
     temporaries."""
     points = np.asarray(points)
-    return [points[i:i + size] for i in range(0, len(points), size)]
+    return [points[i:i + BLOCK] for i in range(0, len(points), BLOCK)]
 
 
 @dataclass(frozen=True)

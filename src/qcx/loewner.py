@@ -69,6 +69,8 @@ class LoewnerChain:
         self.f = f
         self.q = q
         self.params = params
+        # the smallest analyticity radius of the maps evaluated at z
+        self.analyticity_radius = f.analyticity_radius
 
     def branch_data(self, z: complex):
         """What every time t shares at z, a point or an array (the Bazilevic
@@ -187,6 +189,7 @@ class BazilevicChain(LoewnerChain):
         if abs(q.jet(0j).value) > 1e-12:
             raise PreconditionError("bazilevic chain needs Q(0) = 0")
         self.p = params.p or IdentityMap()
+        self.analyticity_radius = min(f.analyticity_radius, self.p.analyticity_radius)
         jp0 = self.p.jet(0j)
         if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
             raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
@@ -405,13 +408,13 @@ class ExtensionMap:
         fhat(w) = F(w, 0)                     for |w| < 1
         fhat(w) = F(w/|w|, log |w|)           for |w| >= 1
 
-    When the inner function is not analytic past the unit circle, boundary
-    evaluations clamp the angular argument to radius 1 - clamp.
+    When a map the chain evaluates at the angular argument (f, and p for
+    the Bazilevic chain) is not analytic past the unit circle, boundary
+    evaluations clamp that argument to radius 1 - 1e-6.
     """
 
-    def __init__(self, chain: LoewnerChain, clamp: float = 1e-6):
+    def __init__(self, chain: LoewnerChain):
         self.chain = chain
-        self.clamp = float(clamp)
         self.fixes_infinity = chain.q.fixes_infinity
 
     def __call__(self, w: complex) -> complex:
@@ -424,8 +427,8 @@ class ExtensionMap:
     def _outside(self, w):
         r = abs(w)
         zb = w / r
-        if self.chain.f.analyticity_radius <= 1:
-            zb = zb * (1 - self.clamp)
+        if self.chain.analyticity_radius <= 1:
+            zb = zb * (1 - 1e-6)
         return self.chain.value(zb, lib(r).log(r))
 
     def on_blocks(self, points) -> np.ndarray:
@@ -433,15 +436,16 @@ class ExtensionMap:
         values = ordered_map(self, blocks(points))
         return np.concatenate(values) if values else np.empty(0, complex)
 
-    def continuity_gap(self, n_angles: int = 256, delta: float = 1e-7) -> float:
-        """Max mismatch of the radial limits across |w| = 1."""
+    def continuity_gap(self, n_angles: int = 256) -> float:
+        """Max mismatch of the radial limits across |w| = 1, taken at
+        radii 1 -+ 1e-7."""
         w = np.exp(1j * (2 * math.pi * np.arange(n_angles) / n_angles))
-        limits = self(np.concatenate([(1 - delta) * w, (1 + delta) * w]))
+        limits = self(np.concatenate([(1 - 1e-7) * w, (1 + 1e-7) * w]))
         return float(np.abs(limits[:n_angles] - limits[n_angles:]).max(initial=0.0))
 
 
-def build_extension(chain: LoewnerChain, clamp: float = 1e-6) -> ExtensionMap:
-    return ExtensionMap(chain, clamp)
+def build_extension(chain: LoewnerChain) -> ExtensionMap:
+    return ExtensionMap(chain)
 
 
 def composed_extension(ext: ExtensionMap,

@@ -1,34 +1,18 @@
-"""Deterministic worker pool honoring the QCX_THREADS environment cap.
+"""Serial evaluation, kept under the names the benchmark harness reads.
 
-Grid scans are pure, so they may be partitioned across threads; results are
-always reduced in input order, which keeps every run bit-identical no matter
-how many workers are active.
+Every stage evaluates numpy blocks one after another.  `perfbench/run.py`
+fails a run whose `thread_count()` is not 1, and its tracer counts the items
+through `ordered_map` in `criteria`, `loewner` and `qcverify`; the benchmark
+change that stops reading these names (ROADMAP item 2) removes this module.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 def thread_count() -> int:
-    raw = os.environ.get("QCX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    return 1
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:
-    """map() preserving input order, threaded when QCX_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) < 2 * n:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn, items) -> list:
+    """[fn(x) for x in items], in input order."""
+    return [fn(x) for x in items]

@@ -160,14 +160,14 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
 
 
 def stable_beltrami(f: Callable[[complex], complex],
-                    grid, h: float = 1e-5, tol: float = 5e-3,
+                    grid, h: float = 1e-5,
                     seam: Callable[[complex], float] | None = None):
     """Beltrami estimate plus the mandatory step-halving stability gate.
 
     Returns (estimate_at_h, estimate_at_h/2, stable, delta) where stable
-    means the sup changed by less than `tol` when the step was halved.
+    means the sup changed by less than 5e-3 when the step was halved.
     """
     est = beltrami_on_grid(f, grid, h, seam)
     est_half = beltrami_on_grid(f, grid, h / 2, seam)
     delta = abs(est.sup_abs_mu - est_half.sup_abs_mu)
-    return est, est_half, delta < tol, delta
+    return est, est_half, delta < 5e-3, delta

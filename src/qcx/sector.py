@@ -239,16 +239,15 @@ def extend_q2(sector: SectorDomain, normalized: bool = False) -> SectorExtension
 # ---------------------------------------------------------------------------
 
 
-def sup_abs_on_boundary(f: AnalyticMap, n_angles: int = 1024,
-                        radius: float | None = None) -> float:
-    """Estimate sup |f| over the disk by scanning a near-boundary circle,
-    with one angular refinement pass around the maximizer."""
-    if radius is None:
-        radius = min(1 - 1e-3, 0.999 * f.analyticity_radius)
-    theta = _TWO_PI * np.arange(n_angles) / n_angles
+def sup_abs_on_boundary(f: AnalyticMap) -> float:
+    """Estimate sup |f| over the disk by scanning 1024 angles of a
+    near-boundary circle, with one angular refinement pass around the
+    maximizer."""
+    radius = min(1 - 1e-3, 0.999 * f.analyticity_radius)
+    theta = _TWO_PI * np.arange(1024) / 1024
     ring = np.abs(_image(f, radius * np.exp(1j * theta)))
     best_j = int(np.argmax(ring))  # the first maximizer
-    step = _TWO_PI / n_angles
+    step = _TWO_PI / 1024
     center = best_j * step
     theta = center - step + 2 * step * np.arange(64) / 63
     window = np.abs(_image(f, radius * np.exp(1j * theta)))

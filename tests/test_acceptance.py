@@ -169,7 +169,7 @@ def test_05_criterion_implies_dilatation():
         kp = params.bound
         ext = build_extension(build_chain(criterion, f, q, params))
         est, est_half, stable, delta = stable_beltrami(
-            ext, AnnulusGrid(24, 48, 1.001, 3.0), 1e-5, tol=5e-3)
+            ext, AnnulusGrid(24, 48, 1.001, 3.0), 1e-5)
         good = est.sup_abs_mu <= kp + 2e-3 and stable
         ok = ok and good
         details.append(f"{name}: |mu| {est.sup_abs_mu:.4f} <= {kp}+2e-3, "

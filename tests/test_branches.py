@@ -7,8 +7,6 @@ import importlib.util
 import json
 import math
 import random
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -627,54 +625,34 @@ def test_the_subdividing_example_really_subdivides():
     assert count[0] > segments  # some one-step lattice segment was split
 
 
-def test_threads_querying_one_lattice_walk_each_ray_once():
-    # threaded scans (QCX_THREADS > 1) share a lattice: a ray grown by two
-    # threads at once would hold duplicated or misplaced nodes
+def test_blocks_in_any_order_grow_the_lattice_one_block_grows():
+    # blocks of 1 to 40 points, outward or shuffled, grow the rays in their
+    # own steps, and reserve grows them all before the first block: the nodes
+    # and the answers are those of one block of all the points
     fn, _ = _twisted_spiral(0.9, 40.0)
     points = DiskGrid(12, 64, 1e-3).points()
     serial = BranchLattice(fn, 0j)
     serial_sizes = _sizes(serial)
-    want = serial.log(points)  # every ray the points use grown by one block
-    grown_and_queried, serial_sizes[:] = sum(serial_sizes), []
-    serial.log(points)
-    queried = sum(serial_sizes)
-    shared = BranchLattice(fn, 0j)
-    sizes = _sizes(shared)
-    results = []
-
-    def work(seed):
-        # blocks of 1 to 40 points, outward or shuffled, so every thread
-        # grows the rings in its own steps
+    want = serial.log(points)
+    for seed, order in enumerate(("outward", "shuffled", "reserved")):
+        lattice = BranchLattice(fn, 0j)
+        sizes = _sizes(lattice)
+        if order == "reserved":
+            lattice.reserve(points)
         rng = random.Random(seed)
-        order = list(range(len(points)))
-        if seed % 2:
-            rng.shuffle(order)
+        idx = list(range(len(points)))
+        if order == "shuffled":
+            rng.shuffle(idx)
         got = np.empty_like(want)
-        while order:
+        while idx:
             size = rng.randint(1, 40)
-            idx, order = order[:size], order[size:]
-            got[idx] = shared.log(points[idx])
-        results.append(got)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert len(results) == 8
-    # rays no block uses stay ungrown, NaN in both
-    assert np.array_equal(shared._height, serial._height)
-    assert np.array_equal(shared._logs, serial._logs, equal_nan=True)
-    # every node walked once, by one of the threads, and each query's steps
-    # by every thread
-    assert sum(sizes) == grown_and_queried + 7 * queried
-    for got in results:
+            block, idx = idx[:size], idx[size:]
+            got[block] = lattice.log(points[block])
+        # rays no block uses stay ungrown, NaN in both
+        assert np.array_equal(lattice._height, serial._height), order
+        assert np.array_equal(lattice._logs, serial._logs, equal_nan=True), order
+        # every node and every query step walked once
+        assert sum(sizes) == sum(serial_sizes), order
         _assert_close_arrays(got, want)
 
 

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qcx
 from qcx.cli import main, make_parser
 
 BASE = {
@@ -29,6 +32,16 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_the_cli_starts_no_worker_pool():
+    # evaluation is serial: no import of the command line pulls in a pool
+    src = os.path.dirname(os.path.dirname(qcx.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qcx.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 # -- parsing ------------------------------------------------------------------
@@ -102,6 +115,36 @@ def test_bad_numeric_field_is_an_input_error(tmp_path, capsys, field, value):
         assert code == 2
         assert err.startswith(f"error: {field.split('.')[0]}")
         assert out == ""
+
+
+_SECTOR = {"kind": "sector", "w0": [-2.0, 0.0], "lambda0": 1.8, "a": 0.3}
+_CATALOG = {"kind": "catalog", "extension_dilatation": 0.1, "base": {"kind": "identity"}}
+
+
+@pytest.mark.parametrize("command, field, patch", [
+    ("check", "params.k", {"params": {"k": "abc"}}),
+    ("check", "params.c", {"params": {"c": [1, "a"]}}),
+    ("check", "params.c", {"params": {"c": True}}),
+    ("check", "function.lam", {"function": {"kind": "spiral", "lam": "x"}}),
+    ("check", "function.radius",
+     {"function": {"kind": "scaled", "radius": "2", "base": {"kind": "koebe"}}}),
+    ("check", "function.coefficients",
+     {"function": {"kind": "polynomial", "coefficients": [[0.25, None]]}}),
+    ("check", "companion.lambda0", {"companion": {**_SECTOR, "lambda0": "1.8"}}),
+    ("check", "companion.normalized", {"companion": {**_SECTOR, "normalized": "false"}}),
+    ("check", "companion.extension_dilatation",
+     {"companion": {**_CATALOG, "extension_dilatation": "0.1"}}),
+    ("check", "companion.fixes_infinity", {"companion": {**_CATALOG, "fixes_infinity": 0}}),
+    ("compose", "params.k1", {"params": {"k1": "x", "k2": 0.5}}),
+    ("fit-sector", "params.R", {"params": {"w0": [-2.0, 0.0], "R": "1"}}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_scenario_value_is_an_input_error(tmp_path, capsys, command, field, patch):
+    # each crashed with a traceback and exit 1, the code of a numerical fail,
+    # or was read as something else: bool("false") is True
+    doc = {**BASE, **patch}
+    code, _, err = run([command, "--scenario", write_scenario(tmp_path, doc)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {field}: expected ")
 
 
 def test_grid_override_below_two_radii_is_an_input_error(tmp_path, capsys):
@@ -295,22 +338,6 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_threaded_run_matches_serial(tmp_path, capsys, monkeypatch):
-    sc = write_scenario(tmp_path, BASE)
-    out_a = str(tmp_path / "serial")
-    code, _, _ = run(["check", "--scenario", sc, "--out", out_a], capsys)
-    assert code == 0
-    monkeypatch.setenv("QCX_THREADS", "4")
-    out_b = str(tmp_path / "threads")
-    code, _, _ = run(["check", "--scenario", sc, "--out", out_b], capsys)
-    assert code == 0
-    with open(os.path.join(out_a, "qcx_check.csv"), "rb") as fa:
-        a = fa.read()
-    with open(os.path.join(out_b, "qcx_check.csv"), "rb") as fb:
-        b = fb.read()
-    assert a == b
-
-
 # -- remaining scenario surfaces -------------------------------------------------
 
 
@@ -370,6 +397,26 @@ def test_bazilevic_scenario(tmp_path, capsys):
     code, out, _ = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
     assert code == 0
     assert "passed=true" in out
+
+
+def test_bazilevic_extension_with_a_koebe_comparison_map(tmp_path, capsys):
+    # the chain evaluates p on |z| = 1 as well as f: both commands exited 2
+    # with "|z| = 1 outside analyticity radius 1"
+    doc = {
+        "version": 1,
+        "function": {"kind": "polynomial", "coefficients": [0.25]},
+        "criterion": "bazilevic_udisk",
+        "params": {"s": [1.0, 0.0], "k": 0.5, "p": {"kind": "koebe"}},
+        "grid": {"radial": 16, "angular": 32},
+        "annulus": {"radial": 8, "angular": 16},
+    }
+    sc = write_scenario(tmp_path, doc)
+    code, out, err = run(["extend", "--scenario", sc], capsys)
+    assert (code, err) == (1, "")
+    assert "failure=Re p <= 0" in out
+    code, out, err = run(["beltrami", "--scenario", sc], capsys)
+    assert (code, err) == (1, "")
+    assert "passed=false" in out
 
 
 def test_sector_scenario_end_to_end(tmp_path, capsys):

@@ -284,11 +284,26 @@ def test_extension_continuity_across_circle():
     # entire f: no clamp involved, limits from both sides agree
     f = PolynomialMap([1, 0.25])
     ext = build_extension(build_chain("nw", f, CompanionMap.identity()))
-    assert ext.continuity_gap(128, delta=1e-7) < 1e-6
+    assert ext.continuity_gap(128) < 1e-6
     # bounded-radius f goes through the angular clamp and stays continuous
     ext2 = build_extension(build_chain("gen_becker", CayleyMap(),
                                        CompanionMap.from_moebius(MoebiusMap.with_pole(-1))))
-    assert ext2.continuity_gap(128, delta=1e-7) < 1e-5
+    assert ext2.continuity_gap(128) < 1e-5
+
+
+@pytest.mark.parametrize("p, clamped", [(KoebeMap(), True), (PolynomialMap([1, 0.1]), False)])
+def test_bazilevic_extension_clamps_on_the_comparison_maps_radius(p, clamped):
+    # f is entire, but the chain also evaluates p at the angular argument: a
+    # Koebe p, whose radius is 1, made every |w| >= 1 a DomainError
+    f = PolynomialMap([1, 0.25])
+    ch = build_chain("bazilevic", f, CompanionMap.identity(),
+                     CriterionParams(s=1 + 0.5j, p=p))
+    assert ch.analyticity_radius == (1.0 if clamped else math.inf)
+    ext = build_extension(ch)
+    w = 2 * np.exp(1j * np.linspace(0.1, 6.0, 7))
+    r = np.abs(w)
+    zb = w / r * (1 - 1e-6) if clamped else w / r
+    assert np.array_equal(ext(w), ch.value(zb, np.log(r)))
 
 
 def test_extension_injective_on_coarse_mesh():
@@ -481,4 +496,4 @@ def test_extension_continuity_other_constructions():
     for construction, params in (("phi_like", CriterionParams()),
                                  ("bazilevic", CriterionParams(s=1.3 + 0.3j))):
         ext = build_extension(build_chain(construction, f, q, params))
-        assert ext.continuity_gap(64, delta=1e-7) < 1e-6, construction
+        assert ext.continuity_gap(64) < 1e-6, construction
