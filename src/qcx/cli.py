@@ -23,7 +23,7 @@ import numpy as np
 
 from .branches import BranchTrackingError
 from .criteria import CRITERIA, CriterionParams, PreconditionError, evaluate_criterion
-from .grids import BLOCK, AnnulusGrid, DiskGrid, blocks
+from .grids import AnnulusGrid, DiskGrid, blocks
 from .jets import DomainError
 from .loewner import (
     build_chain,
@@ -477,14 +477,16 @@ def write_csv(path: str, header: list[str], rows) -> None:
     """A table of floats (a 2-D array, or rows that make one) with a header
     row, comma separators and LF line endings.  Every float reads as
     "%.17g" % x would print it, byte for byte, but is formatted on numpy
-    arrays a block of at most BLOCK rows at a time, one write per block."""
+    arrays a block of rows of at most BLOCK samples (floats) at a time, one
+    write per block."""
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    seps = np.full((BLOCK, len(header)), _COMMA)
+    parts = blocks(rows, len(header))
+    seps = np.full((len(parts[0]) if parts else 0, len(header)), _COMMA)
     seps[:, 0] = _NEWLINE
     seps = seps.ravel()
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode("ascii"))
-        for block in blocks(rows):
+        for block in parts:
             x = block.ravel()
             fh.write(_format_block(x, seps[:len(x)]))
         fh.write(b"\n")
@@ -503,8 +505,9 @@ def _print_block(title: str, items: dict) -> None:
 
 def cmd_check(sc: Scenario, args) -> int:
     f, companion, params = sc.pieces()
-    report, rows = evaluate_criterion(sc.criterion, f, companion, params,
-                                      sc.disk_grid(), collect=True)
+    result = evaluate_criterion(sc.criterion, f, companion, params,
+                                sc.disk_grid(), collect=bool(args.out))
+    report, rows = result if args.out else (result, None)
     _print_block("criterion-report", report.as_dict())
     if args.out:
         os.makedirs(args.out, exist_ok=True)

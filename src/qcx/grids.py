@@ -11,15 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BLOCK = 512  # points evaluated together by the array paths
+BLOCK = 4096  # samples per array call of the evaluation paths
 
 
-def blocks(points) -> list[np.ndarray]:
-    """Consecutive slices of at most BLOCK points (rows of a 2-D array), in
-    input order.  Array evaluation goes block by block, which bounds its
+def blocks(points, per_point: int = 1) -> list[np.ndarray]:
+    """Consecutive slices of the points (rows of a 2-D array), in input
+    order, each holding at most BLOCK samples when every point fans out into
+    `per_point` samples (stencil samples, times, columns), and at least one
+    point.  Array evaluation goes block by block, which bounds its
     temporaries."""
     points = np.asarray(points)
-    return [points[i:i + BLOCK] for i in range(0, len(points), BLOCK)]
+    size = max(1, BLOCK // per_point)
+    return [points[i:i + size] for i in range(0, len(points), size)]
 
 
 @dataclass(frozen=True)

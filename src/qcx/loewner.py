@@ -15,9 +15,12 @@ given, and the leading coefficient a1(t) = dF/dz(0, t) growing without
 bound.
 
 Chains and the extension evaluate a point or, elementwise, a 1-D complex
-array of points, with a scalar t or an array of times matching the points.
-Validation and the CLI's extension samples go through blocks of at most
-`grids.BLOCK` points.
+array of points, with a scalar t or an array of times matching the points;
+a chain also takes a column of times, an (m, 1) array, against an array of
+points, and then gives (m, n) arrays, row by row as the scalar times would.
+Validation and the CLI's extension samples go through blocks of points of
+at most `grids.BLOCK` samples: one per (point, time) in validation, one per
+point in the extension.
 """
 
 from __future__ import annotations
@@ -46,6 +49,22 @@ class ChainPartials:
     value: complex | np.ndarray
     dt: complex | np.ndarray
     zdz: complex | np.ndarray
+
+
+def _timewise(fn, t):
+    """fn(t); on a column of times fn of each time as a float, so that every
+    row of the column repeats the scalar path's rounding."""
+    if type(t) is np.ndarray and t.ndim == 2:
+        return np.array([fn(x) for x in t[:, 0].tolist()])[:, None]
+    return fn(t)
+
+
+def _exp(t):
+    """e^t, elementwise on an array; a column of times takes math.exp time
+    by time, whose rounding numpy's exp does not always repeat."""
+    if type(t) is np.ndarray and t.ndim == 2:
+        return _timewise(math.exp, t)
+    return lib(t).exp(t)
 
 
 def _ratio(num, den):
@@ -95,7 +114,11 @@ class LoewnerChain:
         evaluating them again."""
         if part is None:
             part = self.partials(z, t, branch)
-        return lib(z).where(z == 0, self._ratio_origin(t), _ratio(part.dt, part.zdz))
+        ratio = _ratio(part.dt, part.zdz)
+        if type(z) is not np.ndarray:
+            return self._ratio_origin(t) if z == 0 else ratio
+        at0 = z == 0
+        return np.where(at0, _timewise(self._ratio_origin, t), ratio) if at0.any() else ratio
 
     def _ratio_origin(self, t: float) -> complex:
         raise NotImplementedError
@@ -113,8 +136,8 @@ class GenBeckerChain(LoewnerChain):
 
     def partials(self, z, t, branch=None):
         kappa = self._kappa
-        et = lib(t).exp(t)
-        emt = lib(t).exp(-t)
+        et = _exp(t)
+        emt = _exp(-t)
         u = emt * z
         jf = self.f.jet(u)
         jq = self.q.jet(jf.value)
@@ -142,7 +165,7 @@ class NWChain(LoewnerChain):
     construction = "nw"
 
     def partials(self, z, t, branch=None):
-        et = lib(t).exp(t)
+        et = _exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         value = jq.value + (et - 1) * z
@@ -168,7 +191,7 @@ class PhiLikeChain(LoewnerChain):
             raise PreconditionError("phi_like chain needs Q(0) = 0")
 
     def partials(self, z, t, branch=None):
-        et = lib(t).exp(t)
+        et = _exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         return ChainPartials(et * jq.value, et * jq.value, et * z * jq.d1 * jf.d1)
@@ -235,7 +258,7 @@ class BazilevicChain(LoewnerChain):
             return ChainPartials(0j, 0j, 0j)
         s = self.params.s
         alpha, beta = s.real, s.imag
-        et = lib(t).exp(t)
+        et = _exp(t)
         big_h, big_r, lb0 = self.branch_data(z) if branch is None else branch
         b, lb = self._bracket(et, big_h, big_r, lb0)
         # at the origin of an array z G'/G and z p'/p are 0/0; the origin's
@@ -322,53 +345,58 @@ def default_times(t_max: float = 2.0, count: int = 21) -> tuple[float, ...]:
 def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
                    times: Sequence[float] | None = None,
                    dilatation_bound: float | None = None) -> ChainValidation:
-    """Check Re p > 0, optional p in U(k), growth and |a1(t)| monotonicity."""
+    """Check Re p > 0, optional p in U(k), growth and |a1(t)| monotonicity.
+
+    Each block of points is evaluated at every time in one call, the times
+    a column against the block.  The reductions keep the order of a loop
+    with the times outer and the points in grid order: ties go to the first
+    minimum, and failures are listed time by time, each in grid order."""
     grid = grid or DiskGrid()
     times = tuple(times) if times is not None else default_times()
-    points = blocks(grid.points())
-    failures: list[str] = []
-
-    re_min, re_arg = _INF, (0j, 0.0)
-    um_min, um_arg = (_INF, (0j, 0.0)) if dilatation_bound is not None else (None, None)
-    growth_max = 0.0
-    a1_abs: list[float] = []
-
+    grid_points = grid.points()
+    points = blocks(grid_points, max(len(times), 1))
     # each block's branch data once per call, shared by all of its times
     branches = [chain.branch_data(z) for z in points]
 
-    # times outer, points in grid order: ties go to the first minimum and
-    # failures are listed in that order
-    for t in times:
-        a1 = chain.a1(t)
-        a1_abs.append(abs(a1))
-        if a1 == 0:
-            failures.append(f"a1({t}) = 0")
-            continue
+    a1 = [chain.a1(t) for t in times]
+    a1_abs = [abs(a) for a in a1]
+    live = [i for i, a in enumerate(a1) if a != 0]  # times with a1(t) != 0
+    col = np.array([times[i] for i in live], float)[:, None]
+    a1_col = np.array([a1_abs[i] for i in live], float)[:, None]
 
-        def one(item, t=t):
-            z, branch = item
-            part = chain.partials(z, t, branch)
-            return chain.transition_ratio(z, t, part=part), part.value
+    # minima keyed (value, row of col, grid index): the least key is the
+    # first minimum in time-major order
+    re_key = um_key = (_INF, 0, 0)
+    growth_max = 0.0
+    nonfinite: list[list[str]] = [[] for _ in times]
+    start = 0
+    for z, branch in zip(points, branches) if live else ():
+        part = chain.partials(z, col, branch)
+        p = chain.transition_ratio(z, col, part=part)
+        g = np.abs(part.value) / a1_col
+        p_ok = np.isfinite(p)
+        g_ok = np.isfinite(g)
+        for r, j in zip(*np.nonzero(~(p_ok & g_ok))):
+            what = "|F/a1|" if p_ok[r, j] else "transition ratio"
+            nonfinite[live[r]].append(f"{what} not finite at z={z[j]!r}, t={times[live[r]]}")
+        re = np.where(p_ok, p.real, _INF)
+        r, j = np.unravel_index(np.argmin(re), re.shape)
+        re_key = min(re_key, (float(re[r, j]), r, start + j))
+        if dilatation_bound is not None:
+            margin = np.where(p_ok, u_disk_margin(np.where(p_ok, p, 0), dilatation_bound), _INF)
+            r, j = np.unravel_index(np.argmin(margin), margin.shape)
+            um_key = min(um_key, (float(margin[r, j]), r, start + j))
+        growth_max = max(growth_max, float(g.max(initial=0.0, where=p_ok & g_ok)))
+        start += len(z)
 
-        for z, (p, fv) in zip(points, ordered_map(one, zip(points, branches))):
-            g = np.abs(fv) / abs(a1)
-            p_ok = np.isfinite(p)
-            g_ok = np.isfinite(g)
-            for i in np.flatnonzero(~(p_ok & g_ok)):
-                what = "|F/a1|" if p_ok[i] else "transition ratio"
-                failures.append(f"{what} not finite at z={z[i]!r}, t={t}")
-            if not p_ok.any():
-                continue
-            z, p, g = z[p_ok], p[p_ok], g[p_ok]
-            i = int(np.argmin(p.real))
-            if p.real[i] < re_min:
-                re_min, re_arg = float(p.real[i]), (z[i], t)
-            if dilatation_bound is not None:
-                margin = u_disk_margin(p, dilatation_bound)
-                i = int(np.argmin(margin))
-                if margin[i] < um_min:
-                    um_min, um_arg = float(margin[i]), (z[i], t)
-            growth_max = max(growth_max, float(g.max(initial=0.0, where=np.isfinite(g))))
+    def at(key):
+        return (grid_points[key[2]], times[live[key[1]]]) if key[0] < _INF else (0j, 0.0)
+
+    re_min, re_arg = re_key[0], at(re_key)
+    um_min, um_arg = (um_key[0], at(um_key)) if dilatation_bound is not None else (None, None)
+    failures: list[str] = []
+    for i, t in enumerate(times):
+        failures.extend(nonfinite[i] if a1[i] != 0 else [f"a1({t}) = 0"])
 
     if re_min <= 0:
         failures.append(
@@ -432,7 +460,8 @@ class ExtensionMap:
         return self.chain.value(zb, lib(r).log(r))
 
     def on_blocks(self, points) -> np.ndarray:
-        """fhat at every point, evaluated in blocks of at most grids.BLOCK."""
+        """fhat at every point, evaluated in blocks of at most grids.BLOCK
+        samples, one per point."""
         values = ordered_map(self, blocks(points))
         return np.concatenate(values) if values else np.empty(0, complex)
 

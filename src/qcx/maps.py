@@ -213,8 +213,14 @@ class PolynomialMap(AnalyticMap):
 
     @functools.cached_property
     def _roots(self):
-        """The roots of f(z)/z, found once."""
-        return tuple(complex(r) for r in np.roots(self.coefficients[::-1]))
+        """The roots of f(z)/z, found once.  A linear c0 + c1 z takes -c0/c1
+        in np.roots' own arithmetic, without its eigenvalue solver (the
+        process's first LAPACK call): the same root to the bit while |c0/c1|
+        lies between 1e-138 and 1e138, where LAPACK does not rescale."""
+        c = self.coefficients
+        if len(c) == 2 and c[1] != 0:
+            return (complex((-np.array(c[:1]) / c[1])[0]),)
+        return tuple(complex(r) for r in np.roots(c[::-1]))
 
     def ratio_factors(self):
         return self._roots, (1.0,) * len(self._roots)

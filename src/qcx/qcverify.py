@@ -7,8 +7,8 @@ bounds closes the loop from criterion report to measured extension.
 The map under test is evaluated elementwise on 1-D complex arrays: every
 map, chain extension, sector extension and composed extension of the
 package is, and a callable `f` handed to `wirtinger` or `beltrami_on_grid`
-must be too.  Each call gets the stencils of a block of at most
-grids.BLOCK grid points, four samples per point.
+must be too.  Each call gets the stencils of a block of grid points, four
+samples per point and at most grids.BLOCK samples in all.
 
 The extensions built downstream are merely continuous (not smooth) across
 the unit circle, so estimation grids must keep a guard band of 3h around
@@ -141,7 +141,7 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
         return mu, skipped, flagged
 
     empty = (np.empty(0, complex), np.empty(0, bool), np.empty(0, bool))
-    parts = ordered_map(one, blocks(points)) or [empty]
+    parts = ordered_map(one, blocks(points, 4)) or [empty]
     mu, skipped, flagged = (np.concatenate(column) for column in zip(*parts))
     # the sup and its first maximizer over the samples that count; with no
     # positive |mu| the worst point is the first sample

@@ -41,10 +41,14 @@ from qcx import (
     fit_sector,
     p_extension,
     p_extension_inverse,
+    u_disk_margin,
     validate_chain,
     wirtinger,
 )
+from qcx import cli
 from qcx.cli import main, write_csv
+from qcx.criteria import sup_over_grid
+from qcx.grids import BLOCK, blocks
 from qcx.loewner import CONSTRUCTIONS
 from qcx.svg import write_heatmap_svg
 
@@ -250,7 +254,7 @@ def _sector_composition():
 
 @pytest.mark.parametrize("case", ["nw", "conjugate", "composed", "sector_seam"])
 def test_beltrami_on_grid_matches_per_point_wirtinger(case):
-    grid = AnnulusGrid(10, 60, 1.001, 3.0)  # 600 points: five blocks
+    grid = AnnulusGrid(BLOCK // (4 * 60) + 2, 60, 1.001, 3.0)  # two blocks of stencils
     seam = None
     if case == "nw":
         f = build_extension(build_chain("nw", PolynomialMap([1, 0.25]),
@@ -298,10 +302,10 @@ def test_stencil_pole_is_a_named_failure_not_a_warning():
             beltrami_on_grid(f, grid, H)
 
 
-# -- chain validation evaluates one block per time slice ---------------------------------
+# -- chain validation evaluates every time of a block of points in one call ---------------
 
 
-def test_validation_evaluates_partials_once_per_time_slice(monkeypatch):
+def test_validation_evaluates_partials_once_per_block_of_points(monkeypatch):
     chain = build_chain("bazilevic", PolynomialMap([1, 0.25]), CompanionMap.identity(),
                         CriterionParams(s=1 + 0.5j))
     calls = {"partials": 0, "ratio": 0, "branch": 0}
@@ -315,10 +319,107 @@ def test_validation_evaluates_partials_once_per_time_slice(monkeypatch):
 
         monkeypatch.setattr(chain, name, counted)
     times = default_times(2.0, 21)
-    val = validate_chain(chain, DiskGrid(16, 32, 1e-3), times)  # 512 points: one block
+    grid = DiskGrid(16, 32, 1e-3)
+    val = validate_chain(chain, grid, times)
     assert val.ok
-    assert calls == {"partials": len(times), "ratio": len(times), "branch": 1}
-    assert len(DiskGrid(16, 32).points()) == 512
+    n_blocks = len(blocks(grid.points(), len(times)))
+    assert n_blocks == -(-len(grid.points()) // (BLOCK // len(times))) > 1
+    assert calls == {"partials": n_blocks, "ratio": n_blocks, "branch": n_blocks}
+
+
+def _per_time_validation(chain, grid, times, bound):
+    """validate_chain's minima, growth and non-finite failures the way it
+    found them before it took a column of times: the times outer, each one
+    call on the whole grid, ties to the first minimum."""
+    pts = grid.points()
+    branch = chain.branch_data(pts)
+    re_min, re_arg, um_min, um_arg, growth = math.inf, (0j, 0.0), math.inf, (0j, 0.0), 0.0
+    failures = []
+    for t in times:
+        a1 = chain.a1(t)
+        if a1 == 0:
+            failures.append(f"a1({t}) = 0")
+            continue
+        part = chain.partials(pts, t, branch)
+        p = chain.transition_ratio(pts, t, part=part)
+        g = np.abs(part.value) / abs(a1)
+        p_ok, g_ok = np.isfinite(p), np.isfinite(g)
+        for i in np.flatnonzero(~(p_ok & g_ok)):
+            what = "|F/a1|" if p_ok[i] else "transition ratio"
+            failures.append(f"{what} not finite at z={pts[i]!r}, t={t}")
+        if not p_ok.any():
+            continue
+        z, p, g = pts[p_ok], p[p_ok], g[p_ok]
+        i = int(np.argmin(p.real))
+        if p.real[i] < re_min:
+            re_min, re_arg = float(p.real[i]), (z[i], t)
+        margin = u_disk_margin(p, bound)
+        i = int(np.argmin(margin))
+        if margin[i] < um_min:
+            um_min, um_arg = float(margin[i]), (z[i], t)
+        growth = max(growth, float(g.max(initial=0.0, where=np.isfinite(g))))
+    return re_min, re_arg, um_min, um_arg, growth, tuple(failures)
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_validation_matches_the_per_time_reference_to_the_bit(chain):
+    grid, times = DiskGrid(16, 32, 1e-3), default_times(2.0, 21)
+    points = blocks(grid.points(), len(times))
+    assert len(points) > 1
+    val = validate_chain(chain, grid, times, dilatation_bound=0.5)
+    re_min, re_arg, um_min, um_arg, growth, failures = \
+        _per_time_validation(chain, grid, times, 0.5)
+    assert (val.re_p_min, val.re_p_argmin) == (re_min, re_arg)
+    assert (val.u_margin_min, val.u_margin_argmin) == (um_min, um_arg)
+    assert val.growth_max == growth
+    assert val.failures[:len(failures)] == failures
+    # a column of times gives each time's row of the per-time call, to the bit
+    col = np.array(times)[:, None]
+    z = points[0]  # the origin ring's block
+    branch = chain.branch_data(z)
+    part = chain.partials(z, col, branch)
+    rows = [chain.partials(z, t, branch) for t in times]
+    for name in ("value", "dt", "zdz"):
+        assert np.array_equal(getattr(part, name), [getattr(r, name) for r in rows],
+                              equal_nan=True), name
+    assert np.array_equal(chain.transition_ratio(z, col, part=part),
+                          [chain.transition_ratio(z, t, part=r) for t, r in zip(times, rows)],
+                          equal_nan=True)
+
+
+def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
+    sizes = {"scan": [], "validate": [], "extension": [], "stencil": [], "csv": []}
+    grid = DiskGrid(128, 256)
+    sup_over_grid(lambda z: sizes["scan"].append(z.size) or np.abs(z), grid, 10.0)
+
+    chain = build_chain("nw", PolynomialMap([1, 0.25]), CompanionMap.identity())
+    partials = chain.partials
+    caller = "validate"
+
+    def counted(z, t, branch=None):
+        sizes[caller].append(np.broadcast(z, t).size)
+        return partials(z, t, branch)
+
+    monkeypatch.setattr(chain, "partials", counted)
+    times = default_times(2.0, 21)
+    validate_chain(chain, grid, times)
+    caller = "extension"
+    build_extension(chain).on_blocks(AnnulusGrid(128, 256, 1.001, 3.0).points())
+
+    beltrami_on_grid(lambda z: sizes["stencil"].append(z.size) or z + 0.1 * z.conjugate(),
+                     AnnulusGrid(128, 256, 1.001, 3.0))
+
+    format_block = cli._format_block
+    monkeypatch.setattr(cli, "_format_block",
+                        lambda x, seps: sizes["csv"].append(x.size) or format_block(x, seps))
+    write_csv(str(tmp_path / "t.csv"), ["a", "b", "c", "d", "e"],
+              np.zeros((grid.points().size, 5)))
+    # every block is as large as its fan-out allows
+    assert max(sizes["scan"]) == BLOCK
+    assert max(sizes["validate"]) == BLOCK // len(times) * len(times)
+    assert max(sizes["extension"]) == BLOCK
+    assert max(sizes["stencil"]) == BLOCK
+    assert max(sizes["csv"]) == BLOCK // 5 * 5
 
 
 # -- CLI output files against a recording made before the array path ---------------------

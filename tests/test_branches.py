@@ -36,10 +36,11 @@ from qcx import (
     u_disk_margin,
     validate_chain,
 )
-from qcx import branches
+from qcx import branches, grids
 from qcx.branches import BranchLattice, BranchTrackingError, FactoredRatio, ratio_branch
 from qcx.cli import main
 from qcx.criteria import CRITERIA, _refined_neighborhood
+from qcx.grids import BLOCK
 from qcx.jets import DomainError, lib
 from qcx.loewner import ChainPartials, LoewnerChain
 from qcx.sector import fit_sector
@@ -479,6 +480,38 @@ def test_factored_catalog_ratios_match_their_lattice(base, lam, r):
             assert type(branch.log(z)) is complex
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c0=st.just(0j) | st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e6,
+                                           allow_nan=False, allow_infinity=False),
+       c1=st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
+                             allow_nan=False, allow_infinity=False))
+def test_a_linear_ratio_root_is_np_roots_bit_for_bit(c0, c1):
+    # |c0/c1| stays inside the range LAPACK solves unscaled (1e-138 to 1e138)
+    f = PolynomialMap([c0, c1], class_a=False)
+    assert f.ratio_factors()[0] == tuple(complex(r) for r in np.roots([c1, c0]))
+
+
+def test_a_bazilevic_check_of_a_quadratic_calls_no_np_roots(tmp_path, monkeypatch, capsys):
+    calls = []
+    roots = np.roots
+
+    def spy(p):
+        calls.append(p)
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", spy)
+    doc = {"version": 1, "function": {"kind": "polynomial", "coefficients": [[0.25, 0.0]]},
+           "companion": {"kind": "identity"}, "criterion": "bazilevic",
+           "params": {"s": [1.0, 0.5]}, "grid": {"radial": 8, "angular": 16}}
+    path = tmp_path / "bazilevic.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(path)]) == 0
+    assert "passed=true" in capsys.readouterr().out
+    assert calls == []
+    # a cubic's ratio is quadratic: its roots still come from np.roots
+    assert PolynomialMap([1, 0.25, 0.01j]).ratio_factors() and len(calls) == 1
+
+
 def test_a_factored_query_past_the_radius_raises_the_maps_domain_error():
     # the Bazilevic chain of a polynomial f queries p on |z| = 1, where the
     # Koebe map is not analytic: the same error the lattice's fn raised
@@ -517,8 +550,9 @@ def test_a_root_inside_the_disk_keeps_the_lattice_and_its_verdict():
 
 def test_a_sector_nw_scan_grows_its_lattice_before_its_blocks(monkeypatch):
     # the scan grows the 64 rays of its grid out to ring 47 before the first
-    # block, in GROW-node walks; each 512-point block then walks its queries
-    # only, and the refinement patch, between the grid's rays, grows its own
+    # block, in GROW-node walks; each block of BLOCK points then walks its
+    # queries only, and the refinement patch, between the grid's rays, grows
+    # its own
     walks = []
     walk = BranchLattice._walk
 
@@ -528,11 +562,11 @@ def test_a_sector_nw_scan_grows_its_lattice_before_its_blocks(monkeypatch):
 
     monkeypatch.setattr(BranchLattice, "_walk", counted)
     evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
-                       CriterionParams(k=0.75, **SECTOR), DiskGrid(32, 64))
+                       CriterionParams(k=0.75, **SECTOR), DiskGrid(2 * BLOCK // 64, 64))
     assert walks[:2] == [BranchLattice.GROW, 64 * 47 - BranchLattice.GROW]
-    # four blocks: the first one's 64 origin points sit on their node
-    assert walks[2:6] == [512 - 64, 512, 512, 512]
-    assert len(walks) == 8
+    # two blocks: the first one's 64 origin points sit on their node
+    assert walks[2:4] == [BLOCK - 64, BLOCK]
+    assert len(walks) == 6
 
 
 # -- conjugate symmetry ---------------------------------------------------------------
@@ -661,7 +695,7 @@ def test_blocks_in_any_order_grow_the_lattice_one_block_grows():
 
 class _ScriptedChain(LoewnerChain):
     """Transition ratios from a table keyed by (z, t), 1 elsewhere; like the
-    real chains it evaluates arrays of points."""
+    real chains it evaluates an array of points against a column of times."""
 
     construction = "scripted"
 
@@ -680,20 +714,28 @@ class _ScriptedChain(LoewnerChain):
         return ChainPartials(z, z, z)
 
     def transition_ratio(self, z, t, branch=None, part=None):
-        return np.array([self.table.get((w, t), 1 + 0j) for w in z])
+        return np.array([[self.table.get((w, x), 1 + 0j) for w in z.tolist()]
+                         for x in t[:, 0].tolist()])
 
 
-def test_validation_keeps_time_major_ties_and_failure_order():
+def test_validation_keeps_time_major_ties_and_failure_order(monkeypatch):
     grid = DiskGrid(3, 1, 1e-2)  # three distinct points on the positive axis
     z0, z1, z2 = grid.points()
     inf = complex(float("inf"), 0)
-    chain = _ScriptedChain({(z0, 1.0): 0.5 + 0j, (z1, 0.0): 0.5 + 0j,
-                            (z2, 0.0): inf, (z0, 1.5): inf})
-    val = validate_chain(chain, grid, (0.0, 1.0, 1.5))
-    assert chain.branch_points == 3  # once per point, not once per (point, time)
-    assert val.re_p_argmin == (z1, 0.0)  # the first minimum in time-major order
-    assert val.failures[:2] == (f"transition ratio not finite at z={z2!r}, t=0.0",
-                                f"transition ratio not finite at z={z0!r}, t=1.5")
+    times = (0.0, -1.0, 1.0, 1.5)  # a1(-1.0) = 0
+    # one block of points, then one block per point: the tie and the
+    # failures span blocks, in the order the earlier point's block comes last
+    for block in (BLOCK, len(times)):
+        monkeypatch.setattr(grids, "BLOCK", block)
+        chain = _ScriptedChain({(z0, 1.0): 0.5 + 0j, (z1, 0.0): 0.5 + 0j,
+                                (z2, 0.0): inf, (z0, 1.5): inf})
+        val = validate_chain(chain, grid, times)
+        assert chain.branch_points == 3  # once per point, not once per (point, time)
+        assert val.re_p_argmin == (z1, 0.0)  # the first minimum in time-major order
+        assert val.failures == (f"transition ratio not finite at z={z2!r}, t=0.0",
+                                "a1(-1.0) = 0",
+                                f"transition ratio not finite at z={z0!r}, t=1.5",
+                                "|a1(t)| is not increasing over the sampled times")
 
 
 def test_bazilevic_validation_matches_time_major_reference():

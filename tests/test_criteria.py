@@ -40,7 +40,7 @@ from qcx import (
     u_disk_margin,
 )
 from qcx.criteria import CRITERIA, _refined_neighborhood
-from qcx.grids import BLOCK
+from qcx.grids import BLOCK, blocks
 from qcx.sector import SectorDomain, companion_from_sector
 
 SMALL_GRID = DiskGrid(24, 48, 1e-3)
@@ -699,30 +699,31 @@ def test_prechecks_name_the_first_failing_point():
                            CriterionParams(k=0.5, c2=c2), grid)
 
 
-# a grid of two blocks: points 0-511 and 512-639
-TWO_BLOCKS = DiskGrid(10, 64, 1e-2)
+# a grid of two blocks: points 0 to B - 1 and B to B + 127, B = BLOCK
+TWO_BLOCKS = DiskGrid(BLOCK // 64 + 2, 64, 1e-2)
+B = BLOCK
 
 
 def test_scan_fails_at_the_earlier_of_two_non_finite_points():
     pts = TWO_BLOCKS.points()
-    assert len(pts) == 640 and BLOCK == 512
-    for early, late in ((pts[100], pts[600]), (pts[520], pts[630])):
+    assert len(pts) == B + 128 and [len(b) for b in blocks(pts)] == [B, 128]
+    for early, late in ((pts[100], pts[B + 88]), (pts[B + 8], pts[B + 118])):
         def fn(z):
             return np.where(z == late, math.inf, np.where(z == early, math.nan, abs(z)))
 
         rep = sup_over_grid(fn, TWO_BLOCKS, 10.0, ratio=abs)
         assert not rep.passed and rep.sup_value == math.inf
         assert rep.worst_point == complex(early)
-        assert rep.samples == 640 and rep.smallest_bound is None
+        assert rep.samples == B + 128 and rep.smallest_bound is None
     # a larger finite score in the first block does not outrank a failure
-    rep = sup_over_grid(lambda z: np.where(z == pts[600], math.inf, 5.0 * (z == pts[3])),
+    rep = sup_over_grid(lambda z: np.where(z == pts[B + 88], math.inf, 5.0 * (z == pts[3])),
                         TWO_BLOCKS, 10.0)
-    assert not rep.passed and rep.worst_point == complex(pts[600])
+    assert not rep.passed and rep.worst_point == complex(pts[B + 88])
 
 
 def test_equal_maximum_scores_report_the_earliest_point():
     pts = TWO_BLOCKS.points()
-    top = {130, 140, 580}  # two in the first block, one in the second
+    top = {130, 140, B + 68}  # two in the first block, one in the second
 
     def fn(z):
         return np.where(np.isin(z, pts[sorted(top)]), 5.0, 0.5 * abs(z))
@@ -730,9 +731,9 @@ def test_equal_maximum_scores_report_the_earliest_point():
     rep = sup_over_grid(fn, TWO_BLOCKS, 10.0)
     assert rep.sup_value == 5.0 and rep.worst_point == complex(pts[130])
     # only the second block holds the maximum: its first occurrence wins
-    rep = sup_over_grid(lambda z: np.where(np.isin(z, pts[[600, 580]]), 5.0, 0.0),
+    rep = sup_over_grid(lambda z: np.where(np.isin(z, pts[[B + 88, B + 68]]), 5.0, 0.0),
                         TWO_BLOCKS, 10.0)
-    assert rep.worst_point == complex(pts[580])
+    assert rep.worst_point == complex(pts[B + 68])
     # a constant: the first grid point, which the refinement patch's tie keeps
     rep = sup_over_grid(lambda z: np.ones(z.shape), TWO_BLOCKS, 10.0)
     assert rep.sup_value == 1.0 and rep.worst_point == complex(pts[0])
@@ -744,12 +745,12 @@ def test_smallest_bound_contracts_hold_across_blocks():
     rep = sup_over_grid(lambda z: np.where(np.isin(z, pts), abs(z), math.inf),
                         TWO_BLOCKS, 10.0, ratio=abs)
     assert not rep.passed and rep.sup_value == math.inf
-    assert rep.smallest_bound == np.abs(pts).max() == np.abs(pts[512:]).max()
-    assert rep.samples == 640 + 81
+    assert rep.smallest_bound == np.abs(pts).max() == np.abs(pts[B:]).max()
+    assert rep.samples == B + 128 + 81
     # a failure in the second block of the grid pass leaves no bound
-    rep = sup_over_grid(lambda z: np.where(z == pts[639], math.inf, abs(z)),
+    rep = sup_over_grid(lambda z: np.where(z == pts[B + 127], math.inf, abs(z)),
                         TWO_BLOCKS, 10.0, ratio=abs)
-    assert not rep.passed and rep.smallest_bound is None and rep.samples == 640
+    assert not rep.passed and rep.smallest_bound is None and rep.samples == B + 128
     # passing: the sup of the ratio over both blocks and the patch
     rep = sup_over_grid(lambda z: abs(z), TWO_BLOCKS, 10.0, ratio=lambda v: 2 * v)
     assert rep.passed and rep.smallest_bound == 2 * rep.sup_value
