@@ -18,9 +18,9 @@ from qcx import (
     CompanionMap,
     CriterionParams,
     DiskGrid,
+    ExtensionMap,
     PolynomialMap,
     build_chain,
-    build_extension,
     default_times,
     validate_chain,
 )
@@ -42,7 +42,7 @@ print(f"  min U(0.34) margin of p   : {validation.u_margin_min:.6f}")
 print(f"  |a1(t)| along the times   : {validation.a1_abs[0]:.3f} ... "
       f"{validation.a1_abs[-1]:.3f} (increasing: {validation.a1_increasing})")
 
-ext = build_extension(chain)
+ext = ExtensionMap(chain)
 print(f"continuity across |w| = 1   : {ext.continuity_gap(256):.3e}")
 print()
 print("the extension along the ray arg w = pi/5:")

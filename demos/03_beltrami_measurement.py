@@ -15,10 +15,10 @@ from qcx import (
     CompanionMap,
     CriterionParams,
     DiskGrid,
+    ExtensionMap,
     PolynomialMap,
     beltrami_on_grid,
     build_chain,
-    build_extension,
     evaluate_criterion,
     stable_beltrami,
     write_heatmap_svg,
@@ -32,7 +32,7 @@ params = CriterionParams(k=0.5, k_prime=0.34)
 report = evaluate_criterion("nw", f, q, params, DiskGrid(48, 96))
 print(f"criterion bound 0.34, smallest admissible {report.smallest_bound:.6f}")
 
-ext = build_extension(build_chain("nw", f, q, params))
+ext = ExtensionMap(build_chain("nw", f, q, params))
 grid = AnnulusGrid(48, 96, 1.001, 3.0)
 est, est_half, stable, delta = stable_beltrami(ext, grid)
 print(f"sup |mu| on the annulus     : {est.sup_abs_mu:.6f}")

@@ -16,15 +16,14 @@ from qcx import (
     AnnulusGrid,
     CriterionParams,
     DiskGrid,
+    ExtensionMap,
     IdentityMap,
+    SectorExtension,
     beltrami_on_grid,
     build_chain,
-    build_extension,
     companion_from_sector,
     compose_dilatation,
-    composed_extension,
     evaluate_criterion,
-    extend_q2,
     fit_sector,
     stable_beltrami,
 )
@@ -34,7 +33,7 @@ sector, radius = fit_sector(IdentityMap(), -2, radius=1.0)
 print(f"fitted sector: vertex {sector.w0}, initial ray {sector.lambda0:.6f} pi, "
       f"opening {sector.a:.6f} pi")
 
-ext_q = extend_q2(sector)
+ext_q = SectorExtension(sector)
 stretch = [sector.w0 + r * cmath.exp(1j * (math.pi * sector.lambda0 + th))
            for r in np.linspace(0.4, 2.0, 6)
            for th in np.linspace(math.pi * sector.a + 0.1, 2 * math.pi - 0.1, 12)]
@@ -51,9 +50,9 @@ print(f"sector derivative condition at k={k}: passed={report.passed}, "
 print(f"concluded dilatation for the map itself: {report.concluded_dilatation:.6f}")
 
 q = companion_from_sector(sector, normalized=True)
-ext = build_extension(build_chain("nw", IdentityMap(), q, params))
-sext = extend_q2(sector, normalized=True)
-composed = composed_extension(ext, sext.inverse)
+ext = ExtensionMap(build_chain("nw", IdentityMap(), q, params))
+sext = SectorExtension(sector, normalized=True)
+composed = lambda w: sext.inverse(ext(w))  # noqa: E731
 bound = compose_dilatation(k, abs(1 - sector.a))
 est_c, _, stable, _ = stable_beltrami(
     composed, AnnulusGrid(24, 48, 1.001, 3.0),

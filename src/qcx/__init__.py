@@ -24,7 +24,7 @@ from .maps import (
     SpiralMap,
 )
 from .grids import AnnulusGrid, DiskGrid
-from .udisk import u_disk_center_radius, u_disk_contains, u_disk_margin, u_disk_ratio
+from .udisk import u_disk_center_radius, u_disk_margin, u_disk_ratio
 from .criteria import (
     ALL_CRITERIA,
     CriterionParams,
@@ -48,8 +48,6 @@ from .loewner import (
     ExtensionMap,
     LoewnerChain,
     build_chain,
-    build_extension,
-    composed_extension,
     construction_for_criterion,
     default_times,
     validate_chain,
@@ -67,7 +65,6 @@ from .sector import (
     SectorExtension,
     SectorPowerMap,
     companion_from_sector,
-    extend_q2,
     fit_sector,
     p_extension,
     p_extension_inverse,

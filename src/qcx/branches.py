@@ -35,8 +35,9 @@ own, only when a block queries it and only out to the deepest node the
 block asks of it: every ray that falls short is one path of one walk, of at
 most GROW nodes (a larger growth takes more walks).  So no map is evaluated
 beyond the block's largest radius (the Koebe map has radius 1), nor on a
-ray no query uses.  A scan whose points are known before its first block
-grows their rays once, with `reserve`, rather than a few rings per block.
+ray no query uses, and the node logs do not depend on the order of the
+blocks that grew them.
+
 A step that turns by more than _MAX_STEP_IMAG, or where fn vanishes or is
 not finite, is repaired one segment at a time: `tracked_log` subdivides
 that segment, and the rest of its path takes the repaired winding.  A
@@ -251,14 +252,6 @@ class BranchLattice:
     def ratio(cls, m) -> "BranchLattice":
         """The lattice of log(m(w)/w), anchored at log m'(0) (m(0) = 0)."""
         return cls(lambda w: m.jet(w).value / w, _ratio_anchor(m))
-
-    def reserve(self, z) -> None:
-        """Grow every ray out to the nodes that queries at the points z (an
-        array) continue from, so that the blocks of a scan of those points
-        grow nothing: one growth for the whole scan, in as few walks as
-        GROW allows.  Node logs do not depend on how the rays grew."""
-        with np.errstate(all="ignore"):
-            self._grow(*self._node(np.asarray(z, complex)))
 
     def _node(self, z):
         """Ring and ray of the node a query at z continues from: the nearest

@@ -26,8 +26,8 @@ from .criteria import CRITERIA, CriterionParams, PreconditionError, evaluate_cri
 from .grids import AnnulusGrid, DiskGrid, blocks
 from .jets import DomainError
 from .loewner import (
+    ExtensionMap,
     build_chain,
-    build_extension,
     construction_for_criterion,
     default_times,
     validate_chain,
@@ -174,10 +174,11 @@ def build_companion(spec: dict | None) -> CompanionMap:
         base = spec.get("base")
         if not isinstance(base, dict):
             raise ScenarioError("catalog companion needs a base function spec")
-        return CompanionMap.from_map(
+        return CompanionMap(
             build_function(base, "companion.base"),
             _number(spec["extension_dilatation"], "companion.extension_dilatation"),
             _flag(spec.get("fixes_infinity", True), "companion.fixes_infinity"),
+            "custom",
         )
     raise ScenarioError(f"unknown companion kind {kind!r}")
 
@@ -533,7 +534,7 @@ def _chain_and_extension(sc: Scenario):
             f"(the scenario's companion is {companion.label!r})"
         )
     chain = build_chain(construction, f, companion, params)
-    return chain, build_extension(chain), params.bound
+    return chain, ExtensionMap(chain), params.bound
 
 
 def cmd_extend(sc: Scenario, args) -> int:

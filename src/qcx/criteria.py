@@ -375,7 +375,8 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
 
 
 # ---------------------------------------------------------------------------
-# preconditions: one array evaluation each, naming the first failing point
+# preconditions: evaluated block by block, up to the first block that fails,
+# naming the first failing point
 # ---------------------------------------------------------------------------
 
 
@@ -384,41 +385,38 @@ def check_starlike(p: AnalyticMap, grid: DiskGrid | None = None) -> None:
     j0 = p.jet(0j)
     if j0.value != 0 or abs(j0.d1 - 1) > 1e-12:
         raise PreconditionError("comparison map must satisfy p(0)=0, p'(0)=1")
-    z = (grid or DiskGrid(24, 48, 1e-2)).points()
-    z = z[z != 0]
-    j = p.jet(z)
-    vanishes = j.value == 0
-    with np.errstate(all="ignore"):
-        bad = vanishes | ((z * j.d1 / j.value).real <= 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if vanishes[i]:
-            raise PreconditionError("comparison map vanishes inside the disk")
-        raise PreconditionError(
-            f"comparison map is not starlike on the grid (violation at {z[i]!r})"
-        )
+    points = (grid or DiskGrid(24, 48, 1e-2)).points()
+    for z in blocks(points[points != 0]):
+        j = p.jet(z)
+        vanishes = j.value == 0
+        with np.errstate(all="ignore"):
+            bad = vanishes | ((z * j.d1 / j.value).real <= 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if vanishes[i]:
+                raise PreconditionError("comparison map vanishes inside the disk")
+            raise PreconditionError(
+                f"comparison map is not starlike on the grid (violation at {z[i]!r})"
+            )
 
 
 def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid, what: str) -> None:
-    gap = np.min(np.abs(f.jet(grid.points()).value - omitted))
-    if gap <= 1e-9:
-        raise PreconditionError(
-            f"{what} = {omitted!r} is not separated from the image "
-            f"(min distance {gap:.3g})"
-        )
+    for z in blocks(grid.points()):
+        gap = np.min(np.abs(f.jet(z).value - omitted))
+        if gap <= 1e-9:
+            raise PreconditionError(
+                f"{what} = {omitted!r} is not separated from the image "
+                f"(min distance {gap:.3g})"
+            )
 
 
 def _sector_contains_image(f: AnalyticMap, sector, grid: DiskGrid) -> None:
-    from .sector import _image
+    from .sector import _first_escape
 
-    z = grid.points()
-    escapes = ~sector.contains(_image(f, z))
-    if escapes.any():
-        z = z[np.argmax(escapes)]
-        w = f.jet(z).value  # the point's own jet: the message a point gives
-        raise PreconditionError(
-            f"image point f({z!r}) = {w!r} escapes the sector domain"
-        )
+    escape = _first_escape(f, sector, grid)
+    if escape is not None:
+        z, w = escape
+        raise PreconditionError(f"image point f({z!r}) = {w!r} escapes the sector domain")
 
 
 def _require_sector(params: CriterionParams):
@@ -479,7 +477,6 @@ def _sector_nw(f, q, params, grid):
     _sector_contains_image(f, sector, grid)
     w0, expo = sector.w0, 1 / sector.a - 1
     lattice = BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)
-    lattice.reserve(grid.points())
 
     @_quiet
     def value(z):
@@ -506,9 +503,6 @@ def _bazilevic(f, psi, params, grid):
     s = params.s
     g = _bazilevic_branch(f, psi)
     pz = ratio_branch(p)
-    for branch in (g, pz):
-        if isinstance(branch, BranchLattice):
-            branch.reserve(grid.points())
 
     @_quiet
     def value(z):

@@ -18,6 +18,9 @@ Chains and the extension evaluate a point or, elementwise, a 1-D complex
 array of points, with a scalar t or an array of times matching the points;
 a chain also takes a column of times, an (m, 1) array, against an array of
 points, and then gives (m, n) arrays, row by row as the scalar times would.
+The Bazilevic chain's two logarithms depend on z alone, so such a call
+continues them once for all of its times.
+
 Validation and the CLI's extension samples go through blocks of points of
 at most `grids.BLOCK` samples: one per (point, time) in validation, one per
 point in the extension.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,29 +94,23 @@ class LoewnerChain:
         # the smallest analyticity radius of the maps evaluated at z
         self.analyticity_radius = f.analyticity_radius
 
-    def branch_data(self, z: complex):
-        """What every time t shares at z, a point or an array (the Bazilevic
-        chain's logs), passed back as `branch` to skip recomputing it; None
-        when nothing is shared."""
-        return None
+    def value(self, z: complex, t: float) -> complex:
+        return self.partials(z, t).value
 
-    def value(self, z: complex, t: float, branch=None) -> complex:
-        return self.partials(z, t, branch).value
-
-    def partials(self, z: complex, t: float, branch=None) -> ChainPartials:
+    def partials(self, z: complex, t: float) -> ChainPartials:
         raise NotImplementedError
 
     def a1(self, t: float) -> complex:
         """Leading coefficient dF/dz(0, t)."""
         raise NotImplementedError
 
-    def transition_ratio(self, z: complex, t: float, branch=None,
+    def transition_ratio(self, z: complex, t: float,
                          part: ChainPartials | None = None) -> complex:
         """p(z, t) = dF/dt / (z dF/dz); the chain condition is Re p > 0.
         `part`, the partials at (z, t) when the caller has them, saves
         evaluating them again."""
         if part is None:
-            part = self.partials(z, t, branch)
+            part = self.partials(z, t)
         ratio = _ratio(part.dt, part.zdz)
         if type(z) is not np.ndarray:
             return self._ratio_origin(t) if z == 0 else ratio
@@ -134,7 +131,7 @@ class GenBeckerChain(LoewnerChain):
             raise PreconditionError("gen_becker chain needs 1 + c != 0")
         self._kappa = 1 / (1 + c)
 
-    def partials(self, z, t, branch=None):
+    def partials(self, z, t):
         kappa = self._kappa
         et = _exp(t)
         emt = _exp(-t)
@@ -164,7 +161,7 @@ class GenBeckerChain(LoewnerChain):
 class NWChain(LoewnerChain):
     construction = "nw"
 
-    def partials(self, z, t, branch=None):
+    def partials(self, z, t):
         et = _exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
@@ -190,7 +187,7 @@ class PhiLikeChain(LoewnerChain):
         if abs(q.jet(0j).value) > 1e-12:
             raise PreconditionError("phi_like chain needs Q(0) = 0")
 
-    def partials(self, z, t, branch=None):
+    def partials(self, z, t):
         et = _exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
@@ -238,7 +235,8 @@ class BazilevicChain(LoewnerChain):
     def branch_data(self, z):
         """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z),
         both logs continued from the origin through the branches, a block of
-        points at a time."""
+        points at a time.  Every time of a call shares them, so a block of
+        points against a column of times computes them once."""
         s = self.params.s
         lg, lp = self._g.log(z), self._pz.log(z)
         m = lib(lg)
@@ -253,13 +251,13 @@ class BazilevicChain(LoewnerChain):
             raise BranchTrackingError("chain bracket vanished on the time path")
         return b, lb0 + lib(ratio).clog(ratio)
 
-    def partials(self, z, t, branch=None):
+    def partials(self, z, t):
         if type(z) is not np.ndarray and z == 0:
             return ChainPartials(0j, 0j, 0j)
         s = self.params.s
         alpha, beta = s.real, s.imag
         et = _exp(t)
-        big_h, big_r, lb0 = self.branch_data(z) if branch is None else branch
+        big_h, big_r, lb0 = self.branch_data(z)
         b, lb = self._bracket(et, big_h, big_r, lb0)
         # at the origin of an array z G'/G and z p'/p are 0/0; the origin's
         # partials are 0, set below
@@ -355,8 +353,6 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     times = tuple(times) if times is not None else default_times()
     grid_points = grid.points()
     points = blocks(grid_points, max(len(times), 1))
-    # each block's branch data once per call, shared by all of its times
-    branches = [chain.branch_data(z) for z in points]
 
     a1 = [chain.a1(t) for t in times]
     a1_abs = [abs(a) for a in a1]
@@ -370,8 +366,8 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     growth_max = 0.0
     nonfinite: list[list[str]] = [[] for _ in times]
     start = 0
-    for z, branch in zip(points, branches) if live else ():
-        part = chain.partials(z, col, branch)
+    for z in points if live else ():
+        part = chain.partials(z, col)
         p = chain.transition_ratio(z, col, part=part)
         g = np.abs(part.value) / a1_col
         p_ok = np.isfinite(p)
@@ -472,18 +468,3 @@ class ExtensionMap:
         limits = self(np.concatenate([(1 - 1e-7) * w, (1 + 1e-7) * w]))
         return float(np.abs(limits[:n_angles] - limits[n_angles:]).max(initial=0.0))
 
-
-def build_extension(chain: LoewnerChain) -> ExtensionMap:
-    return ExtensionMap(chain)
-
-
-def composed_extension(ext: ExtensionMap,
-                       inverse: Callable[[complex], complex]) -> Callable[[complex], complex]:
-    """w -> inverse(fhat(w)): the extension of f itself when the companion's
-    quasiconformal extension is explicitly invertible (Moebius, sector).
-    Elementwise on an array when `inverse` is."""
-
-    def h(w: complex) -> complex:
-        return inverse(ext(w))
-
-    return h

@@ -29,7 +29,7 @@ class AnalyticMap:
     Subclasses set `analyticity_radius` (the map is analytic on
     |z| < analyticity_radius) and implement `jet`.  Instances are immutable
     and evaluation is pure, so maps can be shared freely across threads.
-    `jet`, `__call__` and `deriv` take a point or a 1-D complex array; a
+    `jet` and `__call__` take a point or a 1-D complex array; a
     guard raises at the first offending point of an array.
     """
 
@@ -40,9 +40,6 @@ class AnalyticMap:
 
     def __call__(self, z: complex) -> complex:
         return self.jet(z).value
-
-    def deriv(self, z: complex) -> complex:
-        return self.jet(z).d1
 
     def ratio_factors(self):
         """(roots, exponents) with m(z)/z = m'(0) * prod (1 - z/r_j)^e_j, the
@@ -357,7 +354,7 @@ class MoebiusMap:
             return None
         return -self.delta / self.gamma
 
-    def apply(self, w: complex) -> complex:
+    def __call__(self, w: complex) -> complex:
         den = self.gamma * w + self.delta
         bad = first_where(den == 0, w)
         if bad is not None:
@@ -383,9 +380,6 @@ class MoebiusMap:
             1 / den2,
             -2 * self.gamma / (den2 * den),
         )
-
-    def __call__(self, w: complex) -> complex:
-        return self.apply(w)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +418,6 @@ class CompanionMap:
     @staticmethod
     def from_moebius(m: MoebiusMap) -> "CompanionMap":
         return CompanionMap(m, 0.0, m.gamma == 0, "moebius")
-
-    @staticmethod
-    def from_map(base, extension_dilatation: float, fixes_infinity: bool = True,
-                 label: str = "custom") -> "CompanionMap":
-        return CompanionMap(base, float(extension_dilatation), fixes_infinity, label)
 
     def jet(self, w: complex) -> Jet2:
         return self.base.jet(w)

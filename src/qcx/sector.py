@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PreconditionError
-from .grids import DiskGrid
+from .grids import DiskGrid, blocks
 from .jets import DomainError, Jet2, first_where, lib, piecewise
 from .maps import AnalyticMap, CompanionMap
 
@@ -66,6 +66,30 @@ class SectorDomain:
         return lib(w).where(w != self.w0, inside, False)
 
 
+def _q2_jet(sec: SectorDomain, w: complex) -> Jet2:
+    """The jet of the unnormalized Q2 at w, inside the sector."""
+    m = lib(w)
+    ang = sec.local_angle(w)
+    bad = first_where(m.not_(sec._contains_at(w, ang)), w)
+    if bad is not None:
+        raise DomainError(f"w = {bad!r} outside the sector domain")
+    zeta = sec._rot * (w - sec.w0)
+    inv_a = 1 / sec.a
+    val = m.cexp(inv_a * m.complex(m.log(abs(zeta)), ang))
+    d1 = inv_a * val / (w - sec.w0)
+    d2 = inv_a * (inv_a - 1) * val / ((w - sec.w0) ** 2)
+    return Jet2(val, d1, d2)
+
+
+def _q2_scale(sector: SectorDomain, normalized: bool) -> complex:
+    """1/Q2'(0) when normalized, which requires 0 inside the sector; else 1."""
+    if not normalized:
+        return 1 + 0j
+    if not sector.contains(0j):
+        raise PreconditionError("normalization requires the origin inside the sector")
+    return 1 / _q2_jet(sector, 0j).d1
+
+
 class SectorPowerMap(AnalyticMap):
     """The conformal map of the sector onto the upper half-plane, as jets.
 
@@ -77,36 +101,10 @@ class SectorPowerMap(AnalyticMap):
     def __init__(self, sector: SectorDomain, normalized: bool = False):
         self.sector = sector
         self.normalized = bool(normalized)
-        self._rot = cmath.exp(-1j * math.pi * sector.lambda0)
-        self._scale = 1 + 0j
-        if normalized:
-            if not sector.contains(0j):
-                raise PreconditionError(
-                    "normalization requires the origin inside the sector"
-                )
-            self._scale = 1 / self._raw_jet(0j).d1
-
-    def _raw_jet(self, w: complex) -> Jet2:
-        sec = self.sector
-        m = lib(w)
-        ang = sec.local_angle(w)
-        bad = first_where(m.not_(sec._contains_at(w, ang)), w)
-        if bad is not None:
-            raise DomainError(f"w = {bad!r} outside the sector domain")
-        zeta = self._rot * (w - sec.w0)
-        inv_a = 1 / sec.a
-        val = m.cexp(inv_a * m.complex(m.log(abs(zeta)), ang))
-        d1 = inv_a * val / (w - sec.w0)
-        d2 = inv_a * (inv_a - 1) * val / ((w - sec.w0) ** 2)
-        return Jet2(val, d1, d2)
+        self._scale = _q2_scale(sector, normalized)
 
     def jet(self, w: complex) -> Jet2:
-        j = self._raw_jet(w)
-        return j.scale(self._scale)
-
-    @property
-    def origin_derivative(self) -> complex:
-        return self._raw_jet(0j).d1
+        return _q2_jet(self.sector, w).scale(self._scale)
 
 
 def companion_from_sector(sector: SectorDomain, normalized: bool = True) -> CompanionMap:
@@ -198,21 +196,16 @@ class SectorExtension:
         self.sector = sector
         self.normalized = bool(normalized)
         self.dilatation = abs(1 - sector.a)
-        self._rot = cmath.exp(-1j * math.pi * sector.lambda0)
-        self._scale = 1 + 0j
-        if normalized:
-            if not sector.contains(0j):
-                raise PreconditionError(
-                    "normalization requires the origin inside the sector"
-                )
-            self._scale = 1 / SectorPowerMap(sector).origin_derivative
+        self._scale = _q2_scale(sector, normalized)
 
     def __call__(self, w: complex) -> complex:
-        return self._scale * p_extension(self.sector.a, self._rot * (w - self.sector.w0))
+        sec = self.sector
+        return self._scale * p_extension(sec.a, sec._rot * (w - sec.w0))
 
     def inverse(self, v: complex) -> complex:
-        zeta = p_extension_inverse(self.sector.a, v / self._scale)
-        return self.sector.w0 + zeta / self._rot
+        sec = self.sector
+        zeta = p_extension_inverse(sec.a, v / self._scale)
+        return sec.w0 + zeta / sec._rot
 
     def seam_indicator(self, w: complex) -> float:
         """Positive inside the sector, negative outside, zero on the rays."""
@@ -227,11 +220,6 @@ class SectorExtension:
         the model plane).  Feed it the image of any map being composed with
         `inverse` so seam-straddling stencils can be skipped."""
         return (v / self._scale).imag
-
-
-def extend_q2(sector: SectorDomain, normalized: bool = False) -> SectorExtension:
-    """Conjugate the model extension by the affine sector coordinates."""
-    return SectorExtension(sector, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +247,20 @@ def _image(f: AnalyticMap, z: np.ndarray) -> np.ndarray:
     return np.broadcast_to(f.jet(z).value, z.shape)
 
 
+def _first_escape(f: AnalyticMap, sector: SectorDomain,
+                 grid: DiskGrid) -> tuple[complex, complex] | None:
+    """(z, f(z)) at the first grid point, in grid order, whose image lies
+    outside the sector, or None when every sampled image lies inside.  The
+    grid is scanned block by block up to the first block with an escape;
+    f(z) is the point's own jet, the value a scalar evaluation gives."""
+    for z in blocks(grid.points()):
+        escapes = ~sector.contains(_image(f, z))
+        if escapes.any():
+            z = z[np.argmax(escapes)]  # a numpy scalar, as the messages print it
+            return z, f.jet(z).value
+    return None
+
+
 def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
                radius: float | None = None,
                grid: DiskGrid | None = None) -> tuple[SectorDomain, float]:
@@ -284,10 +286,8 @@ def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
     ) / math.pi
     lam %= 2.0
     sector = SectorDomain(w0, lam, a)
-    z = (grid or DiskGrid()).points()
-    misses = ~sector.contains(_image(f, z))
-    if misses.any():
-        z = z[np.argmax(misses)]  # the first in grid order, as a numpy scalar
-        w = f.jet(z).value  # the point's own jet: the message a point gives
+    miss = _first_escape(f, sector, grid or DiskGrid())
+    if miss is not None:
+        z, w = miss
         raise ContainmentError(f"fitted sector misses image point f({z!r}) = {w!r}")
     return sector, big_r

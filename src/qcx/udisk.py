@@ -27,12 +27,6 @@ def u_disk_margin(w: complex, k: float) -> float:
     return k * abs(w + 1) - abs(w - 1)
 
 
-def u_disk_contains(w: complex, k: float) -> tuple[bool, float]:
-    """Membership test with the signed margin attached."""
-    m = u_disk_margin(w, k)
-    return m >= 0, m
-
-
 def u_disk_ratio(w: complex) -> float:
     """|w-1|/|w+1|: the smallest k whose disk U(k) contains w (inf at w=-1,
     where |w-1| = 2)."""

@@ -19,19 +19,19 @@ from qcx import (
     CompanionMap,
     CriterionParams,
     DiskGrid,
+    ExtensionMap,
     IdentityMap,
     KoebeMap,
     MoebiusMap,
     PolynomialMap,
     ScaledMap,
+    SectorExtension,
     SpiralMap,
     beltrami_on_grid,
     build_chain,
-    build_extension,
     compose_dilatation,
     default_times,
     evaluate_criterion,
-    extend_q2,
     stable_beltrami,
     u_disk_margin,
     validate_chain,
@@ -56,7 +56,7 @@ def test_01_identity_closure():
                                CriterionParams(k=0.0, k_prime=0.0, c=0j), GRID)
     rep_n = evaluate_criterion("nw", f, q,
                                CriterionParams(k=0.0, k_prime=0.0), GRID)
-    ext = build_extension(build_chain("gen_becker", f, q))
+    ext = ExtensionMap(build_chain("gen_becker", f, q))
     mesh = AnnulusGrid(64, 128, 1.001, 3.0).points()
     worst = max(abs(ext(complex(w)) - complex(w)) for w in mesh)
     ok = rep_b.passed and rep_n.passed and worst < 1e-9
@@ -96,7 +96,7 @@ def test_03_moebius_cancellation():
     q = CompanionMap.from_moebius(MoebiusMap.with_pole(-1))
     chain = build_chain("gen_becker", f, q, CriterionParams(k=0.5, k_prime=0.0, c=0j))
     val = validate_chain(chain, GRID, default_times(2.0, 21), dilatation_bound=1e-6)
-    ext = build_extension(chain)
+    ext = ExtensionMap(chain)
     est = beltrami_on_grid(ext, AnnulusGrid(32, 64, 1.001, 3.0))
     ok = rep.sup_value < 1e-9 and val.ok and est.sup_abs_mu < 1e-3
     verdict("03 moebius-cancellation", ok,
@@ -167,7 +167,7 @@ def test_05_criterion_implies_dilatation():
         rep = evaluate_criterion(criterion, f, q, params, GRID)
         assert rep.passed, f"{name}: regression criterion must pass"
         kp = params.bound
-        ext = build_extension(build_chain(criterion, f, q, params))
+        ext = ExtensionMap(build_chain(criterion, f, q, params))
         est, est_half, stable, delta = stable_beltrami(
             ext, AnnulusGrid(24, 48, 1.001, 3.0), 1e-5)
         good = est.sup_abs_mu <= kp + 2e-3 and stable
@@ -184,7 +184,7 @@ def test_06_sector_extension_dilatation():
     ok = True
     for a in (0.25, 0.5, 0.75, 1.0, 1.25):
         sec = SectorDomain(0, 0, a)
-        ext = extend_q2(sec)
+        ext = SectorExtension(sec)
         lo = math.pi * a
         stretch = [r * cmath.exp(1j * th)
                    for r in np.linspace(0.4, 2.0, 8)
@@ -297,12 +297,12 @@ def test_08_sector_special_case_vertex_one():
         params = CriterionParams(k=0.5, w0=1 + 0j, lambda0=0.75, a=0.5)
         rep = evaluate_criterion("sector_nw", f, None, params, GRID)
         assert rep.passed
-        from qcx import companion_from_sector, composed_extension
+        from qcx import companion_from_sector
 
         q = companion_from_sector(sec, normalized=True)
-        ext = build_extension(build_chain("nw", f, q, params))
-        sext = extend_q2(sec, normalized=True)
-        comp = composed_extension(ext, sext.inverse)
+        ext = ExtensionMap(build_chain("nw", f, q, params))
+        sext = SectorExtension(sec, normalized=True)
+        comp = lambda w: sext.inverse(ext(w))  # noqa: E731
         est = beltrami_on_grid(comp, AnnulusGrid(16, 32, 1.001, 3.0), 1e-5,
                                seam=lambda w: sext.image_seam(ext(w)))
         assert est.sup_abs_mu <= bound + 5e-3

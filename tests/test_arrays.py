@@ -23,6 +23,7 @@ from qcx import (
     CriterionParams,
     DiskGrid,
     DomainError,
+    ExtensionMap,
     IdentityMap,
     KoebeMap,
     MoebiusMap,
@@ -30,14 +31,13 @@ from qcx import (
     PreconditionError,
     ScaledMap,
     SectorDomain,
+    SectorExtension,
     SpiralMap,
     beltrami_on_grid,
     build_chain,
-    build_extension,
     companion_from_sector,
-    composed_extension,
     default_times,
-    extend_q2,
+    evaluate_criterion,
     fit_sector,
     p_extension,
     p_extension_inverse,
@@ -140,9 +140,8 @@ def _chain_points(chain):
 @pytest.mark.parametrize("chain", CHAINS)
 def test_chain_partials_and_ratio_match_scalar_calls(chain):
     z = _chain_points(chain)
-    branch = chain.branch_data(z)
     for t in TIMES:
-        part = chain.partials(z, t, branch)
+        part = chain.partials(z, t)
         ratio = chain.transition_ratio(z, t, part=part)
         scalar = [chain.partials(complex(w), t) for w in z]
         _assert_matches(part.value, [s.value for s in scalar])
@@ -158,7 +157,7 @@ def test_chain_partials_and_ratio_match_scalar_calls(chain):
 
 @pytest.mark.parametrize("chain", CHAINS)
 def test_extension_matches_scalar_calls(chain):
-    ext = build_extension(chain)
+    ext = ExtensionMap(chain)
     annulus = AnnulusGrid(4, 12, 1.001, 3.0).points()
     w = np.concatenate([DiskGrid(4, 12, 0.05).points(), annulus, _circle(),
                         _stencil(annulus[:12])])
@@ -198,7 +197,7 @@ def test_p_extension_and_inverse_match_scalar_calls(a):
 @pytest.mark.parametrize("normalized", [False, True])
 def test_sector_extension_matches_scalar_calls(normalized):
     sector = SectorDomain(-2, 11 / 6, 1 / 3)
-    ext = extend_q2(sector, normalized=normalized)
+    ext = SectorExtension(sector, normalized=normalized)
     edges = [math.pi * sector.lambda0, math.pi * (sector.lambda0 + sector.a)]
     grid = np.concatenate([DiskGrid(4, 12, 0.05).points(),
                            AnnulusGrid(3, 12, 1.001, 3.0).points()])
@@ -246,10 +245,10 @@ def _sector_composition():
     """The composed extension of the sector scenario and its image seam."""
     sector, _ = fit_sector(IdentityMap(), -2, radius=1.0)
     params = CriterionParams(k=0.65, w0=sector.w0, lambda0=sector.lambda0, a=sector.a)
-    ext = build_extension(build_chain("nw", IdentityMap(),
-                                      companion_from_sector(sector), params))
-    sext = extend_q2(sector, normalized=True)
-    return composed_extension(ext, sext.inverse), lambda w: sext.image_seam(ext(w))
+    ext = ExtensionMap(build_chain("nw", IdentityMap(),
+                                   companion_from_sector(sector), params))
+    sext = SectorExtension(sector, normalized=True)
+    return lambda w: sext.inverse(ext(w)), lambda w: sext.image_seam(ext(w))
 
 
 @pytest.mark.parametrize("case", ["nw", "conjugate", "composed", "sector_seam"])
@@ -257,14 +256,14 @@ def test_beltrami_on_grid_matches_per_point_wirtinger(case):
     grid = AnnulusGrid(BLOCK // (4 * 60) + 2, 60, 1.001, 3.0)  # two blocks of stencils
     seam = None
     if case == "nw":
-        f = build_extension(build_chain("nw", PolynomialMap([1, 0.25]),
-                                        CompanionMap.identity()))
+        f = ExtensionMap(build_chain("nw", PolynomialMap([1, 0.25]),
+                                     CompanionMap.identity()))
     elif case == "conjugate":
         f = lambda z: np.where(z.real > 0, z.conjugate(), z)  # noqa: E731
     elif case == "composed":
         f, seam = _sector_composition()
     else:  # the quarter-plane extension is not smooth on the rays arg w = 0, pi/2
-        f = extend_q2(SectorDomain(0, 0, 0.5))
+        f = SectorExtension(SectorDomain(0, 0, 0.5))
         seam = f.seam_indicator
     est = beltrami_on_grid(f, grid, H, seam)
     sup, flagged, skipped = _per_point_beltrami(f, grid.points(), H, seam)
@@ -280,7 +279,7 @@ def test_beltrami_on_grid_matches_per_point_wirtinger(case):
 def test_array_guards_name_the_first_offending_point():
     w = np.array([0.5, 2.0, 3.0 + 1j, 2.0, -1.0], complex)
     with pytest.raises(DomainError, match=r"Moebius pole at w = \(2\+0j\)"):
-        MoebiusMap.with_pole(2.0).apply(w)
+        MoebiusMap.with_pole(2.0)(w)
     with pytest.raises(DomainError, match=r"Moebius inverse pole at w = \(-1\+0j\)"):
         MoebiusMap(1, 0, -1, 1).inverse(w)  # -gamma w + alpha vanishes at w = -1
     with pytest.raises(DomainError, match=r"\|z\| = 2 outside analyticity radius 1"):
@@ -332,7 +331,6 @@ def _per_time_validation(chain, grid, times, bound):
     found them before it took a column of times: the times outer, each one
     call on the whole grid, ties to the first minimum."""
     pts = grid.points()
-    branch = chain.branch_data(pts)
     re_min, re_arg, um_min, um_arg, growth = math.inf, (0j, 0.0), math.inf, (0j, 0.0), 0.0
     failures = []
     for t in times:
@@ -340,7 +338,7 @@ def _per_time_validation(chain, grid, times, bound):
         if a1 == 0:
             failures.append(f"a1({t}) = 0")
             continue
-        part = chain.partials(pts, t, branch)
+        part = chain.partials(pts, t)
         p = chain.transition_ratio(pts, t, part=part)
         g = np.abs(part.value) / abs(a1)
         p_ok, g_ok = np.isfinite(p), np.isfinite(g)
@@ -376,9 +374,8 @@ def test_validation_matches_the_per_time_reference_to_the_bit(chain):
     # a column of times gives each time's row of the per-time call, to the bit
     col = np.array(times)[:, None]
     z = points[0]  # the origin ring's block
-    branch = chain.branch_data(z)
-    part = chain.partials(z, col, branch)
-    rows = [chain.partials(z, t, branch) for t in times]
+    part = chain.partials(z, col)
+    rows = [chain.partials(z, t) for t in times]
     for name in ("value", "dt", "zdz"):
         assert np.array_equal(getattr(part, name), [getattr(r, name) for r in rows],
                               equal_nan=True), name
@@ -388,23 +385,35 @@ def test_validation_matches_the_per_time_reference_to_the_bit(chain):
 
 
 def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
-    sizes = {"scan": [], "validate": [], "extension": [], "stencil": [], "csv": []}
+    sizes = {"scan": [], "jet": [], "validate": [], "extension": [], "stencil": [],
+             "csv": []}
     grid = DiskGrid(128, 256)
     sup_over_grid(lambda z: sizes["scan"].append(z.size) or np.abs(z), grid, 10.0)
+
+    # the prechecks of these criteria evaluate f on the grid before the scan
+    jet = PolynomialMap.jet
+    monkeypatch.setattr(PolynomialMap, "jet",
+                        lambda self, z: sizes["jet"].append(np.size(z)) or jet(self, z))
+    for criterion, params in (
+            ("moebius_becker", CriterionParams(k=0.9, c2=-3.0)),
+            ("moebius_nw", CriterionParams(k=0.6, gamma=0.2, delta=1.0)),
+            ("sector_becker", CriterionParams(k=0.65, w0=-2.0, lambda0=11 / 6, a=1 / 3))):
+        evaluate_criterion(criterion, PolynomialMap([1, 0.2]), None, params, grid)
+    monkeypatch.setattr(PolynomialMap, "jet", jet)
 
     chain = build_chain("nw", PolynomialMap([1, 0.25]), CompanionMap.identity())
     partials = chain.partials
     caller = "validate"
 
-    def counted(z, t, branch=None):
+    def counted(z, t):
         sizes[caller].append(np.broadcast(z, t).size)
-        return partials(z, t, branch)
+        return partials(z, t)
 
     monkeypatch.setattr(chain, "partials", counted)
     times = default_times(2.0, 21)
     validate_chain(chain, grid, times)
     caller = "extension"
-    build_extension(chain).on_blocks(AnnulusGrid(128, 256, 1.001, 3.0).points())
+    ExtensionMap(chain).on_blocks(AnnulusGrid(128, 256, 1.001, 3.0).points())
 
     beltrami_on_grid(lambda z: sizes["stencil"].append(z.size) or z + 0.1 * z.conjugate(),
                      AnnulusGrid(128, 256, 1.001, 3.0))
@@ -416,6 +425,7 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
               np.zeros((grid.points().size, 5)))
     # every block is as large as its fan-out allows
     assert max(sizes["scan"]) == BLOCK
+    assert max(sizes["jet"]) == BLOCK
     assert max(sizes["validate"]) == BLOCK // len(times) * len(times)
     assert max(sizes["extension"]) == BLOCK
     assert max(sizes["stencil"]) == BLOCK

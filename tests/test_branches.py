@@ -207,13 +207,16 @@ def test_chain_partials_on_the_unit_circle_match_oracle(f, q, p):
     points = _stencil_directions(chain, AnnulusGrid(6, 12, 1.001, 3.0))
     if f.analyticity_radius <= 1:  # the spiral and Koebe maps blow up at z = 1
         points = [z for z in points if abs(z - 1) > 1e-3]
+    # the same chain with its branch data from the oracle
+    oracle = build_chain("bazilevic", f, q, CriterionParams(s=1.3 + 0.4j, p=p))
     for z in points:
         expected_branch = _chain_oracle_branch(chain, z)
         got_branch = chain.branch_data(z)
         assert all(_close(a, b) for a, b in zip(got_branch, expected_branch)), z
+        oracle.branch_data = lambda z, branch=expected_branch: branch
         for t in (0.0, 0.7, 1.9):
             got = chain.partials(z, t)
-            want = chain.partials(z, t, expected_branch)
+            want = oracle.partials(z, t)
             for a, b in ((got.value, want.value), (got.dt, want.dt),
                          (got.zdz, want.zdz)):
                 assert _close(a, b), (z, t)
@@ -548,11 +551,11 @@ def test_a_root_inside_the_disk_keeps_the_lattice_and_its_verdict():
     assert report.worst_point == complex(-0.94060252111783782, -0.33655296353882769)
 
 
-def test_a_sector_nw_scan_grows_its_lattice_before_its_blocks(monkeypatch):
-    # the scan grows the 64 rays of its grid out to ring 47 before the first
-    # block, in GROW-node walks; each block of BLOCK points then walks its
-    # queries only, and the refinement patch, between the grid's rays, grows
-    # its own
+def test_a_sector_nw_scan_grows_its_lattice_block_by_block(monkeypatch):
+    # each block grows the 64 rays of the grid out to the deepest ring it
+    # asks of them, in GROW-node walks, and then walks its queries: the first
+    # block's radii reach ring 46, the second's ring 47; the refinement
+    # patch, between the grid's rays, grows its own
     walks = []
     walk = BranchLattice._walk
 
@@ -563,10 +566,12 @@ def test_a_sector_nw_scan_grows_its_lattice_before_its_blocks(monkeypatch):
     monkeypatch.setattr(BranchLattice, "_walk", counted)
     evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
                        CriterionParams(k=0.75, **SECTOR), DiskGrid(2 * BLOCK // 64, 64))
-    assert walks[:2] == [BranchLattice.GROW, 64 * 47 - BranchLattice.GROW]
-    # two blocks: the first one's 64 origin points sit on their node
-    assert walks[2:4] == [BLOCK - 64, BLOCK]
-    assert len(walks) == 6
+    # the first block: rings 1 to 46, then its queries, whose 64 origin
+    # points sit on their node
+    assert walks[:3] == [BranchLattice.GROW, 64 * 46 - BranchLattice.GROW, BLOCK - 64]
+    # the second block: ring 47 only, then its queries
+    assert walks[3:5] == [64, BLOCK]
+    assert len(walks) == 7
 
 
 # -- conjugate symmetry ---------------------------------------------------------------
@@ -661,18 +666,16 @@ def test_the_subdividing_example_really_subdivides():
 
 def test_blocks_in_any_order_grow_the_lattice_one_block_grows():
     # blocks of 1 to 40 points, outward or shuffled, grow the rays in their
-    # own steps, and reserve grows them all before the first block: the nodes
-    # and the answers are those of one block of all the points
+    # own steps: the nodes and the answers are those of one block of all the
+    # points
     fn, _ = _twisted_spiral(0.9, 40.0)
     points = DiskGrid(12, 64, 1e-3).points()
     serial = BranchLattice(fn, 0j)
     serial_sizes = _sizes(serial)
     want = serial.log(points)
-    for seed, order in enumerate(("outward", "shuffled", "reserved")):
+    for seed, order in enumerate(("outward", "shuffled")):
         lattice = BranchLattice(fn, 0j)
         sizes = _sizes(lattice)
-        if order == "reserved":
-            lattice.reserve(points)
         rng = random.Random(seed)
         idx = list(range(len(points)))
         if order == "shuffled":
@@ -690,7 +693,7 @@ def test_blocks_in_any_order_grow_the_lattice_one_block_grows():
         _assert_close_arrays(got, want)
 
 
-# -- chain validation shares a point's branch data across its times ---------------------
+# -- chain validation evaluates a point once for all of its times ----------------------
 
 
 class _ScriptedChain(LoewnerChain):
@@ -701,19 +704,16 @@ class _ScriptedChain(LoewnerChain):
 
     def __init__(self, table):
         self.table = table
-        self.branch_points = 0
-
-    def branch_data(self, z):
-        self.branch_points += len(z)
-        return None
+        self.points = 0  # points evaluated, over all partials calls
 
     def a1(self, t):
         return 1 + t
 
-    def partials(self, z, t, branch=None):
+    def partials(self, z, t):
+        self.points += len(z)
         return ChainPartials(z, z, z)
 
-    def transition_ratio(self, z, t, branch=None, part=None):
+    def transition_ratio(self, z, t, part=None):
         return np.array([[self.table.get((w, x), 1 + 0j) for w in z.tolist()]
                          for x in t[:, 0].tolist()])
 
@@ -730,7 +730,7 @@ def test_validation_keeps_time_major_ties_and_failure_order(monkeypatch):
         chain = _ScriptedChain({(z0, 1.0): 0.5 + 0j, (z1, 0.0): 0.5 + 0j,
                                 (z2, 0.0): inf, (z0, 1.5): inf})
         val = validate_chain(chain, grid, times)
-        assert chain.branch_points == 3  # once per point, not once per (point, time)
+        assert chain.points == 3  # once per point, not once per (point, time)
         assert val.re_p_argmin == (z1, 0.0)  # the first minimum in time-major order
         assert val.failures == (f"transition ratio not finite at z={z2!r}, t=0.0",
                                 "a1(-1.0) = 0",
@@ -774,6 +774,22 @@ def _tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.Tracer()
+
+
+def test_the_tracer_finds_every_name_it_wraps():
+    # install() looks each wrapped name up in its owner's namespace, so a
+    # name the benchmark's tracer wraps that is deleted or renamed fails
+    # here, not only in the traced benchmark run
+    from qcx import parallel
+
+    tracer = _tracer()
+    tracer.install()
+    patches = list(tracer._patches)
+    tracer.uninstall()
+    assert patches
+    for owner, attr, original in patches:
+        assert vars(owner)[attr] is original, attr
+    assert parallel.thread_count() == 1
 
 
 def test_traced_run_sees_branch_tracking_of_both_callers(tmp_path, capsys, monkeypatch):

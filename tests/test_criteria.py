@@ -428,7 +428,7 @@ def test_evaluate_deterministic_and_collect():
 
 GOLDEN_GRID = DiskGrid(6, 12, 1e-2)
 GOLDEN_SECTOR = dict(w0=-2 + 0j, lambda0=1.8333333333333333, a=0.3333333333333333)
-GOLDEN_Q = CompanionMap.from_map(PolynomialMap([1, 0.05]), 0.2)
+GOLDEN_Q = CompanionMap(PolynomialMap([1, 0.05]), 0.2)
 
 # One fixed case per criterion id.  moebius_nw and sector_becker take
 # k_prime < k and must conclude from k; phi_like concludes no dilatation;
@@ -647,7 +647,7 @@ MASKED_CASES = {
     "f' = 0": (lambda z: gen_becker_value(PolynomialMap([1, 1.0]),
                                           CompanionMap.identity(), 0.1j, z), -0.5),
     "Q' = 0": (lambda z: gen_becker_value(
-        IdentityMap(), CompanionMap.from_map(PolynomialMap([1, 1.0]), 0.0), 0.1j, z), -0.5),
+        IdentityMap(), CompanionMap(PolynomialMap([1, 1.0]), 0.0), 0.1j, z), -0.5),
     "f' = 0, moebius_becker": (lambda z: moebius_becker_value(
         PolynomialMap([1, 1.0]), 0j, 5 + 0j, z), -0.5),
     "f = c2": (lambda z: moebius_becker_value(POLY, 0.1j, _on(POLY, 0.5), z), 0.5),

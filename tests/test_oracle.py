@@ -59,7 +59,7 @@ def _companion(q):
     if isinstance(q, MoebiusMap):
         return CompanionMap.from_moebius(q), lambda w: _mp_moebius(q, w)
     coefficients = (1,) + tuple(q)
-    return (CompanionMap.from_map(PolynomialMap(coefficients), 0.0),
+    return (CompanionMap(PolynomialMap(coefficients), 0.0),
             lambda w: _mp_poly(coefficients, w)[1:])
 
 

@@ -18,11 +18,11 @@ from qcx import (
     PreconditionError,
     ScaledMap,
     SectorDomain,
+    SectorExtension,
     SectorPowerMap,
     SpiralMap,
     beltrami_on_grid,
     companion_from_sector,
-    extend_q2,
     fit_sector,
     p_extension,
     p_extension_inverse,
@@ -183,7 +183,7 @@ def test_p_extension_stretch_beltrami():
 
 def test_extend_q2_restriction_matches_q2():
     sec = SectorDomain(1 + 1j, 0.25, 0.5)
-    ext = extend_q2(sec)
+    ext = SectorExtension(sec)
     for w in sector_points(sec, 100, seed=5):
         assert abs(ext(w) - SectorPowerMap(sec).jet(w).value) < 1e-9
 
@@ -192,7 +192,7 @@ def test_extend_q2_inverse_roundtrip():
     # normalization needs the origin inside the sector for the derivative scale
     sec = SectorDomain(-2, 11 / 6, 1 / 3)
     for normalized in (False, True):
-        ext = extend_q2(sec, normalized=normalized)
+        ext = SectorExtension(sec, normalized=normalized)
         rng = random.Random(6)
         for _ in range(100):
             w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -204,12 +204,12 @@ def test_extend_q2_inverse_roundtrip():
 def test_extend_q2_normalization_requires_origin_inside():
     off = SectorDomain(1 + 1j, 0.25, 0.5)  # origin outside this sector
     with pytest.raises(PreconditionError):
-        extend_q2(off, normalized=True)
+        SectorExtension(off, normalized=True)
 
 
 def test_extend_q2_injective_on_mesh():
     sec = SectorDomain(0.5j, 0.1, 0.8)
-    ext = extend_q2(sec)
+    ext = SectorExtension(sec)
     pts = [sec.w0 + r * cmath.exp(1j * th)
            for r in (0.4, 1.0, 2.2)
            for th in np.linspace(0.05, 2 * math.pi - 0.05, 24)]
@@ -221,7 +221,7 @@ def test_extend_q2_injective_on_mesh():
 
 def test_extend_q2_measured_dilatation():
     sec = SectorDomain(-2, 11 / 6, 1 / 3)
-    ext = extend_q2(sec)
+    ext = SectorExtension(sec)
     # mesh on the stretch side, insets keep the stencil off the rays
     lo = math.pi * sec.a
     pts = [sec.w0 + r * cmath.exp(1j * (math.pi * sec.lambda0 + th))
@@ -363,11 +363,10 @@ def test_sector_composed_end_to_end():
     from qcx import (
         AnnulusGrid,
         CriterionParams,
+        ExtensionMap,
         build_chain,
-        build_extension,
         companion_from_sector,
         compose_dilatation,
-        composed_extension,
         evaluate_criterion,
         stable_beltrami,
     )
@@ -380,14 +379,14 @@ def test_sector_composed_end_to_end():
     assert rep.passed
 
     q = companion_from_sector(sec, normalized=True)
-    ext = build_extension(build_chain("nw", IdentityMap(), q, params))
+    ext = ExtensionMap(build_chain("nw", IdentityMap(), q, params))
     # the chain extension itself stays within the criterion bound
     est_f, _, stable_f, _ = stable_beltrami(ext, AnnulusGrid(16, 32, 1.001, 3.0))
     assert stable_f
     assert est_f.sup_abs_mu <= k + 2e-3
 
-    sext = extend_q2(sec, normalized=True)
-    comp = composed_extension(ext, sext.inverse)
+    sext = SectorExtension(sec, normalized=True)
+    comp = lambda w: sext.inverse(ext(w))  # noqa: E731
     bound = compose_dilatation(k, abs(1 - sec.a))
     est, _, stable, _ = stable_beltrami(
         comp, AnnulusGrid(16, 32, 1.001, 3.0), 1e-5,
