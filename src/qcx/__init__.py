@@ -8,11 +8,10 @@ plane extension, and verifies quasiconformality by finite-difference
 Beltrami estimation.
 """
 
-from .jets import DomainError, Jet2, compose, jet_exp, jet_power
+from .jets import DomainError, Jet2, compose
 from .branches import BranchLattice, BranchTrackingError, tracked_log, tracked_ratio_log
 from .maps import (
     AnalyticMap,
-    CATALOG,
     CayleyMap,
     CompanionMap,
     ConstMap,
@@ -48,7 +47,6 @@ from .loewner import (
     ExtensionMap,
     LoewnerChain,
     build_chain,
-    construction_for_criterion,
     default_times,
     validate_chain,
 )

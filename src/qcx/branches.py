@@ -32,11 +32,12 @@ from its node), with one fn call on all of them, the turns between samples
 and a cumulative sum along each path.  A query at z continues from the
 nearest node whose radius is at most |z|.  Each ray grows outward on its
 own, only when a block queries it and only out to the deepest node the
-block asks of it: every ray that falls short is one path of one walk, of at
-most GROW nodes (a larger growth takes more walks).  So no map is evaluated
-beyond the block's largest radius (the Koebe map has radius 1), nor on a
-ray no query uses, and the node logs do not depend on the order of the
-blocks that grew them.
+block asks of it: every ray that falls short is one path of one walk.  So
+no map is evaluated beyond the block's largest radius (the Koebe map has
+radius 1), nor on a ray no query uses, and the node logs do not depend on
+the order of the blocks that grew them.  No walk takes more than
+`grids.BLOCK` samples: a larger growth, or a block of queries with more
+steps, takes more walks.
 
 A step that turns by more than _MAX_STEP_IMAG, or where fn vanishes or is
 not finite, is repaired one segment at a time: `tracked_log` subdivides
@@ -55,6 +56,7 @@ from typing import Callable
 
 import numpy as np
 
+from .grids import BLOCK, blocks
 from .jets import lib
 
 
@@ -233,7 +235,6 @@ class BranchLattice:
 
     RAYS = 256
     RINGS = _STEPS  # node radii k / RINGS for 0 <= k < RINGS
-    GROW = 8 * RAYS  # nodes per growth fn call, which bounds growth's temporaries
     # the unit vector of every ray, as cmath.rect gives it
     _UNIT = np.array([cmath.rect(1.0, angle)
                       for angle in _TWO_PI * np.arange(RAYS) / RAYS])
@@ -312,7 +313,7 @@ class BranchLattice:
     def _grow(self, ring, ray):
         """The node logs at (ring, ray), elementwise, once every ray is
         continued out to the deepest ring asked of it: one walk along each
-        ray that falls short, over its new nodes, at most GROW nodes per fn
+        ray that falls short, over its new nodes, at most BLOCK nodes per fn
         call."""
         need = np.full(self.RAYS, -1)  # the deepest ring asked of each ray
         np.maximum.at(need, ray, ring)
@@ -322,7 +323,7 @@ class BranchLattice:
                 return self._logs[ring, ray]
             low = self._height[short].astype(int)  # each short ray's first new ring
             # each short ray gets an equal share of the node budget
-            top = np.minimum(need[short], low + self.GROW // short.size - 1)
+            top = np.minimum(need[short], low + BLOCK // short.size - 1)
             path, first, last = _paths(top - low + 1)
             rings = low[path] + (np.arange(path.size) - first[path])
             rays = short[path]
@@ -347,15 +348,17 @@ class BranchLattice:
             out = self._grow(ring, ray)
             start = self._UNIT[ray] * (ring / self.RINGS)
             q = np.flatnonzero(zs != start)  # a query on its node takes its log
-            delta = zs[q] - start[q]
+            delta = zs - start
             n = np.maximum(1, np.ceil(self.RINGS * np.abs(delta) - 1e-9)).astype(int)
-            # each query's steps, tracked_log's first attempt from its node;
-            # the last is the query point itself
-            path, first, last = _paths(n)
-            back = last[path] - np.arange(path.size)  # steps still to take
-            points = zs[q[path]] - delta[path] * (back / n[path])
-            w, wind = self._walk(start[q], out[q], points, path, first, last)
-            out[q] = _wound(np.log(w[last]), wind[last])
+            # each query's steps, tracked_log's first attempt from its node,
+            # at most BLOCK of them a walk; the last is the query point itself
+            for part in blocks(q, n[q].max(initial=1)):
+                path, first, last = _paths(n[part])
+                back = last[path] - np.arange(path.size)  # steps still to take
+                at = part[path]
+                points = zs[at] - delta[at] * (back / n[at])
+                w, wind = self._walk(start[part], out[part], points, path, first, last)
+                out[part] = _wound(np.log(w[last]), wind[last])
         for i in np.flatnonzero(~np.isfinite(out)):  # input order: the first error raises
             zi = complex(zs[i])
             out[i] = tracked_log(self.fn, zi, **self.continue_from(zi))

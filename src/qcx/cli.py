@@ -28,7 +28,6 @@ from .jets import DomainError
 from .loewner import (
     ExtensionMap,
     build_chain,
-    construction_for_criterion,
     default_times,
     validate_chain,
 )
@@ -526,14 +525,15 @@ def _chain_and_extension(sc: Scenario):
     sector_* criterion needs the matching companion: its chain is built from
     the companion, so any other would extend a different map."""
     f, companion, params = sc.pieces()
-    construction = construction_for_criterion(sc.criterion)
-    needed = CRITERIA[sc.criterion].companion
-    if needed is not None and companion.label != needed:
+    spec = CRITERIA.get(sc.criterion)
+    if spec is None:
+        raise PreconditionError(f"no chain construction for criterion {sc.criterion!r}")
+    if spec.companion is not None and companion.label != spec.companion:
         raise PreconditionError(
-            f"{sc.criterion} needs a {needed} companion to build its chain "
+            f"{sc.criterion} needs a {spec.companion} companion to build its chain "
             f"(the scenario's companion is {companion.label!r})"
         )
-    chain = build_chain(construction, f, companion, params)
+    chain = build_chain(spec.construction, f, companion, params)
     return chain, ExtensionMap(chain), params.bound
 
 

@@ -323,27 +323,21 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
     first offending point in input order.  With `ratio`, smallest_bound is
     the sup of ratio(values): None when the grid pass fails, the grid pass's
     alone when the refinement pass fails.  A `rows` list receives every
-    scanned block as an (n, 2) complex array of (z, value) rows.
+    scan as an (n, 2) complex array of (z, value) rows.
     """
 
     def scan(points):
         parts = blocks(points)
-        values = [np.broadcast_to(v, z.shape)
-                  for z, v in zip(parts, ordered_map(value_fn, parts))]
+        values = np.concatenate([np.broadcast_to(v, z.shape)
+                                 for z, v in zip(parts, ordered_map(value_fn, parts))])
         if rows is not None:
-            rows.extend(np.column_stack([z, v]) for z, v in zip(parts, values))
-        sup, worst, bound = -_INF, 0j, -_INF
-        for z, v in zip(parts, values):
-            sc = score(v)
-            bad = ~np.isfinite(sc)
-            if bad.any():
-                return False, _INF, z[np.argmax(bad)], _INF
-            i = int(np.argmax(sc))
-            if sc[i] > sup:
-                sup, worst = sc[i], z[i]
-            if ratio is not None:
-                bound = max(bound, np.max(ratio(v)))
-        return True, sup, worst, bound
+            rows.append(np.column_stack([points, values]))
+        sc = score(values)
+        bad = ~np.isfinite(sc)
+        if bad.any():
+            return False, _INF, points[np.argmax(bad)], _INF
+        i = int(np.argmax(sc))
+        return True, sc[i], points[i], -_INF if ratio is None else np.max(ratio(values))
 
     points = grid.points()
     with np.errstate(all="ignore"):

@@ -1,4 +1,7 @@
-"""Sampling grids for sup-norm estimation on the disk and on annuli.
+"""Sampling grids for sup-norm estimation on the disk and on annuli, and
+BLOCK, the one evaluation budget: no array call of the scans, the branch
+lattice's walks, the chains, the extension, the stencil or the CSV writer
+sees more than BLOCK samples.
 
 The criterion functionals typically attain their suprema only as |z| -> 1
 (the Koebe functional tends to 6 there), so the disk grid packs its radii
@@ -25,9 +28,23 @@ def blocks(points, per_point: int = 1) -> list[np.ndarray]:
     return [points[i:i + size] for i in range(0, len(points), size)]
 
 
+class _PolarGrid:
+    """The points of the radii() x angles() product, radius-major, at
+    n_angular equally spaced angles from 0."""
+
+    def angles(self) -> np.ndarray:
+        return 2 * np.pi * np.arange(self.n_angular) / self.n_angular
+
+    def points(self) -> np.ndarray:
+        r = self.radii()[:, None]
+        t = self.angles()[None, :]
+        return (r * np.exp(1j * t)).ravel()
+
+
 @dataclass(frozen=True)
-class DiskGrid:
-    """Polar grid on 0 <= r <= 1 - eps with radii crowding toward r = 1."""
+class DiskGrid(_PolarGrid):
+    """Polar grid on 0 <= r <= 1 - eps with radii crowding toward r = 1.
+    The origin ring is degenerate."""
 
     n_radial: int = 64
     n_angular: int = 128
@@ -44,22 +61,13 @@ class DiskGrid:
         i = np.arange(self.n_radial)
         return 1.0 - self.eps ** (i / (self.n_radial - 1))
 
-    def angles(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.n_angular) / self.n_angular
-
-    def points(self) -> np.ndarray:
-        """All sample points, radius-major.  The origin ring is degenerate."""
-        r = self.radii()[:, None]
-        t = self.angles()[None, :]
-        return (r * np.exp(1j * t)).ravel()
-
     @property
     def max_radius(self) -> float:
         return 1.0 - self.eps
 
 
 @dataclass(frozen=True)
-class AnnulusGrid:
+class AnnulusGrid(_PolarGrid):
     """Log-spaced polar grid on inner <= r <= outer with inner > 1."""
 
     n_radial: int = 64
@@ -76,11 +84,3 @@ class AnnulusGrid:
     def radii(self) -> np.ndarray:
         i = np.arange(self.n_radial)
         return self.inner * (self.outer / self.inner) ** (i / (self.n_radial - 1))
-
-    def angles(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.n_angular) / self.n_angular
-
-    def points(self) -> np.ndarray:
-        r = self.radii()[:, None]
-        t = self.angles()[None, :]
-        return (r * np.exp(1j * t)).ravel()

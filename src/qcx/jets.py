@@ -140,24 +140,3 @@ def compose(outer: Jet2, inner: Jet2) -> Jet2:
         outer.d1 * inner.d1,
         outer.d2 * inner.d1 * inner.d1 + outer.d1 * inner.d2,
     )
-
-
-def jet_exp(j: Jet2) -> Jet2:
-    e = lib(j.value).cexp(j.value)
-    return Jet2(e, e * j.d1, e * (j.d2 + j.d1 * j.d1))
-
-
-def jet_power(j: Jet2, p: complex, log_value: complex | None = None) -> Jet2:
-    """Jet of j(z)**p.
-
-    `log_value` selects the branch: it must be a logarithm of j.value.  When
-    omitted the principal branch is used, which is only safe when the values
-    stay clear of the negative real axis.
-    """
-    if first_where(j.value == 0, j.value) is not None:
-        raise DomainError("power of a value that vanishes at the point")
-    m = lib(j.value)
-    lg = m.clog(j.value) if log_value is None else log_value
-    w = m.cexp(p * lg)
-    r1 = j.d1 / j.value
-    return Jet2(w, w * p * r1, w * (p * (p - 1) * r1 * r1 + p * j.d2 / j.value))

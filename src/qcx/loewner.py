@@ -37,7 +37,7 @@ import numpy as np
 
 # tracked_log is not called here; perfbench/tracing.py wraps this module's name
 from .branches import BranchTrackingError, ratio_branch, tracked_log  # noqa: F401
-from .criteria import CRITERIA, CriterionParams, PreconditionError, _bazilevic_branch
+from .criteria import CriterionParams, PreconditionError, _bazilevic_branch
 from .grids import DiskGrid, blocks
 from .jets import lib, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
@@ -299,14 +299,6 @@ def build_chain(construction: str, f: AnalyticMap, q: CompanionMap,
             f"unknown construction {construction!r}; pick one of {CONSTRUCTIONS}"
         )
     return _CHAIN_CLASSES[construction](f, q, params or CriterionParams())
-
-
-def construction_for_criterion(criterion: str) -> str:
-    """Which chain realizes a given criterion id (its criterion-table row)."""
-    spec = CRITERIA.get(criterion)
-    if spec is None:
-        raise PreconditionError(f"no chain construction for criterion {criterion!r}")
-    return spec.construction
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -250,11 +249,15 @@ class ScaledMap(AnalyticMap):
 # ---------------------------------------------------------------------------
 
 
-class SumMap(AnalyticMap):
+class _BinaryMap(AnalyticMap):
+    """A node of two maps, analytic where both are."""
+
     def __init__(self, a: AnalyticMap, b: AnalyticMap):
         self.a, self.b = a, b
         self.analyticity_radius = min(a.analyticity_radius, b.analyticity_radius)
 
+
+class SumMap(_BinaryMap):
     def jet(self, z: complex) -> Jet2:
         return self.a.jet(z) + self.b.jet(z)
 
@@ -268,20 +271,12 @@ class NegMap(AnalyticMap):
         return -self.a.jet(z)
 
 
-class ProductMap(AnalyticMap):
-    def __init__(self, a: AnalyticMap, b: AnalyticMap):
-        self.a, self.b = a, b
-        self.analyticity_radius = min(a.analyticity_radius, b.analyticity_radius)
-
+class ProductMap(_BinaryMap):
     def jet(self, z: complex) -> Jet2:
         return self.a.jet(z) * self.b.jet(z)
 
 
-class QuotientMap(AnalyticMap):
-    def __init__(self, a: AnalyticMap, b: AnalyticMap):
-        self.a, self.b = a, b
-        self.analyticity_radius = min(a.analyticity_radius, b.analyticity_radius)
-
+class QuotientMap(_BinaryMap):
     def jet(self, z: complex) -> Jet2:
         den = self.b.jet(z)
         bad = first_where(den.value == 0, z)
@@ -301,15 +296,6 @@ class ComposeMap(AnalyticMap):
     def jet(self, z: complex) -> Jet2:
         ji = self.inner.jet(z)
         return compose(self.outer.jet(ji.value), ji)
-
-
-CATALOG: dict[str, Callable[..., AnalyticMap]] = {
-    "identity": IdentityMap,
-    "koebe": KoebeMap,
-    "cayley": CayleyMap,
-    "spiral": SpiralMap,
-    "polynomial": PolynomialMap,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +326,12 @@ class MoebiusMap:
         object.__setattr__(self, "delta", d)
 
     @staticmethod
-    def identity() -> "MoebiusMap":
-        return MoebiusMap(1, 0, 0, 1)
-
-    @staticmethod
     def with_pole(pole: complex) -> "MoebiusMap":
         """Q(w) = -1/(w - pole): the simplest map with the requested pole."""
         return MoebiusMap(0, -1, 1, -complex(pole))
 
-    @property
-    def pole(self) -> complex | None:
-        if self.gamma == 0:
-            return None
-        return -self.delta / self.gamma
-
     def __call__(self, w: complex) -> complex:
-        den = self.gamma * w + self.delta
-        bad = first_where(den == 0, w)
-        if bad is not None:
-            raise DomainError("Moebius pole at w = %r" % (bad,))
-        return (self.alpha * w + self.beta) / den
+        return self.jet(w).value
 
     def inverse(self, w: complex) -> complex:
         den = -self.gamma * w + self.alpha

@@ -18,6 +18,7 @@ import pytest
 
 from qcx import (
     AnnulusGrid,
+    BranchLattice,
     CayleyMap,
     CompanionMap,
     CriterionParams,
@@ -385,8 +386,8 @@ def test_validation_matches_the_per_time_reference_to_the_bit(chain):
 
 
 def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
-    sizes = {"scan": [], "jet": [], "validate": [], "extension": [], "stencil": [],
-             "csv": []}
+    sizes = {"scan": [], "jet": [], "walk": [], "validate": [], "extension": [],
+             "stencil": [], "csv": []}
     grid = DiskGrid(128, 256)
     sup_over_grid(lambda z: sizes["scan"].append(z.size) or np.abs(z), grid, 10.0)
 
@@ -400,6 +401,15 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
             ("sector_becker", CriterionParams(k=0.65, w0=-2.0, lambda0=11 / 6, a=1 / 3))):
         evaluate_criterion(criterion, PolynomialMap([1, 0.2]), None, params, grid)
     monkeypatch.setattr(PolynomialMap, "jet", jet)
+
+    # 100 angles miss most of the lattice's 256 rays: queries take two steps
+    walk = BranchLattice._walk
+    monkeypatch.setattr(BranchLattice, "_walk", lambda self, start, anchor, points, *rest:
+                        sizes["walk"].append(points.size)
+                        or walk(self, start, anchor, points, *rest))
+    evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
+                       CriterionParams(k=0.75, w0=-2.0, lambda0=11 / 6, a=1 / 3),
+                       DiskGrid(80, 100))
 
     chain = build_chain("nw", PolynomialMap([1, 0.25]), CompanionMap.identity())
     partials = chain.partials
@@ -426,6 +436,7 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
     # every block is as large as its fan-out allows
     assert max(sizes["scan"]) == BLOCK
     assert max(sizes["jet"]) == BLOCK
+    assert max(sizes["walk"]) <= BLOCK
     assert max(sizes["validate"]) == BLOCK // len(times) * len(times)
     assert max(sizes["extension"]) == BLOCK
     assert max(sizes["stencil"]) == BLOCK

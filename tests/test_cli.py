@@ -44,6 +44,16 @@ def test_importing_the_cli_starts_no_worker_pool():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_the_setup_probe_builds_a_scenario(tmp_path):
+    # perfbench/setup_probe.py reads load_scenario, make_parser and
+    # Scenario.pieces; the benchmark times it as setup_s
+    probe = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "setup_probe.py")
+    proc = subprocess.run([sys.executable, probe, write_scenario(tmp_path, BASE)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- parsing ------------------------------------------------------------------
 
 

@@ -122,37 +122,3 @@ def test_class_a_rejects_bad_leading_coefficient():
     with pytest.raises(ValueError):
         PolynomialMap([2.0, 0.5])
     PolynomialMap([2.0, 0.5], class_a=False)  # allowed off the normalized class
-
-
-def test_jet_exp_and_power():
-    from qcx.jets import jet_exp, jet_power
-    import cmath
-
-    f = PolynomialMap([1, 0.3])
-    rng = random.Random(13)
-    for _ in range(30):
-        z = cmath.rect(rng.uniform(0.05, 0.8), rng.uniform(0, 2 * math.pi))
-        j = f.jet(z)
-        e = jet_exp(j)
-        g = lambda w: cmath.exp(f(w))
-        fd1, fd2 = fd_jet(g, z)
-        assert abs(e.d1 - fd1) / (1 + abs(e.d1)) < 1e-6
-        assert abs(e.d2 - fd2) / (1 + abs(e.d2)) < 1e-4
-        # principal-branch power away from the cut
-        shifted = f.jet(z) + Jet2.const(2.0)
-        p = jet_power(shifted, 0.7 + 0.2j)
-        h = lambda w: cmath.exp((0.7 + 0.2j) * cmath.log(f(w) + 2))
-        fd1, fd2 = fd_jet(h, z)
-        assert abs(p.d1 - fd1) / (1 + abs(p.d1)) < 1e-6
-        assert abs(p.d2 - fd2) / (1 + abs(p.d2)) < 1e-4
-
-
-def test_jet_power_branch_override():
-    from qcx.jets import jet_power
-    import cmath
-
-    j = Jet2(-1 + 0j, 1 + 0j, 0j)
-    principal = jet_power(j, 0.5)
-    other = jet_power(j, 0.5, log_value=cmath.log(-1 + 0j) - 2j * math.pi)
-    assert abs(principal.value - 1j) < 1e-15
-    assert abs(other.value + 1j) < 1e-14

@@ -26,11 +26,11 @@ from qcx import (
     ScaledMap,
     SpiralMap,
     build_chain,
-    construction_for_criterion,
     default_times,
     u_disk_margin,
     validate_chain,
 )
+from qcx.criteria import CRITERIA
 
 GRID = DiskGrid(16, 32, 1e-3)
 
@@ -122,14 +122,13 @@ def test_construction_preconditions():
 
 
 def test_construction_for_criterion():
-    assert construction_for_criterion("moebius_becker") == "gen_becker"
-    assert construction_for_criterion("sector_nw") == "nw"
-    assert construction_for_criterion("phi_like_udisk") == "phi_like"
-    assert construction_for_criterion("bazilevic") == "bazilevic"
+    # an unknown id is rejected by every command: tests/test_cli.py
+    assert CRITERIA["moebius_becker"].construction == "gen_becker"
+    assert CRITERIA["sector_nw"].construction == "nw"
+    assert CRITERIA["phi_like_udisk"].construction == "phi_like"
+    assert CRITERIA["bazilevic"].construction == "bazilevic"
     for criterion in ALL_CRITERIA:
-        assert construction_for_criterion(criterion) in CONSTRUCTIONS
-    with pytest.raises(PreconditionError):
-        construction_for_criterion("phi_like_typo")
+        assert CRITERIA[criterion].construction in CONSTRUCTIONS
 
 
 # -- transition ratio -------------------------------------------------------------
