@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import BLOCK, blocks
-from .jets import lib
+from .jets import accepts_point, complex_array
 
 
 class BranchTrackingError(ValueError):
@@ -74,7 +74,7 @@ def _wound(principal, arg):
     principal logarithm is given, whose argument is nearest `arg`
     (elementwise on arrays)."""
     turns = np.round((arg - principal.imag) / _TWO_PI)
-    return lib(principal).complex(principal.real, principal.imag + _TWO_PI * turns)
+    return complex_array(principal.real, principal.imag + _TWO_PI * turns)
 
 
 def _turn(arg, prev):
@@ -138,7 +138,7 @@ def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex,
             log_val += step
             prev = w
         if ok:
-            return _wound(cmath.log(prev), log_val.imag)
+            return complex(_wound(cmath.log(prev), log_val.imag))
         if n >= 64 * _STEPS:
             raise BranchTrackingError(
                 "branch tracking did not stabilize: value crosses 0 or winds "
@@ -172,19 +172,19 @@ class FactoredRatio:
         self._map = m
         self._factors = tuple(zip(roots, exponents))
 
-    def log(self, z):
-        """The log at a point, or elementwise at a 1-D array.  A point at or
-        past m's analyticity radius raises m's DomainError, as fn does."""
-        zs = np.atleast_1d(np.asarray(z, complex))
-        if (np.abs(zs) >= self._map.analyticity_radius).any():
-            self._map.jet(zs)
-        out = np.full(zs.shape, self.anchor)
+    @accepts_point("z")
+    def log(self, z: np.ndarray) -> np.ndarray:
+        """The log, elementwise at a 1-D array.  A point at or past m's
+        analyticity radius raises m's DomainError, as fn does."""
+        if (np.abs(z) >= self._map.analyticity_radius).any():
+            self._map.jet(z)
+        out = np.full(z.shape, self.anchor)
         with np.errstate(all="ignore"):
             for root, expo in self._factors:
-                w = 1 - zs / root
+                w = 1 - z / root
                 # log|w| + i Arg w: a tenth of the cost of a complex np.log
-                out += expo * lib(w).complex(np.log(np.abs(w)), np.angle(w))
-        return out if type(z) is np.ndarray else complex(out[0])
+                out += expo * complex_array(np.log(np.abs(w)), np.angle(w))
+        return out
 
 
 def ratio_branch(m):
@@ -335,14 +335,15 @@ class BranchLattice:
             # whose results are wound from fn at their own point: the
             # cheap real logarithm log|w| does for its real part
             self._logs[rings, rays] = _wound(
-                lib(w).complex(np.log(np.abs(w)), np.angle(w)), wind)
+                complex_array(np.log(np.abs(w)), np.angle(w)), wind)
             self._height[short] = top + 1
 
-    def log(self, z):
-        """log fn at z, continued from the origin: a point, or elementwise a
-        1-D array.  Equal, up to rounding, to
+    @accepts_point("z")
+    def log(self, z: np.ndarray) -> np.ndarray:
+        """log fn at z, continued from the origin, elementwise on a 1-D
+        array.  Equal, up to rounding, to
         `tracked_log(self.fn, z, **self.continue_from(z))`."""
-        zs = np.atleast_1d(np.asarray(z, complex))
+        zs = z.astype(complex, copy=False)
         with np.errstate(all="ignore"):
             ring, ray = self._node(zs)
             out = self._grow(ring, ray)
@@ -362,4 +363,4 @@ class BranchLattice:
         for i in np.flatnonzero(~np.isfinite(out)):  # input order: the first error raises
             zi = complex(zs[i])
             out[i] = tracked_log(self.fn, zi, **self.continue_from(zi))
-        return out if type(z) is np.ndarray else complex(out[0])
+        return out

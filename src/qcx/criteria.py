@@ -1,11 +1,11 @@
 """Pointwise criterion functionals and their grid sup-estimation.
 
 Each sufficient condition is exposed twice: as a pointwise functional
-(returning the complex criterion value at one z, or elementwise at a 1-D
-array of points) and as a row of the criterion table `CRITERIA`, which
-`evaluate_criterion` looks up and hands to `sup_over_grid`: that scores a
-disk grid block by block, applies one local refinement pass around the
-worst sample, and emits a CriterionReport.
+(the complex criterion value elementwise at a 1-D array of points; a point
+is evaluated as a one-element array) and as a row of the criterion table
+`CRITERIA`, which `evaluate_criterion` looks up and hands to
+`sup_over_grid`: that scores a disk grid block by block, applies one local
+refinement pass around the worst sample, and emits a CriterionReport.
 
 A reported pass means "numerically passes on this grid"; it is evidence,
 not a proof, since the supremum may be attained only in the limit |z| -> 1.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .branches import BranchLattice, ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
-from .jets import lib, piecewise
+from .jets import accepts_point, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
@@ -121,7 +121,7 @@ class CriterionReport:
 
 
 # ---------------------------------------------------------------------------
-# pointwise functionals: one formula for a point or, elementwise, a 1-D array
+# pointwise functionals: elementwise on a 1-D array, a point taken as [z]
 # ---------------------------------------------------------------------------
 
 _INF_Z = complex(_INF, 0)
@@ -132,15 +132,13 @@ _quiet = np.errstate(all="ignore")
 
 def _finite_where(ok, formula, *args):
     """formula(*args) where `ok` holds and complex inf elsewhere: the value a
-    criterion takes where one of its denominators vanishes.  `ok` is a bool
-    for a point, a mask for an array; on an array the formula sees only the
-    points where `ok` holds (each array argument cut to them)."""
-    if type(ok) is not np.ndarray:
-        return formula(*args) if ok else _INF_Z
+    criterion takes where one of its denominators vanishes.  The formula
+    sees only the points where the mask `ok` holds (each argument, an array
+    of ok's shape, cut to them)."""
     if ok.all():
         return formula(*args)
     out = np.full(ok.shape, _INF_Z)
-    out[ok] = formula(*(a[ok] if type(a) is np.ndarray else a for a in args))
+    out[ok] = formula(*(a[ok] for a in args))
     return out
 
 
@@ -150,21 +148,9 @@ def _becker(c: complex, z: complex, bracket: complex) -> complex:
     return c * r2 + (1 - r2) * bracket
 
 
-def _phi_at(phi, w: complex) -> complex:
-    """Phi(w) for either a direct analytic map or a companion's Q/Q' view."""
-    if isinstance(phi, CompanionMap):
-        return phi.phi(w)
-    return phi.jet(w).value
-
-
-def _phi_deriv_origin(phi) -> complex:
-    if isinstance(phi, CompanionMap):
-        return phi.phi_deriv(0j)
-    return phi.jet(0j).d1
-
-
 @_quiet
-def phi_like_value(f: AnalyticMap, phi, z: complex) -> complex:
+@accepts_point("z")
+def phi_like_value(f: AnalyticMap, phi, z: np.ndarray) -> np.ndarray:
     """z*f'(z)/Phi(f(z)); at z = 0 the limit f'(0)/Phi'(0).
 
     `phi` is either an AnalyticMap used directly as Phi, or a CompanionMap
@@ -173,13 +159,15 @@ def phi_like_value(f: AnalyticMap, phi, z: complex) -> complex:
     case Phi(w) = e^{i*lam} * w.
     """
 
-    def origin(z):
-        d = _phi_deriv_origin(phi)
-        return _finite_where(d != 0, lambda d1: d1 / d, f.jet(z).d1)
+    companion = isinstance(phi, CompanionMap)
+
+    def origin(z):  # z holds only zeros, where f(z) = 0 too
+        d = phi.phi_deriv(z) if companion else phi.jet(z).d1
+        return _finite_where(d != 0, lambda d1, d: d1 / d, f.jet(z).d1, d)
 
     def inside(z):
         jf = f.jet(z)
-        den = _phi_at(phi, jf.value)
+        den = phi.phi(jf.value) if companion else phi.jet(jf.value).value
         return _finite_where(den != 0, lambda z, d1, den: z * d1 / den,
                              z, jf.d1, den)
 
@@ -187,7 +175,9 @@ def phi_like_value(f: AnalyticMap, phi, z: complex) -> complex:
 
 
 @_quiet
-def gen_becker_value(f: AnalyticMap, q: CompanionMap, c: complex, z: complex) -> complex:
+@accepts_point("z")
+def gen_becker_value(f: AnalyticMap, q: CompanionMap, c: complex,
+                     z: np.ndarray) -> np.ndarray:
     """c|z|^2 + (1-|z|^2) * { z f''/f' + z f' * Omega(f(z)) } with Omega = Q''/Q'."""
     jf = f.jet(z)
     jq = q.jet(jf.value)
@@ -198,7 +188,8 @@ def gen_becker_value(f: AnalyticMap, q: CompanionMap, c: complex, z: complex) ->
 
 
 @_quiet
-def nw_value(f: AnalyticMap, q: CompanionMap, z: complex) -> complex:
+@accepts_point("z")
+def nw_value(f: AnalyticMap, q: CompanionMap, z: np.ndarray) -> np.ndarray:
     """f'(z) * Q'(f(z)): the derivative condition tested against U(k')."""
     jf = f.jet(z)
     return jf.d1 * q.jet(jf.value).d1
@@ -216,11 +207,12 @@ def _bazilevic_branch(f: AnalyticMap, psi):
     return ratio_branch(f)
 
 
-def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: complex,
-                         lg: complex, lp: complex) -> complex:
-    """The Bazilevic value at z given the logs of its two ratios."""
+@accepts_point("z")
+def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: np.ndarray,
+                         lg, lp) -> np.ndarray:
+    """The Bazilevic value at z given the logs of its two ratios there."""
     jf = f.jet(z)
-    power = lib(lg).cexp((s - 1) * lg - s.real * lp)
+    power = np.exp((s - 1) * lg - s.real * lp)
     if isinstance(psi, CompanionMap):
         return psi.jet(jf.value).d1 * jf.d1 * power
     return jf.d1 * power * psi.jet(jf.value).value
@@ -245,7 +237,9 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
 
 
 @_quiet
-def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex, z: complex) -> complex:
+@accepts_point("z")
+def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex,
+                         z: np.ndarray) -> np.ndarray:
     """c1|z|^2 + (1-|z|^2) * { z f''/f' - 2 z f'/(f - c2) }."""
     jf = f.jet(z)
     return _finite_where(
@@ -255,7 +249,9 @@ def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex, z: complex) -
 
 
 @_quiet
-def moebius_nw_value(f: AnalyticMap, gamma: complex, delta: complex, z: complex) -> complex:
+@accepts_point("z")
+def moebius_nw_value(f: AnalyticMap, gamma: complex, delta: complex,
+                     z: np.ndarray) -> np.ndarray:
     """f'(z)/(gamma*f(z) + delta)^2, tested against U(k)."""
     jf = f.jet(z)
     den = gamma * jf.value + delta
@@ -263,8 +259,9 @@ def moebius_nw_value(f: AnalyticMap, gamma: complex, delta: complex, z: complex)
 
 
 @_quiet
+@accepts_point("z")
 def sector_becker_value(f: AnalyticMap, c: complex, w0: complex, a: float,
-                        z: complex) -> complex:
+                        z: np.ndarray) -> np.ndarray:
     """c|z|^2 + (1-|z|^2) * { z f''/f' + (1/a - 1) z f'/(f - w0) }."""
     jf = f.jet(z)
     return _finite_where(
@@ -315,10 +312,9 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
 
     `value_fn` is elementwise on a 1-D complex array: the scan hands it the
     grid a block of points at a time (`grids.blocks`), then the refinement
-    patch as one more block, and a scalar result stands for a constant
-    block.  `score` turns a block of values into real scores (by default the
-    values are the scores).  The worst point is the first maximum in input
-    order.  The criterion passes when the final sup is <= threshold (or
+    patch as one more block.  `score` turns a block of values into real
+    scores (by default the values are the scores).  The worst point is the
+    first maximum in input order.  The criterion passes when the final sup is <= threshold (or
     < threshold when `strict`); a non-finite score fails the scan at the
     first offending point in input order.  With `ratio`, smallest_bound is
     the sup of ratio(values): None when the grid pass fails, the grid pass's
@@ -327,9 +323,7 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
     """
 
     def scan(points):
-        parts = blocks(points)
-        values = np.concatenate([np.broadcast_to(v, z.shape)
-                                 for z, v in zip(parts, ordered_map(value_fn, parts))])
+        values = np.concatenate(ordered_map(value_fn, blocks(points)))
         if rows is not None:
             rows.append(np.column_stack([points, values]))
         sc = score(values)
@@ -423,7 +417,7 @@ def _require_sector(params: CriterionParams):
 
 # ---------------------------------------------------------------------------
 # value-function builders: check the hypotheses, return z -> criterion value
-# (z a point or a 1-D array, as sup_over_grid's blocks)
+# (z a 1-D array, as sup_over_grid's blocks)
 # ---------------------------------------------------------------------------
 
 
@@ -473,9 +467,10 @@ def _sector_nw(f, q, params, grid):
     lattice = BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)
 
     @_quiet
+    @accepts_point("z")
     def value(z):
         lg = lattice.log(z)
-        return f.jet(z).d1 * lib(lg).cexp(expo * lg)
+        return f.jet(z).d1 * np.exp(expo * lg)
 
     return value
 
@@ -499,6 +494,7 @@ def _bazilevic(f, psi, params, grid):
     pz = ratio_branch(p)
 
     @_quiet
+    @accepts_point("z")
     def value(z):
         return _bazilevic_from_logs(f, psi, s, z, g.log(z), pz.log(z))
 

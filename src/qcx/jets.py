@@ -1,28 +1,24 @@
-"""Second-order jets of analytic functions.
+"""Second-order jets of analytic functions, and the one evaluation path.
 
 A jet carries (value, first derivative, second derivative) of an analytic
-map at a point, or elementwise at a 1-D numpy array of points.  All
-derivative propagation here is exact (closed form), which matters because
-the criterion functionals downstream involve ratios like f''/f' that are
-evaluated close to the unit circle where finite differences lose accuracy.
+map elementwise at a 1-D numpy array of points.  All derivative propagation
+here is exact (closed form), which matters because the criterion
+functionals downstream involve ratios like f''/f' that are evaluated close
+to the unit circle where finite differences lose accuracy.
 
-Every formula is written once for both kinds of input.  `lib` picks the
-elementary functions by input type (cmath/math for a Python number, numpy
-for an array: np.exp on a Python complex costs three times cmath.exp, and
-the per-point paths, such as `tracked_log`'s fallback and oracle, evaluate
-maps one point at a time), `first_where` finds the point a guard names, and
-`piecewise` evaluates a branch only where it applies.  An array is an
-np.ndarray; the test is `type(x) is np.ndarray`, the cheapest there is,
-since a per-point path pays it on every jet.
+Every formula of the package is written for 1-D arrays only.  A public
+entry point that also takes a single point carries `accepts_point`, the one
+place that tells a point from an array: it evaluates the point as the
+one-element array [z] and returns element 0 of each result, as a Python
+number.  So a point's value is, bit for bit, that point's element of a
+block.  `first_where` finds the point a guard names, and `piecewise`
+evaluates a branch only where it applies.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-import operator
+import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,48 +27,61 @@ class DomainError(ValueError):
     """Evaluation requested outside a map's domain (radius exceeded, pole hit)."""
 
 
-def _array_complex(re, im):
+def complex_array(re, im) -> np.ndarray:
+    """re + i im elementwise, without the rounding of re + 1j * im."""
     out = np.empty(np.broadcast(re, im).shape, complex)
     out.real = re
     out.imag = im
     return out
 
 
-_SCALAR = SimpleNamespace(
-    cexp=cmath.exp, clog=cmath.log, exp=math.exp, log=math.log,
-    atan2=math.atan2, complex=complex, minimum=min, not_=operator.not_,
-    where=lambda cond, a, b: a if cond else b,
-)
-_ARRAY = SimpleNamespace(
-    cexp=np.exp, clog=np.log, exp=np.exp, log=np.log,
-    atan2=np.arctan2, complex=_array_complex, minimum=np.minimum,
-    not_=np.logical_not, where=np.where,
-)
+def _element0(result):
+    """Element 0 of every array of a result (an array, a tuple of them, or a
+    dataclass of them such as a Jet2), as Python numbers."""
+    if isinstance(result, np.ndarray):
+        return result.item(0)
+    parts = result if isinstance(result, tuple) else vars(result).values()
+    items = [r.item(0) for r in parts]
+    return tuple(items) if isinstance(result, tuple) else type(result)(*items)
 
 
-def lib(x) -> SimpleNamespace:
-    """The elementary functions for input x: numpy's for an array, else
-    cmath's (`cexp`, `clog`) and math's (`exp`, `log`, `atan2`), with
-    `complex(re, im)`, `minimum`, `not_` and `where` to match."""
-    return _ARRAY if type(x) is np.ndarray else _SCALAR
+def accepts_point(name: str):
+    """Decorator: the formula, written for a 1-D array as its argument
+    `name` (passed positionally), also takes a point there.  A point is
+    evaluated as np.array([point]) and element 0 of each result returned; an
+    array of one or more dimensions goes to the formula as it is, and any
+    other sequence is rejected."""
+
+    def decorate(formula):
+        at = formula.__code__.co_varnames.index(name)
+
+        @functools.wraps(formula)
+        def evaluate(*args, **kwargs):
+            x = args[at]
+            if type(x) is np.ndarray and x.ndim:
+                return formula(*args, **kwargs)
+            point = np.array([x])
+            if point.ndim != 1:  # a list or tuple of points is neither
+                raise TypeError(f"{name} must be a number or a numpy array")
+            return _element0(formula(*args[:at], point, *args[at + 1:], **kwargs))
+
+        return evaluate
+
+    return decorate
 
 
-def first_where(bad, z):
-    """The first point of z, in input order, at which `bad` holds (None if
-    there is none); `bad` is a bool for a point, a mask for an array."""
-    if type(bad) is np.ndarray:
-        if not bad.any():
-            return None
-        return complex(np.broadcast_to(z, bad.shape).flat[int(np.argmax(bad))])
-    return z if bad else None
+def first_where(bad: np.ndarray, z: np.ndarray):
+    """The first point of z, in input order, at which the mask `bad` holds,
+    as a Python number (None if there is none)."""
+    if not np.count_nonzero(bad):
+        return None
+    return np.broadcast_to(z, bad.shape).flat[int(np.argmax(bad))].item()
 
 
-def piecewise(cond, if_true, if_false, x):
-    """if_true(x) where `cond` holds, if_false(x) elsewhere.  On an array
-    each function sees only its own points, so neither is evaluated outside
-    the region it is defined on."""
-    if type(x) is not np.ndarray:
-        return if_true(x) if cond else if_false(x)
+def piecewise(cond: np.ndarray, if_true, if_false, x: np.ndarray) -> np.ndarray:
+    """if_true(x) where `cond` holds, if_false(x) elsewhere.  Each function
+    sees only its own points, so neither is evaluated outside the region it
+    is defined on."""
     out = np.empty(x.shape, complex)
     for mask, fn in ((cond, if_true), (~cond, if_false)):
         if mask.any():
@@ -82,27 +91,12 @@ def piecewise(cond, if_true, if_false, x):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and first two complex derivatives of an analytic map at a point,
-    or elementwise at an array of points."""
+    """Value and first two complex derivatives of an analytic map,
+    elementwise at an array of points (Python numbers at a point)."""
 
-    value: complex | np.ndarray
-    d1: complex | np.ndarray
-    d2: complex | np.ndarray
-
-    @staticmethod
-    def const(c: complex) -> "Jet2":
-        try:
-            return Jet2(complex(c), 0j, 0j)
-        except TypeError:  # an array: complex() takes only a point
-            return Jet2(np.asarray(c, complex), 0j, 0j)
-
-    @staticmethod
-    def variable(z: complex) -> "Jet2":
-        """Jet of the identity map at z."""
-        try:
-            return Jet2(complex(z), 1 + 0j, 0j)
-        except TypeError:  # an array: complex() takes only a point
-            return Jet2(np.asarray(z, complex), 1 + 0j, 0j)
+    value: np.ndarray | complex
+    d1: np.ndarray | complex
+    d2: np.ndarray | complex
 
     def __add__(self, other: "Jet2") -> "Jet2":
         return Jet2(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
@@ -122,7 +116,7 @@ class Jet2:
         )
 
     def __truediv__(self, other: "Jet2") -> "Jet2":
-        if first_where(other.value == 0, other.value) is not None:
+        if (other.value == 0).any():
             raise DomainError("jet division by a value that vanishes at the point")
         q = self.value / other.value
         q1 = (self.d1 - q * other.d1) / other.value

@@ -14,12 +14,13 @@ conditions on samples: Re p > 0, p inside U(k) when a dilatation target is
 given, and the leading coefficient a1(t) = dF/dz(0, t) growing without
 bound.
 
-Chains and the extension evaluate a point or, elementwise, a 1-D complex
-array of points, with a scalar t or an array of times matching the points;
-a chain also takes a column of times, an (m, 1) array, against an array of
-points, and then gives (m, n) arrays, row by row as the scalar times would.
-The Bazilevic chain's two logarithms depend on z alone, so such a call
-continues them once for all of its times.
+Chains and the extension evaluate elementwise on a 1-D complex array of
+points (a point is evaluated as a one-element array), with a scalar t or an
+array of times matching the points; a chain also takes a column of times,
+an (m, 1) array, against an array of points, and then gives (m, n) arrays,
+row by row as the scalar times would.  The Bazilevic chain's two logarithms
+depend on z alone, so such a call continues them once for all of its
+times.  `a1` takes an array of times (or one time).
 
 Validation and the CLI's extension samples go through blocks of points of
 at most `grids.BLOCK` samples: one per (point, time) in validation, one per
@@ -29,6 +30,7 @@ point in the extension.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +41,7 @@ import numpy as np
 from .branches import BranchTrackingError, ratio_branch, tracked_log  # noqa: F401
 from .criteria import CriterionParams, PreconditionError, _bazilevic_branch
 from .grids import DiskGrid, blocks
-from .jets import lib, piecewise
+from .jets import accepts_point, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
@@ -54,28 +56,10 @@ class ChainPartials:
     zdz: complex | np.ndarray
 
 
-def _timewise(fn, t):
-    """fn(t); on a column of times fn of each time as a float, so that every
-    row of the column repeats the scalar path's rounding."""
-    if type(t) is np.ndarray and t.ndim == 2:
-        return np.array([fn(x) for x in t[:, 0].tolist()])[:, None]
-    return fn(t)
-
-
-def _exp(t):
-    """e^t, elementwise on an array; a column of times takes math.exp time
-    by time, whose rounding numpy's exp does not always repeat."""
-    if type(t) is np.ndarray and t.ndim == 2:
-        return _timewise(math.exp, t)
-    return lib(t).exp(t)
-
-
 def _ratio(num, den):
     """num / den, with inf where den vanishes."""
-    if type(den) is np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den == 0, complex(_INF, 0), num / den)
-    return num / den if den != 0 else complex(_INF, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0, complex(_INF, 0), num / den)
 
 
 class LoewnerChain:
@@ -94,30 +78,44 @@ class LoewnerChain:
         # the smallest analyticity radius of the maps evaluated at z
         self.analyticity_radius = f.analyticity_radius
 
-    def value(self, z: complex, t: float) -> complex:
+    @functools.cached_property
+    def _d0(self) -> complex:
+        """(Q o f)'(0) from the origin's jets, taken once, when a1 needs it."""
+        jf0 = self.f.jet(0j)
+        return self.q.jet(jf0.value).d1 * jf0.d1
+
+    def value(self, z: np.ndarray, t) -> np.ndarray:
         return self.partials(z, t).value
 
-    def partials(self, z: complex, t: float) -> ChainPartials:
+    @accepts_point("z")
+    def partials(self, z: np.ndarray, t) -> ChainPartials:
+        return self._partials(z, t)
+
+    def _partials(self, z: np.ndarray, t) -> ChainPartials:
         raise NotImplementedError
 
-    def a1(self, t: float) -> complex:
+    @accepts_point("t")
+    def a1(self, t: np.ndarray) -> np.ndarray:
         """Leading coefficient dF/dz(0, t)."""
+        return self._a1(t)
+
+    def _a1(self, t):
         raise NotImplementedError
 
-    def transition_ratio(self, z: complex, t: float,
-                         part: ChainPartials | None = None) -> complex:
+    @accepts_point("z")
+    def transition_ratio(self, z: np.ndarray, t,
+                         part: ChainPartials | None = None) -> np.ndarray:
         """p(z, t) = dF/dt / (z dF/dz); the chain condition is Re p > 0.
         `part`, the partials at (z, t) when the caller has them, saves
         evaluating them again."""
         if part is None:
             part = self.partials(z, t)
         ratio = _ratio(part.dt, part.zdz)
-        if type(z) is not np.ndarray:
-            return self._ratio_origin(t) if z == 0 else ratio
         at0 = z == 0
-        return np.where(at0, _timewise(self._ratio_origin, t), ratio) if at0.any() else ratio
+        return np.where(at0, self._ratio_origin(t), ratio) if at0.any() else ratio
 
-    def _ratio_origin(self, t: float) -> complex:
+    def _ratio_origin(self, t):
+        """p(0, t), elementwise in t."""
         raise NotImplementedError
 
 
@@ -131,10 +129,10 @@ class GenBeckerChain(LoewnerChain):
             raise PreconditionError("gen_becker chain needs 1 + c != 0")
         self._kappa = 1 / (1 + c)
 
-    def partials(self, z, t):
+    def _partials(self, z, t):
         kappa = self._kappa
-        et = _exp(t)
-        emt = _exp(-t)
+        et = np.exp(t)
+        emt = np.exp(-t)
         u = emt * z
         jf = self.f.jet(u)
         jq = self.q.jet(jf.value)
@@ -146,23 +144,21 @@ class GenBeckerChain(LoewnerChain):
         dt = -s * u + kappa * z * (et + emt) * s - kappa * z * grow * u * sp
         return ChainPartials(value, dt, zdz)
 
-    def a1(self, t):
-        et = lib(t).exp(t)
-        emt = lib(t).exp(-t)
-        s0 = self.q.jet(self.f.jet(0j).value).d1 * self.f.jet(0j).d1
-        return s0 * (emt + self._kappa * (et - emt))
+    def _a1(self, t):
+        et = np.exp(t)
+        emt = np.exp(-t)
+        return self._d0 * (emt + self._kappa * (et - emt))
 
     def _ratio_origin(self, t):
-        c = self.params.c
-        w = c * lib(t).exp(-2 * t)
+        w = self.params.c * np.exp(-2 * t)
         return (1 - w) / (1 + w)
 
 
 class NWChain(LoewnerChain):
     construction = "nw"
 
-    def partials(self, z, t):
-        et = _exp(t)
+    def _partials(self, z, t):
+        et = np.exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         value = jq.value + (et - 1) * z
@@ -170,13 +166,12 @@ class NWChain(LoewnerChain):
         zdz = z * (jq.d1 * jf.d1 + (et - 1))
         return ChainPartials(value, dt, zdz)
 
-    def a1(self, t):
-        jf0 = self.f.jet(0j)
-        return self.q.jet(jf0.value).d1 * jf0.d1 + lib(t).exp(t) - 1
+    def _a1(self, t):
+        return self._d0 + np.exp(t) - 1
 
     def _ratio_origin(self, t):
         # the z factor of dt and zdz cancels, so the origin is regular
-        return _ratio(lib(t).exp(t), self.a1(t))
+        return _ratio(np.exp(t), self._a1(t))
 
 
 class PhiLikeChain(LoewnerChain):
@@ -187,15 +182,14 @@ class PhiLikeChain(LoewnerChain):
         if abs(q.jet(0j).value) > 1e-12:
             raise PreconditionError("phi_like chain needs Q(0) = 0")
 
-    def partials(self, z, t):
-        et = _exp(t)
+    def _partials(self, z, t):
+        et = np.exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         return ChainPartials(et * jq.value, et * jq.value, et * z * jq.d1 * jf.d1)
 
-    def a1(self, t):
-        jf0 = self.f.jet(0j)
-        return lib(t).exp(t) * self.q.jet(jf0.value).d1 * jf0.d1
+    def _a1(self, t):
+        return np.exp(t) * self._d0
 
     def _ratio_origin(self, t):
         return 1 + 0j
@@ -232,6 +226,7 @@ class BazilevicChain(LoewnerChain):
         jq = self.q.jet(jf.value)
         return jq.value, jq.d1 * jf.d1
 
+    @accepts_point("z")
     def branch_data(self, z):
         """(H, R, LB(0)) at z: H = (G/z)^s, R = (p/z)^alpha, LB(0) = s log(G/z),
         both logs continued from the origin through the branches, a block of
@@ -239,8 +234,7 @@ class BazilevicChain(LoewnerChain):
         points against a column of times computes them once."""
         s = self.params.s
         lg, lp = self._g.log(z), self._pz.log(z)
-        m = lib(lg)
-        return m.cexp(s * lg), m.cexp(s.real * lp), s * lg
+        return np.exp(s * lg), np.exp(s.real * lp), s * lg
 
     def _bracket(self, et, big_h, big_r, lb0):
         """B = H + s(e^t - 1)R and log B continued from LB(0) = lb0 along the
@@ -249,35 +243,32 @@ class BazilevicChain(LoewnerChain):
         ratio = b / big_h
         if np.any((np.imag(ratio) == 0) & (np.real(ratio) <= 0)):
             raise BranchTrackingError("chain bracket vanished on the time path")
-        return b, lb0 + lib(ratio).clog(ratio)
+        return b, lb0 + np.log(ratio)
 
-    def partials(self, z, t):
-        if type(z) is not np.ndarray and z == 0:
-            return ChainPartials(0j, 0j, 0j)
+    def _partials(self, z, t):
         s = self.params.s
         alpha, beta = s.real, s.imag
-        et = _exp(t)
+        et = np.exp(t)
         big_h, big_r, lb0 = self.branch_data(z)
         b, lb = self._bracket(et, big_h, big_r, lb0)
         # at the origin of an array z G'/G and z p'/p are 0/0; the origin's
         # partials are 0, set below
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = z * lib(lb).cexp(lb / s)
+            value = z * np.exp(lb / s)
             gv, gd = self._g_jet(z)
             jp = self.p.jet(z)
             zgg = z * gd / gv
             zpp = z * jp.d1 / jp.value
             dt = value * et * big_r / b
             zdz = value * (big_h * zgg + (et - 1) * big_r * (alpha * zpp + 1j * beta)) / b
-        m = lib(z)
-        return ChainPartials(*(m.where(z == 0, 0j, x) for x in (value, dt, zdz)))
+        return ChainPartials(*(np.where(z == 0, 0j, x) for x in (value, dt, zdz)))
 
-    def a1(self, t):
-        _, lb = self._bracket(lib(t).exp(t), self._h0, 1.0, self._lb0)
-        return lib(lb).cexp(lb / self.params.s)
+    def _a1(self, t):
+        _, lb = self._bracket(np.exp(t), self._h0, 1.0, self._lb0)
+        return np.exp(lb / self.params.s)
 
     def _ratio_origin(self, t):
-        et = lib(t).exp(t)
+        et = np.exp(t)
         return _ratio(et, self._bracket(et, self._h0, 1.0, self._lb0)[0])
 
 
@@ -346,11 +337,11 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     grid_points = grid.points()
     points = blocks(grid_points, max(len(times), 1))
 
-    a1 = [chain.a1(t) for t in times]
-    a1_abs = [abs(a) for a in a1]
-    live = [i for i, a in enumerate(a1) if a != 0]  # times with a1(t) != 0
-    col = np.array([times[i] for i in live], float)[:, None]
-    a1_col = np.array([a1_abs[i] for i in live], float)[:, None]
+    a1 = chain.a1(np.array(times, float))
+    a1_abs = np.abs(a1).tolist()
+    live = np.flatnonzero(a1).tolist()  # times with a1(t) != 0
+    col = np.array(times, float)[live, None]
+    a1_col = np.abs(a1)[live, None]
 
     # minima keyed (value, row of col, grid index): the least key is the
     # first minimum in time-major order
@@ -433,8 +424,9 @@ class ExtensionMap:
         self.chain = chain
         self.fixes_infinity = chain.q.fixes_infinity
 
-    def __call__(self, w: complex) -> complex:
-        """fhat at a point, or elementwise at a 1-D complex array."""
+    @accepts_point("w")
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """fhat elementwise at a 1-D complex array."""
         return piecewise(abs(w) < 1, self._inside, self._outside, w)
 
     def _inside(self, w):
@@ -445,7 +437,7 @@ class ExtensionMap:
         zb = w / r
         if self.chain.analyticity_radius <= 1:
             zb = zb * (1 - 1e-6)
-        return self.chain.value(zb, lib(r).log(r))
+        return self.chain.value(zb, np.log(r))
 
     def on_blocks(self, points) -> np.ndarray:
         """fhat at every point, evaluated in blocks of at most grids.BLOCK

@@ -4,8 +4,9 @@ The catalog covers the standard exemplars of geometric function theory:
 identity, the Koebe map z/(1-z)^2, the half-plane (Cayley-type) map z/(1-z),
 a spiral-like power map, class-A polynomials and rescalings r*f(z/r).
 Maps combine into arithmetic/composition trees through operator overloading,
-and every map evaluates to an exact second-order jet, at a point or
-elementwise at a 1-D numpy array of points.
+and every map evaluates to an exact second-order jet elementwise at a 1-D
+numpy array of points; a point is evaluated as a one-element array
+(`jets.accepts_point`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import DomainError, Jet2, compose, first_where, lib
+from .jets import DomainError, Jet2, accepts_point, compose, first_where
 
 _DERIV_ORIGIN_TOL = 1e-12
 
@@ -26,15 +27,15 @@ class AnalyticMap:
     """Base class: an analytic function evaluable as a Jet2.
 
     Subclasses set `analyticity_radius` (the map is analytic on
-    |z| < analyticity_radius) and implement `jet`.  Instances are immutable
-    and evaluation is pure, so maps can be shared freely across threads.
-    `jet` and `__call__` take a point or a 1-D complex array; a
-    guard raises at the first offending point of an array.
+    |z| < analyticity_radius) and implement `jet` on a 1-D complex array,
+    marked `accepts_point("z")` so that it takes a point too.  Instances are
+    immutable and evaluation is pure.  A guard raises at the first offending
+    point of an array.
     """
 
     analyticity_radius: float = math.inf
 
-    def jet(self, z: complex) -> Jet2:
+    def jet(self, z: np.ndarray) -> Jet2:
         raise NotImplementedError
 
     def __call__(self, z: complex) -> complex:
@@ -47,14 +48,8 @@ class AnalyticMap:
         combination nodes and maps without a finite factorization."""
         return None
 
-    def _check_radius(self, z: complex) -> None:
-        outside = abs(z) >= self.analyticity_radius
-        try:  # a point's test first: the criterion scans run it on every jet
-            if not outside:
-                return
-        except ValueError:  # an array's mask has no single truth value
-            pass
-        bad = first_where(outside, z)
+    def _check_radius(self, z: np.ndarray) -> None:
+        bad = first_where(np.abs(z) >= self.analyticity_radius, z)
         if bad is not None:
             raise DomainError(
                 f"|z| = {abs(bad):.6g} outside analyticity radius "
@@ -106,8 +101,9 @@ def as_map(x) -> AnalyticMap:
 
 
 class IdentityMap(AnalyticMap):
-    def jet(self, z: complex) -> Jet2:
-        return Jet2.variable(z)
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
+        return Jet2(np.asarray(z, complex), np.ones(z.shape, complex), np.zeros(z.shape, complex))
 
     def ratio_factors(self):
         return (), ()
@@ -117,8 +113,10 @@ class ConstMap(AnalyticMap):
     def __init__(self, c: complex):
         self.c = complex(c)
 
-    def jet(self, z: complex) -> Jet2:
-        return Jet2.const(self.c)
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
+        return Jet2(np.full(z.shape, self.c), np.zeros(z.shape, complex),
+                    np.zeros(z.shape, complex))
 
 
 class KoebeMap(AnalyticMap):
@@ -126,7 +124,8 @@ class KoebeMap(AnalyticMap):
 
     analyticity_radius = 1.0
 
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         self._check_radius(z)
         w = 1 - z
         w2 = w * w
@@ -141,7 +140,8 @@ class CayleyMap(AnalyticMap):
 
     analyticity_radius = 1.0
 
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         self._check_radius(z)
         w = 1 - z
         return Jet2(z / w, 1 / (w * w), 2 / (w * w * w))
@@ -165,13 +165,13 @@ class SpiralMap(AnalyticMap):
         self.lam = float(lam)
         self.p = -2 * cmath.exp(-1j * lam) * math.cos(lam)
 
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         self._check_radius(z)
         p = self.p
         w = 1 - z
         # 1-z stays in the right half-plane on the disk, principal powers are safe
-        m = lib(w)
-        wp2 = m.cexp((p - 2) * m.clog(w))
+        wp2 = np.exp((p - 2) * np.log(w))
         wp1 = wp2 * w
         wp = wp1 * w
         return Jet2(z * wp, wp1 * (w - p * z), wp2 * (p * (p - 1) * z - 2 * p * w))
@@ -196,7 +196,8 @@ class PolynomialMap(AnalyticMap):
         self.coefficients = coeffs
         self.class_a = bool(class_a)
 
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         v = 0j
         d1 = 0j
         d2 = 0j
@@ -232,7 +233,8 @@ class ScaledMap(AnalyticMap):
         self.r = float(r)
         self.analyticity_radius = self.r * base.analyticity_radius
 
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         j = self.base.jet(z / self.r)
         return Jet2(self.r * j.value, j.d1, j.d2 / self.r)
 
@@ -258,7 +260,8 @@ class _BinaryMap(AnalyticMap):
 
 
 class SumMap(_BinaryMap):
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         return self.a.jet(z) + self.b.jet(z)
 
 
@@ -267,17 +270,20 @@ class NegMap(AnalyticMap):
         self.a = a
         self.analyticity_radius = a.analyticity_radius
 
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         return -self.a.jet(z)
 
 
 class ProductMap(_BinaryMap):
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         return self.a.jet(z) * self.b.jet(z)
 
 
 class QuotientMap(_BinaryMap):
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         den = self.b.jet(z)
         bad = first_where(den.value == 0, z)
         if bad is not None:
@@ -293,7 +299,8 @@ class ComposeMap(AnalyticMap):
         self.outer, self.inner = outer, inner
         self.analyticity_radius = inner.analyticity_radius
 
-    def jet(self, z: complex) -> Jet2:
+    @accepts_point("z")
+    def jet(self, z: np.ndarray) -> Jet2:
         ji = self.inner.jet(z)
         return compose(self.outer.jet(ji.value), ji)
 
@@ -333,14 +340,16 @@ class MoebiusMap:
     def __call__(self, w: complex) -> complex:
         return self.jet(w).value
 
-    def inverse(self, w: complex) -> complex:
+    @accepts_point("w")
+    def inverse(self, w: np.ndarray) -> np.ndarray:
         den = -self.gamma * w + self.alpha
         bad = first_where(den == 0, w)
         if bad is not None:
             raise DomainError("Moebius inverse pole at w = %r" % (bad,))
         return (self.delta * w - self.beta) / den
 
-    def jet(self, w: complex) -> Jet2:
+    @accepts_point("w")
+    def jet(self, w: np.ndarray) -> Jet2:
         den = self.gamma * w + self.delta
         bad = first_where(den == 0, w)
         if bad is not None:
@@ -391,13 +400,13 @@ class CompanionMap:
     def from_moebius(m: MoebiusMap) -> "CompanionMap":
         return CompanionMap(m, 0.0, m.gamma == 0, "moebius")
 
-    def jet(self, w: complex) -> Jet2:
+    def jet(self, w: np.ndarray) -> Jet2:
         return self.base.jet(w)
 
     def __call__(self, w: complex) -> complex:
         return self.base.jet(w).value
 
-    def _jet_with_d1(self, w: complex) -> Jet2:
+    def _jet_with_d1(self, w: np.ndarray) -> Jet2:
         """The jet of Q at w, whose Q' must not vanish at any point."""
         j = self.base.jet(w)
         bad = first_where(j.d1 == 0, w)
@@ -405,17 +414,20 @@ class CompanionMap:
             raise DomainError("Q' vanishes at w = %r" % (bad,))
         return j
 
-    def omega(self, w: complex) -> complex:
+    @accepts_point("w")
+    def omega(self, w: np.ndarray) -> np.ndarray:
         """Q''(w)/Q'(w), the log-derivative of Q'."""
         j = self._jet_with_d1(w)
         return j.d2 / j.d1
 
-    def phi(self, w: complex) -> complex:
+    @accepts_point("w")
+    def phi(self, w: np.ndarray) -> np.ndarray:
         """Q(w)/Q'(w), the functional entering the phi-like condition."""
         j = self._jet_with_d1(w)
         return j.value / j.d1
 
-    def phi_deriv(self, w: complex) -> complex:
+    @accepts_point("w")
+    def phi_deriv(self, w: np.ndarray) -> np.ndarray:
         """(Q/Q')'(w) = 1 - Q*Q''/Q'^2."""
         j = self._jet_with_d1(w)
         return 1 - j.value * j.d2 / (j.d1 * j.d1)

@@ -7,8 +7,9 @@ bounds closes the loop from criterion report to measured extension.
 The map under test is evaluated elementwise on 1-D complex arrays: every
 map, chain extension, sector extension and composed extension of the
 package is, and a callable `f` handed to `wirtinger` or `beltrami_on_grid`
-must be too.  Each call gets the stencils of a block of grid points, four
-samples per point and at most grids.BLOCK samples in all.
+must be too (`wirtinger` also takes a single point, evaluated as a
+one-element array).  Each call gets the stencils of a block of grid points,
+four samples per point and at most grids.BLOCK samples in all.
 
 The extensions built downstream are merely continuous (not smooth) across
 the unit circle, so estimation grids must keep a guard band of 3h around
@@ -24,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import AnnulusGrid, DiskGrid, blocks
+from .jets import accepts_point
 from .parallel import ordered_map
 
 _DEGENERATE_DZ = 1e-10
@@ -42,30 +44,28 @@ def _stencil(z: np.ndarray, h: float) -> np.ndarray:
     return np.stack([z + h, z - h, z + 1j * h, z - 1j * h], axis=1).ravel()
 
 
-def wirtinger(f: Callable[[np.ndarray], np.ndarray], z, h: float = 1e-5):
-    """Central-difference Wirtinger derivatives (df/dz, df/dzbar) at z, a
-    point or a 1-D array of points (then two arrays).
+@accepts_point("z")
+def wirtinger(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, h: float = 1e-5):
+    """Central-difference Wirtinger derivatives (df/dz, df/dzbar),
+    elementwise at a 1-D array of points z (two arrays; at a point, two
+    numbers).
 
     f is called once, on the stencil samples of all the points.  Exact (up
     to rounding) on affine maps a*z + b*conj(z) + c by linearity of the
     stencil.  A non-finite sample (a pole) raises ValueError naming the
     first point whose stencil hit it.
     """
-    points = np.atleast_1d(np.asarray(z, complex))
+    points = np.asarray(z, complex)
     with np.errstate(all="ignore"):
         samples = np.asarray(f(_stencil(points, h)), complex).reshape(-1, 4)
     bad = ~np.isfinite(samples).all(axis=1)
     if bad.any():
-        at = z if np.ndim(z) == 0 else points[int(np.argmax(bad))]
-        raise ValueError(f"non-finite sample in Wirtinger stencil at {at!r}")
+        raise ValueError("non-finite sample in Wirtinger stencil at "
+                         f"{points[int(np.argmax(bad))]!r}")
     fe, fw, fn, fs = samples.T
     du = fe - fw
     dv = fn - fs
-    dz = (du - 1j * dv) / (4 * h)
-    dzbar = (du + 1j * dv) / (4 * h)
-    if np.ndim(z) == 0:
-        return complex(dz[0]), complex(dzbar[0])
-    return dz, dzbar
+    return (du - 1j * dv) / (4 * h), (du + 1j * dv) / (4 * h)
 
 
 @dataclass(frozen=True)

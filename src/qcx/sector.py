@@ -14,7 +14,8 @@ two branches agree on both shared boundary rays (an executable fact, see
 the continuity tests).
 
 The power map, the plane extension, its inverse and the seam indicators
-take a point or, elementwise, a 1-D complex array.
+are elementwise on a 1-D complex array; a point is evaluated as a
+one-element array.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .criteria import PreconditionError
 from .grids import DiskGrid, blocks
-from .jets import DomainError, Jet2, first_where, lib, piecewise
+from .jets import DomainError, Jet2, accepts_point, complex_array, first_where, piecewise
 from .maps import AnalyticMap, CompanionMap
 
 _TWO_PI = 2 * math.pi
@@ -53,29 +54,31 @@ class SectorDomain:
         object.__setattr__(self, "w0", complex(self.w0))
         object.__setattr__(self, "_rot", cmath.exp(-1j * math.pi * self.lambda0))
 
-    def local_angle(self, w: complex) -> float:
+    @accepts_point("w")
+    def local_angle(self, w: np.ndarray) -> np.ndarray:
         """arg(e^{-i pi lambda0}(w - w0)) reduced to [0, 2pi)."""
         return _arg_0_2pi(self._rot * (w - self.w0))
 
-    def contains(self, w: complex) -> bool:
+    @accepts_point("w")
+    def contains(self, w: np.ndarray) -> np.ndarray:
         return self._contains_at(w, self.local_angle(w))
 
-    def _contains_at(self, w: complex, ang: float) -> bool:
+    def _contains_at(self, w: np.ndarray, ang: np.ndarray) -> np.ndarray:
         """contains(w), given ang = local_angle(w)."""
         inside = (0 < ang) & (ang < math.pi * self.a)
-        return lib(w).where(w != self.w0, inside, False)
+        return np.where(w != self.w0, inside, False)
 
 
-def _q2_jet(sec: SectorDomain, w: complex) -> Jet2:
+@accepts_point("w")
+def _q2_jet(sec: SectorDomain, w: np.ndarray) -> Jet2:
     """The jet of the unnormalized Q2 at w, inside the sector."""
-    m = lib(w)
     ang = sec.local_angle(w)
-    bad = first_where(m.not_(sec._contains_at(w, ang)), w)
+    bad = first_where(~sec._contains_at(w, ang), w)
     if bad is not None:
         raise DomainError(f"w = {bad!r} outside the sector domain")
     zeta = sec._rot * (w - sec.w0)
     inv_a = 1 / sec.a
-    val = m.cexp(inv_a * m.complex(m.log(abs(zeta)), ang))
+    val = np.exp(inv_a * complex_array(np.log(abs(zeta)), ang))
     d1 = inv_a * val / (w - sec.w0)
     d2 = inv_a * (inv_a - 1) * val / ((w - sec.w0) ** 2)
     return Jet2(val, d1, d2)
@@ -103,7 +106,8 @@ class SectorPowerMap(AnalyticMap):
         self.normalized = bool(normalized)
         self._scale = _q2_scale(sector, normalized)
 
-    def jet(self, w: complex) -> Jet2:
+    @accepts_point("w")
+    def jet(self, w: np.ndarray) -> Jet2:
         return _q2_jet(self.sector, w).scale(self._scale)
 
 
@@ -118,17 +122,17 @@ def companion_from_sector(sector: SectorDomain, normalized: bool = True) -> Comp
 # ---------------------------------------------------------------------------
 
 
-def _arg_0_2pi(z: complex) -> float:
-    return lib(z).atan2(z.imag, z.real) % _TWO_PI
+def _arg_0_2pi(z: np.ndarray) -> np.ndarray:
+    return np.arctan2(z.imag, z.real) % _TWO_PI
 
 
-def _power(z: complex, ang: float, p: float) -> complex:
+def _power(z: np.ndarray, ang: np.ndarray, p: float) -> np.ndarray:
     """z^p on the branch with arg z = ang."""
-    m = lib(z)
-    return m.cexp(p * m.complex(m.log(abs(z)), ang))
+    return np.exp(p * complex_array(np.log(abs(z)), ang))
 
 
-def p_extension(a: float, z: complex) -> complex:
+@accepts_point("z")
+def p_extension(a: float, z: np.ndarray) -> np.ndarray:
     """|1-a|-quasiconformal automorphism of the plane extending z^{1/a}.
 
     Conformal branch z^{1/a} on the open sector 0 < arg z < pi*a; on the
@@ -145,27 +149,23 @@ def p_extension(a: float, z: complex) -> complex:
         return piecewise(sector, lambda z: _power(z, _arg_0_2pi(z), 1 / a),
                          lambda z: _stretch(a, z), z)
 
-    return piecewise(z == 0, _zero, nonzero, z)
+    return piecewise(z == 0, lambda z: 0j, nonzero, z)
 
 
-def _stretch(a: float, z: complex) -> complex:
+def _stretch(a: float, z: np.ndarray) -> np.ndarray:
     """p_extension on the closed complementary sector (z != 0)."""
-    m = lib(z)
     # zeta = e^{-i pi a} z has arg in [0, (2-a) pi], up to rounding at either
     # end; an angle rounded below 0 is reduced to near 2 pi: fold it to 0
     zeta = cmath.exp(-1j * math.pi * a) * z
     ang_z = _arg_0_2pi(zeta)
-    p1 = _power(zeta, m.where(ang_z > (2 - a / 2) * math.pi, 0.0, ang_z), 1 / (2 - a))
+    p1 = _power(zeta, np.where(ang_z > (2 - a / 2) * math.pi, 0.0, ang_z), 1 / (2 - a))
     # radial stretch preserves the argument
     p2 = abs(p1) ** ((2 - a) / a) * (p1 / abs(p1))
     return -p2
 
 
-def _zero(z: complex) -> complex:
-    return 0j
-
-
-def p_extension_inverse(a: float, v: complex) -> complex:
+@accepts_point("v")
+def p_extension_inverse(a: float, v: np.ndarray) -> np.ndarray:
     """Inverse of `p_extension`: v^a on the closed upper half-plane, the
     unwound stretch on the lower half-plane."""
     if not 0 < a < 2:
@@ -181,7 +181,7 @@ def p_extension_inverse(a: float, v: complex) -> complex:
         upper = (0 < ang) & (ang <= math.pi)
         return piecewise(upper, lambda v: _power(v, _arg_0_2pi(v), a), unstretch, v)
 
-    return piecewise(v == 0, _zero, nonzero, v)
+    return piecewise(v == 0, lambda v: 0j, nonzero, v)
 
 
 class SectorExtension:
@@ -198,24 +198,27 @@ class SectorExtension:
         self.dilatation = abs(1 - sector.a)
         self._scale = _q2_scale(sector, normalized)
 
-    def __call__(self, w: complex) -> complex:
+    @accepts_point("w")
+    def __call__(self, w: np.ndarray) -> np.ndarray:
         sec = self.sector
         return self._scale * p_extension(sec.a, sec._rot * (w - sec.w0))
 
-    def inverse(self, v: complex) -> complex:
+    @accepts_point("v")
+    def inverse(self, v: np.ndarray) -> np.ndarray:
         sec = self.sector
         zeta = p_extension_inverse(sec.a, v / self._scale)
         return sec.w0 + zeta / sec._rot
 
-    def seam_indicator(self, w: complex) -> float:
+    @accepts_point("w")
+    def seam_indicator(self, w: np.ndarray) -> np.ndarray:
         """Positive inside the sector, negative outside, zero on the rays."""
         ang = self.sector.local_angle(w)
         opening = math.pi * self.sector.a
-        m = lib(ang)
-        return m.where(ang < opening, m.minimum(ang, opening - ang),
-                       -m.minimum(ang - opening, _TWO_PI - ang))
+        return np.where(ang < opening, np.minimum(ang, opening - ang),
+                        -np.minimum(ang - opening, _TWO_PI - ang))
 
-    def image_seam(self, v: complex) -> float:
+    @accepts_point("v")
+    def image_seam(self, v: np.ndarray) -> np.ndarray:
         """Sign changes where the inverse switches branch (the real axis of
         the model plane).  Feed it the image of any map being composed with
         `inverse` so seam-straddling stencils can be skipped."""
@@ -233,18 +236,13 @@ def sup_abs_on_boundary(f: AnalyticMap) -> float:
     maximizer."""
     radius = min(1 - 1e-3, 0.999 * f.analyticity_radius)
     theta = _TWO_PI * np.arange(1024) / 1024
-    ring = np.abs(_image(f, radius * np.exp(1j * theta)))
+    ring = np.abs(f.jet(radius * np.exp(1j * theta)).value)
     best_j = int(np.argmax(ring))  # the first maximizer
     step = _TWO_PI / 1024
     center = best_j * step
     theta = center - step + 2 * step * np.arange(64) / 63
-    window = np.abs(_image(f, radius * np.exp(1j * theta)))
+    window = np.abs(f.jet(radius * np.exp(1j * theta)).value)
     return float(max(ring[best_j], window.max()))
-
-
-def _image(f: AnalyticMap, z: np.ndarray) -> np.ndarray:
-    """f at every point of z (a constant map gives one value for all)."""
-    return np.broadcast_to(f.jet(z).value, z.shape)
 
 
 def _first_escape(f: AnalyticMap, sector: SectorDomain,
@@ -252,12 +250,13 @@ def _first_escape(f: AnalyticMap, sector: SectorDomain,
     """(z, f(z)) at the first grid point, in grid order, whose image lies
     outside the sector, or None when every sampled image lies inside.  The
     grid is scanned block by block up to the first block with an escape;
-    f(z) is the point's own jet, the value a scalar evaluation gives."""
+    both are numpy scalars of that block, as the messages print them."""
     for z in blocks(grid.points()):
-        escapes = ~sector.contains(_image(f, z))
+        w = f.jet(z).value
+        escapes = ~sector.contains(w)
         if escapes.any():
-            z = z[np.argmax(escapes)]  # a numpy scalar, as the messages print it
-            return z, f.jet(z).value
+            i = np.argmax(escapes)
+            return z[i], w[i]
     return None
 
 

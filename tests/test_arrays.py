@@ -66,7 +66,9 @@ def _close(a, b, tol=1e-12):
     return abs(a - b) <= tol * abs(b) + 1e-300
 
 
-def _assert_matches(array_values, scalar_values, tol=1e-12):
+def _assert_matches(array_values, scalar_values, tol=0):
+    """Elementwise agreement, exact by default: a point is evaluated as a
+    one-element array, so it gets its element of a block to the bit."""
     assert len(array_values) == len(scalar_values)
     for i, (a, b) in enumerate(zip(array_values, scalar_values)):
         assert _close(a, b, tol), (i, a, b)
@@ -149,7 +151,7 @@ def test_chain_partials_and_ratio_match_scalar_calls(chain):
         _assert_matches(part.dt, [s.dt for s in scalar])
         _assert_matches(part.zdz, [s.zdz for s in scalar])
         _assert_matches(ratio, [chain.transition_ratio(complex(w), t) for w in z])
-        _assert_matches(chain.transition_ratio(z, t), ratio, 0)
+        _assert_matches(chain.transition_ratio(z, t), ratio)
     # an array of times, one per point, as the extension uses them
     t = np.linspace(0.0, 1.9, len(z))
     _assert_matches(chain.value(z, t), [chain.value(complex(w), s) for w, s in zip(z, t)])
@@ -209,10 +211,10 @@ def test_sector_extension_matches_scalar_calls(normalized):
     _assert_matches(v, [ext(complex(u)) for u in w])
     _assert_matches(ext.inverse(v), [ext.inverse(complex(u)) for u in v])
     # the seam indicators are angles and imaginary parts that vanish on the
-    # seams, so they agree to 1e-12 absolute
+    # seams: a point's is its element of the block, to the bit
     for got, want in ((ext.seam_indicator(w), [ext.seam_indicator(complex(u)) for u in w]),
                       (ext.image_seam(v), [ext.image_seam(complex(u)) for u in v])):
-        assert np.abs(got - np.array(want)).max() <= 1e-12
+        assert np.array_equal(got, want)
     # off the rays, where an ulp of the angle cannot decide it, containment agrees
     inside = sector.contains(grid)
     assert inside.any() and not inside.all()

@@ -3,6 +3,7 @@ tracking from the origin, a property test against a dense unwrapped-phase
 reference, conjugate symmetry, and the traced-run contract."""
 
 import cmath
+import functools
 import importlib.util
 import json
 import math
@@ -42,7 +43,7 @@ from qcx.branches import BranchLattice, BranchTrackingError, FactoredRatio, rati
 from qcx.cli import main
 from qcx.criteria import CRITERIA, _refined_neighborhood
 from qcx.grids import BLOCK
-from qcx.jets import DomainError, lib
+from qcx.jets import DomainError
 from qcx.loewner import ChainPartials, LoewnerChain
 from qcx.sector import fit_sector
 
@@ -97,14 +98,22 @@ def _cases():
     return cases
 
 
-def _oracle(criterion, f, psi, params):
+CASES = _cases()
+
+
+@functools.cache
+def _oracle_value(criterion, f, psi, params, z):
+    """The per-point oracle at z, evaluated once for every test of a case."""
     if criterion == "sector_nw":
-        return lambda z: sector_nw_value(f, params.w0, params.a, z)
-    p = params.p or IdentityMap()
-    return lambda z: gen_bazilevic_value(f, psi, params.s, p, z)
+        return sector_nw_value(f, params.w0, params.a, z)
+    return gen_bazilevic_value(f, psi, params.s, params.p or IdentityMap(), z)
 
 
-@pytest.mark.parametrize("criterion, f, psi, params", _cases())
+def _oracle(criterion, f, psi, params):
+    return lambda z: _oracle_value(criterion, f, psi, params, complex(z))
+
+
+@pytest.mark.parametrize("criterion, f, psi, params", CASES)
 def test_shared_lattice_matches_per_point_oracle(criterion, f, psi, params):
     value = CRITERIA[criterion].build(f, psi, params, GRID)
     oracle = _oracle(criterion, f, psi, params)
@@ -144,7 +153,7 @@ def _assert_close_arrays(got, want, tol=1e-12):
     assert not bad.any(), (np.flatnonzero(bad)[:5], got[bad][:5], want[bad][:5])
 
 
-@pytest.mark.parametrize("criterion, f, psi, params", _cases())
+@pytest.mark.parametrize("criterion, f, psi, params", CASES)
 def test_block_queries_match_the_per_point_oracles(criterion, f, psi, params):
     block = _block()
     value = CRITERIA[criterion].build(f, psi, params, GRID)
@@ -184,12 +193,17 @@ CHAIN_IDS = ["poly-identity", "poly-moebius-poly_p", "cayley-moebius", "spiral-k
 
 def _chain_oracle_branch(chain, z):
     """The Bazilevic chain's branch data, tracked from the origin per point."""
-    s = chain.params.s
-    jf0 = chain.f.jet(0j)
-    g0 = chain.q.jet(jf0.value).d1 * jf0.d1
-    lg = tracked_log(lambda w: chain.q.jet(chain.f.jet(w).value).value / w, z,
-                     cmath.log(g0))
-    lp = tracked_log(lambda w: chain.p.jet(w).value / w, z, 0j)
+    return _branch_oracle(chain.f, chain.q, chain.params.p, chain.params.s, complex(z))
+
+
+@functools.cache
+def _branch_oracle(f, q, p, s, z):
+    """_chain_oracle_branch, evaluated once for every test of a chain."""
+    p = p or IdentityMap()
+    jf0 = f.jet(0j)
+    g0 = q.jet(jf0.value).d1 * jf0.d1
+    lg = tracked_log(lambda w: q.jet(f.jet(w).value).value / w, z, cmath.log(g0))
+    lp = tracked_log(lambda w: p.jet(w).value / w, z, 0j)
     return cmath.exp(s * lg), cmath.exp(s.real * lp), s * lg
 
 
@@ -616,7 +630,7 @@ def _twisted_spiral(lam, c):
     spiral = SpiralMap(lam)
 
     def fn(w):
-        return spiral.jet(w).value / w * lib(w).cexp(1j * c * w)
+        return spiral.jet(w).value / w * np.exp(1j * c * w)
 
     return fn, spiral.p
 

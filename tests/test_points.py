@@ -1,0 +1,253 @@
+"""One evaluation path: every formula takes 1-D arrays, and a point is a
+one-element array.
+
+The contract: a point call returns Python numbers (a complex, or a Jet2 or
+ChainPartials of them; a float or a bool where the value is real) equal,
+bit for bit, to element 0 of the same call on np.array([z]).  The guard: no
+code of the package outside the edge helper `jets.accepts_point` tells a
+point from an array."""
+
+import ast
+import cmath
+import math
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qcx import (
+    CayleyMap,
+    CompanionMap,
+    ConstMap,
+    CriterionParams,
+    ExtensionMap,
+    IdentityMap,
+    KoebeMap,
+    MoebiusMap,
+    PolynomialMap,
+    ScaledMap,
+    SectorDomain,
+    SectorExtension,
+    SpiralMap,
+    build_chain,
+    companion_from_sector,
+    fit_sector,
+    gen_becker_value,
+    moebius_becker_value,
+    moebius_nw_value,
+    nw_value,
+    p_extension,
+    p_extension_inverse,
+    phi_like_value,
+    sector_becker_value,
+    u_disk_margin,
+    u_disk_ratio,
+    wirtinger,
+)
+from qcx.branches import BranchLattice, ratio_branch
+from qcx.jets import Jet2
+from qcx.loewner import ChainPartials
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcx"
+
+SECTOR = SectorDomain(-2, 11 / 6, 1 / 3)  # opening pi/3 around the real axis
+MOEBIUS = MoebiusMap(1, 0, 0.2, 1)  # Q(0) = 0, a pole at w = -5
+MOEBIUS_Q = CompanionMap.from_moebius(MOEBIUS)
+F = PolynomialMap([1, 0.2])
+SECTOR_Q = companion_from_sector(fit_sector(F, -4.0)[0])  # holds the image of F
+POLY = PolynomialMap([1, 0.25, -0.03j])
+TREE = ((KoebeMap() + 2 * IdentityMap()) / (3 - F) * ScaledMap(CayleyMap(), 3.0)
+        + SpiralMap(0.3).after(0.5 * IdentityMap()))
+
+
+def _disk(n=40, radius=0.95, seed=5):
+    """The origin and n points drawn uniformly from |z| < radius."""
+    rng = random.Random(seed)
+    points = [0j]
+    for _ in range(n):
+        r = radius * math.sqrt(rng.random())
+        points.append(cmath.rect(r, 2 * math.pi * rng.random()))
+    return points
+
+
+def _plane(n=40, seed=6):
+    """Points of 0.2 < |w| < 3, off the unit circle."""
+    rng = random.Random(seed)
+    return [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+
+
+DISK = _disk()
+PLANE = [w for w in _plane() if 0.2 < abs(w) and abs(abs(w) - 1) > 1e-3]
+IMAGE = [0.3 * z for z in DISK]  # inside the sector's domain: Re w > -2 + |Im w| sqrt(3)
+TIMES = [0.0, 0.3, 0.7, 1.0, 1.9, 2.0]
+
+
+def _chains():
+    params = CriterionParams(s=1.2 + 0.4j, c=0.3, k=0.5, k_prime=0.34)
+    chains = [build_chain(c, POLY, MOEBIUS_Q, params)
+              for c in ("gen_becker", "nw", "phi_like", "bazilevic")]
+    return chains + [build_chain("nw", F, SECTOR_Q, params)]
+
+
+CHAINS = _chains()
+
+
+def _cases():
+    """(name, call, points): call(x) evaluates one public entry point at x."""
+    cases = []
+    maps = {"identity": IdentityMap(), "const": ConstMap(0.5 - 2j), "koebe": KoebeMap(),
+            "cayley": CayleyMap(), "spiral": SpiralMap(0.6), "polynomial": POLY,
+            "scaled": ScaledMap(SpiralMap(-0.4), 2.0), "tree": TREE}
+    for name, m in maps.items():
+        cases.append((f"{name}.jet", m.jet, DISK))
+        cases.append((f"{name}()", m, DISK))
+    cases += [("moebius.jet", MOEBIUS.jet, PLANE), ("moebius()", MOEBIUS, PLANE),
+              ("moebius.inverse", MOEBIUS.inverse, PLANE)]
+    for qname, q in (("moebius", MOEBIUS_Q), ("sector", SECTOR_Q)):
+        points = PLANE if qname == "moebius" else IMAGE
+        for view in ("jet", "__call__", "omega", "phi", "phi_deriv"):
+            cases.append((f"companion_{qname}.{view}", getattr(q, view), points))
+    cases += [
+        ("phi_like_value", lambda z: phi_like_value(F, MOEBIUS_Q, z), DISK),
+        ("gen_becker_value", lambda z: gen_becker_value(F, MOEBIUS_Q, 0.1, z), DISK),
+        ("nw_value", lambda z: nw_value(F, SECTOR_Q, z), DISK),
+        ("moebius_becker_value", lambda z: moebius_becker_value(F, 0.1, -3.0, z), DISK),
+        ("moebius_nw_value", lambda z: moebius_nw_value(F, 0.2, 1.0, z), DISK),
+        ("sector_becker_value", lambda z: sector_becker_value(F, 0.1, -2.0, 1 / 3, z), DISK),
+    ]
+    for chain in CHAINS:
+        name = f"{chain.construction}_{chain.q.label}"
+        for t in (0.0, 0.7, 1.9):
+            cases += [
+                (f"{name}.partials(t={t})", lambda z, c=chain, t=t: c.partials(z, t), DISK),
+                (f"{name}.transition_ratio(t={t})",
+                 lambda z, c=chain, t=t: c.transition_ratio(z, t), DISK),
+            ]
+        cases.append((f"{name}.a1", chain.a1, TIMES))
+        cases.append((f"extension_{name}", ExtensionMap(chain), DISK + PLANE))
+    cases.append(("bazilevic.branch_data", CHAINS[3].branch_data, DISK))
+    for normalized in (False, True):
+        ext = SectorExtension(SECTOR, normalized=normalized)
+        cases += [(f"sector_extension_{normalized}", ext, PLANE),
+                  (f"sector_extension_{normalized}.inverse", ext.inverse, PLANE),
+                  (f"sector_extension_{normalized}.seam_indicator", ext.seam_indicator, PLANE),
+                  (f"sector_extension_{normalized}.image_seam", ext.image_seam, PLANE)]
+    cases += [("sector.contains", SECTOR.contains, PLANE),
+              ("sector.local_angle", SECTOR.local_angle, PLANE)]
+    for a in (1 / 3, 1.25):
+        cases += [(f"p_extension({a:.3g})", lambda z, a=a: p_extension(a, z), PLANE),
+                  (f"p_extension_inverse({a:.3g})",
+                   lambda v, a=a: p_extension_inverse(a, v), PLANE)]
+    cases += [
+        ("u_disk_margin", lambda w: u_disk_margin(w, 0.5), PLANE),
+        ("u_disk_ratio", u_disk_ratio, PLANE),
+        ("wirtinger", lambda z: wirtinger(SectorExtension(SECTOR), z), PLANE),
+        ("factored_ratio.log", ratio_branch(POLY).log, DISK),
+        ("lattice.log", BranchLattice.ratio(POLY).log, DISK),
+    ]
+    return [pytest.param(call, points, id=name) for name, call, points in cases]
+
+
+def _parts(result):
+    """The numbers or arrays a result holds, in order."""
+    if isinstance(result, (Jet2, ChainPartials)):
+        return [getattr(result, name) for name in vars(result)]
+    if isinstance(result, tuple):
+        return list(result)
+    return [result]
+
+
+@pytest.mark.parametrize("call, points", _cases())
+def test_a_point_is_element_0_of_a_one_element_array_to_the_bit(call, points):
+    for x in points:
+        point, block = call(x), call(np.array([x]))
+        assert type(point) is type(block) or type(block) is np.ndarray
+        for got, want in zip(_parts(point), _parts(block), strict=True):
+            assert type(got) in (complex, float, bool), (x, type(got))
+            want = np.asarray(want)
+            assert want.shape == (1,)
+            # the same dtype and the same bytes: bit for bit, NaN and -0 included
+            assert np.array([got], want.dtype).tobytes() == want.tobytes(), (x, got, want[0])
+
+
+def test_a_sequence_that_is_not_an_array_is_rejected():
+    for call in (KoebeMap().jet, lambda z: nw_value(F, MOEBIUS_Q, z), u_disk_ratio):
+        with pytest.raises(TypeError, match="must be a number or a numpy array"):
+            call([0.1, 0.2j])
+
+
+# -- the guard: one place tells a point from an array --------------------------------
+
+_EDGE = {("jets.py", "accepts_point"), ("jets.py", "_element0")}
+
+
+def _dispatch_sites(path: Path) -> list[str]:
+    """Lines of a source file, outside the edge helper, that test whether a
+    value is an array or a point: type(x) is np.ndarray, isinstance(x,
+    np.ndarray), np.ndim(x) / x.ndim, np.isscalar, np.atleast_1d, or a
+    TypeError / ValueError handler that swallows the error instead of
+    raising."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    edge = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) in _EDGE:
+            edge.update(range(node.lineno, node.end_lineno + 1))
+    sites = []
+
+    def site(node, what):
+        if node.lineno not in edge:
+            sites.append(f"{path.name}:{node.lineno}: {what}")
+
+    def is_ndarray(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "ndarray"
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(is_ndarray(c) for c in node.comparators):
+            site(node, "type test against np.ndarray")
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            if isinstance(fn, ast.Name) and fn.id == "isinstance" \
+                    and any(is_ndarray(a) for a in ast.walk(node.args[1])):
+                site(node, "isinstance(..., np.ndarray)")
+            if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) \
+                    and fn.value.id == "np" and fn.attr in ("ndim", "isscalar", "atleast_1d"):
+                site(node, f"np.{fn.attr}")
+        elif isinstance(node, ast.Attribute) and node.attr == "ndim" \
+                and not (isinstance(node.value, ast.Name) and node.value.id == "np"):
+            site(node, ".ndim")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            if names & {"TypeError", "ValueError"} \
+                    and not any(isinstance(n, ast.Raise) for n in ast.walk(node)):
+                site(node, "a TypeError/ValueError handler that does not raise")
+    return sites
+
+
+def test_only_the_edge_helper_tells_a_point_from_an_array():
+    sites = [s for path in sorted(SRC.glob("*.py")) for s in _dispatch_sites(path)]
+    assert sites == []
+
+
+def test_the_guard_sees_each_kind_of_dispatch(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import numpy as np\n"
+        "def f(x, y):\n"
+        "    if type(x) is np.ndarray:\n"
+        "        pass\n"
+        "    if isinstance(y, (float, np.ndarray)) or np.ndim(y) == 0 or x.ndim:\n"
+        "        pass\n"
+        "    y = np.atleast_1d(y)\n"
+        "    try:\n"
+        "        return complex(x)\n"
+        "    except TypeError:\n"
+        "        return x\n"
+        "def g(x):\n"
+        "    try:\n"
+        "        return complex(x)\n"
+        "    except ValueError as exc:\n"
+        "        raise RuntimeError(x) from exc\n")
+    lines = [int(s.split(":")[1]) for s in _dispatch_sites(source)]
+    assert sorted(set(lines)) == [3, 5, 7, 10]

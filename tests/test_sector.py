@@ -296,7 +296,7 @@ def test_failing_fit_names_the_point_a_per_point_loop_names():
     sector, _ = fit_sector(f, -2, radius=0.6, grid=DiskGrid(2, 1, 0.99))
     want = None
     for z in DiskGrid().points():
-        w = f.jet(z).value
+        w = f.jet(np.array([z])).value[0]  # a numpy scalar, as the fit's block gives it
         if not sector.contains(w):
             want = f"fitted sector misses image point f({z!r}) = {w!r}"
             break
