@@ -8,7 +8,7 @@ plane extension, and verifies quasiconformality by finite-difference
 Beltrami estimation.
 """
 
-from .jets import DomainError, Jet2, compose
+from .jets import DomainError, Jet2, PreconditionError, compose
 from .branches import BranchLattice, BranchTrackingError, tracked_log, tracked_ratio_log
 from .maps import (
     AnalyticMap,
@@ -28,7 +28,6 @@ from .criteria import (
     ALL_CRITERIA,
     CriterionParams,
     CriterionReport,
-    PreconditionError,
     check_starlike,
     evaluate_criterion,
     gen_bazilevic_value,

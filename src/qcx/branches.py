@@ -17,7 +17,8 @@ radius.  Such a root is a zero of the ratio on the closed unit disk (the
 Bazilevic chain queries polynomial maps on |w| = 1), which the branch would
 wind round; that map, like every ratio of a combination tree and every
 other tracked quantity (sector_nw's 1 - f/w0, Q(f(w))/w of a companion Q
-other than the identity), takes a `BranchLattice`.
+other than the identity), takes a `BranchLattice`.  `bazilevic_branch`
+picks the branch of a Bazilevic value's ratio that way.
 
 `tracked_log` continues along one straight segment, one point at a time:
 [0, z], or [z0, z] from a point z0 whose logarithm is already known.  A
@@ -58,6 +59,7 @@ import numpy as np
 
 from .grids import BLOCK, blocks
 from .jets import accepts_point, complex_array
+from .maps import CompanionMap, IdentityMap
 
 
 class BranchTrackingError(ValueError):
@@ -198,6 +200,18 @@ def ratio_branch(m):
                               for r in factors[0]):
         return BranchLattice.ratio(m)
     return FactoredRatio(m, *factors)
+
+
+def bazilevic_branch(f, psi):
+    """The log of the ratio a Bazilevic value raises to s - 1: G(w)/w with
+    G = Q o f when `psi` is a companion Q, else G = f.  With G = f (a direct
+    Psi, or the identity companion) it is `ratio_branch(f)`, in closed form
+    when f's ratio factors; G = Q o f of any other Q keeps a lattice."""
+    if isinstance(psi, CompanionMap) and not isinstance(psi.base, IdentityMap):
+        jf0 = f.jet(0j)
+        return BranchLattice(lambda w: psi.jet(f.jet(w).value).value / w,
+                             cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
+    return ratio_branch(f)
 
 
 def tracked_ratio_log(m, z: complex) -> complex:

@@ -14,6 +14,7 @@ runs are byte-identical.  Exit codes: 0 pass, 1 numerical fail,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -22,7 +23,8 @@ import sys
 import numpy as np
 
 from .branches import BranchTrackingError
-from .criteria import CRITERIA, CriterionParams, PreconditionError, evaluate_criterion
+from .criteria import (CRITERIA, CriterionParams, PreconditionError, evaluate_criterion,
+                       require_chain_companion)
 from .grids import AnnulusGrid, DiskGrid, blocks
 from .jets import DomainError
 from .loewner import (
@@ -110,10 +112,6 @@ _FUNCTION_KEYS = {"kind", "lam", "coefficients", "radius", "base"}
 _COMPANION_KEYS = {"kind", "alpha", "beta", "gamma", "delta", "pole", "w0",
                    "lambda0", "a", "normalized", "extension_dilatation",
                    "fixes_infinity", "base"}
-_PARAM_KEYS = {"k", "k_prime", "c", "s", "p", "c2", "gamma", "delta",
-               "w0", "lambda0", "a", "z0", "R", "k1", "k2"}
-_TOP_KEYS = {"version", "function", "companion", "criterion", "params",
-             "grid", "annulus", "times", "fd_step", "output"}
 
 
 def build_function(spec: dict, where: str = "function") -> AnalyticMap:
@@ -182,102 +180,106 @@ def build_companion(spec: dict | None) -> CompanionMap:
     raise ScenarioError(f"unknown companion kind {kind!r}")
 
 
-def build_params(spec: dict | None) -> CriterionParams:
-    if spec is None:
-        return CriterionParams()
-    _require_keys(spec, _PARAM_KEYS, "params")
-    p_map = None
-    if "p" in spec and spec["p"] is not None:
-        p_map = build_function(spec["p"], "params.p")
-    kw = {}
-    for name in ("k", "k_prime", "lambda0", "a"):
-        if spec.get(name) is not None:
-            kw[name] = _number(spec[name], f"params.{name}")
-    for name in ("c", "s", "c2", "gamma", "delta", "w0"):
-        if spec.get(name) is not None:
-            kw[name] = _cplx(spec[name], f"params.{name}")
-    try:
-        return CriterionParams(p=p_map, **kw)
-    except PreconditionError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad params: {exc}") from exc
+# Each params name with its parser.  The criteria read the CriterionParams
+# fields among them, compose reads k1 and k2, and fit-sector w0, z0 and R.
+_PARAMS = {
+    "p": build_function, "k": _number, "k_prime": _number, "lambda0": _number,
+    "a": _number, "c": _cplx, "s": _cplx, "c2": _cplx, "gamma": _cplx,
+    "delta": _cplx, "w0": _cplx, "z0": _cplx, "R": _number, "k1": _number,
+    "k2": _number,
+}
+_CRITERION_PARAMS = [f.name for f in dataclasses.fields(CriterionParams)]
+
+
+def build_params(values: dict) -> CriterionParams:
+    """The CriterionParams among parsed params (`Scenario.param_values`)."""
+    return CriterionParams(**{n: values[n] for n in _CRITERION_PARAMS if n in values})
+
+
+def _version(v, where: str) -> int:
+    if v != SCENARIO_VERSION:
+        raise ScenarioError(f"scenario version must be {SCENARIO_VERSION}")
+    return SCENARIO_VERSION
+
+
+# Every scenario field, declared once: name -> (parser, default), or for a
+# section a table of its fields in the order its grid or times take them.
+# The function, companion, criterion and params are parsed on use.
+_SCENARIO = {
+    "version": (_version, None),
+    "function": (None, {"kind": "identity"}),
+    "companion": (None, None),
+    "criterion": (None, "gen_becker"),
+    "params": (None, {}),
+    "grid": {"radial": (_integer, 64), "angular": (_integer, 128),
+             "eps": (_number, 1e-3)},
+    "annulus": {"radial": (_integer, 64), "angular": (_integer, 128),
+                "inner": (_number, 1.001), "outer": (_number, 3.0)},
+    "times": {"t_max": (_number, 2.0), "count": (_integer, 21)},
+    "fd_step": (_number, 1e-5),
+    "output": {"prefix": (lambda v, where: str(v), "qcx")},
+}
+
+
+def _parse_fields(doc, fields: dict, where: str, prefix: str = "") -> dict:
+    """`where` (the scenario or a section) read by the table `fields`, which
+    rejects unknown fields and fills in defaults; errors name prefix + field."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    _require_keys(doc, set(fields), where)
+    out = {}
+    for name, field in fields.items():
+        if isinstance(field, dict):
+            out[name] = _parse_fields(doc.get(name, {}), field, name, f"{name}.")
+        else:
+            parse, default = field
+            value = doc.get(name, default)
+            out[name] = value if parse is None else parse(value, prefix + name)
+    return out
 
 
 class Scenario:
+    """A scenario document read by `_SCENARIO`: each top-level name is an
+    attribute, a section a dict of its fields."""
+
     def __init__(self, doc: dict):
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario must be a JSON object")
-        _require_keys(doc, _TOP_KEYS, "scenario")
-        if doc.get("version") != SCENARIO_VERSION:
-            raise ScenarioError(f"scenario version must be {SCENARIO_VERSION}")
-        self.doc = doc
-        self.function_spec = doc.get("function", {"kind": "identity"})
-        self.companion_spec = doc.get("companion")
-        self.criterion = doc.get("criterion", "gen_becker")
-        self.params_spec = doc.get("params", {})
-        grid = dict(doc.get("grid", {}))
-        _require_keys(grid, {"radial", "angular", "eps"}, "grid")
-        self.grid_radial = _integer(grid.get("radial", 64), "grid.radial")
-        self.grid_angular = _integer(grid.get("angular", 128), "grid.angular")
-        self.grid_eps = _number(grid.get("eps", 1e-3), "grid.eps")
-        ann = dict(doc.get("annulus", {}))
-        _require_keys(ann, {"radial", "angular", "inner", "outer"}, "annulus")
-        self.ann_radial = _integer(ann.get("radial", 64), "annulus.radial")
-        self.ann_angular = _integer(ann.get("angular", 128), "annulus.angular")
-        self.ann_inner = _number(ann.get("inner", 1.001), "annulus.inner")
-        self.ann_outer = _number(ann.get("outer", 3.0), "annulus.outer")
-        times = dict(doc.get("times", {}))
-        _require_keys(times, {"t_max", "count"}, "times")
-        self.t_max = _number(times.get("t_max", 2.0), "times.t_max")
-        self.t_count = _integer(times.get("count", 21), "times.count")
-        self.fd_step = _number(doc.get("fd_step", 1e-5), "fd_step")
-        out = dict(doc.get("output", {}))
-        _require_keys(out, {"prefix"}, "output")
-        self.prefix = str(out.get("prefix", "qcx"))
+        vars(self).update(_parse_fields(doc, _SCENARIO, "scenario"))
 
     def check_ranges(self) -> None:
         """Reject sizes and steps that the grids, the time samples or the
         stencil cannot use, naming the section or field at fault."""
         for where, build in (("grid", self.disk_grid), ("annulus", self.annulus_grid),
-                             ("times", lambda: default_times(self.t_max, self.t_count))):
+                             ("times", lambda: default_times(*self.times.values()))):
             try:
                 build()
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
-        if not self.t_max > 0:
-            raise ScenarioError(f"times.t_max must be positive, got {self.t_max!r}")
+        if not self.times["t_max"] > 0:
+            raise ScenarioError(f"times.t_max must be positive, got {self.times['t_max']!r}")
         if not self.fd_step > 0:
             raise ScenarioError(f"fd_step must be positive, got {self.fd_step!r}")
 
     def resolved(self) -> dict:
-        return {
-            "version": SCENARIO_VERSION,
-            "function": self.function_spec,
-            "companion": self.companion_spec,
-            "criterion": self.criterion,
-            "params": self.params_spec,
-            "grid": {"radial": self.grid_radial, "angular": self.grid_angular,
-                     "eps": self.grid_eps},
-            "annulus": {"radial": self.ann_radial, "angular": self.ann_angular,
-                        "inner": self.ann_inner, "outer": self.ann_outer},
-            "times": {"t_max": self.t_max, "count": self.t_count},
-            "fd_step": self.fd_step,
-            "output": {"prefix": self.prefix},
-        }
+        return {name: getattr(self, name) for name in _SCENARIO}
 
     def disk_grid(self) -> DiskGrid:
-        return DiskGrid(self.grid_radial, self.grid_angular, self.grid_eps)
+        return DiskGrid(*self.grid.values())
 
     def annulus_grid(self) -> AnnulusGrid:
-        return AnnulusGrid(self.ann_radial, self.ann_angular, self.ann_inner,
-                           self.ann_outer)
+        return AnnulusGrid(*self.annulus.values())
+
+    @functools.cached_property
+    def param_values(self) -> dict:
+        """The params set (not null), each read by its parser in `_PARAMS`."""
+        spec = self.params or {}
+        _require_keys(spec, set(_PARAMS), "params")
+        return {name: parse(spec[name], f"params.{name}")
+                for name, parse in _PARAMS.items() if spec.get(name) is not None}
 
     def pieces(self):
-        f = build_function(self.function_spec)
-        companion = build_companion(self.companion_spec)
-        params = build_params(self.params_spec)
-        return f, companion, params
+        f = build_function(self.function)
+        companion = build_companion(self.companion)
+        return f, companion, build_params(self.param_values)
 
 
 def load_scenario(path: str, args) -> Scenario:
@@ -285,9 +287,9 @@ def load_scenario(path: str, args) -> Scenario:
         doc = json.load(fh)
     sc = Scenario(doc)
     if args.grid_radial:
-        sc.grid_radial = args.grid_radial
+        sc.grid["radial"] = args.grid_radial
     if args.grid_angular:
-        sc.grid_angular = args.grid_angular
+        sc.grid["angular"] = args.grid_angular
     sc.check_ranges()
     return sc
 
@@ -503,6 +505,15 @@ def _print_block(title: str, items: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _write_table(sc: Scenario, args, name: str, header: list[str], *columns) -> None:
+    """The columns as the table <prefix>_<name>.csv in the --out directory
+    (made if missing), whose path is printed."""
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{sc.output['prefix']}_{name}.csv")
+    write_csv(path, header, np.column_stack(columns))
+    print(f"csv={path}")
+
+
 def cmd_check(sc: Scenario, args) -> int:
     f, companion, params = sc.pieces()
     result = evaluate_criterion(sc.criterion, f, companion, params,
@@ -510,38 +521,31 @@ def cmd_check(sc: Scenario, args) -> int:
     report, rows = result if args.out else (result, None)
     _print_block("criterion-report", report.as_dict())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{sc.prefix}_check.csv")
         z, v = rows.T
-        write_csv(path, ["re_z", "im_z", "re_value", "im_value"],
-                  np.column_stack([z.real, z.imag, v.real, v.imag]))
-        print(f"csv={path}")
+        _write_table(sc, args, "check", ["re_z", "im_z", "re_value", "im_value"],
+                     z.real, z.imag, v.real, v.imag)
     return 0 if report.passed else 1
 
 
 def _chain_and_extension(sc: Scenario):
     """The chain realizing the scenario's criterion, its extension and the
     dilatation bound (k_prime, else k) it is checked against.  A moebius_* or
-    sector_* criterion needs the matching companion: its chain is built from
-    the companion, so any other would extend a different map."""
+    sector_* criterion needs the companion its value reads: its chain is
+    built from the companion, so any other would extend a different map."""
     f, companion, params = sc.pieces()
     spec = CRITERIA.get(sc.criterion)
     if spec is None:
         raise PreconditionError(f"no chain construction for criterion {sc.criterion!r}")
-    if spec.companion is not None and companion.label != spec.companion:
-        raise PreconditionError(
-            f"{sc.criterion} needs a {spec.companion} companion to build its chain "
-            f"(the scenario's companion is {companion.label!r})"
-        )
+    require_chain_companion(sc.criterion, companion, params)
     chain = build_chain(spec.construction, f, companion, params)
     return chain, ExtensionMap(chain), params.bound
 
 
 def cmd_extend(sc: Scenario, args) -> int:
     chain, ext, bound = _chain_and_extension(sc)
-    gap = ext.continuity_gap(sc.grid_angular)
-    validation = validate_chain(chain, DiskGrid(16, 32, sc.grid_eps),
-                                default_times(sc.t_max, sc.t_count),
+    gap = ext.continuity_gap(sc.grid["angular"])
+    validation = validate_chain(chain, DiskGrid(16, 32, sc.grid["eps"]),
+                                default_times(*sc.times.values()),
                                 dilatation_bound=bound)
     _print_block("extension-report", {
         "construction": chain.construction,
@@ -557,15 +561,13 @@ def cmd_extend(sc: Scenario, args) -> int:
     for msg in validation.failures:
         print(f"failure={msg}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         pts = np.concatenate([
-            DiskGrid(max(2, sc.ann_radial // 2), sc.ann_angular, 0.05).points(),
+            DiskGrid(max(2, sc.annulus["radial"] // 2), sc.annulus["angular"],
+                     0.05).points(),
             sc.annulus_grid().points()])
-        path = os.path.join(args.out, f"{sc.prefix}_extension.csv")
         vals = ext.on_blocks(pts)
-        write_csv(path, ["re_w", "im_w", "re_fhat", "im_fhat"],
-                  np.column_stack([pts.real, pts.imag, vals.real, vals.imag]))
-        print(f"csv={path}")
+        _write_table(sc, args, "extension", ["re_w", "im_w", "re_fhat", "im_fhat"],
+                     pts.real, pts.imag, vals.real, vals.imag)
     return 0 if (gap < 1e-6 and validation.ok) else 1
 
 
@@ -594,14 +596,11 @@ def cmd_beltrami(sc: Scenario, args) -> int:
         "note": ROTATION_NOTE if chain.q.label == "sector" else "",
     })
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{sc.prefix}_beltrami.csv")
         pts, mu = est.points, est.mu
-        write_csv(path, ["re_z", "im_z", "re_mu", "im_mu", "abs_mu"],
-                  np.column_stack([pts.real, pts.imag, mu.real, mu.imag, np.abs(mu)]))
-        print(f"csv={path}")
+        _write_table(sc, args, "beltrami", ["re_z", "im_z", "re_mu", "im_mu", "abs_mu"],
+                     pts.real, pts.imag, mu.real, mu.imag, np.abs(mu))
         if args.svg:
-            spath = os.path.join(args.out, f"{sc.prefix}_beltrami.svg")
+            spath = os.path.join(args.out, f"{sc.output['prefix']}_beltrami.svg")
             vals = np.abs(est.mu).reshape(grid.n_radial, grid.n_angular)
             write_heatmap_svg(spath, grid.radii(), grid.angles(), vals,
                               title=f"|mu| of the extension ({chain.construction})")
@@ -610,10 +609,10 @@ def cmd_beltrami(sc: Scenario, args) -> int:
 
 
 def cmd_compose(sc: Scenario, args) -> int:
-    spec = sc.params_spec or {}
-    if "k1" not in spec or "k2" not in spec:
+    values = sc.param_values
+    if "k1" not in values or "k2" not in values:
         raise ScenarioError("compose needs params.k1 and params.k2")
-    k1, k2 = _number(spec["k1"], "params.k1"), _number(spec["k2"], "params.k2")
+    k1, k2 = values["k1"], values["k2"]
     try:
         k = compose_dilatation(k1, k2)
     except ValueError as exc:
@@ -624,12 +623,10 @@ def cmd_compose(sc: Scenario, args) -> int:
 
 def cmd_fit_sector(sc: Scenario, args) -> int:
     f, _companion, _params = sc.pieces()
-    spec = sc.params_spec or {}
-    w0 = _cplx(spec.get("w0", -2), "params.w0")
-    z0 = _cplx(spec.get("z0", 0), "params.z0")
-    radius = _number(spec["R"], "params.R") if spec.get("R") is not None else None
+    values = sc.param_values
     try:
-        sector, r_used = fit_sector(f, w0, z0, radius, sc.disk_grid())
+        sector, r_used = fit_sector(f, values.get("w0", -2), values.get("z0", 0),
+                                    values.get("R"), sc.disk_grid())
         contained = True
     except ContainmentError as exc:
         print(f"## fit-sector-report\ncontained=false\nerror={exc}")

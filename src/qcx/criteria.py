@@ -20,19 +20,17 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import BranchLattice, ratio_branch, tracked_log, tracked_ratio_log
+from .branches import (BranchLattice, bazilevic_branch, ratio_branch, tracked_log,
+                       tracked_ratio_log)
 from .grids import DiskGrid, blocks
-from .jets import accepts_point, piecewise
+from .jets import PreconditionError, accepts_point, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
 from .qcverify import compose_dilatation
+from .sector import SectorDomain, first_escape
 
 _INF = float("inf")
-
-
-class PreconditionError(ValueError):
-    """A criterion's hypothesis failed before any grid scan ran."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +193,6 @@ def nw_value(f: AnalyticMap, q: CompanionMap, z: np.ndarray) -> np.ndarray:
     return jf.d1 * q.jet(jf.value).d1
 
 
-def _bazilevic_branch(f: AnalyticMap, psi):
-    """The log of the ratio a Bazilevic value raises to s - 1: G(w)/w with
-    G = Q o f when `psi` is a companion Q, else G = f.  With G = f (a direct
-    Psi, or the identity companion) it is `ratio_branch(f)`, in closed form
-    when f's ratio factors; G = Q o f of any other Q keeps a lattice."""
-    if isinstance(psi, CompanionMap) and not isinstance(psi.base, IdentityMap):
-        jf0 = f.jet(0j)
-        return BranchLattice(lambda w: psi.jet(f.jet(w).value).value / w,
-                             cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
-    return ratio_branch(f)
-
-
 @accepts_point("z")
 def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: np.ndarray,
                          lg, lp) -> np.ndarray:
@@ -227,9 +213,9 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
     evaluated as (Q(f)/z)^{s-1} * (Q o f)'(z) / (p/z)^{alpha} with a single
     tracked branch.  Each call tracks both logs from the origin with
     `tracked_log`, at one point: the per-point oracle of the criterion scan,
-    which takes both logs from `_bazilevic_branch` and `ratio_branch`.
+    which takes both logs from `bazilevic_branch` and `ratio_branch`.
     """
-    g = _bazilevic_branch(f, psi)
+    g = bazilevic_branch(f, psi)
     if z == 0:
         return _bazilevic_from_logs(f, psi, s, z, g.anchor, 0j)
     return _bazilevic_from_logs(f, psi, s, z, tracked_log(g.fn, z, g.anchor),
@@ -399,17 +385,13 @@ def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid, what: str) -
 
 
 def _sector_contains_image(f: AnalyticMap, sector, grid: DiskGrid) -> None:
-    from .sector import _first_escape
-
-    escape = _first_escape(f, sector, grid)
+    escape = first_escape(f, sector, grid)
     if escape is not None:
         z, w = escape
         raise PreconditionError(f"image point f({z!r}) = {w!r} escapes the sector domain")
 
 
 def _require_sector(params: CriterionParams):
-    from .sector import SectorDomain
-
     if params.w0 is None or params.lambda0 is None or params.a is None:
         raise PreconditionError("sector criteria need w0, lambda0 and a")
     return SectorDomain(params.w0, params.lambda0, params.a)
@@ -490,7 +472,7 @@ def _bazilevic(f, psi, params, grid):
     p = params.p or IdentityMap()
     check_starlike(p)
     s = params.s
-    g = _bazilevic_branch(f, psi)
+    g = bazilevic_branch(f, psi)
     pz = ratio_branch(p)
 
     @_quiet
@@ -518,9 +500,11 @@ class CriterionSpec:
                   fails
     construction  the loewner chain family that realizes the criterion
     companion     the companion label ("moebius", "sector") the chain must be
-                  built from, or None for any companion; a sector row's
-                  concluded dilatation composes the bound with |1 - a| rather
-                  than with the companion's extension dilatation
+                  built from, or None for any companion; such a row's value
+                  reads its Q from the params, so its concluded dilatation
+                  composes the bound with that Q's dilatation (|1 - a| for a
+                  sector, 0 for a Moebius map) rather than with the
+                  companion's extension dilatation
     """
 
     score: str
@@ -546,6 +530,52 @@ CRITERIA: dict[str, CriterionSpec] = {
 }
 
 ALL_CRITERIA = tuple(CRITERIA)
+
+
+def require_chain_companion(criterion: str, companion: CompanionMap,
+                            params: CriterionParams) -> None:
+    """Require a moebius_* or sector_* row's companion to be the Q its value
+    reads from the params, since the row's chain is built from the
+    companion: a sector row's sector (sector_nw's normalized map), a Moebius
+    map with pole c2 for moebius_becker, and for moebius_nw one with
+    Q' = 1/(gamma w + delta)^2, that is normalized (gamma, delta) equal to
+    +-(gamma, delta) of the params to 1e-12."""
+    needs = CRITERIA[criterion].companion
+    if needs is None:
+        return
+    if companion.label != needs:
+        raise PreconditionError(
+            f"{criterion} needs a {needs} companion to build its chain "
+            f"(the scenario's companion is {companion.label!r})"
+        )
+    q = companion.base
+    if needs == "sector":
+        sector = _require_sector(params)
+        if q.sector != sector:
+            raise PreconditionError(f"{criterion} reads the params' {sector}, "
+                                    f"not the companion's {q.sector}")
+        if criterion == "sector_nw" and not q.normalized:
+            raise PreconditionError("sector_nw reads the normalized sector map, "
+                                    "not the companion's unnormalized one")
+    elif criterion == "moebius_becker":
+        if params.c2 is None:
+            raise PreconditionError("moebius_becker needs c2")
+        pole = -q.delta / q.gamma if q.gamma != 0 else _INF_Z
+        if not abs(pole - params.c2) <= 1e-12 * max(1.0, abs(params.c2)):
+            raise PreconditionError(f"moebius_becker reads a Moebius map with pole "
+                                    f"c2 = {params.c2!r}, not the companion's "
+                                    f"pole {pole!r}")
+    else:  # moebius_nw
+        g, d = params.gamma, params.delta
+        if g is None or d is None:
+            raise PreconditionError("moebius_nw needs gamma and delta")
+        if not any(abs(q.gamma - sign * g) <= 1e-12 and abs(q.delta - sign * d) <= 1e-12
+                   for sign in (1, -1)):
+            raise PreconditionError(
+                f"moebius_nw reads Q' = 1/(gamma*w + delta)^2 with (gamma, delta) = "
+                f"+-({g!r}, {d!r}), not the companion's normalized "
+                f"({q.gamma!r}, {q.delta!r})"
+            )
 
 
 def evaluate_criterion(criterion: str, f: AnalyticMap,
@@ -585,7 +615,11 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
     report = sup_over_grid(value_fn, grid, threshold, score=score, ratio=ratio,
                            strict=strict, criterion=criterion, rows=rows)
     if report.passed and bound is not None:
-        kq = (abs(1 - params.a) if spec.companion == "sector"
-              else getattr(companion, "extension_dilatation", 0.0))
+        if spec.companion == "sector":
+            kq = abs(1 - params.a)
+        elif spec.companion == "moebius":
+            kq = 0.0  # a Moebius map is conformal
+        else:
+            kq = getattr(companion, "extension_dilatation", 0.0)
         report = replace(report, concluded_dilatation=compose_dilatation(bound, kq))
     return (report, np.concatenate(rows)) if collect else report

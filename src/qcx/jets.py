@@ -27,6 +27,10 @@ class DomainError(ValueError):
     """Evaluation requested outside a map's domain (radius exceeded, pole hit)."""
 
 
+class PreconditionError(ValueError):
+    """A criterion's hypothesis failed before any grid scan ran."""
+
+
 def complex_array(re, im) -> np.ndarray:
     """re + i im elementwise, without the rounding of re + 1j * im."""
     out = np.empty(np.broadcast(re, im).shape, complex)

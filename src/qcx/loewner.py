@@ -38,8 +38,9 @@ from typing import Sequence
 import numpy as np
 
 # tracked_log is not called here; perfbench/tracing.py wraps this module's name
-from .branches import BranchTrackingError, ratio_branch, tracked_log  # noqa: F401
-from .criteria import CriterionParams, PreconditionError, _bazilevic_branch
+from .branches import (BranchTrackingError, bazilevic_branch, ratio_branch,  # noqa: F401
+                       tracked_log)
+from .criteria import CriterionParams, PreconditionError
 from .grids import DiskGrid, blocks
 from .jets import accepts_point, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
@@ -207,7 +208,7 @@ class BazilevicChain(LoewnerChain):
         jp0 = self.p.jet(0j)
         if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
             raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
-        self._g = _bazilevic_branch(f, q)  # anchored at log (Q o f)'(0)
+        self._g = bazilevic_branch(f, q)  # anchored at log (Q o f)'(0)
         self._pz = ratio_branch(self.p)
         # the origin's branch data: H = (Q o f)'(0)^s, R = 1
         self._lb0 = params.s * self._g.anchor

@@ -198,11 +198,11 @@ class PolynomialMap(AnalyticMap):
 
     @accepts_point("z")
     def jet(self, z: np.ndarray) -> Jet2:
-        v = 0j
-        d1 = 0j
-        d2 = 0j
-        # Horner on f(z)/z, then restore the factor of z
-        for c in reversed(self.coefficients):
+        # Horner on f(z)/z from its leading coefficient, then restore the
+        # factor of z
+        *rest, v = self.coefficients
+        d1 = d2 = 0j
+        for c in reversed(rest):
             d2 = d2 * z + 2 * d1
             d1 = d1 * z + v
             v = v * z + c

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import PreconditionError
 from .grids import DiskGrid, blocks
-from .jets import DomainError, Jet2, accepts_point, complex_array, first_where, piecewise
+from .jets import (DomainError, Jet2, PreconditionError, accepts_point, complex_array,
+                   first_where, piecewise)
 from .maps import AnalyticMap, CompanionMap
 
 _TWO_PI = 2 * math.pi
@@ -245,8 +245,8 @@ def sup_abs_on_boundary(f: AnalyticMap) -> float:
     return float(max(ring[best_j], window.max()))
 
 
-def _first_escape(f: AnalyticMap, sector: SectorDomain,
-                 grid: DiskGrid) -> tuple[complex, complex] | None:
+def first_escape(f: AnalyticMap, sector: SectorDomain,
+                grid: DiskGrid) -> tuple[complex, complex] | None:
     """(z, f(z)) at the first grid point, in grid order, whose image lies
     outside the sector, or None when every sampled image lies inside.  The
     grid is scanned block by block up to the first block with an escape;
@@ -285,7 +285,7 @@ def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
     ) / math.pi
     lam %= 2.0
     sector = SectorDomain(w0, lam, a)
-    miss = _first_escape(f, sector, grid or DiskGrid())
+    miss = first_escape(f, sector, grid or DiskGrid())
     if miss is not None:
         z, w = miss
         raise ContainmentError(f"fitted sector misses image point f({z!r}) = {w!r}")

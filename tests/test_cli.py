@@ -90,10 +90,18 @@ def test_defaults_echoed(tmp_path, capsys):
            "params": {"k": 0.1, "k_prime": 0.1}}
     code, out, _ = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
     assert code == 0
-    resolved = json.loads(out.splitlines()[1])
-    assert resolved["grid"] == {"radial": 64, "angular": 128, "eps": 1e-3}
-    assert resolved["fd_step"] == 1e-5
-    assert resolved["times"] == {"t_max": 2.0, "count": 21}
+    assert json.loads(out.splitlines()[1]) == {
+        "version": 1,
+        "function": {"kind": "identity"},
+        "companion": None,
+        "criterion": "gen_becker",
+        "params": {"k": 0.1, "k_prime": 0.1},
+        "grid": {"radial": 64, "angular": 128, "eps": 1e-3},
+        "annulus": {"radial": 64, "angular": 128, "inner": 1.001, "outer": 3.0},
+        "times": {"t_max": 2.0, "count": 21},
+        "fd_step": 1e-5,
+        "output": {"prefix": "qcx"},
+    }
 
 
 def _with(doc, field, value):
@@ -495,6 +503,44 @@ def test_moebius_criterion_needs_a_moebius_companion_to_extend(tmp_path, capsys)
     for command in ("extend", "beltrami"):
         code, _, err = run([command, "--scenario", path], capsys)
         assert code == 0, (command, err)
+
+
+_SECTOR_PARAMS = {"w0": [-2.0, 0.0], "lambda0": 1.8333333333333333,
+                  "a": 0.3333333333333333}
+
+
+@pytest.mark.parametrize("patch, names", [
+    # check passed on the params' sector, and extend validated the chain of
+    # the companion's other sector (chain_ok=true)
+    ({"function": {"kind": "identity"}, "criterion": "sector_nw",
+      "params": {"k": 0.65, **_SECTOR_PARAMS},
+      "companion": {"kind": "sector", "w0": [-5.0, 0.0], "lambda0": 1.9, "a": 0.2}},
+     "not the companion's SectorDomain(w0=(-5+0j), lambda0=1.9, a=0.2)"),
+    ({"function": {"kind": "identity"}, "criterion": "sector_nw",
+      "params": {"k": 0.65, **_SECTOR_PARAMS},
+      "companion": {"kind": "sector", **_SECTOR_PARAMS, "normalized": False}},
+     "sector_nw reads the normalized sector map"),
+    # check passed on Q' = 1/(0.2w + 1)^2, and extend validated Q = -1/(w - 3)
+    # (u_margin_min=-8.0172..., chain_ok=false)
+    ({"function": {"kind": "polynomial", "coefficients": [[0.2, 0.0]]},
+      "criterion": "moebius_nw",
+      "params": {"k": 0.6, "gamma": [0.2, 0.0], "delta": [1.0, 0.0]},
+      "companion": {"kind": "moebius", "pole": [3, 0]}},
+     "not the companion's normalized ((1+0j), (-3-0j))"),
+    ({"function": {"kind": "cayley"}, "criterion": "moebius_becker",
+      "params": {"k": 0.1, "c2": [-1.0, 0.0]},
+      "companion": {"kind": "moebius", "pole": [-2.0, 0.0]}},
+     "pole c2 = (-1+0j), not the companion's pole (-2+0j)"),
+], ids=["sector", "sector_nw-unnormalized", "moebius_nw", "moebius_becker"])
+def test_chain_companion_must_be_the_map_the_row_reads(tmp_path, capsys, patch, names):
+    doc = {"version": 1, "grid": {"radial": 16, "angular": 32},
+           "annulus": {"radial": 6, "angular": 12}, "times": {"count": 5}, **patch}
+    path = write_scenario(tmp_path, doc)
+    for command in ("extend", "beltrami"):
+        code, out, err = run([command, "--scenario", path], capsys)
+        assert code == 2, command
+        assert names in err
+        assert "report" not in out
 
 
 def test_moebius_becker_cancellation_scenario(tmp_path, capsys):

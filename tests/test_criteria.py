@@ -337,6 +337,20 @@ def test_sector_nw_identity_passes_fitted_sector():
     assert abs(rep.concluded_dilatation - expected) < 1e-12
 
 
+@pytest.mark.parametrize("criterion, params", [
+    ("moebius_nw", CriterionParams(k=0.6, gamma=0.2 + 0j, delta=1 + 0j)),
+    ("moebius_becker", CriterionParams(k=0.9, c2=-3 + 0j)),
+], ids=["moebius_nw", "moebius_becker"])
+def test_moebius_rows_conclude_from_their_own_companion(criterion, params):
+    # the value reads a Moebius Q from the params, whose dilatation is 0: the
+    # scenario companion's 0.5 does not enter (it gave compose(k, 0.5))
+    catalog = CompanionMap(IdentityMap(), 0.5, True, "custom")
+    rep = evaluate_criterion(criterion, PolynomialMap([1, 0.2]), catalog, params,
+                             SMALL_GRID)
+    assert rep.passed
+    assert rep.concluded_dilatation == params.k
+
+
 def test_special_case_vertex_one_fails_for_identity():
     # value 1 - z tends to 0 as z -> 1, and 0 is outside every U(k):
     # the worst point sits near z = +1, not z = -1

@@ -4,7 +4,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcx import (
     CayleyMap,
@@ -53,6 +56,40 @@ def test_polynomial_jet_direct():
     assert abs(j.value - 1.1) < 1e-15
     assert abs(j.d1 - 1.2) < 1e-15
     assert abs(j.d2 - 0.2) < 1e-15
+
+
+def _horner_from_zero(coefficients, z):
+    """The polynomial jet as Horner's loop gives it when it starts from
+    v = d1 = d2 = 0 rather than at the leading coefficient: the reference
+    for PolynomialMap.jet."""
+    v = d1 = d2 = 0j
+    for c in reversed(coefficients):
+        d2 = d2 * z + 2 * d1
+        d1 = d1 * z + v
+        v = v * z + c
+    return v * z, d1 * z + v, d2 * z + 2 * d1
+
+
+# + 0.0 turns a -0.0 part into +0.0: a signed zero in a coefficient is the
+# one input whose result bits depend on where Horner's loop starts
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+_coefficient = st.builds(complex, _finite, _finite)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coefficients=st.lists(_coefficient, min_size=1, max_size=6),
+       z=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                  min_size=1, max_size=8))
+def test_polynomial_jet_matches_horner_from_zero(coefficients, z):
+    z = np.array(z)
+    with np.errstate(all="ignore"):
+        jet = PolynomialMap(coefficients, class_a=False).jet(z)
+        expected = _horner_from_zero(coefficients, z)
+    for got, want in zip((jet.value, jet.d1, jet.d2), expected):
+        np.testing.assert_array_equal(got, want)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)),
+                                  np.signbit(getattr(want, part)))
 
 
 @pytest.mark.parametrize("name,f", CATALOG_MAPS)
