@@ -15,10 +15,12 @@ identity, Koebe, Cayley, spiral and polynomial maps, and `scaled` ones of
 these) unless some root has |r_j| <= 1 and lies below the map's analyticity
 radius.  Such a root is a zero of the ratio on the closed unit disk (the
 Bazilevic chain queries polynomial maps on |w| = 1), which the branch would
-wind round; that map, like every ratio of a combination tree and every
-other tracked quantity (sector_nw's 1 - f/w0, Q(f(w))/w of a companion Q
-other than the identity), takes a `BranchLattice`.  `bazilevic_branch`
-picks the branch of a Bazilevic value's ratio that way.
+wind round; that map, like every ratio of a combination tree and
+Q(f(w))/w of a companion Q other than the identity, takes a
+`BranchLattice`: these are the only paths that keep it.  `bazilevic_branch`
+picks the branch of a Bazilevic value's ratio that way.  (sector_nw's
+1 - f/w0 takes no lattice: the sector hypothesis puts it in a cone where a
+turned principal Log is the continued branch, `criteria._sector_log`.)
 
 `tracked_log` continues along one straight segment, one point at a time:
 [0, z], or [z0, z] from a point z0 whose logarithm is already known.  A

@@ -69,7 +69,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _require_object(obj, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+
+
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+    _require_object(obj, where)
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)} in {where}")
@@ -108,76 +114,83 @@ def _flag(v, where: str) -> bool:
 # scenario parsing
 # ---------------------------------------------------------------------------
 
-_FUNCTION_KEYS = {"kind", "lam", "coefficients", "radius", "base"}
-_COMPANION_KEYS = {"kind", "alpha", "beta", "gamma", "delta", "pole", "w0",
-                   "lambda0", "a", "normalized", "extension_dilatation",
-                   "fixes_infinity", "base"}
+
+def _coefficients(v, where: str) -> list[complex]:
+    if not isinstance(v, list) or not v:
+        raise ScenarioError(f"{where}: expected a nonempty list of coefficients, got {v!r}")
+    return [_cplx(c, where) for c in v]
+
+
+def _optional(parse):
+    """`parse`, letting None (an absent or null field) through."""
+    return lambda v, where: None if v is None else parse(v, where)
+
+
+def _moebius(alpha, beta, gamma, delta, pole) -> CompanionMap:
+    """The Moebius companion by its pole or by its coefficients, not both."""
+    if pole is None:
+        return CompanionMap.from_moebius(MoebiusMap(
+            1 if alpha is None else alpha, 0 if beta is None else beta,
+            0 if gamma is None else gamma, 1 if delta is None else delta))
+    clash = [f"companion.{name}" for name, v in
+             (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta))
+             if v is not None]
+    if clash:
+        raise ScenarioError(f"companion.pole excludes {', '.join(clash)}")
+    return CompanionMap.from_moebius(MoebiusMap.with_pole(pole))
+
+
+def _build_kind(spec, kinds: dict, where: str, noun: str, default_kind=None):
+    """`spec` built by the row of `kinds` its "kind" names."""
+    _require_object(spec, where)
+    kind = spec.get("kind", default_kind)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioError(f"{where}: unknown {noun} kind {kind!r}")
+    build, fields = kinds[kind]
+    values = _parse_fields(spec, {"kind": (None, None), **fields}, where, where + ".")
+    del values["kind"]
+    return build(**values)
 
 
 def build_function(spec: dict, where: str = "function") -> AnalyticMap:
-    _require_keys(spec, _FUNCTION_KEYS, where)
-    kind = spec.get("kind")
-    if kind == "identity":
-        return IdentityMap()
-    if kind == "koebe":
-        return KoebeMap()
-    if kind == "cayley":
-        return CayleyMap()
-    if kind == "spiral":
-        return SpiralMap(_number(spec.get("lam", 0.0), where + ".lam"))
-    if kind == "polynomial":
-        coeffs = spec.get("coefficients")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ScenarioError(f"{where}: polynomial needs a coefficients list")
-        # coefficients are [a2, a3, ...]; a1 = 1 is the class-A normalization
-        return PolynomialMap([1] + [_cplx(c, where + ".coefficients") for c in coeffs])
-    if kind == "scaled":
-        base = spec.get("base")
-        if not isinstance(base, dict):
-            raise ScenarioError(f"{where}: scaled map needs a base function spec")
-        return ScaledMap(build_function(base, where + ".base"),
-                         _number(spec.get("radius", 2.0), where + ".radius"))
-    raise ScenarioError(f"{where}: unknown function kind {kind!r}")
+    return _build_kind(spec, _FUNCTIONS, where, "function")
 
 
 def build_companion(spec: dict | None) -> CompanionMap:
     if spec is None:
         return CompanionMap.identity()
-    _require_keys(spec, _COMPANION_KEYS, "companion")
-    kind = spec.get("kind", "identity")
-    if kind == "identity":
-        return CompanionMap.identity()
-    if kind == "moebius":
-        if "pole" in spec:
-            return CompanionMap.from_moebius(MoebiusMap.with_pole(_cplx(spec["pole"], "companion.pole")))
-        m = MoebiusMap(
-            _cplx(spec.get("alpha", 1), "companion.alpha"),
-            _cplx(spec.get("beta", 0), "companion.beta"),
-            _cplx(spec.get("gamma", 0), "companion.gamma"),
-            _cplx(spec.get("delta", 1), "companion.delta"),
-        )
-        return CompanionMap.from_moebius(m)
-    if kind == "sector":
-        sector = SectorDomain(
-            _cplx(spec.get("w0", -2), "companion.w0"),
-            _number(spec.get("lambda0", 0.0), "companion.lambda0"),
-            _number(spec.get("a", 1.0), "companion.a"),
-        )
-        return companion_from_sector(sector, _flag(spec.get("normalized", True),
-                                                   "companion.normalized"))
-    if kind == "catalog":
-        if "extension_dilatation" not in spec:
-            raise ScenarioError("catalog companion needs an explicit extension_dilatation")
-        base = spec.get("base")
-        if not isinstance(base, dict):
-            raise ScenarioError("catalog companion needs a base function spec")
-        return CompanionMap(
-            build_function(base, "companion.base"),
-            _number(spec["extension_dilatation"], "companion.extension_dilatation"),
-            _flag(spec.get("fixes_infinity", True), "companion.fixes_infinity"),
-            "custom",
-        )
-    raise ScenarioError(f"unknown companion kind {kind!r}")
+    return _build_kind(spec, _COMPANIONS, "companion", "companion", "identity")
+
+
+# Each function and companion kind, declared once: kind -> (builder, its
+# fields), the fields a table of (parser, default) as in _SCENARIO.  A spec
+# holds "kind" and only the fields of its kind; the builder takes them as
+# keywords, parsed and defaulted.
+_FUNCTIONS = {
+    "identity": (IdentityMap, {}),
+    "koebe": (KoebeMap, {}),
+    "cayley": (CayleyMap, {}),
+    "spiral": (SpiralMap, {"lam": (_number, 0.0)}),
+    # coefficients are [a2, a3, ...]; a1 = 1 is the class-A normalization
+    "polynomial": (lambda coefficients: PolynomialMap([1] + coefficients),
+                   {"coefficients": (_coefficients, None)}),
+    "scaled": (lambda base, radius: ScaledMap(base, radius),
+               {"base": (build_function, None), "radius": (_number, 2.0)}),
+}
+_COMPANIONS = {
+    "identity": (CompanionMap.identity, {}),
+    "moebius": (_moebius, {name: (_optional(_cplx), None)
+                           for name in ("alpha", "beta", "gamma", "delta", "pole")}),
+    "sector": (lambda w0, lambda0, a, normalized:
+               companion_from_sector(SectorDomain(w0, lambda0, a), normalized),
+               {"w0": (_cplx, -2), "lambda0": (_number, 0.0), "a": (_number, 1.0),
+                "normalized": (_flag, True)}),
+    "catalog": (lambda extension_dilatation, base, fixes_infinity:
+                CompanionMap(base, extension_dilatation, fixes_infinity, "custom"),
+                {"extension_dilatation": (_number, None),
+                 "base": (build_function, None),
+                 "fixes_infinity": (_flag, True)}),
+}
 
 
 # Each params name with its parser.  The criteria read the CriterionParams
@@ -224,8 +237,6 @@ _SCENARIO = {
 def _parse_fields(doc, fields: dict, where: str, prefix: str = "") -> dict:
     """`where` (the scenario or a section) read by the table `fields`, which
     rejects unknown fields and fills in defaults; errors name prefix + field."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{where} must be a JSON object")
     _require_keys(doc, set(fields), where)
     out = {}
     for name, field in fields.items():
@@ -271,7 +282,7 @@ class Scenario:
     @functools.cached_property
     def param_values(self) -> dict:
         """The params set (not null), each read by its parser in `_PARAMS`."""
-        spec = self.params or {}
+        spec = {} if self.params is None else self.params
         _require_keys(spec, set(_PARAMS), "params")
         return {name: parse(spec[name], f"params.{name}")
                 for name, parse in _PARAMS.items() if spec.get(name) is not None}

@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import (BranchLattice, bazilevic_branch, ratio_branch, tracked_log,
-                       tracked_ratio_log)
+from .branches import bazilevic_branch, ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
 from .jets import PreconditionError, accepts_point, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
@@ -258,8 +257,9 @@ def sector_becker_value(f: AnalyticMap, c: complex, w0: complex, a: float,
 
 
 def sector_nw_value(f: AnalyticMap, w0: complex, a: float, z: complex) -> complex:
-    """f'(z) * (1 - f(z)/w0)^{1/a - 1}, branch tracked along [0, z] (one
-    point; the criterion scan shares the branch through a BranchLattice)."""
+    """f'(z) * (1 - f(z)/w0)^{1/a - 1}, branch tracked along [0, z]: the
+    per-point oracle of the criterion scan, which takes the closed form
+    `_sector_log`."""
     jf = f.jet(z)
     expo = 1 / a - 1
     if z == 0:
@@ -384,11 +384,14 @@ def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid, what: str) -
             )
 
 
+def _escape_error(z, w) -> PreconditionError:
+    return PreconditionError(f"image point f({z!r}) = {w!r} escapes the sector domain")
+
+
 def _sector_contains_image(f: AnalyticMap, sector, grid: DiskGrid) -> None:
     escape = first_escape(f, sector, grid)
     if escape is not None:
-        z, w = escape
-        raise PreconditionError(f"image point f({z!r}) = {w!r} escapes the sector domain")
+        raise _escape_error(*escape)
 
 
 def _require_sector(params: CriterionParams):
@@ -442,17 +445,36 @@ def _moebius_nw(f, q, params, grid):
     return lambda z: moebius_nw_value(f, g, d, z)
 
 
+def _sector_log(sector: SectorDomain) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> log u on the branch continued from log 1 = 0, for u = 1 - w/w0
+    with w in the sector.  The sector makes u range over an open cone of
+    opening pi*a that holds 1, bisected by the ray at angle beta: up to a
+    half-turn the principal Log is continuous on it, and past one it is
+    continuous on the cone turned by -beta onto the positive axis."""
+    if sector.a <= 1:
+        return np.log
+    beta = math.remainder(math.pi * (sector.lambda0 + 1 + sector.a / 2)
+                          - cmath.phase(sector.w0), 2 * math.pi)
+    unturn = cmath.exp(-1j * beta)
+    return lambda u: 1j * beta + np.log(u * unturn)
+
+
 def _sector_nw(f, q, params, grid):
     sector = _require_sector(params)
     _sector_contains_image(f, sector, grid)
-    w0, expo = sector.w0, 1 / sector.a - 1
-    lattice = BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)
+    w0, expo, log = sector.w0, 1 / sector.a - 1, _sector_log(sector)
 
     @_quiet
     @accepts_point("z")
     def value(z):
-        lg = lattice.log(z)
-        return f.jet(z).d1 * np.exp(expo * lg)
+        # the closed form holds only inside the sector: every block, the
+        # refinement patch too, is held to the precheck's containment
+        jf = f.jet(z)
+        escapes = ~sector.contains(jf.value)
+        if escapes.any():
+            i = np.argmax(escapes)
+            raise _escape_error(z[i], jf.value[i])
+        return jf.d1 * np.exp(expo * log(1 - jf.value / w0))
 
     return value
 

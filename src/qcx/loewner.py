@@ -12,7 +12,9 @@ so the transition ratio p = dF/dt / (z dF/dz) is computed without any
 numerical differentiation.  Validation checks the classical chain
 conditions on samples: Re p > 0, p inside U(k) when a dilatation target is
 given, and the leading coefficient a1(t) = dF/dz(0, t) growing without
-bound.
+bound.  Each chain writes F once, in `_evaluate`, which stops there for
+`value` and goes on to the partials for `partials`: the extension reads F
+alone, so it evaluates F without its partials.
 
 Chains and the extension evaluate elementwise on a 1-D complex array of
 points (a point is evaluated as a one-element array), with a scalar t or an
@@ -85,14 +87,17 @@ class LoewnerChain:
         jf0 = self.f.jet(0j)
         return self.q.jet(jf0.value).d1 * jf0.d1
 
+    @accepts_point("z")
     def value(self, z: np.ndarray, t) -> np.ndarray:
-        return self.partials(z, t).value
+        """F(z, t) alone, equal to `partials(z, t).value` to the bit."""
+        return self._evaluate(z, t, False)
 
     @accepts_point("z")
     def partials(self, z: np.ndarray, t) -> ChainPartials:
-        return self._partials(z, t)
+        return self._evaluate(z, t, True)
 
-    def _partials(self, z: np.ndarray, t) -> ChainPartials:
+    def _evaluate(self, z: np.ndarray, t, partials: bool):
+        """F(z, t), or with `partials` the ChainPartials at (z, t)."""
         raise NotImplementedError
 
     @accepts_point("t")
@@ -130,7 +135,7 @@ class GenBeckerChain(LoewnerChain):
             raise PreconditionError("gen_becker chain needs 1 + c != 0")
         self._kappa = 1 / (1 + c)
 
-    def _partials(self, z, t):
+    def _evaluate(self, z, t, partials):
         kappa = self._kappa
         et = np.exp(t)
         emt = np.exp(-t)
@@ -138,9 +143,11 @@ class GenBeckerChain(LoewnerChain):
         jf = self.f.jet(u)
         jq = self.q.jet(jf.value)
         s = jq.d1 * jf.d1                       # d/du Q(f(u))
-        sp = jq.d2 * jf.d1 * jf.d1 + jq.d1 * jf.d2   # d^2/du^2 Q(f(u))
         grow = et - emt
         value = jq.value + kappa * grow * z * s
+        if not partials:
+            return value
+        sp = jq.d2 * jf.d1 * jf.d1 + jq.d1 * jf.d2   # d^2/du^2 Q(f(u))
         zdz = s * u + kappa * grow * (z * s + z * u * sp)
         dt = -s * u + kappa * z * (et + emt) * s - kappa * z * grow * u * sp
         return ChainPartials(value, dt, zdz)
@@ -158,11 +165,13 @@ class GenBeckerChain(LoewnerChain):
 class NWChain(LoewnerChain):
     construction = "nw"
 
-    def _partials(self, z, t):
+    def _evaluate(self, z, t, partials):
         et = np.exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
         value = jq.value + (et - 1) * z
+        if not partials:
+            return value
         dt = et * z
         zdz = z * (jq.d1 * jf.d1 + (et - 1))
         return ChainPartials(value, dt, zdz)
@@ -183,11 +192,14 @@ class PhiLikeChain(LoewnerChain):
         if abs(q.jet(0j).value) > 1e-12:
             raise PreconditionError("phi_like chain needs Q(0) = 0")
 
-    def _partials(self, z, t):
+    def _evaluate(self, z, t, partials):
         et = np.exp(t)
         jf = self.f.jet(z)
         jq = self.q.jet(jf.value)
-        return ChainPartials(et * jq.value, et * jq.value, et * z * jq.d1 * jf.d1)
+        value = et * jq.value
+        if not partials:
+            return value
+        return ChainPartials(value, value, et * z * jq.d1 * jf.d1)
 
     def _a1(self, t):
         return np.exp(t) * self._d0
@@ -246,16 +258,18 @@ class BazilevicChain(LoewnerChain):
             raise BranchTrackingError("chain bracket vanished on the time path")
         return b, lb0 + np.log(ratio)
 
-    def _partials(self, z, t):
+    def _evaluate(self, z, t, partials):
         s = self.params.s
         alpha, beta = s.real, s.imag
         et = np.exp(t)
         big_h, big_r, lb0 = self.branch_data(z)
         b, lb = self._bracket(et, big_h, big_r, lb0)
         # at the origin of an array z G'/G and z p'/p are 0/0; the origin's
-        # partials are 0, set below
+        # value and partials are 0, set below
         with np.errstate(divide="ignore", invalid="ignore"):
             value = z * np.exp(lb / s)
+            if not partials:
+                return np.where(z == 0, 0j, value)
             gv, gd = self._g_jet(z)
             jp = self.p.jet(z)
             zgg = z * gd / gv
@@ -416,6 +430,7 @@ class ExtensionMap:
         fhat(w) = F(w, 0)                     for |w| < 1
         fhat(w) = F(w/|w|, log |w|)           for |w| >= 1
 
+    It reads F alone, through `chain.value`, which skips the partials.
     When a map the chain evaluates at the angular argument (f, and p for
     the Bazilevic chain) is not analytic past the unit circle, boundary
     evaluations clamp that argument to radius 1 - 1e-6.

@@ -141,6 +141,20 @@ def _chain_points(chain):
 
 
 @pytest.mark.parametrize("chain", CHAINS)
+def test_chain_value_is_the_value_of_its_partials_to_the_bit(chain):
+    # the extension reads F alone, through value, which skips the partials:
+    # the chain's points (the origin ring among them) and the stencil samples
+    # around a disk grid, against a column of times, an array of times and
+    # one time
+    z = np.concatenate([_chain_points(chain), _stencil(DiskGrid(5, 12, 1e-2).points())])
+    assert (z == 0).any()
+    col = np.array(TIMES)[:, None]
+    for t in (col, np.linspace(0.0, 1.9, len(z)), 0.7):
+        assert np.array_equal(chain.value(z, t), chain.partials(z, t).value, equal_nan=True)
+    assert chain.value(0j, 0.7) == chain.partials(0j, 0.7).value
+
+
+@pytest.mark.parametrize("chain", CHAINS)
 def test_chain_partials_and_ratio_match_scalar_calls(chain):
     z = _chain_points(chain)
     for t in TIMES:
@@ -409,22 +423,23 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
     monkeypatch.setattr(BranchLattice, "_walk", lambda self, start, anchor, points, *rest:
                         sizes["walk"].append(points.size)
                         or walk(self, start, anchor, points, *rest))
-    evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
-                       CriterionParams(k=0.75, w0=-2.0, lambda0=11 / 6, a=1 / 3),
-                       DiskGrid(80, 100))
+    # (the Q o f ratio of a companion other than the identity keeps a lattice)
+    evaluate_criterion("bazilevic", PolynomialMap([1, 0.1]), MOEBIUS,
+                       CriterionParams(s=1 + 0.5j), DiskGrid(80, 100))
 
     chain = build_chain("nw", PolynomialMap([1, 0.25]), CompanionMap.identity())
-    partials = chain.partials
-    caller = "validate"
 
-    def counted(z, t):
-        sizes[caller].append(np.broadcast(z, t).size)
-        return partials(z, t)
+    def counted(caller, method):
+        def call(z, t):
+            sizes[caller].append(np.broadcast(z, t).size)
+            return method(z, t)
+        return call
 
-    monkeypatch.setattr(chain, "partials", counted)
+    # validation reads the partials, the extension the chain's value alone
+    monkeypatch.setattr(chain, "partials", counted("validate", chain.partials))
+    monkeypatch.setattr(chain, "value", counted("extension", chain.value))
     times = default_times(2.0, 21)
     validate_chain(chain, grid, times)
-    caller = "extension"
     ExtensionMap(chain).on_blocks(AnnulusGrid(128, 256, 1.001, 3.0).points())
 
     beltrami_on_grid(lambda z: sizes["stencil"].append(z.size) or z + 0.1 * z.conjugate(),

@@ -567,11 +567,8 @@ def test_a_root_inside_the_disk_keeps_the_lattice_and_its_verdict():
     assert report.worst_point == complex(-0.94060252111783782, -0.33655296353882769)
 
 
-def test_a_sector_nw_scan_grows_its_lattice_block_by_block(monkeypatch):
-    # each block grows the 64 rays of the grid out to the deepest ring it
-    # asks of them, in walks of at most BLOCK nodes, and then walks its
-    # queries: the first block's radii reach ring 46, the second's ring 47;
-    # the refinement patch, between the grid's rays, grows its own
+def _counted_walks(monkeypatch):
+    """The size of every BranchLattice walk, in call order."""
     walks = []
     walk = BranchLattice._walk
 
@@ -580,8 +577,18 @@ def test_a_sector_nw_scan_grows_its_lattice_block_by_block(monkeypatch):
         return walk(self, start, anchor, points, *args)
 
     monkeypatch.setattr(BranchLattice, "_walk", counted)
-    evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
-                       CriterionParams(k=0.75, **SECTOR), DiskGrid(2 * BLOCK // 64, 64))
+    return walks
+
+
+def test_a_companion_bazilevic_scan_grows_its_lattice_block_by_block(monkeypatch):
+    # the Q o f ratio of a companion other than the identity keeps a
+    # lattice: each block grows the 64 rays of the grid out to the deepest
+    # ring it asks of them, in walks of at most BLOCK nodes, and then walks
+    # its queries: the first block's radii reach ring 46, the second's ring
+    # 47; the refinement patch, between the grid's rays, grows its own
+    walks = _counted_walks(monkeypatch)
+    evaluate_criterion("bazilevic", PolynomialMap([1, 0.1]), MOEBIUS_Q,
+                       CriterionParams(s=1 + 0.5j), DiskGrid(2 * BLOCK // 64, 64))
     # the first block: rings 1 to 46 in one walk, then its queries, whose 64
     # origin points sit on their node
     assert walks[:2] == [64 * 46, BLOCK - 64]
@@ -589,6 +596,13 @@ def test_a_sector_nw_scan_grows_its_lattice_block_by_block(monkeypatch):
     assert walks[2:4] == [64, BLOCK]
     # the patch: its nodes, then its 9 x 9 queries of one step each
     assert len(walks) == 6 and walks[5] == 81
+
+
+def test_a_sector_nw_scan_walks_no_lattice(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    report = evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
+                                CriterionParams(k=0.75, **SECTOR), DiskGrid(32, 64))
+    assert report.passed and walks == []
 
 
 # -- conjugate symmetry ---------------------------------------------------------------

@@ -165,6 +165,43 @@ def test_malformed_scenario_value_is_an_input_error(tmp_path, capsys, command, f
     assert err.startswith(f"error: {field}: expected ")
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"function": 5}, "function must be a JSON object"),
+    ({"params": {"p": 3}}, "params.p must be a JSON object"),
+    ({"params": 5}, "params must be a JSON object"),
+    ({"params": []}, "params must be a JSON object"),
+    ({"companion": [1]}, "companion must be a JSON object"),
+    ({"function": {"kind": "koebe", "lam": "x"}}, "unknown field(s) ['lam'] in function"),
+    ({"function": {"kind": "scaled", "base": {"kind": "cayley", "radius": 3}}},
+     "unknown field(s) ['radius'] in function.base"),
+    ({"companion": {"kind": "identity", "a": 0.5, "pole": 2}},
+     "unknown field(s) ['a', 'pole'] in companion"),
+    ({"companion": {"kind": "sector", "w0": [-2, 0], "gamma": 1}},
+     "unknown field(s) ['gamma'] in companion"),
+    ({"companion": {"kind": "moebius", "pole": [3, 0], "gamma": [0.2, 0], "delta": "x"}},
+     "companion.delta: expected "),
+    ({"companion": {"kind": "moebius", "pole": [3, 0], "gamma": [0.2, 0]}},
+     "companion.pole excludes companion.gamma"),
+    ({"companion": {"kind": [1]}}, "companion: unknown companion kind [1]"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+def test_a_spec_holds_only_the_fields_its_kind_reads(tmp_path, capsys, patch, message):
+    # each was a traceback (exit 1, the code of a numerical fail), or ran
+    # with the fields its kind does not read left unparsed
+    code, _, err = run(["check", "--scenario", write_scenario(tmp_path, {**BASE, **patch})],
+                       capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+
+
+def test_a_moebius_companion_takes_its_pole_or_its_coefficients(tmp_path, capsys):
+    for companion in ({"kind": "moebius", "pole": [3, 0]},
+                      {"kind": "moebius", "gamma": [0.2, 0]}):
+        doc = {**BASE, "criterion": "gen_becker", "companion": companion,
+               "params": {"k": 0.5, "k_prime": 0.5}}
+        code, _, err = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
+        assert code in (0, 1) and err == ""
+
+
 def test_grid_override_below_two_radii_is_an_input_error(tmp_path, capsys):
     code, out, err = run(["check", "--scenario", write_scenario(tmp_path, BASE),
                           "--grid-radial", "1"], capsys)

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcx import (
     ALL_CRITERIA,
@@ -349,6 +351,72 @@ def test_moebius_rows_conclude_from_their_own_companion(criterion, params):
                              SMALL_GRID)
     assert rep.passed
     assert rep.concluded_dilatation == params.k
+
+
+def _sector_nw_scan_and_oracle(f, w0, lambda0, a, grid):
+    """The sector_nw value on the grid's points, and the oracle's there."""
+    value = CRITERIA["sector_nw"].build(
+        f, None, CriterionParams(k=0.5, w0=w0, lambda0=lambda0, a=a), grid)
+    points = grid.points()
+    return value(points), [sector_nw_value(f, w0, a, complex(z)) for z in points]
+
+
+def _holds_every_path(f, sector, points, steps=192):
+    """Whether the sector holds f's image of [0, z] at `steps` points, for
+    each z: the segments the oracle continues along."""
+    path = (np.arange(1, steps + 1) / steps)[:, None] * points[None, :]
+    return bool(sector.contains(f.jet(path.ravel()).value).all())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a2=st.complex_numbers(max_magnitude=0.3), a3=st.complex_numbers(max_magnitude=0.1),
+       a=st.floats(0.1, 1.95), heading=st.floats(0, 2 * math.pi),
+       tilt=st.floats(-0.8, 0.8), slack=st.floats(1.02, 2.0))
+def test_sector_nw_closed_form_matches_the_tracked_oracle(a2, a3, a, heading, tilt, slack):
+    # a sector of opening pi*a whose bisector from w0 misses the origin by
+    # the angle tilt*pi*a/2, w0 far enough away that the sector holds the
+    # disk the image lies in
+    f = PolynomialMap([1, a2, a3])
+    grid = DiskGrid(6, 12, 1e-2)
+    radius = np.abs(f.jet(grid.max_radius * np.exp(2j * np.pi * np.arange(64) / 64)).value)
+    half = math.pi * a / 2
+    w0 = cmath.rect(slack * 1.2 * radius.max() / math.sin(min((1 - abs(tilt)) * half,
+                                                                 math.pi / 2)), heading)
+    lambda0 = (heading + math.pi - (1 - tilt) * half) / math.pi % 2
+    assume(lambda0 < 2)
+    assume(_holds_every_path(f, SectorDomain(w0, lambda0, a), grid.points()))
+    got, want = _sector_nw_scan_and_oracle(f, w0, lambda0, a, grid)
+    for v, w in zip(got, want):
+        assert abs(v - w) <= 1e-12 * abs(w), (v, w)
+
+
+def test_sector_nw_closed_form_turns_with_a_cone_past_a_half_turn():
+    # a = 1.9: 1 - f/w0 winds past the negative axis inside its cone, where
+    # the principal Log is off by 2 pi i and the turned one is not
+    f = PolynomialMap([1, -0.12 + 0.19j, -0.024 + 0.093j])
+    w0, lambda0, a = 0.375 + 0.223j, 0.368, 1.9
+    grid = DiskGrid(8, 16)
+    assert _holds_every_path(f, SectorDomain(w0, lambda0, a), grid.points(), 1000)
+    got, want = _sector_nw_scan_and_oracle(f, w0, lambda0, a, grid)
+    jf = f.jet(grid.points())
+    principal = jf.d1 * np.exp((1 / a - 1) * np.log(1 - jf.value / w0))
+    assert np.sum(np.abs(principal - want) > 0.1 * np.abs(want)) == 6
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_sector_nw_value_raises_where_the_image_leaves_the_sector():
+    # the identity's image of the grid lies inside (the precheck passes),
+    # but the closed form holds only inside the sector: a block that leaves
+    # it raises the precheck's error at its first escaping point
+    value = CRITERIA["sector_nw"].build(
+        IdentityMap(), None, CriterionParams(k=0.65, w0=-2 + 0j, lambda0=11 / 6, a=1 / 3),
+        SMALL_GRID)
+    value(np.array([0.5j, 0.9]))
+    with pytest.raises(PreconditionError, match=r"f\(np.complex128\(1.2j\)\) = "
+                                                r"np.complex128\(1.2j\) escapes the sector"):
+        value(np.array([0.5j, 1.2j, 1.3j]))
+    with pytest.raises(PreconditionError, match="escapes the sector domain"):
+        value(-2.5)
 
 
 def test_special_case_vertex_one_fails_for_identity():
