@@ -638,7 +638,6 @@ def cmd_fit_sector(sc: Scenario, args) -> int:
     try:
         sector, r_used = fit_sector(f, values.get("w0", -2), values.get("z0", 0),
                                     values.get("R"), sc.disk_grid())
-        contained = True
     except ContainmentError as exc:
         print(f"## fit-sector-report\ncontained=false\nerror={exc}")
         return 1
@@ -648,7 +647,7 @@ def cmd_fit_sector(sc: Scenario, args) -> int:
         "lambda0": sector.lambda0,
         "a": sector.a,
         "R_used": r_used,
-        "contained": contained,
+        "contained": True,
         "note": ROTATION_NOTE,
     })
     return 0
@@ -672,14 +671,12 @@ def make_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parse_args keeps no
     state between calls."""
     parser = argparse.ArgumentParser(prog="qcx", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--scenario", required=True)
-        p.add_argument("--grid-radial", type=int, default=0)
-        p.add_argument("--grid-angular", type=int, default=0)
-        p.add_argument("--out", default="")
-        p.add_argument("--svg", action="store_true")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--scenario", required=True)
+    parser.add_argument("--grid-radial", type=int, default=0)
+    parser.add_argument("--grid-angular", type=int, default=0)
+    parser.add_argument("--out", default="")
+    parser.add_argument("--svg", action="store_true")
     return parser
 
 

@@ -27,7 +27,7 @@ from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
 from .qcverify import compose_dilatation
-from .sector import SectorDomain, first_escape
+from .sector import SectorDomain
 
 _INF = float("inf")
 
@@ -221,16 +221,28 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
                                 tracked_ratio_log(p, z))
 
 
+def _pole_becker(c: complex, m: float, pole: complex, z: np.ndarray,
+                 jf) -> np.ndarray:
+    """c|z|^2 + (1-|z|^2) * { z f''/f' + m z f'/(f - pole) } from f's jet jf
+    at z: the Moebius (m = -2, pole c2) and sector (m = 1/a - 1, pole w0)
+    Becker values."""
+    return _finite_where(
+        (jf.d1 != 0) & (jf.value != pole),
+        lambda z, v, d1, d2: _becker(c, z, z * d2 / d1 + m * z * d1 / (v - pole)),
+        z, jf.value, jf.d1, jf.d2)
+
+
+def _moebius_derivative(gamma: complex, delta: complex, jf) -> np.ndarray:
+    den = gamma * jf.value + delta
+    return _finite_where(den != 0, lambda d1, den: d1 / (den * den), jf.d1, den)
+
+
 @_quiet
 @accepts_point("z")
 def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex,
                          z: np.ndarray) -> np.ndarray:
     """c1|z|^2 + (1-|z|^2) * { z f''/f' - 2 z f'/(f - c2) }."""
-    jf = f.jet(z)
-    return _finite_where(
-        (jf.d1 != 0) & (jf.value != c2),
-        lambda z, v, d1, d2: _becker(c1, z, z * d2 / d1 - 2 * z * d1 / (v - c2)),
-        z, jf.value, jf.d1, jf.d2)
+    return _pole_becker(c1, -2, c2, z, f.jet(z))
 
 
 @_quiet
@@ -238,9 +250,7 @@ def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex,
 def moebius_nw_value(f: AnalyticMap, gamma: complex, delta: complex,
                      z: np.ndarray) -> np.ndarray:
     """f'(z)/(gamma*f(z) + delta)^2, tested against U(k)."""
-    jf = f.jet(z)
-    den = gamma * jf.value + delta
-    return _finite_where(den != 0, lambda d1, den: d1 / (den * den), jf.d1, den)
+    return _moebius_derivative(gamma, delta, f.jet(z))
 
 
 @_quiet
@@ -248,12 +258,7 @@ def moebius_nw_value(f: AnalyticMap, gamma: complex, delta: complex,
 def sector_becker_value(f: AnalyticMap, c: complex, w0: complex, a: float,
                         z: np.ndarray) -> np.ndarray:
     """c|z|^2 + (1-|z|^2) * { z f''/f' + (1/a - 1) z f'/(f - w0) }."""
-    jf = f.jet(z)
-    return _finite_where(
-        (jf.d1 != 0) & (jf.value != w0),
-        lambda z, v, d1, d2: _becker(
-            c, z, z * d2 / d1 + (1 / a - 1) * z * d1 / (v - w0)),
-        z, jf.value, jf.d1, jf.d2)
+    return _pole_becker(c, 1 / a - 1, w0, z, f.jet(z))
 
 
 def sector_nw_value(f: AnalyticMap, w0: complex, a: float, z: complex) -> complex:
@@ -349,8 +354,9 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
 
 
 # ---------------------------------------------------------------------------
-# preconditions: evaluated block by block, up to the first block that fails,
-# naming the first failing point
+# preconditions: check_starlike walks its own grid block by block; the image
+# guards check one scanned block's image, the refinement patch's too, and
+# name the first failing point
 # ---------------------------------------------------------------------------
 
 
@@ -374,24 +380,24 @@ def check_starlike(p: AnalyticMap, grid: DiskGrid | None = None) -> None:
             )
 
 
-def _image_avoids(f: AnalyticMap, omitted: complex, grid: DiskGrid, what: str) -> None:
-    for z in blocks(grid.points()):
-        gap = np.min(np.abs(f.jet(z).value - omitted))
-        if gap <= 1e-9:
-            raise PreconditionError(
-                f"{what} = {omitted!r} is not separated from the image "
-                f"(min distance {gap:.3g})"
-            )
+def _image_avoids(w: np.ndarray, omitted: complex, what: str) -> None:
+    """Require a block's image w to keep off the omitted value."""
+    gap = np.min(np.abs(w - omitted))
+    if gap <= 1e-9:
+        raise PreconditionError(
+            f"{what} = {omitted!r} is not separated from the image "
+            f"(min distance {gap:.3g})"
+        )
 
 
-def _escape_error(z, w) -> PreconditionError:
-    return PreconditionError(f"image point f({z!r}) = {w!r} escapes the sector domain")
-
-
-def _sector_contains_image(f: AnalyticMap, sector, grid: DiskGrid) -> None:
-    escape = first_escape(f, sector, grid)
-    if escape is not None:
-        raise _escape_error(*escape)
+def _sector_contains_image(z: np.ndarray, w: np.ndarray, sector) -> None:
+    """Require the sector to hold a block's image w = f(z), naming the first
+    point that escapes (the numpy scalars of the block)."""
+    escapes = ~sector.contains(w)
+    if escapes.any():
+        i = np.argmax(escapes)
+        raise PreconditionError(f"image point f({z[i]!r}) = {w[i]!r} "
+                                "escapes the sector domain")
 
 
 def _require_sector(params: CriterionParams):
@@ -401,48 +407,64 @@ def _require_sector(params: CriterionParams):
 
 
 # ---------------------------------------------------------------------------
-# value-function builders: check the hypotheses, return z -> criterion value
-# (z a 1-D array, as sup_over_grid's blocks)
+# value-function builders: check the hypotheses on the params, return
+# z -> criterion value (z a 1-D array, as sup_over_grid's blocks); a
+# hypothesis on the image f(D) is checked on each block the value evaluates
 # ---------------------------------------------------------------------------
 
 
-def _gen_becker(f, q, params, grid):
+def _guarded(f: AnalyticMap, guard, formula):
+    """z -> formula(z, jf) for f's jet jf at z, once guard(z, jf.value) has
+    held the block's image to the row's hypothesis."""
+
+    @_quiet
+    @accepts_point("z")
+    def value(z):
+        jf = f.jet(z)
+        guard(z, jf.value)
+        return formula(z, jf)
+
+    return value
+
+
+def _gen_becker(f, q, params):
     if q is None:
         raise PreconditionError("gen_becker needs a companion map")
     c = params.c
     return lambda z: gen_becker_value(f, q, c, z)
 
 
-def _moebius_becker(f, q, params, grid):
+def _moebius_becker(f, q, params):
     if params.c2 is None:
         raise PreconditionError("moebius_becker needs c2")
-    _image_avoids(f, params.c2, grid, "c2")
     c1, c2 = params.c, params.c2
-    return lambda z: moebius_becker_value(f, c1, c2, z)
+    return _guarded(f, lambda z, w: _image_avoids(w, c2, "c2"),
+                    lambda z, jf: _pole_becker(c1, -2, c2, z, jf))
 
 
-def _sector_becker(f, q, params, grid):
+def _sector_becker(f, q, params):
     sector = _require_sector(params)
-    _sector_contains_image(f, sector, grid)
-    c, w0, a = params.c, sector.w0, sector.a
-    return lambda z: sector_becker_value(f, c, w0, a, z)
+    c, w0, m = params.c, sector.w0, 1 / sector.a - 1
+    return _guarded(f, lambda z, w: _sector_contains_image(z, w, sector),
+                    lambda z, jf: _pole_becker(c, m, w0, z, jf))
 
 
-def _nw(f, q, params, grid):
+def _nw(f, q, params):
     if q is None:
         raise PreconditionError("nw needs a companion map")
     return lambda z: nw_value(f, q, z)
 
 
-def _moebius_nw(f, q, params, grid):
+def _moebius_nw(f, q, params):
     g, d = params.gamma, params.delta
     if g is None or d is None:
         raise PreconditionError("moebius_nw needs gamma and delta")
     if g == 0:
         raise PreconditionError("moebius_nw requires gamma != 0 "
                                 "(the affine case is the classical condition)")
-    _image_avoids(f, -d / g, grid, "-delta/gamma")
-    return lambda z: moebius_nw_value(f, g, d, z)
+    pole = -d / g
+    return _guarded(f, lambda z, w: _image_avoids(w, pole, "-delta/gamma"),
+                    lambda z, jf: _moebius_derivative(g, d, jf))
 
 
 def _sector_log(sector: SectorDomain) -> Callable[[np.ndarray], np.ndarray]:
@@ -459,33 +481,21 @@ def _sector_log(sector: SectorDomain) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u: 1j * beta + np.log(u * unturn)
 
 
-def _sector_nw(f, q, params, grid):
+def _sector_nw(f, q, params):
+    # the closed form holds only inside the sector, which the guard checks
     sector = _require_sector(params)
-    _sector_contains_image(f, sector, grid)
     w0, expo, log = sector.w0, 1 / sector.a - 1, _sector_log(sector)
-
-    @_quiet
-    @accepts_point("z")
-    def value(z):
-        # the closed form holds only inside the sector: every block, the
-        # refinement patch too, is held to the precheck's containment
-        jf = f.jet(z)
-        escapes = ~sector.contains(jf.value)
-        if escapes.any():
-            i = np.argmax(escapes)
-            raise _escape_error(z[i], jf.value[i])
-        return jf.d1 * np.exp(expo * log(1 - jf.value / w0))
-
-    return value
+    return _guarded(f, lambda z, w: _sector_contains_image(z, w, sector),
+                    lambda z, jf: jf.d1 * np.exp(expo * log(1 - jf.value / w0)))
 
 
-def _phi_like(f, phi, params, grid):
+def _phi_like(f, phi, params):
     if phi is None:
         raise PreconditionError("phi_like needs a companion (or direct Phi)")
     return lambda z: phi_like_value(f, phi, z)
 
 
-def _bazilevic(f, psi, params, grid):
+def _bazilevic(f, psi, params):
     if psi is None:
         raise PreconditionError("bazilevic needs a companion (or direct Psi)")
     # Q(f(w))/w has a pole at 0 unless Q(0) = 0
@@ -517,9 +527,11 @@ class CriterionSpec:
     score         "abs" (sup |v| <= bound), "udisk" (v in U(bound)) or
                   "re" (Re v > 0, no bound and no concluded dilatation)
     bound         "k", "k_prime" (CriterionParams.bound) or None for "re"
-    build         (f, companion, params, grid) -> z -> value, elementwise on
-                  a 1-D array; raises PreconditionError when a hypothesis
-                  fails
+    build         (f, companion, params) -> z -> value, elementwise on a 1-D
+                  array; raises PreconditionError when a hypothesis fails,
+                  the build on the params, the value on a block whose image
+                  f(z) breaks the row's hypothesis on f(D) (every scanned
+                  block, the refinement patch included)
     construction  the loewner chain family that realizes the criterion
     companion     the companion label ("moebius", "sector") the chain must be
                   built from, or None for any companion; such a row's value
@@ -623,7 +635,7 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
         if bound is None:
             needs = "k" if spec.bound == "k" else "k_prime (or k)"
             raise PreconditionError(f"{criterion} needs {needs}")
-    value_fn = spec.build(f, companion, params, grid)
+    value_fn = spec.build(f, companion, params)
 
     if spec.score == "re":
         score, ratio, threshold, strict = (lambda v: -v.real), None, 0.0, True

@@ -245,21 +245,6 @@ def sup_abs_on_boundary(f: AnalyticMap) -> float:
     return float(max(ring[best_j], window.max()))
 
 
-def first_escape(f: AnalyticMap, sector: SectorDomain,
-                grid: DiskGrid) -> tuple[complex, complex] | None:
-    """(z, f(z)) at the first grid point, in grid order, whose image lies
-    outside the sector, or None when every sampled image lies inside.  The
-    grid is scanned block by block up to the first block with an escape;
-    both are numpy scalars of that block, as the messages print them."""
-    for z in blocks(grid.points()):
-        w = f.jet(z).value
-        escapes = ~sector.contains(w)
-        if escapes.any():
-            i = np.argmax(escapes)
-            return z[i], w[i]
-    return None
-
-
 def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
                radius: float | None = None,
                grid: DiskGrid | None = None) -> tuple[SectorDomain, float]:
@@ -285,8 +270,11 @@ def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
     ) / math.pi
     lam %= 2.0
     sector = SectorDomain(w0, lam, a)
-    miss = first_escape(f, sector, grid or DiskGrid())
-    if miss is not None:
-        z, w = miss
-        raise ContainmentError(f"fitted sector misses image point f({z!r}) = {w!r}")
+    for z in blocks((grid or DiskGrid()).points()):
+        w = f.jet(z).value
+        escapes = ~sector.contains(w)
+        if escapes.any():
+            i = np.argmax(escapes)
+            raise ContainmentError(
+                f"fitted sector misses image point f({z[i]!r}) = {w[i]!r}")
     return sector, big_r

@@ -407,7 +407,8 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
     grid = DiskGrid(128, 256)
     sup_over_grid(lambda z: sizes["scan"].append(z.size) or np.abs(z), grid, 10.0)
 
-    # the prechecks of these criteria evaluate f on the grid before the scan
+    # the values of these criteria evaluate f on each block they check the
+    # image of
     jet = PolynomialMap.jet
     monkeypatch.setattr(PolynomialMap, "jet",
                         lambda self, z: sizes["jet"].append(np.size(z)) or jet(self, z))

@@ -115,7 +115,7 @@ def _oracle(criterion, f, psi, params):
 
 @pytest.mark.parametrize("criterion, f, psi, params", CASES)
 def test_shared_lattice_matches_per_point_oracle(criterion, f, psi, params):
-    value = CRITERIA[criterion].build(f, psi, params, GRID)
+    value = CRITERIA[criterion].build(f, psi, params)
     oracle = _oracle(criterion, f, psi, params)
     points = list(GRID.points()) + _patches(GRID)
     for z in points:
@@ -156,7 +156,7 @@ def _assert_close_arrays(got, want, tol=1e-12):
 @pytest.mark.parametrize("criterion, f, psi, params", CASES)
 def test_block_queries_match_the_per_point_oracles(criterion, f, psi, params):
     block = _block()
-    value = CRITERIA[criterion].build(f, psi, params, GRID)
+    value = CRITERIA[criterion].build(f, psi, params)
     oracle = _oracle(criterion, f, psi, params)
     _assert_close_arrays(value(block), [oracle(z) for z in block.tolist()])
     # each lattice query against tracked_log from the node continue_from
@@ -617,7 +617,7 @@ def test_a_sector_nw_scan_walks_no_lattice(monkeypatch):
      CriterionParams(k=0.5, k_prime=0.5, s=0.8 + 0j)),
 ])
 def test_real_coefficients_give_bit_exact_conjugate_values(criterion, f, psi, params):
-    value = CRITERIA[criterion].build(f, psi, params, GRID)
+    value = CRITERIA[criterion].build(f, psi, params)
     for z in list(GRID.points()) + _patches(GRID):
         assert value(z.conjugate()) == value(z).conjugate(), z
 
@@ -631,7 +631,7 @@ def test_real_coefficients_give_bit_exact_conjugate_values(criterion, f, psi, pa
      CriterionParams(k=0.5, k_prime=0.5, s=0.8 + 0j)),
 ])
 def test_real_coefficients_give_bit_exact_conjugate_blocks(criterion, f, psi, params):
-    value = CRITERIA[criterion].build(f, psi, params, GRID)
+    value = CRITERIA[criterion].build(f, psi, params)
     block = _block()
     assert np.array_equal(value(block.conj()), value(block).conj())
 

@@ -319,8 +319,8 @@ def test_sector_containment_precondition():
 
 
 def test_sector_containment_of_a_constant_map():
-    # a constant map's jet gives one value for the whole grid; the precheck
-    # broadcasts it as fit_sector does
+    # a constant map's jet holds its one value at every point of a block,
+    # which the guard tests as fit_sector does
     params = CriterionParams(k=0.65, w0=-2 + 0j, lambda0=11 / 6, a=1 / 3)
     grid = DiskGrid(8, 16)
     rep = evaluate_criterion("sector_becker", ConstMap(0.3), None, params, grid)
@@ -356,7 +356,7 @@ def test_moebius_rows_conclude_from_their_own_companion(criterion, params):
 def _sector_nw_scan_and_oracle(f, w0, lambda0, a, grid):
     """The sector_nw value on the grid's points, and the oracle's there."""
     value = CRITERIA["sector_nw"].build(
-        f, None, CriterionParams(k=0.5, w0=w0, lambda0=lambda0, a=a), grid)
+        f, None, CriterionParams(k=0.5, w0=w0, lambda0=lambda0, a=a))
     points = grid.points()
     return value(points), [sector_nw_value(f, w0, a, complex(z)) for z in points]
 
@@ -404,19 +404,30 @@ def test_sector_nw_closed_form_turns_with_a_cone_past_a_half_turn():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def test_sector_nw_value_raises_where_the_image_leaves_the_sector():
-    # the identity's image of the grid lies inside (the precheck passes),
-    # but the closed form holds only inside the sector: a block that leaves
-    # it raises the precheck's error at its first escaping point
-    value = CRITERIA["sector_nw"].build(
-        IdentityMap(), None, CriterionParams(k=0.65, w0=-2 + 0j, lambda0=11 / 6, a=1 / 3),
-        SMALL_GRID)
+_LEAVES_THE_SECTOR = (r"image point f\(np.complex128\(1.2j\)\) = "
+                      r"np.complex128\(1.2j\) escapes the sector domain")
+_SECTOR_PARAMS = dict(w0=-2 + 0j, lambda0=11 / 6, a=1 / 3)
+
+
+@pytest.mark.parametrize("criterion, params, error", [
+    ("moebius_becker", CriterionParams(k=0.9, c2=1.2j),
+     r"c2 = 1.2j is not separated from the image \(min distance 0\)"),
+    ("moebius_nw", CriterionParams(k=0.6, gamma=1 + 0j, delta=-1.2j),
+     r"-delta/gamma = 1.2j is not separated from the image \(min distance 0\)"),
+    ("sector_becker", CriterionParams(k=0.65, **_SECTOR_PARAMS), _LEAVES_THE_SECTOR),
+    ("sector_nw", CriterionParams(k=0.65, **_SECTOR_PARAMS), _LEAVES_THE_SECTOR),
+])
+def test_image_reading_values_raise_where_the_image_breaks_the_hypothesis(
+        criterion, params, error):
+    # the identity's image of [0.5j, 0.9] keeps the hypothesis on f(D), that
+    # of 1.2j breaks it: each block the value evaluates, a refinement patch
+    # as much as a grid block, is held to it, at its first offending point
+    value = CRITERIA[criterion].build(IdentityMap(), None, params)
     value(np.array([0.5j, 0.9]))
-    with pytest.raises(PreconditionError, match=r"f\(np.complex128\(1.2j\)\) = "
-                                                r"np.complex128\(1.2j\) escapes the sector"):
+    with pytest.raises(PreconditionError, match=error):
         value(np.array([0.5j, 1.2j, 1.3j]))
-    with pytest.raises(PreconditionError, match="escapes the sector domain"):
-        value(-2.5)
+    with pytest.raises(PreconditionError, match=error):
+        value(1.2j)
 
 
 def test_special_case_vertex_one_fails_for_identity():
@@ -704,7 +715,7 @@ def _closure_cases():
 
 @pytest.mark.parametrize("criterion, f, psi, params", _closure_cases())
 def test_block_closures_match_per_point_calls(criterion, f, psi, params):
-    value = CRITERIA[criterion].build(f, psi, params, GOLDEN_GRID)
+    value = CRITERIA[criterion].build(f, psi, params)
     points = _array_points()
     _assert_matches_per_point(value, points)
     # and the branch tracked from the origin at each point, with no lattice
