@@ -4,8 +4,9 @@
         [--grid-radial N] [--grid-angular N] [--out DIR] [--svg]
 
 Scenarios are JSON documents with a "version": 1 field; unknown keys are
-rejected and the fully resolved configuration (defaults materialized) is
-echoed before any numbers.  Outputs are CSV with a header row, comma
+rejected.  The scenario is echoed before any numbers: grid, annulus, times,
+fd_step, output and criterion with their defaults filled in, function,
+companion and params as written.  Outputs are CSV with a header row, comma
 separators, LF line endings and 17-significant-digit floats, so repeated
 runs are byte-identical.  Exit codes: 0 pass, 1 numerical fail,
 2 input/precondition error.
@@ -23,8 +24,8 @@ import sys
 import numpy as np
 
 from .branches import BranchTrackingError
-from .criteria import (CRITERIA, CriterionParams, PreconditionError, evaluate_criterion,
-                       require_chain_companion)
+from .criteria import (CriterionParams, PreconditionError, criterion_spec,
+                       evaluate_criterion, require_chain_companion)
 from .grids import AnnulusGrid, DiskGrid, blocks
 from .jets import DomainError
 from .loewner import (
@@ -149,7 +150,12 @@ def _build_kind(spec, kinds: dict, where: str, noun: str, default_kind=None):
     build, fields = kinds[kind]
     values = _parse_fields(spec, {"kind": (None, None), **fields}, where, where + ".")
     del values["kind"]
-    return build(**values)
+    try:
+        return build(**values)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def build_function(spec: dict, where: str = "function") -> AnalyticMap:
@@ -544,9 +550,7 @@ def _chain_and_extension(sc: Scenario):
     sector_* criterion needs the companion its value reads: its chain is
     built from the companion, so any other would extend a different map."""
     f, companion, params = sc.pieces()
-    spec = CRITERIA.get(sc.criterion)
-    if spec is None:
-        raise PreconditionError(f"no chain construction for criterion {sc.criterion!r}")
+    spec = criterion_spec(sc.criterion)
     require_chain_companion(sc.criterion, companion, params)
     chain = build_chain(spec.construction, f, companion, params)
     return chain, ExtensionMap(chain), params.bound

@@ -22,7 +22,7 @@ import numpy as np
 
 from .branches import bazilevic_branch, ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
-from .jets import PreconditionError, accepts_point, piecewise
+from .jets import PreconditionError, accepts_point, first_where, piecewise
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
@@ -318,9 +318,9 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
         if rows is not None:
             rows.append(np.column_stack([points, values]))
         sc = score(values)
-        bad = ~np.isfinite(sc)
-        if bad.any():
-            return False, _INF, points[np.argmax(bad)], _INF
+        bad = first_where(~np.isfinite(sc), points)
+        if bad is not None:
+            return False, _INF, bad, -_INF
         i = int(np.argmax(sc))
         return True, sc[i], points[i], -_INF if ratio is None else np.max(ratio(values))
 
@@ -332,12 +332,9 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
             patch = _refined_neighborhood(grid, worst)
             ok, sup2, worst2, bound2 = scan(patch)
             n += len(patch)
-            if not ok:
-                sup, worst = _INF, worst2
-            else:
-                if sup2 > sup:
-                    sup, worst = sup2, worst2
-                bound = max(bound, bound2)
+            bound = max(bound, bound2)
+            if sup2 > sup:  # a failing pass's sup is inf
+                sup, worst = sup2, worst2
     sup = float(sup)
     return CriterionReport(
         criterion=criterion,
@@ -368,16 +365,14 @@ def check_starlike(p: AnalyticMap, grid: DiskGrid | None = None) -> None:
     points = (grid or DiskGrid(24, 48, 1e-2)).points()
     for z in blocks(points[points != 0]):
         j = p.jet(z)
-        vanishes = j.value == 0
         with np.errstate(all="ignore"):
-            bad = vanishes | ((z * j.d1 / j.value).real <= 0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            if vanishes[i]:
+            bad = (j.value == 0) | ((z * j.d1 / j.value).real <= 0)
+        at = first_where(bad, z)
+        if at is not None:
+            if first_where(bad, j.value) == 0:
                 raise PreconditionError("comparison map vanishes inside the disk")
-            raise PreconditionError(
-                f"comparison map is not starlike on the grid (violation at {z[i]!r})"
-            )
+            raise PreconditionError("comparison map is not starlike on the grid "
+                                    f"(violation at {at!r})")
 
 
 def _image_avoids(w: np.ndarray, omitted: complex, what: str) -> None:
@@ -392,11 +387,11 @@ def _image_avoids(w: np.ndarray, omitted: complex, what: str) -> None:
 
 def _sector_contains_image(z: np.ndarray, w: np.ndarray, sector) -> None:
     """Require the sector to hold a block's image w = f(z), naming the first
-    point that escapes (the numpy scalars of the block)."""
+    point that escapes."""
     escapes = ~sector.contains(w)
-    if escapes.any():
-        i = np.argmax(escapes)
-        raise PreconditionError(f"image point f({z[i]!r}) = {w[i]!r} "
+    bad = first_where(escapes, z)
+    if bad is not None:
+        raise PreconditionError(f"image point f({bad!r}) = {first_where(escapes, w)!r} "
                                 "escapes the sector domain")
 
 
@@ -566,6 +561,14 @@ CRITERIA: dict[str, CriterionSpec] = {
 ALL_CRITERIA = tuple(CRITERIA)
 
 
+def criterion_spec(criterion: str) -> CriterionSpec:
+    """The row of CRITERIA a criterion id names."""
+    if criterion not in CRITERIA:
+        raise PreconditionError(f"unknown criterion {criterion!r}; "
+                                f"valid ids: {', '.join(CRITERIA)}")
+    return CRITERIA[criterion]
+
+
 def require_chain_companion(criterion: str, companion: CompanionMap,
                             params: CriterionParams) -> None:
     """Require a moebius_* or sector_* row's companion to be the Q its value
@@ -574,7 +577,7 @@ def require_chain_companion(criterion: str, companion: CompanionMap,
     map with pole c2 for moebius_becker, and for moebius_nw one with
     Q' = 1/(gamma w + delta)^2, that is normalized (gamma, delta) equal to
     +-(gamma, delta) of the params to 1e-12."""
-    needs = CRITERIA[criterion].companion
+    needs = criterion_spec(criterion).companion
     if needs is None:
         return
     if companion.label != needs:
@@ -624,11 +627,7 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
     value) pairs.
     """
     grid = grid or DiskGrid()
-    spec = CRITERIA.get(criterion)
-    if spec is None:
-        raise PreconditionError(
-            f"unknown criterion {criterion!r}; valid ids: {', '.join(ALL_CRITERIA)}"
-        )
+    spec = criterion_spec(criterion)
     bound = None
     if spec.bound is not None:
         bound = params.k if spec.bound == "k" else params.bound

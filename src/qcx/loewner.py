@@ -358,49 +358,48 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     col = np.array(times, float)[live, None]
     a1_col = np.abs(a1)[live, None]
 
-    # minima keyed (value, row of col, grid index): the least key is the
-    # first minimum in time-major order
-    re_key = um_key = (_INF, 0, 0)
-    growth_max = 0.0
-    nonfinite: list[list[str]] = [[] for _ in times]
-    start = 0
+    # the stage as (live time x point) arrays, whose row-major order is the
+    # order of a loop with the times outer and the points in grid order
+    p, g = [np.empty((len(live), 0), complex)], [np.empty((len(live), 0))]
     for z in points if live else ():
         part = chain.partials(z, col)
-        p = chain.transition_ratio(z, col, part=part)
-        g = np.abs(part.value) / a1_col
-        p_ok = np.isfinite(p)
-        g_ok = np.isfinite(g)
-        for r, j in zip(*np.nonzero(~(p_ok & g_ok))):
-            what = "|F/a1|" if p_ok[r, j] else "transition ratio"
-            nonfinite[live[r]].append(f"{what} not finite at z={z[j]!r}, t={times[live[r]]}")
-        re = np.where(p_ok, p.real, _INF)
-        r, j = np.unravel_index(np.argmin(re), re.shape)
-        re_key = min(re_key, (float(re[r, j]), r, start + j))
-        if dilatation_bound is not None:
-            margin = np.where(p_ok, u_disk_margin(np.where(p_ok, p, 0), dilatation_bound), _INF)
-            r, j = np.unravel_index(np.argmin(margin), margin.shape)
-            um_key = min(um_key, (float(margin[r, j]), r, start + j))
-        growth_max = max(growth_max, float(g.max(initial=0.0, where=p_ok & g_ok)))
-        start += len(z)
+        p.append(chain.transition_ratio(z, col, part=part))
+        g.append(np.abs(part.value) / a1_col)
+    p, g = np.concatenate(p, axis=1), np.concatenate(g, axis=1)
+    p_ok, g_ok = np.isfinite(p), np.isfinite(g)
+    growth_max = float(g.max(initial=0.0, where=p_ok & g_ok))
 
-    def at(key):
-        return (grid_points[key[2]], times[live[key[1]]]) if key[0] < _INF else (0j, 0.0)
+    def least(x):
+        """The least x where p is finite and its (z, t), the first minimum in
+        times-outer order; (inf, (0j, 0.0)) when p is finite nowhere."""
+        x = np.where(p_ok, x, _INF)
+        low = float(x.min(initial=_INF))
+        if low == _INF:
+            return low, (0j, 0.0)
+        r, j = divmod(int(np.argmin(x)), x.shape[1])
+        return low, (grid_points.item(j), times[live[r]])
 
-    re_min, re_arg = re_key[0], at(re_key)
-    um_min, um_arg = (um_key[0], at(um_key)) if dilatation_bound is not None else (None, None)
-    failures: list[str] = []
-    for i, t in enumerate(times):
-        failures.extend(nonfinite[i] if a1[i] != 0 else [f"a1({t}) = 0"])
+    re_min, re_arg = least(p.real)
+    um_min, um_arg = (least(u_disk_margin(np.where(p_ok, p, 0), dilatation_bound))
+                      if dilatation_bound is not None else (None, None))
+
+    # failures time by time: a1(t) = 0, or the non-finite samples in grid order
+    by_time = [[] if a != 0 else [f"a1({t}) = 0"] for t, a in zip(times, a1_abs)]
+    rows, cols = np.nonzero(~(p_ok & g_ok))
+    for i, z, ratio_ok in zip(np.take(live, rows).tolist(), grid_points[cols].tolist(),
+                              p_ok[rows, cols].tolist()):
+        what = "|F/a1|" if ratio_ok else "transition ratio"
+        t = times[i]
+        by_time[i].append(f"{what} not finite at z={z!r}, t={t}")
+    failures = [msg for msgs in by_time for msg in msgs]
 
     if re_min <= 0:
-        failures.append(
-            f"Re p <= 0 at z={re_arg[0]!r}, t={re_arg[1]} (Re p = {re_min:.3g})"
-        )
+        z, t = re_arg
+        failures.append(f"Re p <= 0 at z={z!r}, t={t} (Re p = {re_min:.3g})")
     if dilatation_bound is not None and um_min < -1e-12:
-        failures.append(
-            f"p escapes U({dilatation_bound}) at z={um_arg[0]!r}, t={um_arg[1]} "
-            f"(margin {um_min:.3g})"
-        )
+        z, t = um_arg
+        failures.append(f"p escapes U({dilatation_bound}) at z={z!r}, t={t} "
+                        f"(margin {um_min:.3g})")
     increasing = all(b > a - 1e-12 for a, b in zip(a1_abs, a1_abs[1:]))
     if not increasing:
         failures.append("|a1(t)| is not increasing over the sampled times")

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import AnnulusGrid, DiskGrid, blocks
-from .jets import accepts_point
+from .jets import DomainError, accepts_point, first_where
 from .parallel import ordered_map
 
 _DEGENERATE_DZ = 1e-10
@@ -52,16 +52,15 @@ def wirtinger(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, h: float = 1
 
     f is called once, on the stencil samples of all the points.  Exact (up
     to rounding) on affine maps a*z + b*conj(z) + c by linearity of the
-    stencil.  A non-finite sample (a pole) raises ValueError naming the
+    stencil.  A non-finite sample (a pole) raises DomainError naming the
     first point whose stencil hit it.
     """
     points = np.asarray(z, complex)
     with np.errstate(all="ignore"):
         samples = np.asarray(f(_stencil(points, h)), complex).reshape(-1, 4)
-    bad = ~np.isfinite(samples).all(axis=1)
-    if bad.any():
-        raise ValueError("non-finite sample in Wirtinger stencil at "
-                         f"{points[int(np.argmax(bad))]!r}")
+    bad = first_where(~np.isfinite(samples).all(axis=1), points)
+    if bad is not None:
+        raise DomainError(f"non-finite sample in Wirtinger stencil at {bad!r}")
     fe, fw, fn, fs = samples.T
     du = fe - fw
     dv = fn - fs
@@ -117,12 +116,9 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
     """
     points = np.asarray(grid.points() if hasattr(grid, "points") else list(grid), complex)
     r = np.abs(points)
-    band = (1 - 3 * h <= r) & (r <= 1 + 3 * h)
-    if band.any():
-        raise ValueError(
-            f"grid point {points[int(np.argmax(band))]!r} lies inside the guard "
-            "band |z| in [1-3h, 1+3h]"
-        )
+    band = first_where((1 - 3 * h <= r) & (r <= 1 + 3 * h), points)
+    if band is not None:
+        raise ValueError(f"grid point {band!r} lies inside the guard band |z| in [1-3h, 1+3h]")
 
     def one(z: np.ndarray):
         """mu on a block, with its skipped and flagged masks."""
@@ -146,13 +142,13 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
     # the sup and its first maximizer over the samples that count; with no
     # positive |mu| the worst point is the first sample
     size = np.where(skipped | flagged, -1.0, np.abs(mu))
-    i = int(np.argmax(size)) if len(points) else 0
-    sup = float(size[i]) if len(points) and size[i] > 0 else 0.0
+    sup = float(size.max(initial=0.0))
+    worst = int(np.argmax(size)) if sup > 0 else 0
     return BeltramiEstimate(
         points=points,
         mu=mu,
         sup_abs_mu=sup,
-        worst_point=complex(points[i if sup > 0 else 0]) if len(points) else 0j,
+        worst_point=complex(points[worst]) if len(points) else 0j,
         h=float(h),
         flagged=tuple(np.flatnonzero(flagged).tolist()),
         skipped=tuple(np.flatnonzero(skipped).tolist()),

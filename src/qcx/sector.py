@@ -273,8 +273,8 @@ def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
     for z in blocks((grid or DiskGrid()).points()):
         w = f.jet(z).value
         escapes = ~sector.contains(w)
-        if escapes.any():
-            i = np.argmax(escapes)
-            raise ContainmentError(
-                f"fitted sector misses image point f({z[i]!r}) = {w[i]!r}")
+        bad = first_where(escapes, z)
+        if bad is not None:
+            raise ContainmentError("fitted sector misses image point "
+                                   f"f({bad!r}) = {first_where(escapes, w)!r}")
     return sector, big_r

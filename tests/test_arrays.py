@@ -314,7 +314,7 @@ def test_stencil_pole_is_a_named_failure_not_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"non-finite sample in Wirtinger stencil at "
-                                             r"np\.complex128\(1\.7\+0j\)"):
+                                             r"\(1\.7\+0j\)"):
             beltrami_on_grid(f, grid, H)
 
 

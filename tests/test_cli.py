@@ -193,6 +193,27 @@ def test_a_spec_holds_only_the_fields_its_kind_reads(tmp_path, capsys, patch, me
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"function": {"kind": "spiral", "lam": 2.0}},
+     "function: spiral parameter must lie in (-pi/2, pi/2)"),
+    ({"function": {"kind": "scaled", "base": {"kind": "koebe"}, "radius": -1}},
+     "function: scale factor must be positive"),
+    ({"companion": {"kind": "moebius", "delta": 0}},
+     "companion: degenerate Moebius map (alpha*delta - beta*gamma = 0)"),
+    ({"companion": {"kind": "catalog", "extension_dilatation": 1.5,
+                    "base": {"kind": "identity"}}},
+     "companion: extension dilatation must lie in [0, 1)"),
+    ({"params": {"k": 0.5, "p": {"kind": "spiral", "lam": 2.0}}},
+     "params.p: spiral parameter must lie in (-pi/2, pi/2)"),
+], ids=["spiral", "scaled", "moebius", "catalog", "params.p"])
+def test_a_value_the_builder_rejects_is_an_input_error(tmp_path, capsys, patch, message):
+    # each printed a traceback and exited 1, the code of a numerical fail
+    code, out, err = run(["check", "--scenario", write_scenario(tmp_path, {**BASE, **patch})],
+                         capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert "report" not in out
+
+
 def test_a_moebius_companion_takes_its_pole_or_its_coefficients(tmp_path, capsys):
     for companion in ({"kind": "moebius", "pole": [3, 0]},
                       {"kind": "moebius", "gamma": [0.2, 0]}):
@@ -335,7 +356,19 @@ def test_unknown_criterion_rejected_by_every_command(tmp_path, capsys):
     for command in ("check", "extend", "beltrami"):
         code, _, err = run([command, "--scenario", path], capsys)
         assert code == 2, command
-        assert "phi_like_typo" in err
+        assert err.startswith("error: unknown criterion 'phi_like_typo'; valid ids: "), command
+
+
+def test_a_non_finite_stencil_sample_is_an_input_error(tmp_path, capsys):
+    # the extension overflows on the annulus's outer ring: a traceback and
+    # exit 1 before
+    doc = {"version": 1, "function": {"kind": "polynomial", "coefficients": [0.25]},
+           "criterion": "bazilevic", "params": {"s": [0.1, 0]},
+           "annulus": {"radial": 4, "angular": 8, "inner": 1.5, "outer": 1e40}}
+    code, out, err = run(["beltrami", "--scenario", write_scenario(tmp_path, doc)], capsys)
+    assert (code, err) == (2, "error: non-finite sample in Wirtinger stencil at "
+                              "(1.0000000000000002e+40+0j)\n")
+    assert "report" not in out
 
 
 # -- compose / fit-sector -----------------------------------------------------------
@@ -592,3 +625,26 @@ def test_moebius_becker_cancellation_scenario(tmp_path, capsys):
     assert code == 0
     sup = float([l for l in out.splitlines() if l.startswith("sup_value=")][0][10:])
     assert sup < 1e-9
+
+
+@pytest.mark.parametrize("command, doc, exit_code, named", [
+    ("extend", {"function": {"kind": "polynomial", "coefficients": [0.9]},
+                "criterion": "nw", "grid": {"radial": 8, "angular": 16}}, 1,
+     "failure=Re p <= 0 at z=(-0.8415106807538887+1.03055336163356e-16j), t=0.4"),
+    ("check", {"criterion": "bazilevic",
+               "params": {"p": {"kind": "polynomial", "coefficients": [0.9]}}}, 2,
+     "(violation at (-0.6109807391451604+0.16371179564491634j))"),
+    ("check", {"function": {"kind": "polynomial", "coefficients": [0.3]},
+               "criterion": "sector_becker", "params": {"k": 0.65, **_SECTOR_PARAMS},
+               "grid": {"radial": 24, "angular": 48}}, 2,
+     "image point f((6.055554187902111e-17+0.9889470485887398j)) = "
+     "(-0.2934048794737137+0.9889470485887398j) escapes"),
+], ids=["extend-re-p", "check-not-starlike", "check-leaves-the-sector"])
+def test_failing_points_print_as_python_numbers(tmp_path, capsys, command, doc,
+                                                exit_code, named):
+    # numpy 2 prints a numpy scalar as np.complex128(...)
+    path = write_scenario(tmp_path, {"version": 1, **doc})
+    code, out, err = run([command, "--scenario", path], capsys)
+    assert code == exit_code
+    assert named in out + err
+    assert "np." not in out + err

@@ -404,8 +404,7 @@ def test_sector_nw_closed_form_turns_with_a_cone_past_a_half_turn():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-_LEAVES_THE_SECTOR = (r"image point f\(np.complex128\(1.2j\)\) = "
-                      r"np.complex128\(1.2j\) escapes the sector domain")
+_LEAVES_THE_SECTOR = r"image point f\(1.2j\) = 1.2j escapes the sector domain"
 _SECTOR_PARAMS = dict(w0=-2 + 0j, lambda0=11 / 6, a=1 / 3)
 
 
@@ -774,7 +773,7 @@ def test_prechecks_name_the_first_failing_point():
     with pytest.raises(PreconditionError) as err:
         check_starlike(bad_p, grid)
     assert str(err.value) == ("comparison map is not starlike on the grid "
-                              f"(violation at {first!r})")
+                              f"(violation at {complex(first)!r})")
 
     sector = SectorDomain(-2 + 0j, 11 / 6, 1 / 3)
     f = PolynomialMap([1, 0.3])
@@ -783,9 +782,9 @@ def test_prechecks_name_the_first_failing_point():
         evaluate_criterion("sector_becker", f, None,
                            CriterionParams(k=0.65, w0=sector.w0, lambda0=sector.lambda0,
                                            a=sector.a), grid)
-    # the message prints the numpy scalars of the block that found the point
+    # the message prints the point and its image as Python numbers
     w = f.jet(np.array([first])).value[0]
-    assert str(err.value) == (f"image point f({first!r}) = {w!r} "
+    assert str(err.value) == (f"image point f({complex(first)!r}) = {complex(w)!r} "
                               "escapes the sector domain")
 
     c2 = complex(CayleyMap().jet(grid.points()[500]).value)

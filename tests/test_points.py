@@ -251,3 +251,38 @@ def test_the_guard_sees_each_kind_of_dispatch(tmp_path):
         "        raise RuntimeError(x) from exc\n")
     lines = [int(s.split(":")[1]) for s in _dispatch_sites(source)]
     assert sorted(set(lines)) == [3, 5, 7, 10]
+
+
+# -- the guard: a message names a point as a Python number ---------------------------
+
+
+def _indexed_elements_in_fstrings(path: Path) -> list[str]:
+    """Lines of a source file whose f-strings print an element that an index
+    picks, as {z[i]!r} or {w[i]} do.  An array's element prints as a numpy
+    scalar (np.complex128(...) under numpy 2); `jets.first_where` names the
+    point as a Python number.  A string key picks a field, not an element,
+    and a format spec ({r[0]:.6g}) prints a number alike either way."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node.value)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FormattedValue) and node.format_spec is None
+            and isinstance(node.value, ast.Subscript)
+            and not (isinstance(node.value.slice, ast.Constant)
+                     and isinstance(node.value.slice.value, str))]
+
+
+def test_no_message_formats_an_indexed_element():
+    sites = [s for path in sorted(SRC.glob("*.py")) for s in _indexed_elements_in_fstrings(path)]
+    assert sites == []
+
+
+def test_the_guard_sees_an_indexed_element_in_a_message(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def f(z, w, i, spec):\n"
+        "    a = f'violation at {z[i]!r}'\n"
+        "    b = f'f(z) = {w[i]}, first {z[0]}'\n"
+        "    c = f'{spec[\"kind\"]!r} at {z!r}, |w| = {abs(w[i])}, {w[i]:.3g}'\n"
+        "    return a + b + c\n")
+    lines = [int(s.split(":")[1]) for s in _indexed_elements_in_fstrings(source)]
+    assert lines == [2, 3, 3]

@@ -298,7 +298,7 @@ def test_failing_fit_names_the_point_a_per_point_loop_names():
     for z in DiskGrid().points():
         w = f.jet(np.array([z])).value[0]  # a numpy scalar, as the fit's block gives it
         if not sector.contains(w):
-            want = f"fitted sector misses image point f({z!r}) = {w!r}"
+            want = f"fitted sector misses image point f({complex(z)!r}) = {complex(w)!r}"
             break
     assert want is not None
     with pytest.raises(ContainmentError) as info:
