@@ -22,33 +22,43 @@ picks the branch of a Bazilevic value's ratio that way.  (sector_nw's
 1 - f/w0 takes no lattice: the sector hypothesis puts it in a cone where a
 turned principal Log is the continued branch, `criteria._sector_log`.)
 
-`tracked_log` continues along one straight segment, one point at a time:
-[0, z], or [z0, z] from a point z0 whose logarithm is already known.  A
-`BranchLattice` shares that work between all the points one scan, chain
-validation or Beltrami stencil asks for, and answers a block of them at
-once: `lattice.log(z)` takes a point or a 1-D array.  Its nodes sit at
-radii k/48 (0 <= k < 48, so inside the unit disk) on 256 rays.
+A `BranchLattice` continues log g for g = m(w)/w of a jet-capable map m by
+the argument principle: log g(z) = log g(0) + the integral of g'/g along
+[0, z], where one jet call gives both g and g'/g = m'/m - 1/w.  It shares
+that work between all the points one scan, chain validation or Beltrami
+stencil asks for: `lattice.log(z)` takes a point or a 1-D array.  Its nodes
+sit at radii k/48 (0 <= k < 48, so inside the unit disk) on 256 rays.
 
-Growth and block queries are one walk: from nodes whose logs are known,
-along collinear sample points (the next nodes of a ray, or a query's steps
-from its node), with one fn call on all of them, the turns between samples
-and a cumulative sum along each path.  A query at z continues from the
-nearest node whose radius is at most |z|.  Each ray grows outward on its
-own, only when a block queries it and only out to the deepest node the
-block asks of it: every ray that falls short is one path of one walk.  So
-no map is evaluated beyond the block's largest radius (the Koebe map has
+Every step of the lattice, from a sample point a to the next one b, takes
+one rule: the turn of g between its sampled arguments, reduced modulo 2 pi
+around Im of the integral of g'/g over [a, b], which only has to be right
+to within pi.  The integral is a 4-node Gauss-Legendre rule, and its gap to
+the 2-node rule estimates its error: a plain difference, which cannot alias
+as a miss modulo 2 pi can.  A step whose gap exceeds _GAP is halved, which
+samples g at its midpoint.  A zero or pole of g near a step's end keeps the
+gap near 1.2 times its order at every scale while the error grows like the
+log of the step over the distance, so the gap is held to 0.1, which keeps
+that error under pi down to the distance floating point resolves, and
+_HALVINGS = 40 grades a step down to about 1e-14 from such a point (a
+query 1e-7 from a pole, as the extension's continuity check makes, takes
+16 or 17 halvings).  A step still unresolved then, or a sample where g
+vanishes or is not finite, raises BranchTrackingError naming the point.
+
+Growth and block queries are one walk, along collinear sample points (the
+next nodes of a ray, or a query) from nodes whose logs are known: one
+evaluation of all of them, the turn of each step and a cumulative sum along
+each path.  A query at z takes one step from the nearest ray's node at the
+largest radius at most |z|.  Each ray grows outward on its own, only when a
+block queries it and only out to the deepest node the block asks of it.
+So no map is evaluated beyond the block's largest radius (the Koebe map has
 radius 1), nor on a ray no query uses, and the node logs do not depend on
-the order of the blocks that grew them.  No walk takes more than
-`grids.BLOCK` samples: a larger growth, or a block of queries with more
-steps, takes more walks.
+the order of the blocks that grew them.  No jet call sees more than
+`grids.BLOCK` samples, the rule's nodes counted.
 
-A step that turns by more than _MAX_STEP_IMAG, or where fn vanishes or is
-not finite, is repaired one segment at a time: `tracked_log` subdivides
-that segment, and the rest of its path takes the repaired winding.  A
-path whose repair fails is NaN from there on, and a query that meets such a
-NaN is answered per point by `tracked_log` from the node `continue_from`
-walks out to, which names the error.  With `continue_from`, tracked_log is
-the per-point oracle of `log`.
+`tracked_log` continues along [0, z] one point at a time, by sampled turns
+alone, subdividing while a step turns by more than _MAX_STEP_IMAG.  It
+shares nothing with the lattice: it is the per-point oracle of the
+criteria's value functions and of `BranchLattice.log`.
 """
 
 from __future__ import annotations
@@ -60,8 +70,8 @@ from typing import Callable
 import numpy as np
 
 from .grids import BLOCK, blocks
-from .jets import accepts_point, complex_array
-from .maps import CompanionMap, IdentityMap
+from .jets import accepts_point, complex_array, first_where
+from .maps import CompanionMap, ComposeMap, IdentityMap
 
 
 class BranchTrackingError(ValueError):
@@ -69,8 +79,21 @@ class BranchTrackingError(ValueError):
 
 
 _MAX_STEP_IMAG = 1.5  # just under pi/2: one step may not rotate this much
-_STEPS = 48  # continuation steps per unit length, and the lattice's rings
+_STEPS = 48  # tracked_log's steps per unit length, and the lattice's rings
 _TWO_PI = 2 * math.pi
+
+# in closed form, on [0, 1]: the nodes of the 4-node Gauss-Legendre rule,
+# then of the 2-node rule; the 4-node rule's weights; and that rule less
+# the 2-node rule
+_X = (math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5)), math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5)),
+      1 / math.sqrt(3))
+_NODES = (1 + np.array([-_X[0], -_X[1], _X[1], _X[0], -_X[2], _X[2]])) / 2
+_OUTER, _INNER = (18 - math.sqrt(30)) / 72, (18 + math.sqrt(30)) / 72
+_RULE = np.array([_OUTER, _INNER, _INNER, _OUTER, 0, 0])
+_GAP_RULE = _RULE - np.array([0, 0, 0, 0, 0.5, 0.5])
+_GAP = 0.1  # the largest gap a lattice step may keep
+_HALVINGS = 40  # how often a lattice step may be halved
+_TINY = 1e-300  # below this radius g is m'(0) + O(w) to double precision
 
 
 def _wound(principal, arg):
@@ -87,26 +110,20 @@ def _turn(arg, prev):
     return d - _TWO_PI * np.round(d / _TWO_PI)
 
 
-def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex,
-                start: complex | None = None) -> complex:
-    """log(fn(z)) continued along a segment ending at z.
+def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex) -> complex:
+    """log(fn(z)) continued along [0, z].
 
     Parameters
     ----------
     fn : callable
         Evaluates the tracked quantity at points of the half-open segment
-        (start, z].
+        (0, z].
     z : complex
         Endpoint of the segment.
     anchor : complex
-        A logarithm of fn at the start (of its limit lim_{t->0+} fn(t*z)
-        when the start is the origin); fixes the branch.
-    start : complex, optional
-        Where the segment starts; None means the origin.
+        A logarithm of the limit lim_{t->0+} fn(t*z); fixes the branch.
 
-    The first attempt takes _STEPS steps on a ray [0, z] from the origin,
-    and one per 1/_STEPS of the segment's length (at least one) from a
-    `start`, the spacing a unit ray gets.  Every step rotating by more than
+    The first attempt takes _STEPS steps.  Every step rotating by more than
     _MAX_STEP_IMAG doubles the count, up to 64 times _STEPS.
 
     Returns
@@ -114,20 +131,17 @@ def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex,
     complex
         log fn(z) + 2*pi*i*k, with k the winding the continuation picks.
     """
-    if start is None:
-        start, n = 0j, _STEPS
-    else:  # the slack keeps a lattice cell's 1/48 segment at one step
-        n = max(1, math.ceil(_STEPS * abs(z - start) - 1e-9))
-    if z == start:
+    z = complex(z)
+    if z == 0:
         return anchor
-    delta = z - start
+    n = _STEPS
     while True:
         log_val = anchor
         prev = cmath.exp(anchor)
         ok = True
         for j in range(1, n + 1):
-            point = z if j == n else start + delta * (j / n)
-            if point == start:
+            point = z if j == n else z * (j / n)
+            if point == 0:
                 continue  # a step below floating-point resolution moves nothing
             w = fn(point)
             if w == 0 or not (math.isfinite(w.real) and math.isfinite(w.imag)):
@@ -211,7 +225,7 @@ def bazilevic_branch(f, psi):
     when f's ratio factors; G = Q o f of any other Q keeps a lattice."""
     if isinstance(psi, CompanionMap) and not isinstance(psi.base, IdentityMap):
         jf0 = f.jet(0j)
-        return BranchLattice(lambda w: psi.jet(f.jet(w).value).value / w,
+        return BranchLattice(ComposeMap(psi, f),
                              cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
     return ratio_branch(f)
 
@@ -222,31 +236,16 @@ def tracked_ratio_log(m, z: complex) -> complex:
     `m` is any jet-capable map with m(0) = 0; for class-A maps the anchor is
     log(1) = 0 and the ratio starts at 1.
     """
-    anchor = _ratio_anchor(m)
-    if z == 0:
-        return anchor
-    return tracked_log(lambda w: m.jet(w).value / w, z, anchor)
-
-
-def _bad_steps(w, turn):
-    """Where a continuation step cannot be taken whole: fn vanishes or is not
-    finite there, or the step turns by more than _MAX_STEP_IMAG."""
-    return (w == 0) | ~np.isfinite(w) | (np.abs(turn) > _MAX_STEP_IMAG)
-
-
-def _paths(n):
-    """Paths laid end to end, path i taking n[i] >= 1 samples: the path of
-    every sample, and each path's first and last sample."""
-    last = np.cumsum(n) - 1
-    return np.repeat(np.arange(len(n)), n), last - n + 1, last
+    return tracked_log(lambda w: m.jet(w).value / w, z, _ratio_anchor(m))
 
 
 class BranchLattice:
-    """log fn continued from the origin once, for every query to share.
+    """log(m(w)/w) of a jet-capable map m, continued from the origin, where
+    it is `anchor`, once for every query to share.
 
-    `log(z)` answers a point or a 1-D array of points; `fn` must evaluate
-    elementwise on a 1-D complex array.  Each ray grows on its own, only as
-    far out as a query needs.
+    `log(z)` answers a point or a 1-D array of points; `fn` evaluates the
+    ratio m(w)/w, for the per-point oracles.  Each ray grows on its own,
+    only as far out as a query needs.
     """
 
     RAYS = 256
@@ -255,12 +254,12 @@ class BranchLattice:
     _UNIT = np.array([cmath.rect(1.0, angle)
                       for angle in _TWO_PI * np.arange(RAYS) / RAYS])
 
-    def __init__(self, fn: Callable[[complex], complex], anchor: complex):
-        self.fn = fn
+    def __init__(self, m, anchor: complex):
+        self.fn = lambda w: m.jet(w).value / w
         self.anchor = anchor
-        # ring -> ray -> log fn at the node; NaN on the rings a ray has not
-        # grown to, and past a node the ray could not reach, which only a
-        # query continuing from it reports
+        self._map = m
+        # ring -> ray -> log g at the node; NaN on the rings a ray has not
+        # grown to
         self._logs = np.full((self.RINGS, self.RAYS), np.nan, complex)
         self._logs[0] = anchor
         self._height = np.ones(self.RAYS, np.int8)  # rings grown along each ray, <= RINGS
@@ -268,7 +267,7 @@ class BranchLattice:
     @classmethod
     def ratio(cls, m) -> "BranchLattice":
         """The lattice of log(m(w)/w), anchored at log m'(0) (m(0) = 0)."""
-        return cls(lambda w: m.jet(w).value / w, _ratio_anchor(m))
+        return cls(m, _ratio_anchor(m))
 
     def _node(self, z):
         """Ring and ray of the node a query at z continues from: the nearest
@@ -277,106 +276,104 @@ class BranchLattice:
         ray = np.round(np.angle(z) * self.RAYS / _TWO_PI).astype(int) % self.RAYS
         return ring, ray
 
-    def continue_from(self, z: complex) -> dict:
-        """tracked_log's `anchor` and `start` at the node a query at z uses,
-        the node's log walked out from the origin one segment at a time (the
-        per-point oracle of `log`, which shares nothing with it)."""
-        ring, ray = self._node(z)
-        u = complex(self._UNIT[ray])
-        log = self.anchor
-        for i in range(1, ring + 1):
-            log = tracked_log(self.fn, u * (i / self.RINGS), log,
-                              start=u * ((i - 1) / self.RINGS))
-        return {"anchor": log, "start": u * (ring / self.RINGS)}
+    def _sample(self, w):
+        """g = m(w)/w and g'/g = m'/m - 1/w at a 1-D array of points, with
+        g's removable singularity at 0 filled in (g = m', g'/g = m''/2m'
+        within _TINY of it).  Raises at the first point where g vanishes or
+        is not finite, which leaves g'/g not finite."""
+        j = self._map.jet(w)
+        tiny = np.abs(w) < _TINY
+        g = np.where(tiny, j.d1, j.value / w)
+        dlog = np.where(tiny, j.d2 / (2 * j.d1), (j.d1 - g) / (w * g))
+        bad = first_where(~np.isfinite(dlog), w)
+        if bad is not None:
+            raise BranchTrackingError(
+                f"tracked value vanished or became non-finite on the path at {bad!r}")
+        return g, dlog
 
-    def _walk(self, start, anchor, points, path, first, last):
-        """fn at `points` and its argument continued from known logs, path
-        after path (see _paths): path i leaves start[i], where log fn is
-        anchor[i], and visits its points in order along one segment.  One
-        fn call on all the points; a bad step is repaired on its own segment
-        by tracked_log, and a path whose anchor is NaN, or whose repair
-        fails, is NaN from there on."""
-        if not points.size:
-            return points, points.real
-        w = self.fn(points)
-        arg = np.angle(w)
+    def _turns(self, a, b, arg_a, arg_b, halvings=0):
+        """The turn of g over each step [a, b] whose ends have the sampled
+        arguments arg_a and arg_b: that turn reduced modulo 2 pi around Im of
+        the 4-node rule's integral of g'/g over the step.  A step where that
+        integral is more than _GAP from the 2-node rule's is halved, at most
+        _HALVINGS times."""
+        nodes = a[:, None] + (b - a)[:, None] * _NODES
+        dlog = self._sample(nodes.ravel())[1].reshape(nodes.shape) * (b - a)[:, None]
+        about = (dlog @ _RULE).imag
+        turn = about + _turn(arg_b - about, arg_a)
+        split = np.abs(dlog @ _GAP_RULE) > _GAP
+        if split.any():
+            if halvings == _HALVINGS:
+                raise BranchTrackingError(
+                    "branch tracking did not stabilize: value crosses 0 or winds "
+                    f"faster than {_HALVINGS} halvings resolve, on the step to "
+                    f"{first_where(split, b)!r}")
+            a, b, arg_a, arg_b = a[split], b[split], arg_a[split], arg_b[split]
+            mid = (a + b) / 2
+            arg_mid = np.angle(self._sample(mid)[0])
+            turn[split] = (self._turns(a, mid, arg_a, arg_mid, halvings + 1)
+                           + self._turns(mid, b, arg_mid, arg_b, halvings + 1))
+        return turn
+
+    def _walk(self, start, anchor, points, path, first):
+        """g at `points` and its argument continued from known logs, path
+        after path: path i holds the points from first[i] on (path[k] is
+        the path of point k), in order along one segment from a point whose
+        log g is anchor[i], and the step to points[k] starts at start[k].
+        One evaluation of all the points, the turn of every step, and a
+        cumulative sum along each path."""
+        g = self._sample(points)[0]
+        arg = np.angle(g)
         prev = np.empty_like(arg)
         prev[1:] = arg[:-1]
         prev[first] = anchor.imag
-        turn = _turn(arg, prev)
-        bad = _bad_steps(w, turn)
-        # a NaN turn is a NaN anchor's, or a bad step's: it must not reach
-        # the other paths through the cumulative sum
-        turn[~np.isfinite(turn)] = 0
+        turn = self._turns(start, points, prev, arg)
         total = np.cumsum(turn)
-        wind = (anchor.imag - (total - turn)[first])[path] + total
-        for k in np.flatnonzero(bad):  # path by path, outward
-            if np.isnan(wind[k]):
-                continue  # its path already broke
-            i = path[k]
-            below, at = ((anchor[i], start[i]) if k == first[i] else
-                         (_wound(cmath.log(w[k - 1]), wind[k - 1]), points[k - 1]))
-            end = last[i] + 1
-            try:
-                fixed = tracked_log(self.fn, complex(points[k]), complex(below),
-                                    start=complex(at))
-            except BranchTrackingError:
-                wind[k:end] = np.nan
-                continue
-            wind[k:end] += fixed.imag - wind[k]
-        return w, wind
+        return g, (anchor.imag - (total - turn)[first])[path] + total
 
     def _grow(self, ring, ray):
         """The node logs at (ring, ray), elementwise, once every ray is
         continued out to the deepest ring asked of it: one walk along each
-        ray that falls short, over its new nodes, at most BLOCK nodes per fn
-        call."""
+        ray that falls short, over its new nodes, with at most BLOCK samples
+        in any jet call."""
         need = np.full(self.RAYS, -1)  # the deepest ring asked of each ray
         np.maximum.at(need, ray, ring)
+        steps = BLOCK // _NODES.size  # the steps a walk may take
         while True:
-            short = np.flatnonzero(self._height <= need)
+            short = np.flatnonzero(self._height <= need)[:steps]
             if not short.size:
                 return self._logs[ring, ray]
             low = self._height[short].astype(int)  # each short ray's first new ring
-            # each short ray gets an equal share of the node budget
-            top = np.minimum(need[short], low + BLOCK // short.size - 1)
-            path, first, last = _paths(top - low + 1)
+            # each short ray gets an equal share of the steps
+            top = np.minimum(need[short], low + steps // short.size - 1)
+            n = top - low + 1  # the new nodes of each short ray, one path each
+            first = np.cumsum(n) - n
+            path = np.repeat(np.arange(n.size), n)
             rings = low[path] + (np.arange(path.size) - first[path])
             rays = short[path]
-            w, wind = self._walk(self._UNIT[short] * ((low - 1) / self.RINGS),
+            g, wind = self._walk(self._UNIT[rays] * ((rings - 1) / self.RINGS),
                                  self._logs[low - 1, short],
-                                 self._UNIT[rays] * (rings / self.RINGS),
-                                 path, first, last)
+                                 self._UNIT[rays] * (rings / self.RINGS), path, first)
             # a node's log only carries its winding to the queries,
-            # whose results are wound from fn at their own point: the
-            # cheap real logarithm log|w| does for its real part
+            # whose results are wound from g at their own point: the
+            # cheap real logarithm log|g| does for its real part
             self._logs[rings, rays] = _wound(
-                complex_array(np.log(np.abs(w)), np.angle(w)), wind)
+                complex_array(np.log(np.abs(g)), np.angle(g)), wind)
             self._height[short] = top + 1
 
     @accepts_point("z")
     def log(self, z: np.ndarray) -> np.ndarray:
-        """log fn at z, continued from the origin, elementwise on a 1-D
-        array.  Equal, up to rounding, to
-        `tracked_log(self.fn, z, **self.continue_from(z))`."""
+        """log(m(z)/z) continued from the origin, elementwise on a 1-D
+        array: each query takes one step from its node.  Its per-point
+        oracle is `tracked_log(self.fn, z, self.anchor)`."""
         zs = z.astype(complex, copy=False)
         with np.errstate(all="ignore"):
             ring, ray = self._node(zs)
             out = self._grow(ring, ray)
             start = self._UNIT[ray] * (ring / self.RINGS)
             q = np.flatnonzero(zs != start)  # a query on its node takes its log
-            delta = zs - start
-            n = np.maximum(1, np.ceil(self.RINGS * np.abs(delta) - 1e-9)).astype(int)
-            # each query's steps, tracked_log's first attempt from its node,
-            # at most BLOCK of them a walk; the last is the query point itself
-            for part in blocks(q, n[q].max(initial=1)):
-                path, first, last = _paths(n[part])
-                back = last[path] - np.arange(path.size)  # steps still to take
-                at = part[path]
-                points = zs[at] - delta[at] * (back / n[at])
-                w, wind = self._walk(start[part], out[part], points, path, first, last)
-                out[part] = _wound(np.log(w[last]), wind[last])
-        for i in np.flatnonzero(~np.isfinite(out)):  # input order: the first error raises
-            zi = complex(zs[i])
-            out[i] = tracked_log(self.fn, zi, **self.continue_from(zi))
+            for part in blocks(q, _NODES.size):
+                one = np.arange(part.size)
+                g, wind = self._walk(start[part], out[part], zs[part], one, one)
+                out[part] = _wound(np.log(g), wind)
         return out

@@ -83,4 +83,6 @@ class AnnulusGrid(_PolarGrid):
 
     def radii(self) -> np.ndarray:
         i = np.arange(self.n_radial)
-        return self.inner * (self.outer / self.inner) ** (i / (self.n_radial - 1))
+        r = self.inner * (self.outer / self.inner) ** (i / (self.n_radial - 1))
+        r[-1] = self.outer  # the power can round one ulp past it
+        return r

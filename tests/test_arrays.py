@@ -402,31 +402,35 @@ def test_validation_matches_the_per_time_reference_to_the_bit(chain):
 
 
 def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
-    sizes = {"scan": [], "jet": [], "walk": [], "validate": [], "extension": [],
+    sizes = {"scan": [], "jet": [], "lattice": [], "validate": [], "extension": [],
              "stencil": [], "csv": []}
     grid = DiskGrid(128, 256)
     sup_over_grid(lambda z: sizes["scan"].append(z.size) or np.abs(z), grid, 10.0)
 
     # the values of these criteria evaluate f on each block they check the
     # image of
-    jet = PolynomialMap.jet
+    jet, key = PolynomialMap.jet, ["jet"]
     monkeypatch.setattr(PolynomialMap, "jet",
-                        lambda self, z: sizes["jet"].append(np.size(z)) or jet(self, z))
+                        lambda self, z: sizes[key[0]].append(np.size(z)) or jet(self, z))
     for criterion, params in (
             ("moebius_becker", CriterionParams(k=0.9, c2=-3.0)),
             ("moebius_nw", CriterionParams(k=0.6, gamma=0.2, delta=1.0)),
             ("sector_becker", CriterionParams(k=0.65, w0=-2.0, lambda0=11 / 6, a=1 / 3))):
         evaluate_criterion(criterion, PolynomialMap([1, 0.2]), None, params, grid)
-    monkeypatch.setattr(PolynomialMap, "jet", jet)
 
-    # 100 angles miss most of the lattice's 256 rays: queries take two steps
-    walk = BranchLattice._walk
-    monkeypatch.setattr(BranchLattice, "_walk", lambda self, start, anchor, points, *rest:
-                        sizes["walk"].append(points.size)
-                        or walk(self, start, anchor, points, *rest))
-    # (the Q o f ratio of a companion other than the identity keeps a lattice)
+    # the Q o f ratio of a companion other than the identity keeps a
+    # lattice, whose walks evaluate f on their samples and the rule's nodes
+    # (100 angles miss most of the lattice's 256 rays)
+    key[0] = "lattice"
+    lattices = []
+    grow = BranchLattice._grow
+    monkeypatch.setattr(BranchLattice, "_grow",
+                        lambda self, *args: lattices.append(self) or grow(self, *args))
     evaluate_criterion("bazilevic", PolynomialMap([1, 0.1]), MOEBIUS,
                        CriterionParams(s=1 + 0.5j), DiskGrid(80, 100))
+    monkeypatch.setattr(PolynomialMap, "jet", jet)
+    heights = lattices[0]._height
+    assert (heights[np.unique(np.round(np.arange(100) * 2.56).astype(int) % 256)] == 48).all()
 
     chain = build_chain("nw", PolynomialMap([1, 0.25]), CompanionMap.identity())
 
@@ -454,7 +458,7 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
     # every block is as large as its fan-out allows
     assert max(sizes["scan"]) == BLOCK
     assert max(sizes["jet"]) == BLOCK
-    assert max(sizes["walk"]) <= BLOCK
+    assert BLOCK // 2 < max(sizes["lattice"]) <= BLOCK
     assert max(sizes["validate"]) == BLOCK // len(times) * len(times)
     assert max(sizes["extension"]) == BLOCK
     assert max(sizes["stencil"]) == BLOCK

@@ -1,6 +1,7 @@
 """The shared branch lattice: differential tests against the per-point
-tracking from the origin, a property test against a dense unwrapped-phase
-reference, conjugate symmetry, and the traced-run contract."""
+tracking from the origin, tests against the closed-form logarithm of twisted
+spirals and a dense unwrapped-phase reference, conjugate symmetry, and the
+traced-run contract."""
 
 import cmath
 import functools
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcx import (
+    AnalyticMap,
     AnnulusGrid,
     CayleyMap,
     CompanionMap,
@@ -24,6 +26,7 @@ from qcx import (
     CriterionParams,
     DiskGrid,
     IdentityMap,
+    Jet2,
     KoebeMap,
     MoebiusMap,
     PolynomialMap,
@@ -43,8 +46,9 @@ from qcx.branches import BranchLattice, BranchTrackingError, FactoredRatio, rati
 from qcx.cli import main
 from qcx.criteria import CRITERIA, _refined_neighborhood
 from qcx.grids import BLOCK
-from qcx.jets import DomainError
+from qcx.jets import DomainError, accepts_point
 from qcx.loewner import ChainPartials, LoewnerChain
+from qcx.maps import ComposeMap
 from qcx.sector import fit_sector
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,15 +138,13 @@ def _lattices(criterion, f, psi, params):
     """Lattices of the logs a criterion's value function takes, built
     explicitly: the value function itself takes a closed form where the
     ratio factors."""
-    if criterion == "sector_nw":
-        w0 = params.w0
-        return [BranchLattice(lambda w: 1 - f.jet(w).value / w0, 0j)]
+    if criterion == "sector_nw":  # 1 - f/w0 is the ratio of w (1 - f/w0)
+        return [BranchLattice.ratio(IdentityMap() * (1 - f / params.w0))]
     p = BranchLattice.ratio(params.p or IdentityMap())
     if not isinstance(psi, CompanionMap):
         return [BranchLattice.ratio(f), p]
     jf0 = f.jet(0j)
-    g = BranchLattice(lambda w: psi.jet(f.jet(w).value).value / w,
-                      cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
+    g = BranchLattice(ComposeMap(psi, f), cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
     return [g, p]
 
 
@@ -159,13 +161,11 @@ def test_block_queries_match_the_per_point_oracles(criterion, f, psi, params):
     value = CRITERIA[criterion].build(f, psi, params)
     oracle = _oracle(criterion, f, psi, params)
     _assert_close_arrays(value(block), [oracle(z) for z in block.tolist()])
-    # each lattice query against tracked_log from the node continue_from
-    # walks out to, one segment at a time
+    # each lattice query against tracked_log from the origin
     points = block[::3]
     for lattice in _lattices(criterion, f, psi, params):
         _assert_close_arrays(lattice.log(points), [
-            tracked_log(lattice.fn, z, **lattice.continue_from(z))
-            for z in points.tolist()])
+            tracked_log(lattice.fn, z, lattice.anchor) for z in points.tolist()])
 
 
 def test_a_block_of_more_than_512_points_matches_the_oracle():
@@ -174,7 +174,7 @@ def test_a_block_of_more_than_512_points_matches_the_oracle():
     block = _block(DiskGrid(12, 64, 1e-3))
     assert len(block) > 512
     _assert_close_arrays(lattice.log(block), [
-        tracked_log(lattice.fn, z, **lattice.continue_from(z)) for z in block.tolist()])
+        tracked_log(lattice.fn, z, lattice.anchor) for z in block.tolist()])
     # a point query is a block of one
     for z in block[::37].tolist():
         assert lattice.log(z) == lattice.log(np.array([z]))[0]
@@ -250,101 +250,146 @@ def test_chain_branch_data_of_a_stencil_block_matches_oracle(f, q, p):
         _assert_close_arrays(a, b)
 
 
+class _Spied(AnalyticMap):
+    """A map that shows `seen` the points of every jet call, then evaluates
+    the map it wraps."""
+
+    def __init__(self, m, seen):
+        self.m, self.seen = m, seen
+        self.analyticity_radius = m.analyticity_radius
+
+    @accepts_point("z")
+    def jet(self, z):
+        self.seen(z)
+        return self.m.jet(z)
+
+
+def _sizes(m):
+    """m spied on: (the spied map, the list of its jet calls' sizes)."""
+    sizes = []
+    return _Spied(m, lambda z: sizes.append(z.size)), sizes
+
+
+def _halvings(monkeypatch):
+    """Spy on every lattice's steps: the list of the halvings each batch of
+    steps was taken at (0 for a walk's own steps)."""
+    seen = []
+    turns = BranchLattice._turns
+
+    def spy(self, a, b, arg_a, arg_b, halvings=0):
+        seen.append(halvings)
+        return turns(self, a, b, arg_a, arg_b, halvings)
+
+    monkeypatch.setattr(BranchLattice, "_turns", spy)
+    return seen
+
+
+def _no_fallback(monkeypatch):
+    """Make any call of branches.tracked_log fail the test."""
+    def fallback(*args, **kwargs):
+        raise AssertionError("a lattice called tracked_log")
+
+    monkeypatch.setattr(branches, "tracked_log", fallback)
+
+
 def test_queries_evaluate_nothing_beyond_their_radius():
     seen = []
-
-    def ratio(w):
-        seen.append(abs(w))
-        return KoebeMap().jet(w).value / w
-
-    lattice = BranchLattice(ratio, 0j)
+    lattice = BranchLattice.ratio(_Spied(KoebeMap(), lambda w: seen.extend(np.abs(w))))
     for z in list(GRID.points()) + _patches(GRID):
         del seen[:]
-        tracked_log(lattice.fn, z, **lattice.continue_from(z))
+        lattice.log(z)
+        tracked_log(lattice.fn, z, lattice.anchor)
         assert max(seen, default=0.0) <= abs(z) * (1 + 1e-12), z
 
 
 def test_block_queries_evaluate_nothing_beyond_their_radius():
     seen = []
-
-    def ratio(w):
-        seen.append(np.max(np.abs(w), initial=0.0))
-        return KoebeMap().jet(w).value / w
-
+    koebe = _Spied(KoebeMap(), lambda w: seen.append(np.max(np.abs(w), initial=0.0)))
     points = GRID.points().reshape(GRID.n_radial, GRID.n_angular)
     blocks = list(points) + [_refined_neighborhood(GRID, z)
                              for z in (0.43 * cmath.exp(-1.0j),
                                        GRID.max_radius * cmath.exp(0.05j))]
     for block in blocks:  # a fresh lattice each time, so rings grow too
         del seen[:]
-        BranchLattice(ratio, 0j).log(block)
+        BranchLattice.ratio(koebe).log(block)
         assert max(seen, default=0.0) <= np.max(np.abs(block)) * (1 + 1e-12)
 
 
+def _linear(z0):
+    """The lattice of log(w - z0), the ratio of w (w - z0)."""
+    return BranchLattice.ratio(PolynomialMap([-z0, 1], class_a=False))
+
+
 def test_a_vanishing_value_on_a_block_raises():
-    # fn = w - z0 vanishes at z0, which lies between the lattice's nodes
+    # w - z0 vanishes at z0, which lies between the lattice's nodes
     z0 = 0.3 + 0.2j
-    lattice = BranchLattice(lambda w: w - z0, cmath.log(-z0))
     with pytest.raises(BranchTrackingError, match="vanished"):
-        lattice.log(np.concatenate([GRID.points(), [z0]]))
+        _linear(z0).log(np.concatenate([GRID.points(), [z0]]))
     # ... or at a node, 0.5 on ray 0: only the queries continuing along
     # that ray past it fail
-    lattice = BranchLattice(lambda w: w - 0.5, cmath.log(-0.5))
+    lattice = _linear(0.5)
+    assert lattice.anchor == cmath.log(-0.5)
     away = -GRID.points()[GRID.points().real > 0.1]
     _assert_close_arrays(lattice.log(away), [
-        tracked_log(lattice.fn, z, **lattice.continue_from(z)) for z in away.tolist()])
+        tracked_log(lattice.fn, z, lattice.anchor) for z in away.tolist()])
     for z in (0.5, 0.75, 0.9 + 0.001j):
-        with pytest.raises(BranchTrackingError, match="vanished"):
+        with pytest.raises(BranchTrackingError, match=r"vanished .* at \(0\.5\+0j\)"):
             lattice.log(np.array([0.1j, z]))
 
 
+def test_tracked_log_names_its_point_as_a_python_number():
+    # a numpy scalar endpoint is taken as a Python complex on entry
+    with pytest.raises(BranchTrackingError,
+                       match=r"vanished or became non-finite on the path at \(0\.5\+0j\)$"):
+        tracked_log(lambda w: w - 0.5, np.complex128(1.0), 1j * np.pi)
+
+
 @pytest.mark.parametrize("c", [110.0, 250.0])  # 250 turns a 1/48 segment past pi
-def test_the_twisted_spiral_takes_the_scalar_fallback(monkeypatch, c):
-    fn, _ = _twisted_spiral(1.2, c)
-    lattice = BranchLattice(fn, 0j)
+def test_the_twisted_spiral_halves_steps_and_takes_no_fallback(monkeypatch, c):
+    # z = 0.9999 lies 1e-4 from the spiral's pole: its one step is halved
+    m = _TwistedSpiral(-0.9, c)
+    lattice = BranchLattice.ratio(m)
     block = np.concatenate([_refined_neighborhood(GRID, cmath.rect(0.97, 0.4)),
-                            GRID.points()])
-    calls = []
-
-    def spy(fn, z, *args, **kwargs):
-        calls.append(z)
-        return tracked_log(fn, z, *args, **kwargs)
-
-    monkeypatch.setattr(branches, "tracked_log", spy)
+                            GRID.points(), [0.9999]])
+    halvings = _halvings(monkeypatch)
+    _no_fallback(monkeypatch)
     got = lattice.log(block)
     monkeypatch.undo()
-    queries = set(block.tolist())
-    assert any(z in queries for z in calls)  # points fell back
-    assert any(z not in queries for z in calls)  # and lattice segments did
-    _assert_close_arrays(got, [tracked_log(fn, z, **lattice.continue_from(z))
-                               for z in block.tolist()])
+    assert max(halvings) >= 1
+    _assert_close_arrays(got, _exact_log(m, block), 1e-9)
+
+
+def test_a_step_past_a_near_zero_is_halved(monkeypatch):
+    # w - z0 passes within 1e-3 of 0 between rings 23 and 24 of ray 0: the
+    # two rules disagree on the sub-steps nearest z0 until they are halved
+    # four times
+    z0 = 23.3 / 48 + 1e-3j
+    lattice = _linear(z0)
+    halvings = _halvings(monkeypatch)
+    _no_fallback(monkeypatch)
+    queries = np.array([0.9, 0.95j])
+    got = lattice.log(queries)
+    assert max(halvings) == 4
+    _assert_close_arrays(got, cmath.log(-z0) + np.log(1 - queries / z0))
+    # with three halvings allowed the step is not resolved, and the error
+    # names the end of the first sub-step still unresolved
+    monkeypatch.setattr(branches, "_HALVINGS", 3)
+    with pytest.raises(BranchTrackingError,
+                       match=r"did not stabilize.* on the step to \(0\.4\d+\+0j\)$"):
+        _linear(z0).log(queries)
 
 
 # a 512-point block off the lattice rays by 0.4 of their spacing, so that
-# some queries take two steps from their node
+# some queries take a step across from their node's ray
 OFF_RAYS = DiskGrid(16, 32).points() * cmath.exp(0.8j * math.pi / BranchLattice.RAYS)
 
 
-def _sizes(lattice):
-    """Spy on a lattice's fn: the list of the sizes it is called with."""
-    fn, sizes = lattice.fn, []
-
-    def counted(w):
-        sizes.append(np.size(w))
-        return fn(w)
-
-    lattice.fn = counted
-    return sizes
-
-
 def test_the_walk_pads_no_samples_and_repeats_none(monkeypatch):
-    lattice = BranchLattice.ratio(PolynomialMap([1, 0.25, -0.05j]))
-    sizes = _sizes(lattice)
-
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("no step of this case needs the scalar walk")
-
-    monkeypatch.setattr(branches, "tracked_log", no_fallback)
+    m, sizes = _sizes(PolynomialMap([1, 0.25, -0.05j]))
+    lattice = BranchLattice.ratio(m)
+    halvings = _halvings(monkeypatch)
+    _no_fallback(monkeypatch)
+    del sizes[:]
     lattice.log(OFF_RAYS)  # grows the rays the block uses, then answers it
     grown, sizes[:] = sum(sizes), []
     lattice.log(OFF_RAYS)
@@ -352,45 +397,45 @@ def test_the_walk_pads_no_samples_and_repeats_none(monkeypatch):
     ring, ray = lattice._node(OFF_RAYS)
     node = BranchLattice._UNIT[ray] * (ring / BranchLattice.RINGS)
     away = OFF_RAYS != node
-    # every node of rings 1 to 47 of the block's 32 rays once, and each
-    # query's steps from its node
+    # no step is halved: each step samples its end and the rule's nodes,
+    # over every node of rings 1 to 47 of the block's 32 rays once, and
+    # each query off its node once
+    assert max(halvings) == 0
+    per_step = 1 + branches._NODES.size
     assert np.unique(ray).size == 32
-    assert grown - queried == 47 * 32 == 1504
-    assert queried == np.ceil(48 * np.abs(OFF_RAYS - node)[away]).sum() == 608
+    assert grown - queried == per_step * 47 * 32
+    assert queried == per_step * np.count_nonzero(away) == per_step * 480
 
 
 def test_a_second_block_on_new_rays_grows_only_those_rays():
     lattice = BranchLattice.ratio(PolynomialMap([1, 0.3, -0.1j]))
-    sizes = _sizes(lattice)
     grid = DiskGrid(16, 32).points()  # on rays 8j, out to ring 47
     lattice.log(grid)
     assert np.array_equal(np.flatnonzero(lattice._height > 1), np.arange(0, 256, 8))
     logs = lattice._logs.copy()
-    # the same grid turned by two rays: 32 new rays of 47 new nodes each,
-    # in one growth call, then the query call
-    del sizes[:]
+    # the same grid turned by two rays: 32 new rays of 47 new nodes each
     lattice.log(grid * BranchLattice._UNIT[2])
-    assert sizes[0] == 32 * 47 and len(sizes) == 2
     new = np.zeros(BranchLattice.RAYS, bool)
     new[0::8] = new[2::8] = True
     assert np.array_equal(lattice._height, np.where(new, BranchLattice.RINGS, 1))
     assert np.array_equal(lattice._logs[:, 0::8], logs[:, 0::8])
     assert not np.isnan(lattice._logs[:, 2::8]).any()
-    # a block on grown rays grows nothing: its one call is the query's
-    del sizes[:]
+    # a block on grown rays grows nothing
+    logs = lattice._logs.copy()
     lattice.log(grid[::5])
-    assert len(sizes) == 1
+    assert np.array_equal(lattice._logs, logs, equal_nan=True)
+    assert np.array_equal(lattice._height, np.where(new, BranchLattice.RINGS, 1))
 
 
 def test_growth_and_query_walks_take_at_most_block_samples():
-    lattice = BranchLattice.ratio(PolynomialMap([1, 0.25, -0.05j]))
-    sizes = _sizes(lattice)
+    m, sizes = _sizes(PolynomialMap([1, 0.25, -0.05j]))
+    lattice = BranchLattice.ratio(m)
     grid = DiskGrid(64, 128).points()  # the default grid, as one block
     got = lattice.log(grid)
-    # the grid's 128 rays out to ring 47, BLOCK // 128 nodes a ray a walk;
-    # then one step a query on the grid's rays, where the 128 origin points
-    # sit on their node: the block's other 63 rings take two walks
-    assert sizes == [BLOCK, 128 * 47 - BLOCK, BLOCK, 128 * 63 - BLOCK]
+    # the grid's 128 rays out to ring 47, in jet calls of at most BLOCK
+    # samples, the rule's nodes counted, some of them full
+    assert max(sizes) == BLOCK - BLOCK % branches._NODES.size
+    assert np.array_equal(lattice._height, np.where(np.arange(256) % 2, 1, 48))
     blocks = BranchLattice.ratio(PolynomialMap([1, 0.25, -0.05j]))
     _assert_close_arrays(got, np.concatenate(
         [blocks.log(grid[i:i + 512]) for i in range(0, grid.size, 512)]))
@@ -401,16 +446,16 @@ def test_growth_and_query_walks_take_at_most_block_samples():
 @given(data=st.data())
 def test_node_logs_do_not_depend_on_how_rays_grow(data):
     # rays grown by blocks of any order and subset of the points, under the
-    # full node budget or one of RAYS nodes a call, hold the nodes of one
+    # full sample budget or one of RAYS samples a call, hold the nodes of one
     # block of all the points, bit for bit, and no ring past the deepest
     # one queried
-    fn, _ = _twisted_spiral(0.9, 40.0)
+    m = _TwistedSpiral(0.9, 40.0)
     points = DiskGrid(12, 64, 1e-3).points()
-    whole = BranchLattice(fn, 0j)
+    whole = BranchLattice.ratio(m)
     whole.log(points)
     queried = data.draw(st.permutations(range(points.size)))
     queried = queried[:data.draw(st.integers(1, points.size))]
-    lattice = BranchLattice(fn, 0j)
+    lattice = BranchLattice.ratio(m)
     budget = data.draw(st.sampled_from([BranchLattice.RAYS, BLOCK]))
     rest = queried
     with mock.patch.object(branches, "BLOCK", budget):
@@ -427,27 +472,21 @@ def test_node_logs_do_not_depend_on_how_rays_grow(data):
     assert np.isnan(lattice._logs[~grown]).all()
 
 
-def test_a_bad_second_query_step_is_repaired_on_its_own(monkeypatch):
-    # c = 160 turns some two-step queries by more than _MAX_STEP_IMAG on
-    # their second step only
-    fn, _ = _twisted_spiral(1.2, 160.0)
-    lattice = BranchLattice(fn, 0j)
-    lattice.log(OFF_RAYS)  # rings grown: what follows repairs query steps only
-    starts = []
-
-    def spy(fn, z, *args, **kwargs):
-        if z in queries:
-            starts.append(kwargs["start"])
-        return tracked_log(fn, z, *args, **kwargs)
-
-    queries = set(OFF_RAYS.tolist())
-    monkeypatch.setattr(branches, "tracked_log", spy)
-    got = lattice.log(OFF_RAYS)
+def test_a_query_step_is_halved_on_its_own(monkeypatch):
+    # the step of the query 0.9999, 1e-4 from the spiral's pole, needs
+    # halving once the rings it continues from are grown
+    m = _TwistedSpiral(-0.9, 160.0)
+    lattice = BranchLattice.ratio(m)
+    queries = np.append(OFF_RAYS, 0.9999)
+    lattice.log(queries)  # rings grown: what follows takes query steps only
+    heights = lattice._height.copy()
+    halvings = _halvings(monkeypatch)
+    _no_fallback(monkeypatch)
+    got = lattice.log(queries)
     monkeypatch.undo()
-    # a node lies at radius k/48; a query's own first sample does not
-    assert any(abs(abs(a) * 48 - round(abs(a) * 48)) > 1e-6 for a in starts)
-    _assert_close_arrays(got, [tracked_log(fn, z, **lattice.continue_from(z))
-                               for z in OFF_RAYS.tolist()])
+    assert max(halvings) >= 1
+    assert np.array_equal(lattice._height, heights)
+    _assert_close_arrays(got, _exact_log(m, queries), 1e-9)
 
 
 # -- closed forms of factored ratios ----------------------------------------------------
@@ -567,39 +606,40 @@ def test_a_root_inside_the_disk_keeps_the_lattice_and_its_verdict():
     assert report.worst_point == complex(-0.94060252111783782, -0.33655296353882769)
 
 
-def _counted_walks(monkeypatch):
-    """The size of every BranchLattice walk, in call order."""
-    walks = []
-    walk = BranchLattice._walk
-
-    def counted(self, start, anchor, points, *args):
-        walks.append(points.size)
-        return walk(self, start, anchor, points, *args)
-
-    monkeypatch.setattr(BranchLattice, "_walk", counted)
-    return walks
-
-
 def test_a_companion_bazilevic_scan_grows_its_lattice_block_by_block(monkeypatch):
     # the Q o f ratio of a companion other than the identity keeps a
     # lattice: each block grows the 64 rays of the grid out to the deepest
-    # ring it asks of them, in walks of at most BLOCK nodes, and then walks
-    # its queries: the first block's radii reach ring 46, the second's ring
-    # 47; the refinement patch, between the grid's rays, grows its own
-    walks = _counted_walks(monkeypatch)
+    # ring it asks of them, and then walks its queries: the first block's
+    # radii reach ring 46, the second's ring 47; the refinement patch,
+    # between the grid's rays, grows its own
+    lattices, deepest, sizes = [], [], []
+    grow = BranchLattice._grow
+
+    def spy(self, ring, ray):
+        lattices.append(self)
+        deepest.append(ring.max())
+        return grow(self, ring, ray)
+
+    monkeypatch.setattr(BranchLattice, "_grow", spy)
+    jet = PolynomialMap.jet
+    monkeypatch.setattr(PolynomialMap, "jet",
+                        lambda self, z: sizes.append(np.size(z)) or jet(self, z))
     evaluate_criterion("bazilevic", PolynomialMap([1, 0.1]), MOEBIUS_Q,
                        CriterionParams(s=1 + 0.5j), DiskGrid(2 * BLOCK // 64, 64))
-    # the first block: rings 1 to 46 in one walk, then its queries, whose 64
-    # origin points sit on their node
-    assert walks[:2] == [64 * 46, BLOCK - 64]
-    # the second block: ring 47 only, then its queries
-    assert walks[2:4] == [64, BLOCK]
-    # the patch: its nodes, then its 9 x 9 queries of one step each
-    assert len(walks) == 6 and walks[5] == 81
+    assert deepest[:2] == [46, 47] and len(deepest) == 3
+    lattice = lattices[0]
+    assert all(other is lattice for other in lattices)
+    height = lattice._height
+    assert (height[0::4] == BranchLattice.RINGS).all()
+    # the patch's rays lie between the grid's and no deeper than ring 47
+    patch = np.flatnonzero((height > 1) & (np.arange(BranchLattice.RAYS) % 4 != 0))
+    assert patch.size and (height[patch] <= BranchLattice.RINGS).all()
+    assert max(sizes) <= BLOCK
 
 
 def test_a_sector_nw_scan_walks_no_lattice(monkeypatch):
-    walks = _counted_walks(monkeypatch)
+    walks = []
+    monkeypatch.setattr(BranchLattice, "_walk", lambda *args: walks.append(args))
     report = evaluate_criterion("sector_nw", PolynomialMap([1, 0.1]), None,
                                 CriterionParams(k=0.75, **SECTOR), DiskGrid(32, 64))
     assert report.passed and walks == []
@@ -636,17 +676,30 @@ def test_real_coefficients_give_bit_exact_conjugate_blocks(criterion, f, psi, pa
     assert np.array_equal(value(block.conj()), value(block).conj())
 
 
-# -- property test: a dense unwrapped-phase reference ------------------------------------
+# -- twisted spirals: a closed form and a dense unwrapped-phase reference ---------------
 
 
-def _twisted_spiral(lam, c):
-    """w -> (f(w)/w) e^{icw} for the spiral map f: its log winds |c| + O(1)."""
-    spiral = SpiralMap(lam)
+class _TwistedSpiral(AnalyticMap):
+    """w -> f(w) e^{icw} for the spiral map f: its ratio's log,
+    p Log(1 - w) + icw, winds |c| + O(1)."""
 
-    def fn(w):
-        return spiral.jet(w).value / w * np.exp(1j * c * w)
+    analyticity_radius = 1.0
 
-    return fn, spiral.p
+    def __init__(self, lam, c):
+        self.spiral, self.c = SpiralMap(lam), c
+
+    @accepts_point("z")
+    def jet(self, z):
+        j, ic = self.spiral.jet(z), 1j * self.c
+        e = np.exp(ic * z)
+        return Jet2(j.value * e, (j.d1 + ic * j.value) * e,
+                    (j.d2 + 2 * ic * j.d1 + ic * ic * j.value) * e)
+
+
+def _exact_log(m, z):
+    """The log of a twisted spiral's ratio continued from the origin: the
+    principal log of 1 - w is continuous on the disk."""
+    return m.spiral.p * np.log(1 - z) + 1j * m.c * z
 
 
 def _dense_reference(p, c, z, n=10_000):
@@ -675,53 +728,92 @@ def _counted(fn):
 @example(lam=1.2, c=110.0, r=0.97, theta=0.4)  # forces guard subdivision
 @example(lam=0.0, c=0.0, r=5e-324, theta=0.0)  # z * (1/48) underflows to 0
 def test_tracked_log_matches_unwrapped_dense_reference(lam, c, r, theta):
-    fn, p = _twisted_spiral(lam, c)
+    m = _TwistedSpiral(lam, c)
     z = cmath.rect(r, theta)
-    want = _dense_reference(p, c, z)
-    assert _close(tracked_log(fn, z, 0j), want, 1e-9)
-    lattice = BranchLattice(fn, 0j)
-    assert _close(tracked_log(lattice.fn, z, **lattice.continue_from(z)), want, 1e-9)
+    want = _dense_reference(m.spiral.p, c, z)
+    lattice = BranchLattice.ratio(m)
+    assert _close(tracked_log(lattice.fn, z, 0j), want, 1e-9)
+    assert _close(lattice.log(z), want, 1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="one continuation step reads a turn of more than "
-                   "pi as its principal remainder")
 def test_a_node_step_that_turns_past_pi_keeps_its_winding():
     # from the node at r = 47/48 on the positive axis, right to 1e-15, the one
-    # step to z = 0.999 turns by about 4.8 and reads as 4.8 - 2 pi = -1.5,
-    # which the step guard accepts
-    fn, p = _twisted_spiral(-0.75, 89.0)
+    # step to z = 0.999, a point of the default grid, turns by about 4.8: its
+    # sampled turn alone reads 4.8 - 2 pi = -1.5
+    m = _TwistedSpiral(-0.75, 89.0)
     z = 0.999 + 0j
-    want = _dense_reference(p, 89.0, z)  # imag 95.80145125947...
-    assert _close(tracked_log(fn, z, 0j), want, 1e-9)
-    lattice = BranchLattice(fn, 0j)
-    assert _close(lattice.log(z), want, 1e-9)  # imag 89.51826595229
-    assert _close(tracked_log(fn, z, **lattice.continue_from(z)), want, 1e-9)
+    want = _dense_reference(m.spiral.p, 89.0, z)  # imag 95.80145125947...
+    lattice = BranchLattice.ratio(m)
+    assert _close(tracked_log(lattice.fn, z, 0j), want, 1e-9)
+    assert _close(lattice.log(z), want, 1e-9)
+    assert z in DiskGrid().points()
 
 
-def test_the_subdividing_example_really_subdivides():
-    fn, _ = _twisted_spiral(1.2, 110.0)
+@pytest.mark.parametrize("lam, c", [(0.6, 0.0), (-0.75, 89.0)])
+def test_the_default_grid_takes_the_exact_branch_of_a_twisted_spiral(lam, c):
+    # the plain spiral's ratio turns slowly, but a trapezoid estimate of a
+    # step's turn, checked only by its miss modulo 2 pi against the sampled
+    # turn, took a branch 2 pi off at z = 0.99888 on ray 0; (-0.75, 89)
+    # turns its one step to z = 0.999 by more than pi
+    m = _TwistedSpiral(lam, c)
+    grid = DiskGrid().points()
+    _assert_close_arrays(BranchLattice.ratio(m).log(grid), _exact_log(m, grid), 1e-9)
+
+
+def test_a_sweep_of_twisted_spirals_near_one_takes_the_exact_branch():
+    # lambda in [-0.95, -0.3], |c| <= 120 and z within 1e-4 to 1e-2 of 1,
+    # where a step of the lattice's outer ring turns by up to about 2.5 rad
+    rng = np.random.default_rng(8)
+    wrong = []
+    for _ in range(400):
+        lam, c = rng.uniform(-0.95, -0.3), rng.uniform(-120.0, 120.0)
+        z = 1 - 10 ** rng.uniform(-4, -2) * cmath.exp(1j * rng.uniform(-1.5, 1.5))
+        assert abs(z) < 1 and abs(cmath.phase(z)) <= 0.01
+        m = _TwistedSpiral(lam, c)
+        if not _close(BranchLattice.ratio(m).log(z), _exact_log(m, z), 1e-9):
+            wrong.append((lam, c, z))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("lam", [1.2, -0.75, 0.0])
+def test_queries_near_a_pole_take_the_exact_branch(lam):
+    # 1 - 1e-6 and 1 - 1e-7 are where the extension clamps its boundary
+    # queries and checks its continuity; the spiral's ratio (1 - z)^p has a
+    # pole or zero of order p at 1, near which the two rules keep a gap of
+    # about 1.17 |p| at every scale while the error of each grows like the
+    # log of the step over the distance: the step is halved down to that
+    # distance (sampled turns over whole 1/48 steps take branches 2 pi to
+    # 8 pi off there)
+    m = SpiralMap(lam)
+    z = 1 - np.array([1e-6, 1e-7, 1e-12])
+    _assert_close_arrays(BranchLattice.ratio(m).log(z), m.p * np.log(1 - z))
+
+
+def test_the_subdividing_example_really_subdivides(monkeypatch):
+    m = _TwistedSpiral(1.2, 110.0)
     z = cmath.rect(0.97, 0.4)
-    counted, count = _counted(fn)
+    lattice = BranchLattice.ratio(m)
+    counted, count = _counted(lattice.fn)
     tracked_log(counted, z, 0j)
     assert count[0] > 48  # the ray from 0 needed more than its 48 steps
-    counted, count = _counted(fn)
-    node = BranchLattice(counted, 0j).continue_from(z)
-    segments = round(abs(node["start"]) * BranchLattice.RINGS)
-    assert count[0] > segments  # some one-step lattice segment was split
+    # the lattice halves none of its steps: both rules integrate the
+    # constant ic of g'/g exactly
+    halvings = _halvings(monkeypatch)
+    lattice.log(z)
+    assert max(halvings) == 0
 
 
 def test_blocks_in_any_order_grow_the_lattice_one_block_grows():
     # blocks of 1 to 40 points, outward or shuffled, grow the rays in their
     # own steps: the nodes and the answers are those of one block of all the
     # points
-    fn, _ = _twisted_spiral(0.9, 40.0)
     points = DiskGrid(12, 64, 1e-3).points()
-    serial = BranchLattice(fn, 0j)
-    serial_sizes = _sizes(serial)
+    m, serial_sizes = _sizes(_TwistedSpiral(0.9, 40.0))
+    serial = BranchLattice.ratio(m)
     want = serial.log(points)
     for seed, order in enumerate(("outward", "shuffled")):
-        lattice = BranchLattice(fn, 0j)
-        sizes = _sizes(lattice)
+        m, sizes = _sizes(_TwistedSpiral(0.9, 40.0))
+        lattice = BranchLattice.ratio(m)
         rng = random.Random(seed)
         idx = list(range(len(points)))
         if order == "shuffled":
@@ -734,7 +826,7 @@ def test_blocks_in_any_order_grow_the_lattice_one_block_grows():
         # rays no block uses stay ungrown, NaN in both
         assert np.array_equal(lattice._height, serial._height), order
         assert np.array_equal(lattice._logs, serial._logs, equal_nan=True), order
-        # every node and every query step walked once
+        # every node and every query step sampled once, and no other point
         assert sum(sizes) == sum(serial_sizes), order
         _assert_close_arrays(got, want)
 
@@ -842,23 +934,14 @@ def test_traced_run_sees_branch_tracking_of_both_callers(tmp_path, capsys, monke
     # the tracer counts the per-point tracked_log calls made through
     # qcx.criteria's and qcx.loewner's names, and the evaluations inside
     # qcx.branches.tracked_log.  Block queries of the lattices call neither,
-    # so the calls read 0 and the evaluations are those of the scalar
-    # fallbacks the lattices take, counted here on their own
+    # and no lattice falls back on tracked_log, so every count reads 0
     from qcx import criteria, loewner
 
-    fallback = {"calls": 0, "evals": 0}
+    fallback = []
     scalar = branches.tracked_log
-
-    def counted_fallback(fn, z, *args, **kwargs):
-        fallback["calls"] += 1
-
-        def counted(w):
-            fallback["evals"] += 1
-            return fn(w)
-
-        return scalar(counted, z, *args, **kwargs)
-
-    monkeypatch.setattr(branches, "tracked_log", counted_fallback)
+    monkeypatch.setattr(branches, "tracked_log",
+                        lambda *args, **kwargs: fallback.append(args) or scalar(*args, **kwargs))
+    halvings = _halvings(monkeypatch)
 
     def scenario(name, function, companion):
         doc = {"version": 1, "function": function,
@@ -871,9 +954,8 @@ def test_traced_run_sees_branch_tracking_of_both_callers(tmp_path, capsys, monke
 
     poly = scenario("poly", {"kind": "polynomial", "coefficients": [[0.25, 0.0]]},
                     {"kind": "identity"})
-    # Q(f(z))/z turns fast near z = 1 with the spiral's ratio: steps there
-    # fall back.  A catalog companion Q keeps the lattice; with the identity
-    # the spiral's ratio has a closed form
+    # a catalog companion Q keeps the lattice; with the identity the
+    # spiral's ratio has a closed form
     catalog_q = {"kind": "catalog", "extension_dilatation": 0.0,
                  "base": {"kind": "polynomial", "coefficients": [[0.05, 0.0]]}}
     spiral = scenario("spiral", {"kind": "spiral", "lam": 1.2}, catalog_q)
@@ -883,19 +965,17 @@ def test_traced_run_sees_branch_tracking_of_both_callers(tmp_path, capsys, monke
         assert main(["check", "--scenario", poly]) == 0
         assert main(["extend", "--scenario", poly]) == 0
         quiet = tracer.pass_metrics()
-        assert fallback == {"calls": 0, "evals": 0}
+        assert halvings == []  # the identity companion's ratio takes no lattice
         assert main(["check", "--scenario", spiral]) == 1
         assert main(["extend", "--scenario", spiral]) == 1
         metrics = tracer.pass_metrics()
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert quiet["branches.evals"] == 0 and quiet["branches.max_steps"] == 0
-    assert fallback["calls"] > 0
+    assert fallback == [] and halvings  # the spiral's lattice walked
     for m in (quiet, metrics):
         assert m["branches.calls.criteria"] == m["branches.calls.loewner"] == 0
         assert m["branches.self_s"] == 0
-    assert metrics["branches.evals"] == fallback["evals"]
-    assert 1 <= metrics["branches.max_steps"] <= fallback["evals"]
-    assert 0 < metrics["branches.pass_efficiency"] <= 1
+        assert m["branches.evals"] == m["branches.max_steps"] == 0
+        assert m["branches.pass_efficiency"] == 1
     assert criteria.tracked_log is loewner.tracked_log is scalar

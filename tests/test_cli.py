@@ -360,14 +360,14 @@ def test_unknown_criterion_rejected_by_every_command(tmp_path, capsys):
 
 
 def test_a_non_finite_stencil_sample_is_an_input_error(tmp_path, capsys):
-    # the extension overflows on the annulus's outer ring: a traceback and
-    # exit 1 before
+    # the extension overflows on the annulus's outer ring, which lies at
+    # `outer` exactly: a traceback and exit 1 before
     doc = {"version": 1, "function": {"kind": "polynomial", "coefficients": [0.25]},
            "criterion": "bazilevic", "params": {"s": [0.1, 0]},
            "annulus": {"radial": 4, "angular": 8, "inner": 1.5, "outer": 1e40}}
     code, out, err = run(["beltrami", "--scenario", write_scenario(tmp_path, doc)], capsys)
     assert (code, err) == (2, "error: non-finite sample in Wirtinger stencil at "
-                              "(1.0000000000000002e+40+0j)\n")
+                              "(1e+40+0j)\n")
     assert "report" not in out
 
 

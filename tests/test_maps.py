@@ -212,6 +212,18 @@ def test_annulus_grid_shape():
     assert len(g.points()) == 16 * 32
 
 
+@pytest.mark.parametrize("outer", [3.0, 1e40])
+def test_annulus_grid_ends_exactly_at_outer(outer):
+    # 1.5 * (1e40 / 1.5) ** 1 rounds to 1.0000000000000002e+40; the other
+    # radii are the geometric sequence's
+    g = AnnulusGrid(8, 4, 1.5, outer)
+    i = np.arange(8)
+    want = 1.5 * (outer / 1.5) ** (i / 7)
+    r = g.radii()
+    assert r[-1] == outer
+    assert np.array_equal(r[:-1], want[:-1])
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         DiskGrid(1, 8)
