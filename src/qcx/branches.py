@@ -70,7 +70,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import BLOCK, blocks
-from .jets import accepts_point, complex_array, first_where
+from .jets import accepts_point, complex_array, first_where, principal_log
 from .maps import CompanionMap, ComposeMap, IdentityMap
 
 
@@ -199,9 +199,7 @@ class FactoredRatio:
         out = np.full(z.shape, self.anchor)
         with np.errstate(all="ignore"):
             for root, expo in self._factors:
-                w = 1 - z / root
-                # log|w| + i Arg w: a tenth of the cost of a complex np.log
-                out += expo * complex_array(np.log(np.abs(w)), np.angle(w))
+                out += expo * principal_log(1 - z / root)
         return out
 
 
@@ -354,11 +352,7 @@ class BranchLattice:
             g, wind = self._walk(self._UNIT[rays] * ((rings - 1) / self.RINGS),
                                  self._logs[low - 1, short],
                                  self._UNIT[rays] * (rings / self.RINGS), path, first)
-            # a node's log only carries its winding to the queries,
-            # whose results are wound from g at their own point: the
-            # cheap real logarithm log|g| does for its real part
-            self._logs[rings, rays] = _wound(
-                complex_array(np.log(np.abs(g)), np.angle(g)), wind)
+            self._logs[rings, rays] = _wound(principal_log(g), wind)
             self._height[short] = top + 1
 
     @accepts_point("z")
@@ -375,5 +369,5 @@ class BranchLattice:
             for part in blocks(q, _NODES.size):
                 one = np.arange(part.size)
                 g, wind = self._walk(start[part], out[part], zs[part], one, one)
-                out[part] = _wound(np.log(g), wind)
+                out[part] = _wound(principal_log(g), wind)
         return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .branches import bazilevic_branch, ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
-from .jets import PreconditionError, accepts_point, first_where, piecewise
+from .jets import PreconditionError, accepts_point, first_where, piecewise, principal_log
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
@@ -469,11 +469,11 @@ def _sector_log(sector: SectorDomain) -> Callable[[np.ndarray], np.ndarray]:
     half-turn the principal Log is continuous on it, and past one it is
     continuous on the cone turned by -beta onto the positive axis."""
     if sector.a <= 1:
-        return np.log
+        return principal_log
     beta = math.remainder(math.pi * (sector.lambda0 + 1 + sector.a / 2)
                           - cmath.phase(sector.w0), 2 * math.pi)
     unturn = cmath.exp(-1j * beta)
-    return lambda u: 1j * beta + np.log(u * unturn)
+    return lambda u: 1j * beta + principal_log(u * unturn)
 
 
 def _sector_nw(f, q, params):

@@ -44,7 +44,7 @@ from .branches import (BranchTrackingError, bazilevic_branch, ratio_branch,  # n
                        tracked_log)
 from .criteria import CriterionParams, PreconditionError
 from .grids import DiskGrid, blocks
-from .jets import accepts_point, piecewise
+from .jets import accepts_point, piecewise, principal_log
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
@@ -256,7 +256,7 @@ class BazilevicChain(LoewnerChain):
         ratio = b / big_h
         if np.any((np.imag(ratio) == 0) & (np.real(ratio) <= 0)):
             raise BranchTrackingError("chain bracket vanished on the time path")
-        return b, lb0 + np.log(ratio)
+        return b, lb0 + principal_log(ratio)
 
     def _evaluate(self, z, t, partials):
         s = self.params.s

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import DomainError, Jet2, accepts_point, compose, first_where
+from .jets import DomainError, Jet2, accepts_point, compose, first_where, principal_log
 
 _DERIV_ORIGIN_TOL = 1e-12
 
@@ -171,7 +171,7 @@ class SpiralMap(AnalyticMap):
         p = self.p
         w = 1 - z
         # 1-z stays in the right half-plane on the disk, principal powers are safe
-        wp2 = np.exp((p - 2) * np.log(w))
+        wp2 = np.exp((p - 2) * principal_log(w))
         wp1 = wp2 * w
         wp = wp1 * w
         return Jet2(z * wp, wp1 * (w - p * z), wp2 * (p * (p - 1) * z - 2 * p * w))
@@ -199,9 +199,11 @@ class PolynomialMap(AnalyticMap):
     @accepts_point("z")
     def jet(self, z: np.ndarray) -> Jet2:
         # Horner on f(z)/z from its leading coefficient, then restore the
-        # factor of z
+        # factor of z; the first step, from d1 = d2 = 0, in closed form
         *rest, v = self.coefficients
         d1 = d2 = 0j
+        if rest:
+            d1, v = v, v * z + rest.pop()
         for c in reversed(rest):
             d2 = d2 * z + 2 * d1
             d1 = d1 * z + v

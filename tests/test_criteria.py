@@ -564,8 +564,8 @@ GOLDEN_REPORTS = {
     # conjugate up to the rounding of their angles, and f has real
     # coefficients in a sector symmetric about the real axis: in exact
     # arithmetic their scores tie, in floating point they differ by 1e-16,
-    # and the block scan's rounding favours the point below the axis
-    "sector_nw": (True, -0.08284064816463765, 0.0, False, 0.08284064816463765, -0.49500000000000044, -0.857365149746594, 153, 0.6921888235674949, 0.9444444444444445),
+    # and the block scan's rounding favours the point above the axis
+    "sector_nw": (True, -0.08284064816463754, 0.0, False, 0.08284064816463754, -0.4949999999999998, 0.8573651497465943, 153, 0.6921888235674949, 0.9444444444444445),
     "phi_like_udisk": (True, -0.506644518272425, 0.0, False, 0.506644518272425, -0.99, 1.2124003311558797e-16, 153, 0.19681908548707766, 0.5),
     "bazilevic_udisk": (True, -0.7030000000000001, 0.0, False, 0.7030000000000001, -0.99, 1.2124003311558797e-16, 153, 0.10987791342952273, 0.5),
 }

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import operator
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qcx import (
     ScaledMap,
     SpiralMap,
 )
+from qcx.jets import principal_log
 
 CATALOG_MAPS = [
     ("identity", IdentityMap()),
@@ -58,16 +61,16 @@ def test_polynomial_jet_direct():
     assert abs(j.d2 - 0.2) < 1e-15
 
 
-def _horner_from_zero(coefficients, z):
+def _horner_from_zero(coefficients, z, product=operator.mul):
     """The polynomial jet as Horner's loop gives it when it starts from
-    v = d1 = d2 = 0 rather than at the leading coefficient: the reference
-    for PolynomialMap.jet."""
+    v = d1 = d2 = 0 rather than at the leading coefficient, every complex
+    product taken by `product`: the reference for PolynomialMap.jet."""
     v = d1 = d2 = 0j
     for c in reversed(coefficients):
-        d2 = d2 * z + 2 * d1
-        d1 = d1 * z + v
-        v = v * z + c
-    return v * z, d1 * z + v, d2 * z + 2 * d1
+        d2 = product(d2, z) + 2 * d1
+        d1 = product(d1, z) + v
+        v = product(v, z) + c
+    return product(v, z), product(d1, z) + v, product(d2, z) + 2 * d1
 
 
 # + 0.0 turns a -0.0 part into +0.0: a signed zero in a coefficient is the
@@ -90,6 +93,68 @@ def test_polynomial_jet_matches_horner_from_zero(coefficients, z):
         for part in ("real", "imag"):
             assert np.array_equal(np.signbit(getattr(got, part)),
                                   np.signbit(getattr(want, part)))
+
+
+def _fused(x: float, y: float, r: float) -> float:
+    """x * y + r rounded once, as a fused multiply-add rounds it."""
+    return float(Fraction(x) * Fraction(y) + Fraction(r))
+
+
+def _fused_product(a: complex, b: complex) -> complex:
+    """a * b with each part rounded once after its first product is
+    rounded: Re = ar br - (ai bi), Im = ar bi + (ai br), the way numpy's
+    SIMD loops round a complex product on a CPU with fused multiply-add.
+    Python's own a * b rounds all four products."""
+    return complex(_fused(a.real, b.real, -(a.imag * b.imag)),
+                   _fused(a.real, b.imag, a.imag * b.real))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_polynomial_jet_bit_equals_scalar_horner(degree):
+    # the jet's closed-form first step, from d1 = d2 = 0, must change no
+    # bit; degree 1, PolynomialMap([1]), has no first step to skip
+    rng = np.random.default_rng(degree)
+    for _ in range(4):
+        tail = rng.normal(size=degree - 1) + 1j * rng.normal(size=degree - 1)
+        coefficients = [1 + 0j, *tail.tolist()]
+        z = rng.uniform(0, 1.2, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+        jet = PolynomialMap(coefficients).jet(z)
+        got = np.stack([jet.value, jet.d1, jet.d2], axis=1)
+        # numpy rounds a complex product either once per part (fused
+        # multiply-add) or as Python does, depending on the CPU it runs on;
+        # the reference runs point by point in Python complex
+        assert any(got.tobytes() == np.array([_horner_from_zero(coefficients, complex(x), product)
+                                              for x in z]).tobytes()
+                   for product in (_fused_product, operator.mul))
+
+
+# |w| from 1e-300 to 1e300, or within 1e-8 of the unit circle
+_moduli = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                    st.floats(-1e-8, 1e-8).map(lambda d: 1 + d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(w=st.lists(st.builds(cmath.rect, _moduli, st.floats(-math.pi, math.pi)),
+                  min_size=1, max_size=16))
+def test_principal_log_matches_cmath(w):
+    got = principal_log(np.array(w))
+    for g, x in zip(got, w):
+        want = cmath.log(x)
+        # a double near log 1e300 = 690.8 carries ulps of 1.1e-13: past
+        # |log|w|| = 1 the real part is held to 1e-15 relative
+        assert abs(g.real - want.real) <= 1e-15 * max(1.0, abs(want.real)), (x, g, want)
+        assert abs(g.imag - want.imag) <= 1e-15, (x, g, want)
+
+
+def test_principal_log_takes_np_logs_branch_cut():
+    # Arg(-1 +- 0i) = +-pi, the sign of the zero deciding, as np.log does
+    w = np.array([complex(-1, 0.0), complex(-1, -0.0), complex(-2.5, 0.0), complex(-2.5, -0.0)])
+    got = principal_log(w)
+    np.testing.assert_array_equal(got.imag, [math.pi, -math.pi, math.pi, -math.pi])
+    np.testing.assert_array_equal(got.imag, np.log(w).imag)
+    with np.errstate(divide="ignore"):
+        at_zero = principal_log(np.array([0j]))
+    assert at_zero[0].real == -math.inf
 
 
 @pytest.mark.parametrize("name,f", CATALOG_MAPS)

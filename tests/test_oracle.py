@@ -1,9 +1,10 @@
-"""The array functionals against an independent high-precision oracle.
+"""The array functionals and jets against an independent high-precision oracle.
 
 `nw_value` and `gen_becker_value` are evaluated on arrays of points for
 random class-A polynomials f and polynomial or Moebius companions Q, and
 compared with the same formulas evaluated in mpmath at 30 digits, with the
-derivatives of the polynomials taken exactly, term by term.
+derivatives of the polynomials taken exactly, term by term.  The spiral
+map's jet is compared with its derivatives, taken by hand, in mpmath.
 """
 
 import cmath
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcx import CompanionMap, MoebiusMap, PolynomialMap, gen_becker_value, nw_value
+from qcx import CompanionMap, MoebiusMap, PolynomialMap, SpiralMap, gen_becker_value, nw_value
 
 TOL = 1e-12
 DIGITS = 30
@@ -105,3 +106,41 @@ def test_gen_becker_value_matches_mpmath(a, q, zs, c):
                      (1 - r2) * zm * d1 * q2 / q1)
             # a sum: relative to the size of its terms, which may cancel
             _check("gen_becker", got, sum(terms), sum(abs(t) for t in terms))
+
+
+def _mp_spiral(p, z):
+    """The terms of f, f' and f'' of f(z) = z (1 - z)^p at z, principal
+    powers: f = z w^p, f' = w^p - p z w^(p-1), f'' = -2p w^(p-1)
+    + p(p-1) z w^(p-2) with w = 1 - z."""
+    w = 1 - z
+    return ((z * w ** p,),
+            (w ** p, -p * z * w ** (p - 1)),
+            (-2 * p * w ** (p - 1), p * (p - 1) * z * w ** (p - 2)))
+
+
+# |z| <= 0.999, and points within 0.05 rad of z = 1, where log(1 - z) is
+# largest
+spiral_points = st.lists(
+    st.one_of(st.builds(cmath.rect, st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi)),
+              st.builds(cmath.rect, st.floats(0.99, 0.999), st.floats(-0.05, 0.05))),
+    min_size=1, max_size=16)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(lam=st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True), zs=spiral_points)
+def test_spiral_jet_matches_mpmath(lam, zs):
+    f = SpiralMap(lam)
+    z = np.array(zs, complex)
+    jet = f.jet(z)
+    with mpmath.workdps(DIGITS):
+        p = mpmath.mpc(f.p)  # the map is z (1 - z)^p of its own, rounded p
+        for k, zk in enumerate(z):
+            for name, got, terms in zip(("value", "d1", "d2"),
+                                        (jet.value[k], jet.d1[k], jet.d2[k]),
+                                        _mp_spiral(p, mpmath.mpc(zk))):
+                # relative to the size of its terms: f' vanishes at the
+                # spiral's critical point -e^(2i lam) on the unit circle,
+                # and its two terms cancel on the way there
+                scale = sum(abs(t) for t in terms)
+                assert abs(complex(got) - complex(sum(terms))) <= 1e-13 * scale, \
+                    (name, lam, zk, got, sum(terms))

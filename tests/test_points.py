@@ -253,6 +253,67 @@ def test_the_guard_sees_each_kind_of_dispatch(tmp_path):
     assert sorted(set(lines)) == [3, 5, 7, 10]
 
 
+# -- the guard: one complex logarithm ------------------------------------------------
+
+# np.log calls whose argument is real though no abs() shows it: the
+# extension's radius r = abs(w) outside the disk
+_REAL_LOG_ARGS = {("loewner.py", "_outside"): "r"}
+
+
+def _complex_logs(path: Path) -> list[str]:
+    """Lines of a source file that call np.log on an argument that may be
+    complex: anything but np.abs(...), abs(...) or a radius that
+    _REAL_LOG_ARGS names.  jets.principal_log is the one complex logarithm
+    of an array, and takes np.log of np.abs(w) itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    radius = {}  # line -> the radius np.log may take there
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) in _REAL_LOG_ARGS:
+            radius.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1),
+                                        _REAL_LOG_ARGS[path.name, node.name]))
+
+    def is_real(arg, line):
+        if isinstance(arg, ast.Call):
+            fn = arg.func
+            return (isinstance(fn, ast.Name) and fn.id == "abs") or (
+                isinstance(fn, ast.Attribute) and fn.attr == "abs"
+                and isinstance(fn.value, ast.Name) and fn.value.id == "np")
+        return isinstance(arg, ast.Name) and radius.get(line) == arg.id
+
+    def is_np_log(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "log"
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+    real = {id(node.func) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and is_np_log(node.func)
+            and len(node.args) == 1 and is_real(node.args[0], node.lineno)}
+    # np.log passed on as a function, not called, takes whatever it is given
+    return [f"{path.name}:{node.lineno}: np.log"
+            for node in ast.walk(tree) if is_np_log(node) and id(node) not in real]
+
+
+def test_every_complex_logarithm_is_the_principal_log_helper():
+    sites = [s for path in sorted(SRC.glob("*.py")) for s in _complex_logs(path)]
+    assert sites == []
+
+
+def test_the_guard_sees_a_complex_logarithm(tmp_path):
+    source = tmp_path / "loewner.py"
+    source.write_text(
+        "import numpy as np\n"
+        "def _outside(w):\n"
+        "    r = abs(w)\n"
+        "    return np.log(r) + np.log(np.abs(w)) + np.log(abs(w))\n"
+        "def f(w, r):\n"
+        "    a = np.log(w)\n"
+        "    b = np.log(r) + np.log(1 - w)\n"
+        "    return a + b + np.log(np.abs(w) * w)\n"
+        "def g():\n"
+        "    return np.log\n")
+    lines = [int(s.split(":")[1]) for s in _complex_logs(source)]
+    assert sorted(lines) == [6, 7, 7, 8, 10]
+
+
 # -- the guard: a message names a point as a Python number ---------------------------
 
 
