@@ -15,12 +15,12 @@ identity, Koebe, Cayley, spiral and polynomial maps, and `scaled` ones of
 these) unless some root has |r_j| <= 1 and lies below the map's analyticity
 radius.  Such a root is a zero of the ratio on the closed unit disk (the
 Bazilevic chain queries polynomial maps on |w| = 1), which the branch would
-wind round; that map, like every ratio of a combination tree and
-Q(f(w))/w of a companion Q other than the identity, takes a
-`BranchLattice`: these are the only paths that keep it.  `bazilevic_branch`
-picks the branch of a Bazilevic value's ratio that way.  (sector_nw's
-1 - f/w0 takes no lattice: the sector hypothesis puts it in a cone where a
-turned principal Log is the continued branch, `criteria._sector_log`.)
+wind round; that map, like every ratio of a combination tree (such as the
+`ComposeMap` G = Q o f), takes a `BranchLattice`: these are the only paths
+that keep it.  `bazilevic_branch` picks the branch of a Bazilevic value's
+ratio that way.  (sector_nw's 1 - f/w0 takes no lattice: the sector
+hypothesis puts it in a cone where a turned principal Log is the continued
+branch, `criteria._sector_log`.)
 
 A `BranchLattice` continues log g for g = m(w)/w of a jet-capable map m by
 the argument principle: log g(z) = log g(0) + the integral of g'/g along
@@ -124,7 +124,10 @@ def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex) -
         A logarithm of the limit lim_{t->0+} fn(t*z); fixes the branch.
 
     The first attempt takes _STEPS steps.  Every step rotating by more than
-    _MAX_STEP_IMAG doubles the count, up to 64 times _STEPS.
+    _MAX_STEP_IMAG doubles the count, up to 64 times _STEPS.  Within about
+    1e-6 of a pole of fn the last sampled step can turn past pi and return a
+    branch 2*pi off (`tracked_ratio_log(SpiralMap(1.2), 1 - 1e-6)`), so the
+    tests compare the lattice with closed forms there.
 
     Returns
     -------
@@ -220,11 +223,11 @@ def bazilevic_branch(f, psi):
     """The log of the ratio a Bazilevic value raises to s - 1: G(w)/w with
     G = Q o f when `psi` is a companion Q, else G = f.  With G = f (a direct
     Psi, or the identity companion) it is `ratio_branch(f)`, in closed form
-    when f's ratio factors; G = Q o f of any other Q keeps a lattice."""
+    when f's ratio factors; G = Q o f of any other Q keeps a lattice anchored
+    at log G'(0), with no exact G(0) = 0 test: the callers hold Q(0) to 1e-12."""
     if isinstance(psi, CompanionMap) and not isinstance(psi.base, IdentityMap):
-        jf0 = f.jet(0j)
-        return BranchLattice(ComposeMap(psi, f),
-                             cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
+        g = ComposeMap(psi, f)
+        return BranchLattice(g, cmath.log(g.jet(0j).d1))
     return ratio_branch(f)
 
 

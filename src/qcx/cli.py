@@ -568,7 +568,7 @@ def cmd_extend(sc: Scenario, args) -> int:
         "continuity_pass": gap < 1e-6,
         "chain_ok": validation.ok,
         "re_p_min": validation.re_p_min,
-        "u_margin_min": validation.u_margin_min if validation.u_margin_min is not None else "",
+        "u_margin_min": validation.u_margin_min,
         "growth_max": validation.growth_max,
         "a1_increasing": validation.a1_increasing,
         "fixes_infinity": ext.fixes_infinity,
@@ -589,10 +589,7 @@ def cmd_extend(sc: Scenario, args) -> int:
 def cmd_beltrami(sc: Scenario, args) -> int:
     chain, ext, bound = _chain_and_extension(sc)
     grid = sc.annulus_grid()
-    h = sc.fd_step
-    if grid.inner < 1 + 3 * h:
-        raise PreconditionError("annulus inner radius must clear the 3h guard band")
-    est, est_half, stable, delta = stable_beltrami(ext, grid, h)
+    est, est_half, stable, delta = stable_beltrami(ext, grid, sc.fd_step)
     passed = est.sup_abs_mu < 1 and stable
     if bound is not None:
         passed = passed and est.sup_abs_mu <= bound + 2e-3
@@ -606,7 +603,7 @@ def cmd_beltrami(sc: Scenario, args) -> int:
         "step_stable": stable,
         "step_delta": delta,
         "flagged_samples": len(est.flagged),
-        "bound": bound if bound is not None else "",
+        "bound": bound,
         "passed": passed,
         "note": ROTATION_NOTE if chain.q.label == "sector" else "",
     })

@@ -22,7 +22,8 @@ import numpy as np
 
 from .branches import bazilevic_branch, ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
-from .jets import PreconditionError, accepts_point, first_where, piecewise, principal_log
+from .jets import (PreconditionError, accepts_point, finite_where, first_where, piecewise,
+                   principal_log)
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
@@ -121,22 +122,9 @@ class CriterionReport:
 # pointwise functionals: elementwise on a 1-D array, a point taken as [z]
 # ---------------------------------------------------------------------------
 
-_INF_Z = complex(_INF, 0)
 # a decorator (a `with` block takes a fresh np.errstate): evaluation is
 # quiet, since an inf or an overflow is scored, not warned about
 _quiet = np.errstate(all="ignore")
-
-
-def _finite_where(ok, formula, *args):
-    """formula(*args) where `ok` holds and complex inf elsewhere: the value a
-    criterion takes where one of its denominators vanishes.  The formula
-    sees only the points where the mask `ok` holds (each argument, an array
-    of ok's shape, cut to them)."""
-    if ok.all():
-        return formula(*args)
-    out = np.full(ok.shape, _INF_Z)
-    out[ok] = formula(*(a[ok] for a in args))
-    return out
 
 
 def _becker(c: complex, z: complex, bracket: complex) -> complex:
@@ -148,7 +136,8 @@ def _becker(c: complex, z: complex, bracket: complex) -> complex:
 @_quiet
 @accepts_point("z")
 def phi_like_value(f: AnalyticMap, phi, z: np.ndarray) -> np.ndarray:
-    """z*f'(z)/Phi(f(z)); at z = 0 the limit f'(0)/Phi'(0).
+    """z*f'(z)/Phi(f(z)); at z = 0 the limit f'(0)/Phi'(0) where Phi(f(0)) = 0,
+    and 0 where it is not.
 
     `phi` is either an AnalyticMap used directly as Phi, or a CompanionMap
     whose view Phi = Q/Q' is used.  Positivity of the real part on the disk
@@ -158,17 +147,23 @@ def phi_like_value(f: AnalyticMap, phi, z: np.ndarray) -> np.ndarray:
 
     companion = isinstance(phi, CompanionMap)
 
+    def big_phi(w):
+        return phi.phi(w) if companion else phi.jet(w).value
+
     def origin(z):  # z holds only zeros, where f(z) = 0 too
         d = phi.phi_deriv(z) if companion else phi.jet(z).d1
-        return _finite_where(d != 0, lambda d1, d: d1 / d, f.jet(z).d1, d)
+        return finite_where(d != 0, lambda d1, d: d1 / d, f.jet(z).d1, d)
 
-    def inside(z):
+    def quotient(z):
         jf = f.jet(z)
-        den = phi.phi(jf.value) if companion else phi.jet(jf.value).value
-        return _finite_where(den != 0, lambda z, d1, den: z * d1 / den,
-                             z, jf.d1, den)
+        den = big_phi(jf.value)
+        return finite_where(den != 0, lambda z, d1, den: z * d1 / den,
+                            z, jf.d1, den)
 
-    return piecewise(z == 0, origin, inside, z)
+    at0 = z == 0
+    if at0.any():  # the limit stands only where the quotient is 0/0
+        at0 &= big_phi(f(0j)) == 0
+    return piecewise(at0, origin, quotient, z)
 
 
 @_quiet
@@ -178,7 +173,7 @@ def gen_becker_value(f: AnalyticMap, q: CompanionMap, c: complex,
     """c|z|^2 + (1-|z|^2) * { z f''/f' + z f' * Omega(f(z)) } with Omega = Q''/Q'."""
     jf = f.jet(z)
     jq = q.jet(jf.value)
-    return _finite_where(
+    return finite_where(
         (jf.d1 != 0) & (jq.d1 != 0),
         lambda z, d1, d2, q1, q2: _becker(c, z, z * d2 / d1 + z * d1 * (q2 / q1)),
         z, jf.d1, jf.d2, jq.d1, jq.d2)
@@ -226,7 +221,7 @@ def _pole_becker(c: complex, m: float, pole: complex, z: np.ndarray,
     """c|z|^2 + (1-|z|^2) * { z f''/f' + m z f'/(f - pole) } from f's jet jf
     at z: the Moebius (m = -2, pole c2) and sector (m = 1/a - 1, pole w0)
     Becker values."""
-    return _finite_where(
+    return finite_where(
         (jf.d1 != 0) & (jf.value != pole),
         lambda z, v, d1, d2: _becker(c, z, z * d2 / d1 + m * z * d1 / (v - pole)),
         z, jf.value, jf.d1, jf.d2)
@@ -234,7 +229,7 @@ def _pole_becker(c: complex, m: float, pole: complex, z: np.ndarray,
 
 def _moebius_derivative(gamma: complex, delta: complex, jf) -> np.ndarray:
     den = gamma * jf.value + delta
-    return _finite_where(den != 0, lambda d1, den: d1 / (den * den), jf.d1, den)
+    return finite_where(den != 0, lambda d1, den: d1 / (den * den), jf.d1, den)
 
 
 @_quiet
@@ -487,6 +482,9 @@ def _sector_nw(f, q, params):
 def _phi_like(f, phi, params):
     if phi is None:
         raise PreconditionError("phi_like needs a companion (or direct Phi)")
+    # Phi = Q/Q' of a companion vanishes at 0 exactly where Q does
+    if abs(phi.jet(0j).value) > 1e-12:
+        raise PreconditionError("phi_like needs Phi(0) = 0 (Q(0) = 0 for a companion)")
     return lambda z: phi_like_value(f, phi, z)
 
 
@@ -597,7 +595,7 @@ def require_chain_companion(criterion: str, companion: CompanionMap,
     elif criterion == "moebius_becker":
         if params.c2 is None:
             raise PreconditionError("moebius_becker needs c2")
-        pole = -q.delta / q.gamma if q.gamma != 0 else _INF_Z
+        pole = -q.delta / q.gamma if q.gamma != 0 else complex(_INF, 0)
         if not abs(pole - params.c2) <= 1e-12 * max(1.0, abs(params.c2)):
             raise PreconditionError(f"moebius_becker reads a Moebius map with pole "
                                     f"c2 = {params.c2!r}, not the companion's "

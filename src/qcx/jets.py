@@ -11,9 +11,9 @@ entry point that also takes a single point carries `accepts_point`, the one
 place that tells a point from an array: it evaluates the point as the
 one-element array [z] and returns element 0 of each result, as a Python
 number.  So a point's value is, bit for bit, that point's element of a
-block.  `first_where` finds the point a guard names, `piecewise`
-evaluates a branch only where it applies, and `principal_log` is the one
-complex logarithm of an array.
+block.  `first_where` finds the point a guard names, `piecewise` and
+`finite_where` (inf where a denominator vanishes) evaluate a formula only
+where it applies, and `principal_log` is the one complex log of an array.
 """
 
 from __future__ import annotations
@@ -99,6 +99,18 @@ def piecewise(cond: np.ndarray, if_true, if_false, x: np.ndarray) -> np.ndarray:
     for mask, fn in ((cond, if_true), (~cond, if_false)):
         if mask.any():
             out[mask] = fn(x[mask])
+    return out
+
+
+def finite_where(ok, formula, *args):
+    """formula(*args) where the mask `ok` holds, all the formula sees of each
+    argument (an array of ok's shape, or a number where ok is one), and
+    complex inf elsewhere: a quotient where its denominator vanishes."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return formula(*args)
+    out = np.full(ok.shape, complex(np.inf, 0))
+    out[ok] = formula(*(np.asarray(a)[ok] for a in args))
     return out
 
 

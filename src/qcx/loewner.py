@@ -1,20 +1,23 @@
 """Explicit expanding chains F(z, t) and the extensions they induce.
 
-Four constructions are implemented, one per criterion family:
+A criterion for f through a companion Q is a criterion on the composite
+G = Q o f, and four constructions, one per criterion family, build F on G:
 
-  gen_becker   F = Q(f(u)) + (1+c)^{-1} (e^t - e^{-t}) z Q'(f(u)) f'(u),  u = e^{-t} z
-  nw           F = Q(f(z)) + (e^t - 1) z
-  phi_like     F = e^t Q(f(z))                      (requires Q(0) = 0)
-  bazilevic    F = { Q(f(z))^s + s (e^t - 1) p(z)^alpha z^{i beta} }^{1/s}
+  gen_becker   F = G(u) + (1+c)^{-1} (e^t - e^{-t}) z G'(u),  u = e^{-t} z
+  nw           F = G(z) + (e^t - 1) z
+  phi_like     F = e^t G(z)                         (requires G(0) = Q(0) = 0)
+  bazilevic    F = { G(z)^s + s (e^t - 1) p(z)^alpha z^{i beta} }^{1/s}
 
-All time and angular partials are closed forms assembled from exact jets,
-so the transition ratio p = dF/dt / (z dF/dz) is computed without any
-numerical differentiation.  Validation checks the classical chain
-conditions on samples: Re p > 0, p inside U(k) when a dilatation target is
-given, and the leading coefficient a1(t) = dF/dz(0, t) growing without
-bound.  Each chain writes F once, in `_evaluate`, which stops there for
-`value` and goes on to the partials for `partials`: the extension reads F
-alone, so it evaluates F without its partials.
+Every chain reads G's jet from one `ComposeMap(Q, f)`, so `jets.compose` is
+the one chain rule.  All time and angular partials are closed forms
+assembled from exact jets, so the transition ratio p = dF/dt / (z dF/dz)
+is computed without any numerical differentiation.  Validation checks the
+classical chain conditions on samples: Re p > 0, p inside U(k) when a
+dilatation target is given, and the leading coefficient a1(t) =
+dF/dz(0, t) growing without bound.  Each chain writes F once, in
+`_evaluate`, which stops there for `value` and goes on to the partials for
+`partials`: the extension reads F alone, so it evaluates F without its
+partials.
 
 Chains and the extension evaluate elementwise on a 1-D complex array of
 points (a point is evaluated as a one-element array), with a scalar t or an
@@ -26,7 +29,7 @@ times.  `a1` takes an array of times (or one time).
 
 Validation and the CLI's extension samples go through blocks of points of
 at most `grids.BLOCK` samples: one per (point, time) in validation, one per
-point in the extension.
+point in the extension, which evaluates a block in one chain call.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from .branches import (BranchTrackingError, bazilevic_branch, ratio_branch,  # n
                        tracked_log)
 from .criteria import CriterionParams, PreconditionError
 from .grids import DiskGrid, blocks
-from .jets import accepts_point, piecewise, principal_log
-from .maps import AnalyticMap, CompanionMap, IdentityMap
+from .jets import accepts_point, finite_where, principal_log
+from .maps import AnalyticMap, CompanionMap, ComposeMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
 
@@ -57,12 +60,6 @@ class ChainPartials:
     value: complex | np.ndarray
     dt: complex | np.ndarray
     zdz: complex | np.ndarray
-
-
-def _ratio(num, den):
-    """num / den, with inf where den vanishes."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den == 0, complex(_INF, 0), num / den)
 
 
 class LoewnerChain:
@@ -77,15 +74,15 @@ class LoewnerChain:
     def __init__(self, f: AnalyticMap, q: CompanionMap, params: CriterionParams):
         self.f = f
         self.q = q
+        self.g = ComposeMap(q, f)  # G = Q o f: every chain reads G's jet
         self.params = params
         # the smallest analyticity radius of the maps evaluated at z
         self.analyticity_radius = f.analyticity_radius
 
     @functools.cached_property
-    def _d0(self) -> complex:
-        """(Q o f)'(0) from the origin's jets, taken once, when a1 needs it."""
-        jf0 = self.f.jet(0j)
-        return self.q.jet(jf0.value).d1 * jf0.d1
+    def _g0(self):
+        """G's jet at the origin, taken once, when first needed."""
+        return self.g.jet(0j)
 
     @accepts_point("z")
     def value(self, z: np.ndarray, t) -> np.ndarray:
@@ -116,7 +113,8 @@ class LoewnerChain:
         evaluating them again."""
         if part is None:
             part = self.partials(z, t)
-        ratio = _ratio(part.dt, part.zdz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = finite_where(part.zdz != 0, np.divide, part.dt, part.zdz)
         at0 = z == 0
         return np.where(at0, self._ratio_origin(t), ratio) if at0.any() else ratio
 
@@ -140,14 +138,12 @@ class GenBeckerChain(LoewnerChain):
         et = np.exp(t)
         emt = np.exp(-t)
         u = emt * z
-        jf = self.f.jet(u)
-        jq = self.q.jet(jf.value)
-        s = jq.d1 * jf.d1                       # d/du Q(f(u))
+        jg = self.g.jet(u)
+        s, sp = jg.d1, jg.d2                    # G'(u), G''(u)
         grow = et - emt
-        value = jq.value + kappa * grow * z * s
+        value = jg.value + kappa * grow * z * s
         if not partials:
             return value
-        sp = jq.d2 * jf.d1 * jf.d1 + jq.d1 * jf.d2   # d^2/du^2 Q(f(u))
         zdz = s * u + kappa * grow * (z * s + z * u * sp)
         dt = -s * u + kappa * z * (et + emt) * s - kappa * z * grow * u * sp
         return ChainPartials(value, dt, zdz)
@@ -155,7 +151,7 @@ class GenBeckerChain(LoewnerChain):
     def _a1(self, t):
         et = np.exp(t)
         emt = np.exp(-t)
-        return self._d0 * (emt + self._kappa * (et - emt))
+        return self._g0.d1 * (emt + self._kappa * (et - emt))
 
     def _ratio_origin(self, t):
         w = self.params.c * np.exp(-2 * t)
@@ -167,21 +163,21 @@ class NWChain(LoewnerChain):
 
     def _evaluate(self, z, t, partials):
         et = np.exp(t)
-        jf = self.f.jet(z)
-        jq = self.q.jet(jf.value)
-        value = jq.value + (et - 1) * z
+        jg = self.g.jet(z)
+        value = jg.value + (et - 1) * z
         if not partials:
             return value
         dt = et * z
-        zdz = z * (jq.d1 * jf.d1 + (et - 1))
+        zdz = z * (jg.d1 + (et - 1))
         return ChainPartials(value, dt, zdz)
 
     def _a1(self, t):
-        return self._d0 + np.exp(t) - 1
+        return self._g0.d1 + np.exp(t) - 1
 
     def _ratio_origin(self, t):
         # the z factor of dt and zdz cancels, so the origin is regular
-        return _ratio(np.exp(t), self._a1(t))
+        a1 = self._a1(t)
+        return finite_where(a1 != 0, np.divide, np.exp(t), a1)
 
 
 class PhiLikeChain(LoewnerChain):
@@ -189,20 +185,19 @@ class PhiLikeChain(LoewnerChain):
 
     def __init__(self, f, q, params):
         super().__init__(f, q, params)
-        if abs(q.jet(0j).value) > 1e-12:
+        if abs(self._g0.value) > 1e-12:
             raise PreconditionError("phi_like chain needs Q(0) = 0")
 
     def _evaluate(self, z, t, partials):
         et = np.exp(t)
-        jf = self.f.jet(z)
-        jq = self.q.jet(jf.value)
-        value = et * jq.value
+        jg = self.g.jet(z)
+        value = et * jg.value
         if not partials:
             return value
-        return ChainPartials(value, value, et * z * jq.d1 * jf.d1)
+        return ChainPartials(value, value, et * z * jg.d1)
 
     def _a1(self, t):
-        return np.exp(t) * self._d0
+        return np.exp(t) * self._g0.d1
 
     def _ratio_origin(self, t):
         return 1 + 0j
@@ -213,31 +208,26 @@ class BazilevicChain(LoewnerChain):
 
     def __init__(self, f, q, params):
         super().__init__(f, q, params)
-        if abs(q.jet(0j).value) > 1e-12:
+        if abs(self._g0.value) > 1e-12:
             raise PreconditionError("bazilevic chain needs Q(0) = 0")
         self.p = params.p or IdentityMap()
         self.analyticity_radius = min(f.analyticity_radius, self.p.analyticity_radius)
         jp0 = self.p.jet(0j)
         if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
             raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
-        self._g = bazilevic_branch(f, q)  # anchored at log (Q o f)'(0)
+        self._gz = bazilevic_branch(f, q)  # anchored at log G'(0)
         self._pz = ratio_branch(self.p)
-        # the origin's branch data: H = (Q o f)'(0)^s, R = 1
-        self._lb0 = params.s * self._g.anchor
+        # the origin's branch data: H = G'(0)^s, R = 1
+        self._lb0 = params.s * self._gz.anchor
         self._h0 = cmath.exp(self._lb0)
 
-    # F = z * B^{1/s} with B = (G/z)^s + s(e^t - 1)(p/z)^alpha,  G = Q o f.
+    # F = z * B^{1/s} with B = (G/z)^s + s(e^t - 1)(p/z)^alpha.
     # The ratio powers take their logs from two branches shared by every
     # point: closed forms where the ratio factors, lattices otherwise.  With
     # H = (G/z)^s, F = G (B/H)^{1/s}: as t runs from 0, e^t - 1 is real and
     # monotone, so B runs along the straight segment from H to B(t), and
     # log B = s log(G/z) + Log(B/H) continues it in t exactly, unless the
     # segment passes through 0.
-
-    def _g_jet(self, z):
-        jf = self.f.jet(z)
-        jq = self.q.jet(jf.value)
-        return jq.value, jq.d1 * jf.d1
 
     @accepts_point("z")
     def branch_data(self, z):
@@ -246,7 +236,7 @@ class BazilevicChain(LoewnerChain):
         points at a time.  Every time of a call shares them, so a block of
         points against a column of times computes them once."""
         s = self.params.s
-        lg, lp = self._g.log(z), self._pz.log(z)
+        lg, lp = self._gz.log(z), self._pz.log(z)
         return np.exp(s * lg), np.exp(s.real * lp), s * lg
 
     def _bracket(self, et, big_h, big_r, lb0):
@@ -270,9 +260,9 @@ class BazilevicChain(LoewnerChain):
             value = z * np.exp(lb / s)
             if not partials:
                 return np.where(z == 0, 0j, value)
-            gv, gd = self._g_jet(z)
+            jg = self.g.jet(z)
             jp = self.p.jet(z)
-            zgg = z * gd / gv
+            zgg = z * jg.d1 / jg.value
             zpp = z * jp.d1 / jp.value
             dt = value * et * big_r / b
             zdz = value * (big_h * zgg + (et - 1) * big_r * (alpha * zpp + 1j * beta)) / b
@@ -284,7 +274,8 @@ class BazilevicChain(LoewnerChain):
 
     def _ratio_origin(self, t):
         et = np.exp(t)
-        return _ratio(et, self._bracket(et, self._h0, 1.0, self._lb0)[0])
+        b = self._bracket(et, self._h0, 1.0, self._lb0)[0]
+        return finite_where(b != 0, np.divide, et, b)
 
 
 _CHAIN_CLASSES = {
@@ -441,18 +432,16 @@ class ExtensionMap:
 
     @accepts_point("w")
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        """fhat elementwise at a 1-D complex array."""
-        return piecewise(abs(w) < 1, self._inside, self._outside, w)
-
-    def _inside(self, w):
-        return self.chain.value(w, 0.0)
-
-    def _outside(self, w):
+        """fhat elementwise at a 1-D complex array, in one chain call: w at
+        time 0 inside the unit circle, w/|w| (clamped) at log |w| outside."""
         r = abs(w)
-        zb = w / r
+        inside = r < 1
+        with np.errstate(divide="ignore", invalid="ignore"):  # at w = 0
+            zb = w / r
+            t = np.log(r)
         if self.chain.analyticity_radius <= 1:
             zb = zb * (1 - 1e-6)
-        return self.chain.value(zb, np.log(r))
+        return self.chain.value(np.where(inside, w, zb), np.where(inside, 0.0, t))
 
     def on_blocks(self, points) -> np.ndarray:
         """fhat at every point, evaluated in blocks of at most grids.BLOCK

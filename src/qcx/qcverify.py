@@ -118,7 +118,7 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
     r = np.abs(points)
     band = first_where((1 - 3 * h <= r) & (r <= 1 + 3 * h), points)
     if band is not None:
-        raise ValueError(f"grid point {band!r} lies inside the guard band |z| in [1-3h, 1+3h]")
+        raise DomainError(f"grid point {band!r} lies inside the guard band |z| in [1-3h, 1+3h]")
 
     def one(z: np.ndarray):
         """mu on a block, with its skipped and flagged masks."""

@@ -188,6 +188,59 @@ def test_extension_matches_scalar_calls(chain):
     _assert_matches(ext.on_blocks(np.tile(w, 3)), np.tile(ext(w), 3))
 
 
+KOEBE_CHAINS = [pytest.param(build_chain(c, KoebeMap(), CompanionMap.identity(),
+                                         CriterionParams(s=1.2 + 0.4j, c=0.3)),
+                             id=f"{c}-koebe-identity") for c in CONSTRUCTIONS]
+
+
+def _by_region(chain, w):
+    """fhat region by region: F(w, 0) on the disk, one chain call, and
+    F(w/|w|, log |w|) off it, w/|w| clamped to radius 1 - 1e-6 when the
+    chain is analytic only on the disk, another."""
+    r = np.abs(w)
+    inside = r < 1
+    out = np.empty(w.shape, complex)
+    out[inside] = chain.value(w[inside], 0.0)
+    zb = w[~inside] / r[~inside]
+    if chain.analyticity_radius <= 1:
+        zb = zb * (1 - 1e-6)
+    out[~inside] = chain.value(zb, np.log(r[~inside]))
+    return out
+
+
+def _mixed_block(chain):
+    """Disk points with the origin, both sides of |w| = 1 at 1e-7, points on
+    it and annulus points, away from w = 1 for a map that blows up there."""
+    circle = _circle(32)
+    w = np.concatenate([DiskGrid(4, 12, 0.05).points(), (1 - 1e-7) * circle, circle,
+                        (1 + 1e-7) * circle, AnnulusGrid(4, 12, 1.001, 3.0).points()])
+    if chain.f.analyticity_radius <= 1:
+        w = w[np.abs(w / np.maximum(np.abs(w), 1) - 1) > 1e-3]
+    return w
+
+
+@pytest.mark.parametrize("chain", CHAINS + KOEBE_CHAINS)
+def test_extension_is_its_two_regions_to_the_bit(chain):
+    # fhat evaluates every point of a block in one chain call, each at its
+    # own argument and time; that gives what a call per region gives
+    w = _mixed_block(chain)
+    assert (np.abs(w) < 1).any() and (np.abs(w) >= 1).any()
+    assert np.array_equal(ExtensionMap(chain)(w).view(float), _by_region(chain, w).view(float))
+
+
+@pytest.mark.parametrize("chain", KOEBE_CHAINS + [
+    c for c in CHAINS if c.id.endswith("-polynomial-moebius")])
+def test_extension_calls_its_chain_once_a_block(chain, monkeypatch):
+    w = np.tile(_mixed_block(chain), 40)
+    expected = ExtensionMap(chain).on_blocks(w)
+    calls = []
+    value = chain.value
+    monkeypatch.setattr(chain, "value", lambda z, t: calls.append(len(z)) or value(z, t))
+    fhat = ExtensionMap(chain).on_blocks(w)
+    assert calls == [len(b) for b in blocks(w)] and len(calls) > 1
+    assert np.array_equal(fhat.view(float), expected.view(float))
+
+
 # -- the sector maps -----------------------------------------------------------------
 
 

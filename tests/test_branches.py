@@ -42,7 +42,8 @@ from qcx import (
     validate_chain,
 )
 from qcx import branches, grids
-from qcx.branches import BranchLattice, BranchTrackingError, FactoredRatio, ratio_branch
+from qcx.branches import (BranchLattice, BranchTrackingError, FactoredRatio, bazilevic_branch,
+                          ratio_branch)
 from qcx.cli import main
 from qcx.criteria import CRITERIA, _refined_neighborhood
 from qcx.grids import BLOCK
@@ -143,9 +144,7 @@ def _lattices(criterion, f, psi, params):
     p = BranchLattice.ratio(params.p or IdentityMap())
     if not isinstance(psi, CompanionMap):
         return [BranchLattice.ratio(f), p]
-    jf0 = f.jet(0j)
-    g = BranchLattice(ComposeMap(psi, f), cmath.log(psi.jet(jf0.value).d1 * jf0.d1))
-    return [g, p]
+    return [BranchLattice.ratio(ComposeMap(psi, f)), p]
 
 
 def _assert_close_arrays(got, want, tol=1e-12):
@@ -179,6 +178,22 @@ def test_a_block_of_more_than_512_points_matches_the_oracle():
     for z in block[::37].tolist():
         assert lattice.log(z) == lattice.log(np.array([z]))[0]
         assert type(lattice.log(z)) is complex
+
+
+def test_a_moebius_companions_branch_keeps_its_anchor_and_verdict():
+    # G = Q o f: the branch of log(G/w) is anchored at log G'(0), which
+    # jets.compose gives as the chain rule Q'(f(0)) f'(0) at a point does
+    f = PolynomialMap([1, 0.15])
+    jf0 = f.jet(0j)
+    for q in (MOEBIUS_Q, CompanionMap.from_moebius(MoebiusMap(1.3 + 0.2j, 0, 0.2, 0.9))):
+        branch = bazilevic_branch(f, q)
+        assert isinstance(branch, BranchLattice)
+        assert branch.anchor == cmath.log(q.jet(jf0.value).d1 * jf0.d1)
+    # the rows hold Q(0) to 0 within 1e-12, and so does the branch: a
+    # ratio_branch of G would raise "ratio tracking requires m(0) = 0"
+    q = CompanionMap.from_moebius(MoebiusMap(1, 1e-13, 0, 1))
+    assert bazilevic_branch(f, q).anchor == 0
+    assert evaluate_criterion("bazilevic", f, q, CriterionParams(s=1 + 0.5j), GRID).passed
 
 
 # Bazilevic chains: (f, companion Q, comparison map p or None for the identity)

@@ -288,6 +288,21 @@ def test_bazilevic_companion_must_fix_the_origin(tmp_path, capsys):
     assert "branch tracking" not in err
 
 
+@pytest.mark.parametrize("criterion, params", [
+    ("phi_like", {}), ("phi_like_udisk", {"k": 0.5, "k_prime": 0.5})])
+def test_phi_like_companion_must_fix_the_origin(tmp_path, capsys, criterion, params):
+    # Phi = Q/Q' vanishes at 0 only where Q does: the scan reported the
+    # origin limit f'(0)/Phi'(0) = -1 as the value at 0j, and exit 1
+    doc = json.loads(json.dumps(BASE))
+    doc["criterion"] = criterion
+    doc["function"] = {"kind": "polynomial", "coefficients": [[0.2, 0.0]]}
+    doc["companion"] = {"kind": "moebius", "pole": [-3.0, 0.0]}
+    doc["params"] = params
+    code, out, err = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
+    assert (code, err) == (2, "error: phi_like needs Phi(0) = 0 (Q(0) = 0 for a companion)\n")
+    assert "report" not in out
+
+
 def test_check_csv_written(tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     code, _, _ = run(["check", "--scenario", write_scenario(tmp_path, BASE),
@@ -368,6 +383,18 @@ def test_a_non_finite_stencil_sample_is_an_input_error(tmp_path, capsys):
     code, out, err = run(["beltrami", "--scenario", write_scenario(tmp_path, doc)], capsys)
     assert (code, err) == (2, "error: non-finite sample in Wirtinger stencil at "
                               "(1e+40+0j)\n")
+    assert "report" not in out
+
+
+@pytest.mark.parametrize("inner", [1.00002, 1.00003])
+def test_an_annulus_in_the_guard_band_is_an_input_error(tmp_path, capsys, inner):
+    # fd_step = 1e-5 puts 1 + 3h at 1.00003: the stencil names the grid point
+    # for both radii, where at 1.00003 the command line's own check passed
+    # and the stencil's plain ValueError gave a traceback and exit 1
+    doc = _with(BASE, "annulus.inner", inner)
+    code, out, err = run(["beltrami", "--scenario", write_scenario(tmp_path, doc)], capsys)
+    assert (code, err) == (2, f"error: grid point ({inner}+0j) lies inside the guard "
+                              "band |z| in [1-3h, 1+3h]\n")
     assert "report" not in out
 
 

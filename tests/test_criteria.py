@@ -95,6 +95,32 @@ def test_phi_like_strict_boundary_fails():
     assert not rep.passed
 
 
+def test_phi_like_value_takes_its_origin_limit_only_where_phi_vanishes():
+    # with Q(0) != 0, Phi(f(0)) = Q(0)/Q'(0) != 0 and z f'/Phi(f) is 0 at 0,
+    # not the limit f'(0)/Phi'(0) of a 0/0 quotient (-1 here)
+    f = PolynomialMap([1, 0.2])
+    moved = CompanionMap.from_moebius(MoebiusMap.with_pole(-3))
+    assert phi_like_value(f, moved, 0j) == 0
+    assert abs(phi_like_value(f, moved, 1e-9 + 0j)) < 1e-9
+    values = phi_like_value(f, moved, np.array([0j, 1e-9 + 0j]))
+    assert values[0] == 0 and values[1] == phi_like_value(f, moved, 1e-9 + 0j)
+    # a direct Phi the same way; the limit stands where Phi(0) = 0
+    assert phi_like_value(f, IdentityMap() + 1, 0j) == 0
+    fixed = CompanionMap.from_moebius(MoebiusMap(1, 0, 1 / 3, 1))
+    assert phi_like_value(f, fixed, 0j) == 1
+    assert abs(phi_like_value(f, fixed, 1e-9 + 0j) - 1) < 1e-8
+
+
+@pytest.mark.parametrize("criterion", ["phi_like", "phi_like_udisk"])
+def test_phi_like_rows_need_phi_to_vanish_at_the_origin(criterion):
+    # the scan read sup_value 1.0 at worst_point 0j from the origin limit
+    f = PolynomialMap([1, 0.2])
+    params = CriterionParams(k=0.5, k_prime=0.5)
+    for phi in (CompanionMap.from_moebius(MoebiusMap.with_pole(-3)), IdentityMap() + 1):
+        with pytest.raises(PreconditionError, match=r"phi_like needs Phi\(0\) = 0"):
+            evaluate_criterion(criterion, f, phi, params, SMALL_GRID)
+
+
 # -- generalized Becker --------------------------------------------------------
 
 
