@@ -15,12 +15,12 @@ identity, Koebe, Cayley, spiral and polynomial maps, and `scaled` ones of
 these) unless some root has |r_j| <= 1 and lies below the map's analyticity
 radius.  Such a root is a zero of the ratio on the closed unit disk (the
 Bazilevic chain queries polynomial maps on |w| = 1), which the branch would
-wind round; that map, like every ratio of a combination tree (such as the
-`ComposeMap` G = Q o f), takes a `BranchLattice`: these are the only paths
-that keep it.  `bazilevic_branch` picks the branch of a Bazilevic value's
-ratio that way.  (sector_nw's 1 - f/w0 takes no lattice: the sector
-hypothesis puts it in a cone where a turned principal Log is the continued
-branch, `criteria._sector_log`.)
+wind round; that map, like every ratio of a combination tree (such as
+G = Q o f, `CompanionMap.after`, of any Q but the identity), takes a
+`BranchLattice`: these are the only paths that keep it.  A Bazilevic
+value's ratio is `ratio_branch(G)`.  (sector_nw's 1 - f/w0 takes no
+lattice: the sector hypothesis puts it in a cone where a turned principal
+Log is the continued branch, `criteria._sector_log`.)
 
 A `BranchLattice` continues log g for g = m(w)/w of a jet-capable map m by
 the argument principle: log g(z) = log g(0) + the integral of g'/g along
@@ -71,7 +71,6 @@ import numpy as np
 
 from .grids import BLOCK, blocks
 from .jets import accepts_point, complex_array, first_where, principal_log
-from .maps import CompanionMap, ComposeMap, IdentityMap
 
 
 class BranchTrackingError(ValueError):
@@ -169,9 +168,10 @@ def tracked_log(fn: Callable[[complex], complex], z: complex, anchor: complex) -
 
 
 def _ratio_anchor(m) -> complex:
-    """log m'(0), the limit of log(m(w)/w) at 0, for a map with m(0) = 0."""
+    """log m'(0), the limit of log(m(w)/w) at 0, for a map with m(0) = 0 to
+    1e-12, the tolerance the criteria and chains hold Q(0) to."""
     j0 = m.jet(0j)
-    if j0.value != 0:
+    if abs(j0.value) > 1e-12:
         raise BranchTrackingError("ratio tracking requires m(0) = 0")
     if j0.d1 == 0:
         raise BranchTrackingError("ratio tracking requires m'(0) != 0")
@@ -217,18 +217,6 @@ def ratio_branch(m):
                               for r in factors[0]):
         return BranchLattice.ratio(m)
     return FactoredRatio(m, *factors)
-
-
-def bazilevic_branch(f, psi):
-    """The log of the ratio a Bazilevic value raises to s - 1: G(w)/w with
-    G = Q o f when `psi` is a companion Q, else G = f.  With G = f (a direct
-    Psi, or the identity companion) it is `ratio_branch(f)`, in closed form
-    when f's ratio factors; G = Q o f of any other Q keeps a lattice anchored
-    at log G'(0), with no exact G(0) = 0 test: the callers hold Q(0) to 1e-12."""
-    if isinstance(psi, CompanionMap) and not isinstance(psi.base, IdentityMap):
-        g = ComposeMap(psi, f)
-        return BranchLattice(g, cmath.log(g.jet(0j).d1))
-    return ratio_branch(f)
 
 
 def tracked_ratio_log(m, z: complex) -> complex:

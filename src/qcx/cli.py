@@ -546,14 +546,15 @@ def cmd_check(sc: Scenario, args) -> int:
 
 def _chain_and_extension(sc: Scenario):
     """The chain realizing the scenario's criterion, its extension and the
-    dilatation bound (k_prime, else k) it is checked against.  A moebius_* or
-    sector_* criterion needs the companion its value reads: its chain is
-    built from the companion, so any other would extend a different map."""
+    dilatation bound the criterion reads (`CriterionSpec.bound_of`), which
+    the chain is checked against.  A moebius_* or sector_* criterion needs
+    the companion its value reads: its chain is built from the companion,
+    so any other would extend a different map."""
     f, companion, params = sc.pieces()
     spec = criterion_spec(sc.criterion)
     require_chain_companion(sc.criterion, companion, params)
     chain = build_chain(spec.construction, f, companion, params)
-    return chain, ExtensionMap(chain), params.bound
+    return chain, ExtensionMap(chain), spec.bound_of(params)
 
 
 def cmd_extend(sc: Scenario, args) -> int:

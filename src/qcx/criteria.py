@@ -6,6 +6,9 @@ is evaluated as a one-element array) and as a row of the criterion table
 `CRITERIA`, which `evaluate_criterion` looks up and hands to
 `sup_over_grid`: that scores a disk grid block by block, applies one local
 refinement pass around the worst sample, and emits a CriterionReport.
+A criterion through a companion Q is the classical criterion on
+G = Q o f, which `Q.after(f)` builds: gen_becker, nw, phi_like and
+bazilevic read G's jet alone.
 
 A reported pass means "numerically passes on this grid"; it is evidence,
 not a proof, since the supremum may be attained only in the limit |z| -> 1.
@@ -20,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import bazilevic_branch, ratio_branch, tracked_log, tracked_ratio_log
+from .branches import ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
 from .jets import (PreconditionError, accepts_point, finite_where, first_where, piecewise,
                    principal_log)
@@ -45,6 +48,7 @@ class CriterionParams:
     k        target dilatation class, in [0, 1)
     k_prime  criterion bound, in [0, k]
     c        constant multiplying |z|^2 in the Becker-type bound, |c| <= k_prime
+             (or k)
     s        exponent alpha + i*beta with Re s > 0 (Bazilevic-type)
     p        starlike comparison map with p(0) = 0, p'(0) = 1
     c2       omitted value for the Moebius specialization, not in f(D)
@@ -72,8 +76,8 @@ class CriterionParams:
                 raise PreconditionError("k_prime must lie in [0, 1)")
             if self.k is not None and self.k_prime > self.k + 1e-15:
                 raise PreconditionError("k_prime must not exceed k")
-            if abs(self.c) > self.k_prime + 1e-15:
-                raise PreconditionError("|c| must not exceed k_prime")
+        if self.bound is not None and abs(self.c) > self.bound + 1e-15:
+            raise PreconditionError("|c| must not exceed k_prime (or k)")
         if self.s.real <= 0:
             raise PreconditionError("Re s must be positive")
         if self.a is not None and not 0 < self.a < 2:
@@ -136,33 +140,31 @@ def _becker(c: complex, z: complex, bracket: complex) -> complex:
 @_quiet
 @accepts_point("z")
 def phi_like_value(f: AnalyticMap, phi, z: np.ndarray) -> np.ndarray:
-    """z*f'(z)/Phi(f(z)); at z = 0 the limit f'(0)/Phi'(0) where Phi(f(0)) = 0,
+    """z*f'(z)/Phi(f(z)); at z = 0 the limit 1/Phi'(f(0)) where Phi(f(0)) = 0,
     and 0 where it is not.
 
     `phi` is either an AnalyticMap used directly as Phi, or a CompanionMap
-    whose view Phi = Q/Q' is used.  Positivity of the real part on the disk
-    is the phi-like (univalence) condition; spiral-likeness is the special
-    case Phi(w) = e^{i*lam} * w.
+    Q: f is Phi-like for Phi = Q/Q' exactly when G = Q o f is starlike, so
+    a companion gives z G'/G, the value of G with Phi the identity.
+    Positivity of the real part on the disk is the phi-like (univalence)
+    condition; spiral-likeness is the special case Phi(w) = e^{i*lam} * w.
     """
+    if isinstance(phi, CompanionMap):
+        f, phi = phi.after(f), IdentityMap()
 
-    companion = isinstance(phi, CompanionMap)
-
-    def big_phi(w):
-        return phi.phi(w) if companion else phi.jet(w).value
-
-    def origin(z):  # z holds only zeros, where f(z) = 0 too
-        d = phi.phi_deriv(z) if companion else phi.jet(z).d1
-        return finite_where(d != 0, lambda d1, d: d1 / d, f.jet(z).d1, d)
+    def origin(z):  # z holds only zeros, where Phi(f(z)) = 0
+        d = phi.jet(f.jet(z).value).d1
+        return finite_where(d != 0, lambda d: 1 / d, d)
 
     def quotient(z):
         jf = f.jet(z)
-        den = big_phi(jf.value)
+        den = phi.jet(jf.value).value
         return finite_where(den != 0, lambda z, d1, den: z * d1 / den,
                             z, jf.d1, den)
 
     at0 = z == 0
     if at0.any():  # the limit stands only where the quotient is 0/0
-        at0 &= big_phi(f(0j)) == 0
+        at0 &= phi(f(0j)) == 0
     return piecewise(at0, origin, quotient, z)
 
 
@@ -170,31 +172,30 @@ def phi_like_value(f: AnalyticMap, phi, z: np.ndarray) -> np.ndarray:
 @accepts_point("z")
 def gen_becker_value(f: AnalyticMap, q: CompanionMap, c: complex,
                      z: np.ndarray) -> np.ndarray:
-    """c|z|^2 + (1-|z|^2) * { z f''/f' + z f' * Omega(f(z)) } with Omega = Q''/Q'."""
-    jf = f.jet(z)
-    jq = q.jet(jf.value)
-    return finite_where(
-        (jf.d1 != 0) & (jq.d1 != 0),
-        lambda z, d1, d2, q1, q2: _becker(c, z, z * d2 / d1 + z * d1 * (q2 / q1)),
-        z, jf.d1, jf.d2, jq.d1, jq.d2)
+    """c|z|^2 + (1-|z|^2) * z G''/G' for G = Q o f, inf where G' = 0: the
+    classical Becker value of G, z f''/f' + z f' Q''(f)/Q'(f) in the bracket."""
+    jg = q.after(f).jet(z)
+    return finite_where(jg.d1 != 0, lambda z, d1, d2: _becker(c, z, z * d2 / d1),
+                        z, jg.d1, jg.d2)
 
 
 @_quiet
 @accepts_point("z")
 def nw_value(f: AnalyticMap, q: CompanionMap, z: np.ndarray) -> np.ndarray:
-    """f'(z) * Q'(f(z)): the derivative condition tested against U(k')."""
-    jf = f.jet(z)
-    return jf.d1 * q.jet(jf.value).d1
+    """G'(z) = Q'(f(z)) f'(z) for G = Q o f: the derivative condition tested
+    against U(k')."""
+    return q.after(f).jet(z).d1
 
 
 @accepts_point("z")
 def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: np.ndarray,
                          lg, lp) -> np.ndarray:
-    """The Bazilevic value at z given the logs of its two ratios there."""
+    """The Bazilevic value at z given the logs of its two ratios there, with
+    Psi = 1 when `psi` is None."""
     jf = f.jet(z)
     power = np.exp((s - 1) * lg - s.real * lp)
-    if isinstance(psi, CompanionMap):
-        return psi.jet(jf.value).d1 * jf.d1 * power
+    if psi is None:
+        return jf.d1 * power
     return jf.d1 * power * psi.jet(jf.value).value
 
 
@@ -203,13 +204,14 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
     """f'(z) (f/z)^{s-1} / (p/z)^{alpha} * Psi(f(z)), branch-tracked from 0.
 
     `psi` is either an AnalyticMap used directly as Psi, or a CompanionMap Q,
-    in which case Psi(w) = (Q(w)/w)^{s-1} Q'(w) and the whole product is
-    evaluated as (Q(f)/z)^{s-1} * (Q o f)'(z) / (p/z)^{alpha} with a single
-    tracked branch.  Each call tracks both logs from the origin with
-    `tracked_log`, at one point: the per-point oracle of the criterion scan,
-    which takes both logs from `bazilevic_branch` and `ratio_branch`.
+    in which case the value is that of G = Q o f with Psi = 1,
+    G'(z) (G/z)^{s-1} / (p/z)^{alpha}.  Each call tracks both logs from the
+    origin with `tracked_log`, at one point: the per-point oracle of the
+    criterion scan, which takes both logs from `ratio_branch`.
     """
-    g = bazilevic_branch(f, psi)
+    if isinstance(psi, CompanionMap):
+        f, psi = psi.after(f), None
+    g = ratio_branch(f)
     if z == 0:
         return _bazilevic_from_logs(f, psi, s, z, g.anchor, 0j)
     return _bazilevic_from_logs(f, psi, s, z, tracked_log(g.fn, z, g.anchor),
@@ -491,14 +493,15 @@ def _phi_like(f, phi, params):
 def _bazilevic(f, psi, params):
     if psi is None:
         raise PreconditionError("bazilevic needs a companion (or direct Psi)")
-    # Q(f(w))/w has a pole at 0 unless Q(0) = 0
-    if isinstance(psi, CompanionMap) and abs(psi.jet(0j).value) > 1e-12:
-        raise PreconditionError("bazilevic needs Q(0) = 0")
+    if isinstance(psi, CompanionMap):
+        # Q(f(w))/w has a pole at 0 unless Q(0) = 0
+        if abs(psi.jet(0j).value) > 1e-12:
+            raise PreconditionError("bazilevic needs Q(0) = 0")
+        f, psi = psi.after(f), None  # the value of G = Q o f with Psi = 1
     p = params.p or IdentityMap()
     check_starlike(p)
     s = params.s
-    g = bazilevic_branch(f, psi)
-    pz = ratio_branch(p)
+    g, pz = ratio_branch(f), ratio_branch(p)
 
     @_quiet
     @accepts_point("z")
@@ -539,6 +542,11 @@ class CriterionSpec:
     build: Callable
     construction: str
     companion: str | None = None
+
+    def bound_of(self, params: CriterionParams) -> float | None:
+        """The bound the row's value and chain are checked against: k for a
+        "k" row, else CriterionParams.bound (k_prime, falling back to k)."""
+        return params.k if self.bound == "k" else params.bound
 
 
 CRITERIA: dict[str, CriterionSpec] = {
@@ -628,7 +636,7 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
     spec = criterion_spec(criterion)
     bound = None
     if spec.bound is not None:
-        bound = params.k if spec.bound == "k" else params.bound
+        bound = spec.bound_of(params)
         if bound is None:
             needs = "k" if spec.bound == "k" else "k_prime (or k)"
             raise PreconditionError(f"{criterion} needs {needs}")

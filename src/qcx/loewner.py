@@ -8,13 +8,13 @@ G = Q o f, and four constructions, one per criterion family, build F on G:
   phi_like     F = e^t G(z)                         (requires G(0) = Q(0) = 0)
   bazilevic    F = { G(z)^s + s (e^t - 1) p(z)^alpha z^{i beta} }^{1/s}
 
-Every chain reads G's jet from one `ComposeMap(Q, f)`, so `jets.compose` is
-the one chain rule.  All time and angular partials are closed forms
-assembled from exact jets, so the transition ratio p = dF/dt / (z dF/dz)
-is computed without any numerical differentiation.  Validation checks the
-classical chain conditions on samples: Re p > 0, p inside U(k) when a
-dilatation target is given, and the leading coefficient a1(t) =
-dF/dz(0, t) growing without bound.  Each chain writes F once, in
+Every chain reads G's jet from `Q.after(f)` (`CompanionMap.after`), the
+map the criteria read too.  All time and angular partials are closed
+forms assembled from exact jets, so the transition ratio
+p = dF/dt / (z dF/dz) is computed without any numerical differentiation.
+Validation checks the classical chain conditions on samples: Re p > 0,
+p inside U(k) when a dilatation target is given, and the leading
+coefficient a1(t) = dF/dz(0, t) growing without bound.  Each chain writes F once, in
 `_evaluate`, which stops there for `value` and goes on to the partials for
 `partials`: the extension reads F alone, so it evaluates F without its
 partials.
@@ -43,12 +43,11 @@ from typing import Sequence
 import numpy as np
 
 # tracked_log is not called here; perfbench/tracing.py wraps this module's name
-from .branches import (BranchTrackingError, bazilevic_branch, ratio_branch,  # noqa: F401
-                       tracked_log)
+from .branches import BranchTrackingError, ratio_branch, tracked_log  # noqa: F401
 from .criteria import CriterionParams, PreconditionError
 from .grids import DiskGrid, blocks
 from .jets import accepts_point, finite_where, principal_log
-from .maps import AnalyticMap, CompanionMap, ComposeMap, IdentityMap
+from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
 
@@ -74,7 +73,7 @@ class LoewnerChain:
     def __init__(self, f: AnalyticMap, q: CompanionMap, params: CriterionParams):
         self.f = f
         self.q = q
-        self.g = ComposeMap(q, f)  # G = Q o f: every chain reads G's jet
+        self.g = q.after(f)  # G = Q o f: every chain reads G's jet
         self.params = params
         # the smallest analyticity radius of the maps evaluated at z
         self.analyticity_radius = f.analyticity_radius
@@ -215,7 +214,7 @@ class BazilevicChain(LoewnerChain):
         jp0 = self.p.jet(0j)
         if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
             raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
-        self._gz = bazilevic_branch(f, q)  # anchored at log G'(0)
+        self._gz = ratio_branch(self.g)  # anchored at log G'(0)
         self._pz = ratio_branch(self.p)
         # the origin's branch data: H = G'(0)^s, R = 1
         self._lb0 = params.s * self._gz.anchor

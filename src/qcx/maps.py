@@ -408,28 +408,8 @@ class CompanionMap:
     def __call__(self, w: complex) -> complex:
         return self.base.jet(w).value
 
-    def _jet_with_d1(self, w: np.ndarray) -> Jet2:
-        """The jet of Q at w, whose Q' must not vanish at any point."""
-        j = self.base.jet(w)
-        bad = first_where(j.d1 == 0, w)
-        if bad is not None:
-            raise DomainError("Q' vanishes at w = %r" % (bad,))
-        return j
-
-    @accepts_point("w")
-    def omega(self, w: np.ndarray) -> np.ndarray:
-        """Q''(w)/Q'(w), the log-derivative of Q'."""
-        j = self._jet_with_d1(w)
-        return j.d2 / j.d1
-
-    @accepts_point("w")
-    def phi(self, w: np.ndarray) -> np.ndarray:
-        """Q(w)/Q'(w), the functional entering the phi-like condition."""
-        j = self._jet_with_d1(w)
-        return j.value / j.d1
-
-    @accepts_point("w")
-    def phi_deriv(self, w: np.ndarray) -> np.ndarray:
-        """(Q/Q')'(w) = 1 - Q*Q''/Q'^2."""
-        j = self._jet_with_d1(w)
-        return 1 - j.value * j.d2 / (j.d1 * j.d1)
+    def after(self, f: AnalyticMap) -> AnalyticMap:
+        """G = Q o f, the map a criterion or chain through Q tests with the
+        classical condition: f itself for the identity companion, else
+        `ComposeMap(Q, f)`."""
+        return f if isinstance(self.base, IdentityMap) else ComposeMap(self.base, f)

@@ -133,8 +133,9 @@ def test_04_chain_ratio_identity():
                 lhs = abs((part.dt - part.zdz) / (part.dt + part.zdz))
                 u = math.exp(-t) * z
                 jf = f.jet(u)
+                jq = q.jet(jf.value)
                 rhs = abs(c * math.exp(-2 * t) + (1 - math.exp(-2 * t))
-                          * (u * jf.d2 / jf.d1 + u * jf.d1 * q.omega(jf.value)))
+                          * (u * jf.d2 / jf.d1 + u * jf.d1 * (jq.d2 / jq.d1)))
                 err = abs(lhs - rhs) / (1 + rhs)
                 worst = max(worst, err)
                 checked += 1

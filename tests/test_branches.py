@@ -42,14 +42,12 @@ from qcx import (
     validate_chain,
 )
 from qcx import branches, grids
-from qcx.branches import (BranchLattice, BranchTrackingError, FactoredRatio, bazilevic_branch,
-                          ratio_branch)
+from qcx.branches import BranchLattice, BranchTrackingError, FactoredRatio, ratio_branch
 from qcx.cli import main
 from qcx.criteria import CRITERIA, _refined_neighborhood
 from qcx.grids import BLOCK
 from qcx.jets import DomainError, accepts_point
 from qcx.loewner import ChainPartials, LoewnerChain
-from qcx.maps import ComposeMap
 from qcx.sector import fit_sector
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,9 +140,9 @@ def _lattices(criterion, f, psi, params):
     if criterion == "sector_nw":  # 1 - f/w0 is the ratio of w (1 - f/w0)
         return [BranchLattice.ratio(IdentityMap() * (1 - f / params.w0))]
     p = BranchLattice.ratio(params.p or IdentityMap())
-    if not isinstance(psi, CompanionMap):
-        return [BranchLattice.ratio(f), p]
-    return [BranchLattice.ratio(ComposeMap(psi, f)), p]
+    if isinstance(psi, CompanionMap):  # the value of G = Q o f
+        f = psi.after(f)
+    return [BranchLattice.ratio(f), p]
 
 
 def _assert_close_arrays(got, want, tol=1e-12):
@@ -186,14 +184,17 @@ def test_a_moebius_companions_branch_keeps_its_anchor_and_verdict():
     f = PolynomialMap([1, 0.15])
     jf0 = f.jet(0j)
     for q in (MOEBIUS_Q, CompanionMap.from_moebius(MoebiusMap(1.3 + 0.2j, 0, 0.2, 0.9))):
-        branch = bazilevic_branch(f, q)
+        branch = ratio_branch(q.after(f))
         assert isinstance(branch, BranchLattice)
         assert branch.anchor == cmath.log(q.jet(jf0.value).d1 * jf0.d1)
-    # the rows hold Q(0) to 0 within 1e-12, and so does the branch: a
-    # ratio_branch of G would raise "ratio tracking requires m(0) = 0"
+    # the identity companion's G is f, whose ratio keeps its closed form
+    assert isinstance(ratio_branch(CompanionMap.identity().after(f)), FactoredRatio)
+    # the rows hold Q(0) to 0 within 1e-12, and so does the branch
     q = CompanionMap.from_moebius(MoebiusMap(1, 1e-13, 0, 1))
-    assert bazilevic_branch(f, q).anchor == 0
+    assert ratio_branch(q.after(f)).anchor == 0
     assert evaluate_criterion("bazilevic", f, q, CriterionParams(s=1 + 0.5j), GRID).passed
+    with pytest.raises(BranchTrackingError, match=r"requires m\(0\) = 0"):
+        ratio_branch(CompanionMap.from_moebius(MoebiusMap(1, 2e-12, 0, 1)).after(f))
 
 
 # Bazilevic chains: (f, companion Q, comparison map p or None for the identity)

@@ -640,6 +640,51 @@ def test_chain_companion_must_be_the_map_the_row_reads(tmp_path, capsys, patch, 
         assert "report" not in out
 
 
+@pytest.mark.parametrize("command", ["check", "extend", "beltrami"])
+def test_a_k_row_is_extended_against_the_bound_check_concludes(tmp_path, capsys, command):
+    # moebius_becker reads k: extend and beltrami judged it against k_prime
+    # = 0.05 ("p escapes U(0.05)", sup|mu| 0.1355) where check concluded 0.9
+    doc = json.loads(json.dumps(BASE))
+    doc["function"] = {"kind": "polynomial", "coefficients": [[0.2, 0.0]]}
+    doc["criterion"] = "moebius_becker"
+    doc["companion"] = {"kind": "moebius", "pole": [-3.0, 0.0]}
+    doc["params"] = {"k": 0.9, "k_prime": 0.05, "c2": [-3.0, 0.0]}
+    doc["grid"] = {"radial": 16, "angular": 32}
+    code, out, err = run([command, "--scenario", write_scenario(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "")
+    assert {"check": "concluded_dilatation=0.9", "extend": "chain_ok=true",
+            "beltrami": "bound=0.9"}[command] in out
+
+
+def test_c_is_held_to_k_when_k_prime_is_absent(tmp_path, capsys):
+    # |c| = 0.55 > k = 0.5: check passed (sup 0.4455, concluded 0.5) and
+    # extend found p escaping U(0.5) at t = 0
+    doc = json.loads(json.dumps(BASE))
+    doc["function"] = {"kind": "identity"}
+    doc["criterion"] = "gen_becker"
+    doc["params"] = {"k": 0.5, "c": [0.55, 0.0]}
+    doc["grid"] = {"radial": 16, "angular": 32, "eps": 0.1}
+    for command in ("check", "extend"):
+        code, out, err = run([command, "--scenario", write_scenario(tmp_path, doc)], capsys)
+        assert code == 2 and "report" not in out
+        assert "|c| must not exceed k_prime (or k)" in err
+
+
+def test_phi_like_with_a_vanishing_q_prime_fails_rather_than_raises(tmp_path, capsys):
+    # Q = w - w^2 has Q' = 0 at the grid point 1/2: Phi = Q/Q' raised there
+    # (exit 2); z G'/G = 0 there now fails the strict Re > 0 condition
+    doc = json.loads(json.dumps(BASE))
+    doc["function"] = {"kind": "identity"}
+    doc["criterion"] = "phi_like"
+    doc["companion"] = {"kind": "catalog", "extension_dilatation": 0.0,
+                        "base": {"kind": "polynomial", "coefficients": [[-1.0, 0.0]]}}
+    doc["params"] = {}
+    doc["grid"] = {"radial": 3, "angular": 4, "eps": 0.25}  # radii 0, 1/2, 3/4
+    code, out, err = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
+    assert (code, err) == (1, "")
+    assert "passed=false" in out
+
+
 def test_moebius_becker_cancellation_scenario(tmp_path, capsys):
     doc = {
         "version": 1,

@@ -41,6 +41,7 @@ from qcx import (
     tracked_ratio_log,
     u_disk_margin,
 )
+from qcx.branches import ratio_branch, tracked_log
 from qcx.criteria import CRITERIA, _refined_neighborhood
 from qcx.grids import BLOCK, blocks
 from qcx.sector import SectorDomain, companion_from_sector
@@ -96,8 +97,8 @@ def test_phi_like_strict_boundary_fails():
 
 
 def test_phi_like_value_takes_its_origin_limit_only_where_phi_vanishes():
-    # with Q(0) != 0, Phi(f(0)) = Q(0)/Q'(0) != 0 and z f'/Phi(f) is 0 at 0,
-    # not the limit f'(0)/Phi'(0) of a 0/0 quotient (-1 here)
+    # with Q(0) != 0, G(0) = Q(0) != 0 and z G'/G is 0 at 0, not the limit
+    # of a 0/0 quotient
     f = PolynomialMap([1, 0.2])
     moved = CompanionMap.from_moebius(MoebiusMap.with_pole(-3))
     assert phi_like_value(f, moved, 0j) == 0
@@ -119,6 +120,25 @@ def test_phi_like_rows_need_phi_to_vanish_at_the_origin(criterion):
     for phi in (CompanionMap.from_moebius(MoebiusMap.with_pole(-3)), IdentityMap() + 1):
         with pytest.raises(PreconditionError, match=r"phi_like needs Phi\(0\) = 0"):
             evaluate_criterion(criterion, f, phi, params, SMALL_GRID)
+
+
+@pytest.mark.parametrize("d1", [2, 0.5j], ids=["2", "0.5i"])
+def test_phi_like_value_at_the_origin_is_its_limit(d1):
+    # z f'/Phi(f) tends to 1/Phi'(0) whatever f'(0) is; the origin read
+    # f'(0)/Phi'(0), 2 for f'(0) = 2 where z = 1e-9 gives 1.00000000015
+    f = PolynomialMap([d1, 0.3], class_a=False)
+    for phi in (IdentityMap(), ConstMap(cmath.exp(0.4j)) * IdentityMap(),
+                CompanionMap.from_moebius(MoebiusMap(1, 0, 1 / 3, 1))):
+        at0 = phi_like_value(f, phi, 0j)
+        assert abs(at0 - phi_like_value(f, phi, 1e-9 + 0j)) <= 1e-8, phi
+        assert phi_like_value(f, phi, np.array([0j, 0.5]))[0] == at0
+
+
+def test_a_companion_whose_q_prime_vanishes_gives_phi_like_zero_there():
+    # z G'/G = 0 where Q'(f) = 0, which fails the strict Re > 0 condition;
+    # Phi = Q/Q' raised "Q' vanishes" there
+    q = CompanionMap(PolynomialMap([1, -1.0]), 0.0)  # Q' = 1 - 2w, 0 at 1/2
+    assert phi_like_value(IdentityMap(), q, 0.5 + 0j) == 0
 
 
 # -- generalized Becker --------------------------------------------------------
@@ -884,3 +904,79 @@ def test_collected_rows_are_every_block_in_scan_order():
     assert rows.shape == (rep.samples, 2)
     assert np.array_equal(rows[:, 0], np.concatenate([TWO_BLOCKS.points(), patch]))
     assert np.array_equal(rows[:, 1], nw_value(f, q, rows[:, 0]))
+
+
+# -- a criterion through Q is the classical criterion on G = Q o f -------------
+#
+# The two-jet formulas the functionals wrote before they read G = Q o f.
+
+
+def _two_jet_gen_becker(f, q, c, z):
+    jf = f.jet(z)
+    jq = q.jet(jf.value)
+    r2 = abs(z) ** 2
+    bracket = z * jf.d2 / jf.d1 + z * jf.d1 * (jq.d2 / jq.d1)
+    return c * r2 + (1 - r2) * bracket
+
+
+def _two_jet_nw(f, q, z):
+    jf = f.jet(z)
+    return jf.d1 * q.jet(jf.value).d1
+
+
+def _two_jet_phi_like(f, q, z):
+    jf = f.jet(z)
+    jq = q.jet(jf.value)
+    return z * jf.d1 / (jq.value / jq.d1)
+
+
+def _two_jet_bazilevic(f, q, s, z, lg):
+    """Q'(f) f' (G/z)^{s-1} (p the identity) with lg = log(G/z)."""
+    jf = f.jet(z)
+    return q.jet(jf.value).d1 * jf.d1 * np.exp((s - 1) * lg)
+
+
+G_COMPANIONS = {
+    "polynomial": CompanionMap(PolynomialMap([1, 0.05, 0.01j]), 0.1),
+    "moebius": CompanionMap.from_moebius(MoebiusMap(1, 0, 1 / 3, 1)),  # pole -3
+    "catalog": CompanionMap(ScaledMap(KoebeMap(), 4.0), 0.2),
+}
+G_POINTS = DiskGrid(4, 8, 1e-2).points()[8:]  # off the origin ring
+G_S = 1.2 + 0.5j
+
+
+def _two_jet_log(f, q, z):
+    """log(G/z) continued along [0, z] by the two-jet ratio Q(f(w))/w."""
+    jf0 = f.jet(0j)
+    anchor = cmath.log(q.jet(jf0.value).d1 * jf0.d1)
+    return np.array([tracked_log(lambda w: q.jet(f.jet(w).value).value / w, x, anchor)
+                     for x in z.tolist()])
+
+
+def _g_route(f, q, c, z, lg):
+    """(name, G-route value, two-jet value) of every functional at z, the
+    Bazilevic value's log(G/z) given as lg."""
+    bazilevic = CRITERIA["bazilevic"].build(f, q, CriterionParams(s=G_S))
+    return [("gen_becker", gen_becker_value(f, q, c, z), _two_jet_gen_becker(f, q, c, z)),
+            ("nw", nw_value(f, q, z), _two_jet_nw(f, q, z)),
+            ("phi_like", phi_like_value(f, q, z), _two_jet_phi_like(f, q, z)),
+            ("bazilevic", bazilevic(z), _two_jet_bazilevic(f, q, G_S, z, lg))]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(a2=st.complex_numbers(max_magnitude=0.3), a3=st.complex_numbers(max_magnitude=0.1),
+       c=st.complex_numbers(max_magnitude=0.3), name=st.sampled_from(sorted(G_COMPANIONS)))
+def test_criteria_through_q_are_the_classical_criteria_on_g(a2, a3, c, name):
+    # |2 a2 z + 3 a3 z^2| < 0.9 keeps f' and f/z off 0 on the disk
+    f, q = PolynomialMap([1, a2, a3]), G_COMPANIONS[name]
+    for what, got, want in _g_route(f, q, c, G_POINTS, _two_jet_log(f, q, G_POINTS)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), what
+
+
+@pytest.mark.parametrize("f", list(ARRAY_F.values()), ids=list(ARRAY_F))
+def test_the_identity_companions_g_is_f_to_the_bit(f):
+    # the Bazilevic value takes the same branch both ways, to isolate the product
+    z = np.concatenate([G_POINTS, [0.5, -0.25j]])
+    routes = _g_route(f, CompanionMap.identity(), 0.1 - 0.05j, z, ratio_branch(f).log(z))
+    for what, got, want in routes:
+        assert np.array_equal(got.view(float), want.view(float)), what

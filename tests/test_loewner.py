@@ -143,7 +143,7 @@ def test_transition_ratio_exponential_chain():
 
 def test_gen_becker_ratio_identity():
     """The dilatation-ratio identity: |(dt - zdz)/(dt + zdz)| equals
-    |c e^{-2t} + (1 - e^{-2t}) { u f''/f' + u f' Omega(f(u)) }| at u = e^{-t} z,
+    |c e^{-2t} + (1 - e^{-2t}) { u f''/f' + u f' Q''/Q'(f(u)) }| at u = e^{-t} z,
     each side computed independently."""
     cases = [
         (IdentityMap(), None),
@@ -170,9 +170,10 @@ def test_gen_becker_ratio_identity():
                 lhs = abs((part.dt - part.zdz) / (part.dt + part.zdz))
                 u = math.exp(-t) * z
                 jf = f.jet(u)
+                jq = q.jet(jf.value)
                 rhs = abs(c * math.exp(-2 * t)
                           + (1 - math.exp(-2 * t))
-                          * (u * jf.d2 / jf.d1 + u * jf.d1 * q.omega(jf.value)))
+                          * (u * jf.d2 / jf.d1 + u * jf.d1 * (jq.d2 / jq.d1)))
                 assert abs(lhs - rhs) <= 1e-9 * (1 + rhs)
                 checked += 1
     assert checked >= 100

@@ -80,7 +80,8 @@ def test_moebius_log_derivative_matches_pole_form():
     for w in (0.3 + 0.1j, -0.2j, 1.1):
         w = complex(w)
         expected = -2 / (w + m.delta / m.gamma)
-        assert abs(q.omega(w) - expected) < 1e-12
+        j = q.jet(w)
+        assert abs(j.d2 / j.d1 - expected) < 1e-12
 
 
 # -- companions -------------------------------------------------------------
@@ -94,40 +95,21 @@ def test_companion_requires_nonzero_derivative_at_origin():
         CompanionMap(bad)
 
 
-def test_companion_views():
-    q = CompanionMap.identity()
-    assert q.omega(0.4 + 0.1j) == 0
-    assert q.phi(0.4 + 0.1j) == 0.4 + 0.1j
-    assert q.phi_deriv(0j) == 1
+def test_companion_after_is_the_composite_g():
+    # G = Q o f: f itself for the identity companion, else Q's jet at f
+    # composed with f's by the chain rule
+    f = PolynomialMap([1, 0.2, -0.05j])
+    assert CompanionMap.identity().after(f) is f
     m = CompanionMap.from_moebius(MoebiusMap.with_pole(-1))
     assert m.extension_dilatation == 0.0
     assert not m.fixes_infinity
-
-
-W_POINTS = np.array([0.1 + 0.2j, 0.3j, -0.45 + 0.05j, 0.6 - 0.3j, 0j])
-
-
-@pytest.mark.parametrize("q", [
-    CompanionMap.identity(),
-    CompanionMap(PolynomialMap([1, 0.05]), 0.2),
-    CompanionMap.from_moebius(MoebiusMap(1.3, -0.4, 1, 2 + 0.8j)),
-], ids=["identity", "catalog", "moebius"])
-def test_companion_views_on_arrays_match_point_calls(q):
-    for view in (q.phi, q.omega, q.phi_deriv):
-        values = np.broadcast_to(view(W_POINTS), W_POINTS.shape)
-        for w, v in zip(W_POINTS, values):
-            expected = view(complex(w))
-            assert abs(v - expected) <= 1e-12 * abs(expected), (view, w)
-
-
-def test_companion_views_name_the_first_point_where_q_prime_vanishes():
-    q = CompanionMap(PolynomialMap([1, 1.0]), 0.0)  # Q' = 1 + 2w
-    w = np.array([0.1 + 0.2j, -0.5, 0.3j, -0.5])
-    for view in (q.phi, q.omega, q.phi_deriv):
-        with pytest.raises(DomainError, match=r"Q' vanishes at w = \(-0\.5\+0j\)"):
-            view(w)
-        with pytest.raises(DomainError, match=r"Q' vanishes at w = -0\.5"):
-            view(-0.5)
+    g = m.after(f)
+    for z in (0j, 0.3 - 0.4j, -0.6):
+        jf, jg = f.jet(z), g.jet(z)
+        jq = m.jet(jf.value)
+        assert jg.value == jq.value
+        assert abs(jg.d1 - jq.d1 * jf.d1) <= 1e-15 * abs(jg.d1)
+        assert abs(jg.d2 - (jq.d2 * jf.d1 ** 2 + jq.d1 * jf.d2)) <= 1e-14 * abs(jg.d2)
 
 
 # -- U(k) disk ---------------------------------------------------------------

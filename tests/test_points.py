@@ -106,8 +106,9 @@ def _cases():
               ("moebius.inverse", MOEBIUS.inverse, PLANE)]
     for qname, q in (("moebius", MOEBIUS_Q), ("sector", SECTOR_Q)):
         points = PLANE if qname == "moebius" else IMAGE
-        for view in ("jet", "__call__", "omega", "phi", "phi_deriv"):
+        for view in ("jet", "__call__"):
             cases.append((f"companion_{qname}.{view}", getattr(q, view), points))
+        cases.append((f"companion_{qname}.after(F).jet", q.after(F).jet, DISK))
     cases += [
         ("phi_like_value", lambda z: phi_like_value(F, MOEBIUS_Q, z), DISK),
         ("gen_becker_value", lambda z: gen_becker_value(F, MOEBIUS_Q, 0.1, z), DISK),
@@ -312,6 +313,48 @@ def test_the_guard_sees_a_complex_logarithm(tmp_path):
         "    return np.log\n")
     lines = [int(s.split(":")[1]) for s in _complex_logs(source)]
     assert sorted(lines) == [6, 7, 7, 8, 10]
+
+
+# -- the guard: one place builds G = Q o f ------------------------------------------
+
+
+def _composites(path: Path) -> list[str]:
+    """Lines of a source file that construct a ComposeMap or call
+    jets.compose, by a bare or a qualified name.  Only maps.py may:
+    `CompanionMap.after` builds the G = Q o f every criterion and chain
+    reads, and `ComposeMap` is the one chain rule."""
+    if path.name == "maps.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def name(fn):
+        return fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+
+    return [f"{path.name}:{node.lineno}: {name(node.func)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name(node.func) in ("ComposeMap", "compose")]
+
+
+def test_only_maps_builds_a_composite():
+    sites = [s for path in sorted(SRC.glob("*.py")) for s in _composites(path)]
+    assert sites == []
+
+
+def test_the_guard_sees_a_composite(tmp_path):
+    source = tmp_path / "criteria.py"
+    source.write_text(
+        "from . import jets, maps\n"
+        "from .maps import ComposeMap\n"
+        "def f(q, f, a, b):\n"
+        "    g = ComposeMap(q, f)\n"
+        "    h = maps.ComposeMap(q, f)\n"
+        "    j = jets.compose(a, b) or compose(a, b)\n"
+        "    return q.after(f), cmd_compose(a), g, h, j\n")
+    lines = [int(s.split(":")[1]) for s in _composites(source)]
+    assert sorted(lines) == [4, 5, 6, 6]
+    maps = tmp_path / "maps.py"
+    maps.write_text(source.read_text())
+    assert _composites(maps) == []
 
 
 # -- the guard: a message names a point as a Python number ---------------------------
