@@ -32,11 +32,8 @@ from .criteria import (
     evaluate_criterion,
     gen_bazilevic_value,
     gen_becker_value,
-    moebius_becker_value,
-    moebius_nw_value,
     nw_value,
     phi_like_value,
-    sector_becker_value,
     sector_nw_value,
     sup_over_grid,
 )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .branches import BranchTrackingError
 from .criteria import (CriterionParams, PreconditionError, criterion_spec,
-                       evaluate_criterion, require_chain_companion)
+                       evaluate_criterion, require_bound, require_chain_companion)
 from .grids import AnnulusGrid, DiskGrid, blocks
 from .jets import DomainError
 from .loewner import (
@@ -546,15 +546,16 @@ def cmd_check(sc: Scenario, args) -> int:
 
 def _chain_and_extension(sc: Scenario):
     """The chain realizing the scenario's criterion, its extension and the
-    dilatation bound the criterion reads (`CriterionSpec.bound_of`), which
-    the chain is checked against.  A moebius_* or sector_* criterion needs
-    the companion its value reads: its chain is built from the companion,
-    so any other would extend a different map."""
+    dilatation bound the criterion reads (`require_bound`), which the chain
+    is checked against.  The params pass check's gate, in check's order:
+    the bound, then a moebius_* or sector_* row's params and the companion
+    its value reads (its chain is built from the companion, so any other
+    would extend a different map)."""
     f, companion, params = sc.pieces()
-    spec = criterion_spec(sc.criterion)
+    bound = require_bound(sc.criterion, params)
     require_chain_companion(sc.criterion, companion, params)
-    chain = build_chain(spec.construction, f, companion, params)
-    return chain, ExtensionMap(chain), spec.bound_of(params)
+    chain = build_chain(criterion_spec(sc.criterion).construction, f, companion, params)
+    return chain, ExtensionMap(chain), bound
 
 
 def cmd_extend(sc: Scenario, args) -> int:

@@ -1,14 +1,15 @@
 """Pointwise criterion functionals and their grid sup-estimation.
 
-Each sufficient condition is exposed twice: as a pointwise functional
-(the complex criterion value elementwise at a 1-D array of points; a point
-is evaluated as a one-element array) and as a row of the criterion table
-`CRITERIA`, which `evaluate_criterion` looks up and hands to
-`sup_over_grid`: that scores a disk grid block by block, applies one local
-refinement pass around the worst sample, and emits a CriterionReport.
-A criterion through a companion Q is the classical criterion on
-G = Q o f, which `Q.after(f)` builds: gen_becker, nw, phi_like and
-bazilevic read G's jet alone.
+Each sufficient condition is a row of the criterion table `CRITERIA`,
+which `evaluate_criterion` looks up and hands to `sup_over_grid`: that
+scores a disk grid block by block, applies one local refinement pass
+around the worst sample, and emits a CriterionReport.  A criterion through
+a companion Q is the classical criterion on G = Q o f, which `Q.after(f)`
+builds; its row reads a pointwise functional of G's jet (elementwise on a
+1-D array, a point taken as a one-element array).  The Moebius and sector
+rows write their formulas in the row, behind its guard on the image.
+`extend` and `beltrami` pass the rows' own params gate (`require_bound`,
+`require_chain_companion`).
 
 A reported pass means "numerically passes on this grid"; it is evidence,
 not a proof, since the supremum may be attained only in the limit |z| -> 1.
@@ -141,7 +142,9 @@ def _becker(c: complex, z: complex, bracket: complex) -> complex:
 @accepts_point("z")
 def phi_like_value(f: AnalyticMap, phi, z: np.ndarray) -> np.ndarray:
     """z*f'(z)/Phi(f(z)); at z = 0 the limit 1/Phi'(f(0)) where Phi(f(0)) = 0,
-    and 0 where it is not.
+    and 0 where it is not.  Where f'(0) = 0 too the limit is m/Phi'(f(0)),
+    m >= 2 the order of f - f(0) at 0, which the jet does not give: inf
+    there, as where Phi'(f(0)) = 0, so a scan fails at the origin.
 
     `phi` is either an AnalyticMap used directly as Phi, or a CompanionMap
     Q: f is Phi-like for Phi = Q/Q' exactly when G = Q o f is starlike, so
@@ -153,8 +156,9 @@ def phi_like_value(f: AnalyticMap, phi, z: np.ndarray) -> np.ndarray:
         f, phi = phi.after(f), IdentityMap()
 
     def origin(z):  # z holds only zeros, where Phi(f(z)) = 0
-        d = phi.jet(f.jet(z).value).d1
-        return finite_where(d != 0, lambda d: 1 / d, d)
+        jf = f.jet(z)
+        d = phi.jet(jf.value).d1
+        return finite_where((d != 0) & (jf.d1 != 0), lambda d: 1 / d, d)
 
     def quotient(z):
         jf = f.jet(z)
@@ -206,56 +210,13 @@ def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
     `psi` is either an AnalyticMap used directly as Psi, or a CompanionMap Q,
     in which case the value is that of G = Q o f with Psi = 1,
     G'(z) (G/z)^{s-1} / (p/z)^{alpha}.  Each call tracks both logs from the
-    origin with `tracked_log`, at one point: the per-point oracle of the
-    criterion scan, which takes both logs from `ratio_branch`.
+    origin with `tracked_ratio_log`, at one point: the per-point oracle of
+    the criterion scan, which takes both logs from `ratio_branch`.
     """
     if isinstance(psi, CompanionMap):
         f, psi = psi.after(f), None
-    g = ratio_branch(f)
-    if z == 0:
-        return _bazilevic_from_logs(f, psi, s, z, g.anchor, 0j)
-    return _bazilevic_from_logs(f, psi, s, z, tracked_log(g.fn, z, g.anchor),
+    return _bazilevic_from_logs(f, psi, s, z, tracked_ratio_log(f, z),
                                 tracked_ratio_log(p, z))
-
-
-def _pole_becker(c: complex, m: float, pole: complex, z: np.ndarray,
-                 jf) -> np.ndarray:
-    """c|z|^2 + (1-|z|^2) * { z f''/f' + m z f'/(f - pole) } from f's jet jf
-    at z: the Moebius (m = -2, pole c2) and sector (m = 1/a - 1, pole w0)
-    Becker values."""
-    return finite_where(
-        (jf.d1 != 0) & (jf.value != pole),
-        lambda z, v, d1, d2: _becker(c, z, z * d2 / d1 + m * z * d1 / (v - pole)),
-        z, jf.value, jf.d1, jf.d2)
-
-
-def _moebius_derivative(gamma: complex, delta: complex, jf) -> np.ndarray:
-    den = gamma * jf.value + delta
-    return finite_where(den != 0, lambda d1, den: d1 / (den * den), jf.d1, den)
-
-
-@_quiet
-@accepts_point("z")
-def moebius_becker_value(f: AnalyticMap, c1: complex, c2: complex,
-                         z: np.ndarray) -> np.ndarray:
-    """c1|z|^2 + (1-|z|^2) * { z f''/f' - 2 z f'/(f - c2) }."""
-    return _pole_becker(c1, -2, c2, z, f.jet(z))
-
-
-@_quiet
-@accepts_point("z")
-def moebius_nw_value(f: AnalyticMap, gamma: complex, delta: complex,
-                     z: np.ndarray) -> np.ndarray:
-    """f'(z)/(gamma*f(z) + delta)^2, tested against U(k)."""
-    return _moebius_derivative(gamma, delta, f.jet(z))
-
-
-@_quiet
-@accepts_point("z")
-def sector_becker_value(f: AnalyticMap, c: complex, w0: complex, a: float,
-                        z: np.ndarray) -> np.ndarray:
-    """c|z|^2 + (1-|z|^2) * { z f''/f' + (1/a - 1) z f'/(f - w0) }."""
-    return _pole_becker(c, 1 / a - 1, w0, z, f.jet(z))
 
 
 def sector_nw_value(f: AnalyticMap, w0: complex, a: float, z: complex) -> complex:
@@ -372,14 +333,16 @@ def check_starlike(p: AnalyticMap, grid: DiskGrid | None = None) -> None:
                                     f"(violation at {at!r})")
 
 
-def _image_avoids(w: np.ndarray, omitted: complex, what: str) -> None:
-    """Require a block's image w to keep off the omitted value."""
-    gap = np.min(np.abs(w - omitted))
+def _image_avoids(z: np.ndarray, w: np.ndarray, omitted: complex, what: str) -> None:
+    """Require a block's image w = f(z) to keep off the omitted value,
+    naming the first point whose image comes within 1e-9 of it."""
+    dist = np.abs(w - omitted)
+    gap = np.min(dist)
     if gap <= 1e-9:
-        raise PreconditionError(
-            f"{what} = {omitted!r} is not separated from the image "
-            f"(min distance {gap:.3g})"
-        )
+        near = dist <= 1e-9
+        raise PreconditionError(f"{what} = {omitted!r} is not separated from the image "
+                                f"(min distance {gap:.3g}) at image point "
+                                f"f({first_where(near, z)!r}) = {first_where(near, w)!r}")
 
 
 def _sector_contains_image(z: np.ndarray, w: np.ndarray, sector) -> None:
@@ -392,10 +355,36 @@ def _sector_contains_image(z: np.ndarray, w: np.ndarray, sector) -> None:
                                 "escapes the sector domain")
 
 
+# The params hypotheses a row's build and the chain gate both read.
 def _require_sector(params: CriterionParams):
     if params.w0 is None or params.lambda0 is None or params.a is None:
         raise PreconditionError("sector criteria need w0, lambda0 and a")
     return SectorDomain(params.w0, params.lambda0, params.a)
+
+
+def _require_c2(params: CriterionParams) -> complex:
+    if params.c2 is None:
+        raise PreconditionError("moebius_becker needs c2")
+    return params.c2
+
+
+def _require_gamma_delta(params: CriterionParams) -> tuple[complex, complex]:
+    g, d = params.gamma, params.delta
+    if g is None or d is None:
+        raise PreconditionError("moebius_nw needs gamma and delta")
+    if g == 0:
+        raise PreconditionError("moebius_nw requires gamma != 0 "
+                                "(the affine case is the classical condition)")
+    return g, d
+
+
+def require_comparison_map(params: CriterionParams) -> AnalyticMap:
+    """The Bazilevic comparison map p: the params' p once `check_starlike`
+    holds it, else the identity, which is starlike."""
+    if params.p is None:
+        return IdentityMap()
+    check_starlike(params.p)
+    return params.p
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +415,21 @@ def _gen_becker(f, q, params):
     return lambda z: gen_becker_value(f, q, c, z)
 
 
+def _pole_becker(c: complex, m: float, pole: complex, z: np.ndarray,
+                 jf) -> np.ndarray:
+    """c|z|^2 + (1-|z|^2) * { z f''/f' + m z f'/(f - pole) } from f's jet jf
+    at z, inf where f' = 0: the Moebius (m = -2, pole c2) and sector
+    (m = 1/a - 1, pole w0) Becker values.  The row's guard has kept f off
+    the pole."""
+    return finite_where(
+        jf.d1 != 0,
+        lambda z, v, d1, d2: _becker(c, z, z * d2 / d1 + m * z * d1 / (v - pole)),
+        z, jf.value, jf.d1, jf.d2)
+
+
 def _moebius_becker(f, q, params):
-    if params.c2 is None:
-        raise PreconditionError("moebius_becker needs c2")
-    c1, c2 = params.c, params.c2
-    return _guarded(f, lambda z, w: _image_avoids(w, c2, "c2"),
+    c1, c2 = params.c, _require_c2(params)
+    return _guarded(f, lambda z, w: _image_avoids(z, w, c2, "c2"),
                     lambda z, jf: _pole_becker(c1, -2, c2, z, jf))
 
 
@@ -448,15 +447,15 @@ def _nw(f, q, params):
 
 
 def _moebius_nw(f, q, params):
-    g, d = params.gamma, params.delta
-    if g is None or d is None:
-        raise PreconditionError("moebius_nw needs gamma and delta")
-    if g == 0:
-        raise PreconditionError("moebius_nw requires gamma != 0 "
-                                "(the affine case is the classical condition)")
+    # f'/(gamma f + delta)^2; the guard keeps gamma f + delta off 0
+    g, d = _require_gamma_delta(params)
     pole = -d / g
-    return _guarded(f, lambda z, w: _image_avoids(w, pole, "-delta/gamma"),
-                    lambda z, jf: _moebius_derivative(g, d, jf))
+
+    def value(z, jf):
+        den = g * jf.value + d
+        return jf.d1 / (den * den)
+
+    return _guarded(f, lambda z, w: _image_avoids(z, w, pole, "-delta/gamma"), value)
 
 
 def _sector_log(sector: SectorDomain) -> Callable[[np.ndarray], np.ndarray]:
@@ -498,8 +497,7 @@ def _bazilevic(f, psi, params):
         if abs(psi.jet(0j).value) > 1e-12:
             raise PreconditionError("bazilevic needs Q(0) = 0")
         f, psi = psi.after(f), None  # the value of G = Q o f with Psi = 1
-    p = params.p or IdentityMap()
-    check_starlike(p)
+    p = require_comparison_map(params)
     s = params.s
     g, pz = ratio_branch(f), ratio_branch(p)
 
@@ -522,7 +520,8 @@ class CriterionSpec:
 
     score         "abs" (sup |v| <= bound), "udisk" (v in U(bound)) or
                   "re" (Re v > 0, no bound and no concluded dilatation)
-    bound         "k", "k_prime" (CriterionParams.bound) or None for "re"
+    bound         "k", "k_prime" (CriterionParams.bound) or None for "re",
+                  read by `require_bound`
     build         (f, companion, params) -> z -> value, elementwise on a 1-D
                   array; raises PreconditionError when a hypothesis fails,
                   the build on the params, the value on a block whose image
@@ -542,11 +541,6 @@ class CriterionSpec:
     build: Callable
     construction: str
     companion: str | None = None
-
-    def bound_of(self, params: CriterionParams) -> float | None:
-        """The bound the row's value and chain are checked against: k for a
-        "k" row, else CriterionParams.bound (k_prime, falling back to k)."""
-        return params.k if self.bound == "k" else params.bound
 
 
 CRITERIA: dict[str, CriterionSpec] = {
@@ -575,6 +569,20 @@ def criterion_spec(criterion: str) -> CriterionSpec:
     return CRITERIA[criterion]
 
 
+def require_bound(criterion: str, params: CriterionParams) -> float | None:
+    """The bound a row's value and chain are checked against: k for a "k"
+    row, CriterionParams.bound (k_prime, falling back to k) for a "k_prime"
+    row, None for a row without one; raises when the row's bound is unset."""
+    spec = criterion_spec(criterion)
+    if spec.bound is None:
+        return None
+    bound = params.k if spec.bound == "k" else params.bound
+    if bound is None:
+        needs = "k" if spec.bound == "k" else "k_prime (or k)"
+        raise PreconditionError(f"{criterion} needs {needs}")
+    return bound
+
+
 def require_chain_companion(criterion: str, companion: CompanionMap,
                             params: CriterionParams) -> None:
     """Require a moebius_* or sector_* row's companion to be the Q its value
@@ -582,10 +590,13 @@ def require_chain_companion(criterion: str, companion: CompanionMap,
     companion: a sector row's sector (sector_nw's normalized map), a Moebius
     map with pole c2 for moebius_becker, and for moebius_nw one with
     Q' = 1/(gamma w + delta)^2, that is normalized (gamma, delta) equal to
-    +-(gamma, delta) of the params to 1e-12."""
+    +-(gamma, delta) of the params to 1e-12.  The params are read first, by
+    the row's own helpers, so this refuses what check does, as it does."""
     needs = criterion_spec(criterion).companion
     if needs is None:
         return
+    reads = (_require_sector if needs == "sector" else
+             _require_c2 if criterion == "moebius_becker" else _require_gamma_delta)(params)
     if companion.label != needs:
         raise PreconditionError(
             f"{criterion} needs a {needs} companion to build its chain "
@@ -593,25 +604,20 @@ def require_chain_companion(criterion: str, companion: CompanionMap,
         )
     q = companion.base
     if needs == "sector":
-        sector = _require_sector(params)
-        if q.sector != sector:
-            raise PreconditionError(f"{criterion} reads the params' {sector}, "
+        if q.sector != reads:
+            raise PreconditionError(f"{criterion} reads the params' {reads}, "
                                     f"not the companion's {q.sector}")
         if criterion == "sector_nw" and not q.normalized:
             raise PreconditionError("sector_nw reads the normalized sector map, "
                                     "not the companion's unnormalized one")
     elif criterion == "moebius_becker":
-        if params.c2 is None:
-            raise PreconditionError("moebius_becker needs c2")
         pole = -q.delta / q.gamma if q.gamma != 0 else complex(_INF, 0)
-        if not abs(pole - params.c2) <= 1e-12 * max(1.0, abs(params.c2)):
+        if not abs(pole - reads) <= 1e-12 * max(1.0, abs(reads)):
             raise PreconditionError(f"moebius_becker reads a Moebius map with pole "
-                                    f"c2 = {params.c2!r}, not the companion's "
+                                    f"c2 = {reads!r}, not the companion's "
                                     f"pole {pole!r}")
     else:  # moebius_nw
-        g, d = params.gamma, params.delta
-        if g is None or d is None:
-            raise PreconditionError("moebius_nw needs gamma and delta")
+        g, d = reads
         if not any(abs(q.gamma - sign * g) <= 1e-12 and abs(q.delta - sign * d) <= 1e-12
                    for sign in (1, -1)):
             raise PreconditionError(
@@ -634,12 +640,7 @@ def evaluate_criterion(criterion: str, f: AnalyticMap,
     """
     grid = grid or DiskGrid()
     spec = criterion_spec(criterion)
-    bound = None
-    if spec.bound is not None:
-        bound = spec.bound_of(params)
-        if bound is None:
-            needs = "k" if spec.bound == "k" else "k_prime (or k)"
-            raise PreconditionError(f"{criterion} needs {needs}")
+    bound = require_bound(criterion, params)
     value_fn = spec.build(f, companion, params)
 
     if spec.score == "re":

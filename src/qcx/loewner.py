@@ -44,10 +44,10 @@ import numpy as np
 
 # tracked_log is not called here; perfbench/tracing.py wraps this module's name
 from .branches import BranchTrackingError, ratio_branch, tracked_log  # noqa: F401
-from .criteria import CriterionParams, PreconditionError
+from .criteria import CriterionParams, PreconditionError, require_comparison_map
 from .grids import DiskGrid, blocks
 from .jets import accepts_point, finite_where, principal_log
-from .maps import AnalyticMap, CompanionMap, IdentityMap
+from .maps import AnalyticMap, CompanionMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
 
@@ -209,11 +209,8 @@ class BazilevicChain(LoewnerChain):
         super().__init__(f, q, params)
         if abs(self._g0.value) > 1e-12:
             raise PreconditionError("bazilevic chain needs Q(0) = 0")
-        self.p = params.p or IdentityMap()
+        self.p = require_comparison_map(params)  # the p the bazilevic rows read
         self.analyticity_radius = min(f.analyticity_radius, self.p.analyticity_radius)
-        jp0 = self.p.jet(0j)
-        if jp0.value != 0 or abs(jp0.d1 - 1) > 1e-12:
-            raise PreconditionError("bazilevic chain needs p(0) = 0, p'(0) = 1")
         self._gz = ratio_branch(self.g)  # anchored at log G'(0)
         self._pz = ratio_branch(self.p)
         # the origin's branch data: H = G'(0)^s, R = 1

@@ -656,6 +656,64 @@ def test_a_k_row_is_extended_against_the_bound_check_concludes(tmp_path, capsys,
             "beltrami": "bound=0.9"}[command] in out
 
 
+_MOEBIUS_POLE = {"kind": "moebius", "pole": [-3.0, 0.0]}
+_MOEBIUS_GD = {"kind": "moebius", "gamma": [0.2, 0.0], "delta": [1.0, 0.0]}
+_SECTOR_Q = {"kind": "sector", **_SECTOR_PARAMS}
+
+
+def _gate_cases():
+    """(criterion, companion, params, check's error) for scenarios check
+    refuses on their params; each names the companion its chain reads."""
+    k_prime, k = "k_prime (or k)", "k"
+    no_bound = {  # criterion: (companion, params, the bound it reads)
+        "gen_becker": (None, {}, k_prime), "nw": (None, {}, k_prime),
+        "phi_like_udisk": (None, {}, k_prime),
+        "bazilevic_udisk": (None, {"s": [1.0, 0.5]}, k_prime),
+        "moebius_becker": (_MOEBIUS_POLE, {"c2": [-3.0, 0.0]}, k),
+        "moebius_nw": (_MOEBIUS_GD, {"gamma": [0.2, 0.0], "delta": [1.0, 0.0]}, k),
+        "sector_becker": (_SECTOR_Q, _SECTOR_PARAMS, k),
+        "sector_nw": (_SECTOR_Q, _SECTOR_PARAMS, k),
+    }
+    cases = [pytest.param(criterion, companion, params, f"{criterion} needs {bound}",
+                          id=f"{criterion}-without-its-bound")
+             for criterion, (companion, params, bound) in no_bound.items()]
+    affine = {"kind": "moebius", "gamma": [0.0, 0.0], "delta": [1.0, 0.0]}
+    return cases + [
+        pytest.param("moebius_nw", affine, {"k": 0.6, "gamma": [0.0, 0.0], "delta": [1.0, 0.0]},
+                     "moebius_nw requires gamma != 0 (the affine case is the classical "
+                     "condition)", id="moebius_nw-gamma-0"),
+        pytest.param("bazilevic", None, {"p": {"kind": "polynomial", "coefficients": [0.9]}},
+                     "comparison map is not starlike on the grid "
+                     "(violation at (-0.6109807391451604+0.16371179564491634j))",
+                     id="bazilevic-p-not-starlike"),
+        pytest.param("moebius_becker", _MOEBIUS_POLE, {"k": 0.9}, "moebius_becker needs c2",
+                     id="moebius_becker-without-c2"),
+        pytest.param("moebius_nw", _MOEBIUS_GD, {"k": 0.6}, "moebius_nw needs gamma and delta",
+                     id="moebius_nw-without-gamma"),
+        pytest.param("sector_becker", _SECTOR_Q, {"k": 0.65},
+                     "sector criteria need w0, lambda0 and a", id="sector_becker-without-w0"),
+        pytest.param("sector_nw", _SECTOR_Q, {"k": 0.75},
+                     "sector criteria need w0, lambda0 and a", id="sector_nw-without-w0"),
+    ]
+
+
+@pytest.mark.parametrize("criterion, companion, params, message", _gate_cases())
+def test_extend_and_beltrami_refuse_what_check_refuses(tmp_path, capsys, criterion,
+                                                       companion, params, message):
+    # extend and beltrami ran (exit 0) without the bound or with gamma = 0,
+    # and extended a chain on a non-starlike p (exit 1)
+    doc = {"version": 1, "function": {"kind": "polynomial", "coefficients": [[0.1, 0.0]]},
+           "criterion": criterion, "params": params, "grid": {"radial": 16, "angular": 32},
+           "annulus": {"radial": 6, "angular": 12}, "times": {"count": 5}}
+    if companion is not None:
+        doc["companion"] = companion
+    path = write_scenario(tmp_path, doc)
+    for command in ("check", "extend", "beltrami"):
+        code, out, err = run([command, "--scenario", path], capsys)
+        assert (code, err) == (2, f"error: {message}\n"), command
+        assert "report" not in out
+
+
 def test_c_is_held_to_k_when_k_prime_is_absent(tmp_path, capsys):
     # |c| = 0.55 > k = 0.5: check passed (sup 0.4455, concluded 0.5) and
     # extend found p escaping U(0.5) at t = 0
@@ -701,7 +759,8 @@ def test_moebius_becker_cancellation_scenario(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, doc, exit_code, named", [
     ("extend", {"function": {"kind": "polynomial", "coefficients": [0.9]},
-                "criterion": "nw", "grid": {"radial": 8, "angular": 16}}, 1,
+                "criterion": "nw", "params": {"k": 0.5},
+                "grid": {"radial": 8, "angular": 16}}, 1,
      "failure=Re p <= 0 at z=(-0.8415106807538887+1.03055336163356e-16j), t=0.4"),
     ("check", {"criterion": "bazilevic",
                "params": {"p": {"kind": "polynomial", "coefficients": [0.9]}}}, 2,

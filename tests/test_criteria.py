@@ -4,6 +4,7 @@ precondition handling, and the grid scan machinery."""
 import cmath
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -31,11 +32,8 @@ from qcx import (
     evaluate_criterion,
     gen_bazilevic_value,
     gen_becker_value,
-    moebius_becker_value,
-    moebius_nw_value,
     nw_value,
     phi_like_value,
-    sector_becker_value,
     sector_nw_value,
     sup_over_grid,
     tracked_ratio_log,
@@ -132,6 +130,22 @@ def test_phi_like_value_at_the_origin_is_its_limit(d1):
         at0 = phi_like_value(f, phi, 0j)
         assert abs(at0 - phi_like_value(f, phi, 1e-9 + 0j)) <= 1e-8, phi
         assert phi_like_value(f, phi, np.array([0j, 0.5]))[0] == at0
+
+
+def test_phi_like_value_is_inf_at_an_origin_where_f_prime_vanishes():
+    # f = z^2 reads 2 next to the origin, and the origin read 1/Phi'(0) = 1:
+    # the limit m/Phi'(0) needs the order m of the zero, which the jet does
+    # not give, so the origin is inf and the scan fails there (z^2 is not
+    # univalent)
+    f = PolynomialMap([0, 1], class_a=False)
+    assert phi_like_value(f, IdentityMap(), 0j) == complex(math.inf, 0)
+    assert abs(phi_like_value(f, IdentityMap(), 1e-9 + 0j) - 2) < 1e-12
+    values = phi_like_value(f, IdentityMap(), np.array([0.5, 0j]))
+    assert values[1] == complex(math.inf, 0) and abs(values[0] - 2) < 1e-12
+    rep = evaluate_criterion("phi_like", f, IdentityMap(), CriterionParams(),
+                             DiskGrid(16, 32))
+    assert not rep.passed
+    assert (rep.sup_value, rep.worst_point) == (math.inf, 0)
 
 
 def test_a_companion_whose_q_prime_vanishes_gives_phi_like_zero_there():
@@ -317,8 +331,9 @@ def test_moebius_becker_matches_general():
     c2 = -2.5 + 0.3j
     q = CompanionMap.from_moebius(MoebiusMap.with_pole(c2))
     c1 = 0.1 - 0.05j
+    row = CRITERIA["moebius_becker"].build(f, None, CriterionParams(c=c1, c2=c2))
     for z in random_disk_points(40, seed=8):
-        direct = moebius_becker_value(f, c1, c2, z)
+        direct = row(z)
         general = gen_becker_value(f, q, c1, z)
         assert abs(direct - general) < 1e-10
 
@@ -327,8 +342,10 @@ def test_moebius_nw_matches_general():
     f = PolynomialMap([1, 0.2])
     m = MoebiusMap(1.2, 0.3, 1, 3 + 0.5j)
     q = CompanionMap.from_moebius(m)
+    row = CRITERIA["moebius_nw"].build(f, None, CriterionParams(gamma=m.gamma,
+                                                                delta=m.delta))
     for z in random_disk_points(40, seed=9):
-        direct = moebius_nw_value(f, m.gamma, m.delta, z)
+        direct = row(z)
         general = nw_value(f, q, z)
         assert abs(direct - general) < 1e-10
 
@@ -337,8 +354,10 @@ def test_sector_becker_matches_general():
     sec = SectorDomain(-2, 11 / 6, 1 / 3)
     q = companion_from_sector(sec, normalized=True)
     f = ScaledMap(IdentityMap(), 1.0)
+    row = CRITERIA["sector_becker"].build(f, None, CriterionParams(
+        c=0.05j, w0=sec.w0, lambda0=sec.lambda0, a=sec.a))
     for z in random_disk_points(40, rmax=0.9, seed=10):
-        direct = sector_becker_value(f, 0.05j, sec.w0, sec.a, z)
+        direct = row(z)
         general = gen_becker_value(f, q, 0.05j, z)
         assert abs(direct - general) < 1e-10
 
@@ -703,6 +722,11 @@ ARRAY_Q = {"identity": CompanionMap.identity(),
 SECTOR_Q = companion_from_sector(SectorDomain(-2, 11 / 6, 1 / 3), normalized=True)
 
 
+def _row(criterion, f, **params):
+    """The value of a row that reads no companion, built on f and the params."""
+    return CRITERIA[criterion].build(f, None, CriterionParams(**params))
+
+
 def _functional_cases():
     cases = []
     for fn_name, f in ARRAY_F.items():
@@ -719,14 +743,14 @@ def _functional_cases():
             pytest.param(lambda z, f=f: phi_like_value(
                 f, ConstMap(cmath.exp(0.4j)) * IdentityMap(), z),
                 id=f"phi_like-{fn_name}-direct"),
-            pytest.param(lambda z, f=f: moebius_becker_value(f, 0.1 - 0.05j, -3 + 0.3j, z),
+            pytest.param(_row("moebius_becker", f, c=0.1 - 0.05j, c2=-3 + 0.3j),
                          id=f"moebius_becker-{fn_name}"),
-            pytest.param(lambda z, f=f: moebius_nw_value(f, 0.2 + 0j, 1 + 0j, z),
+            pytest.param(_row("moebius_nw", f, gamma=0.2 + 0j, delta=1 + 0j),
                          id=f"moebius_nw-{fn_name}"),
         ]
     small = PolynomialMap([1, 0.1])
     cases += [
-        pytest.param(lambda z: sector_becker_value(small, 0.05j, -2 + 0j, 1 / 3, z),
+        pytest.param(_row("sector_becker", small, c=0.05j, **GOLDEN_SECTOR),
                      id="sector_becker-poly"),
         pytest.param(lambda z: nw_value(small, SECTOR_Q, z), id="nw-poly-sector"),
         pytest.param(lambda z: gen_becker_value(small, SECTOR_Q, 0.05j, z),
@@ -786,14 +810,10 @@ MASKED_CASES = {
                                           CompanionMap.identity(), 0.1j, z), -0.5),
     "Q' = 0": (lambda z: gen_becker_value(
         IdentityMap(), CompanionMap(PolynomialMap([1, 1.0]), 0.0), 0.1j, z), -0.5),
-    "f' = 0, moebius_becker": (lambda z: moebius_becker_value(
-        PolynomialMap([1, 1.0]), 0j, 5 + 0j, z), -0.5),
-    "f = c2": (lambda z: moebius_becker_value(POLY, 0.1j, _on(POLY, 0.5), z), 0.5),
-    "f = w0": (lambda z: sector_becker_value(POLY, 0.1j, _on(POLY, 0.5), 1 / 3, z), 0.5),
-    "f' = 0, sector_becker": (lambda z: sector_becker_value(
-        PolynomialMap([1, 1.0]), 0j, -2 + 0j, 1 / 3, z), -0.5),
-    "gamma f + delta = 0": (lambda z: moebius_nw_value(POLY, 2 + 0j, -2 * _on(POLY, 0.5), z),
-                            0.5),
+    "f' = 0, moebius_becker": (_row("moebius_becker", PolynomialMap([1, 1.0]), c2=5 + 0j),
+                               -0.5),
+    "f' = 0, sector_becker": (_row("sector_becker", PolynomialMap([1, 1.0]), **GOLDEN_SECTOR),
+                              -0.5),
     "Phi(f) = 0": (lambda z: phi_like_value(PolynomialMap([1, 2.0]), IdentityMap(), z), -0.5),
     "Phi'(0) = 0": (lambda z: phi_like_value(
         IdentityMap(), PolynomialMap([0, 1], class_a=False), z), 0),
@@ -808,6 +828,25 @@ def test_masked_points_are_inf_where_the_point_path_is(case):
     assert [not np.isfinite(v) for v in values] == [z == bad for z in points]
     assert all(values[points == bad] == complex(math.inf, 0))
     _assert_matches_per_point(fn, points)
+
+
+POLE_CASES = {
+    # the row and its params, with f(0.5) on the value the row's formula
+    # divides by f - pole (or gamma f + delta) at: the guard refuses it
+    "f = c2": ("moebius_becker", dict(c=0.1j, c2=_on(POLY, 0.5))),
+    "f = w0": ("sector_becker", dict(c=0.1j, w0=_on(POLY, 0.5), lambda0=0.0, a=1 / 3)),
+    "gamma f + delta = 0": ("moebius_nw", dict(gamma=2 + 0j, delta=-2 * _on(POLY, 0.5))),
+}
+
+
+@pytest.mark.parametrize("case", POLE_CASES)
+def test_an_image_point_on_the_rows_pole_is_refused_by_name(case):
+    criterion, params = POLE_CASES[case]
+    value = _row(criterion, POLY, **params)
+    named = re.escape(f"f({0.5 + 0j!r}) = {_on(POLY, 0.5)!r}")
+    for points in (np.array([0.5, 0.3 + 0.1j, 0.5]), 0.5 + 0j):
+        with pytest.raises(PreconditionError, match=named):
+            value(points)
 
 
 def test_prechecks_name_the_first_failing_point():
@@ -834,9 +873,11 @@ def test_prechecks_name_the_first_failing_point():
                               "escapes the sector domain")
 
     c2 = complex(CayleyMap().jet(grid.points()[500]).value)
-    with pytest.raises(PreconditionError, match=r"min distance 0\)"):
+    with pytest.raises(PreconditionError) as err:
         evaluate_criterion("moebius_becker", CayleyMap(), None,
                            CriterionParams(k=0.5, c2=c2), grid)
+    assert str(err.value) == (f"c2 = {c2!r} is not separated from the image (min distance 0) "
+                              f"at image point f({complex(grid.points()[500])!r}) = {c2!r}")
 
 
 # a grid of two blocks: points 0 to B - 1 and B to B + 127, B = BLOCK

@@ -34,18 +34,16 @@ from qcx import (
     companion_from_sector,
     fit_sector,
     gen_becker_value,
-    moebius_becker_value,
-    moebius_nw_value,
     nw_value,
     p_extension,
     p_extension_inverse,
     phi_like_value,
-    sector_becker_value,
     u_disk_margin,
     u_disk_ratio,
     wirtinger,
 )
 from qcx.branches import BranchLattice, ratio_branch
+from qcx.criteria import CRITERIA
 from qcx.jets import Jet2
 from qcx.loewner import ChainPartials
 
@@ -113,9 +111,13 @@ def _cases():
         ("phi_like_value", lambda z: phi_like_value(F, MOEBIUS_Q, z), DISK),
         ("gen_becker_value", lambda z: gen_becker_value(F, MOEBIUS_Q, 0.1, z), DISK),
         ("nw_value", lambda z: nw_value(F, SECTOR_Q, z), DISK),
-        ("moebius_becker_value", lambda z: moebius_becker_value(F, 0.1, -3.0, z), DISK),
-        ("moebius_nw_value", lambda z: moebius_nw_value(F, 0.2, 1.0, z), DISK),
-        ("sector_becker_value", lambda z: sector_becker_value(F, 0.1, -2.0, 1 / 3, z), DISK),
+        ("moebius_becker_row", CRITERIA["moebius_becker"].build(
+            F, None, CriterionParams(c=0.1, c2=-3.0)), DISK),
+        ("moebius_nw_row", CRITERIA["moebius_nw"].build(
+            F, None, CriterionParams(gamma=0.2, delta=1.0)), DISK),
+        ("sector_becker_row", CRITERIA["sector_becker"].build(
+            F, None, CriterionParams(c=0.1, w0=SECTOR.w0, lambda0=SECTOR.lambda0,
+                                     a=SECTOR.a)), DISK),
     ]
     for chain in CHAINS:
         name = f"{chain.construction}_{chain.q.label}"
