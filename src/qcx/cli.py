@@ -25,7 +25,8 @@ import numpy as np
 
 from .branches import BranchTrackingError
 from .criteria import (CriterionParams, PreconditionError, criterion_spec,
-                       evaluate_criterion, require_bound, require_chain_companion)
+                       evaluate_criterion, require_bound, require_chain_companion,
+                       require_fixed_origin)
 from .grids import AnnulusGrid, DiskGrid, blocks
 from .jets import DomainError
 from .loewner import (
@@ -385,20 +386,29 @@ _DIGITS4 = _words(_d4.reshape(-1, 4))
 _z = (_digit == 0).astype(np.int64)  # trailing zeros of "%04d" % g
 _TRAILING0 = (_z + (_z[:, None] & _z) + (_z[:, None, None] & _z[:, None] & _z)
               + (_z[:, None, None, None] & _z[:, None, None] & _z[:, None] & _z)).ravel()
-_KEEP = _words(255 * (np.arange(4) < np.arange(-16, 21)[:, None]))  # [m + 16]: first m bytes
+_keep = _words(255 * (np.arange(4) < np.arange(-16, 21)[:, None]))  # [m + 16]: first m bytes
 _LEAD = _words(np.outer(48 + _digit, [0, 0, 0, 1]))
+_POINT, _SIGN, _COMMA, _NEWLINE = _words([[0, 0, 0, 46], [0, 45, 0, 0], [44, 0, 0, 0], [10, 0, 0, 0]])
 _e = np.arange(_E0, 32)
 _fixed = (-4 <= _e) & (_e < 17)
 _small = _fixed & (_e < 0)
-_HEAD = np.where(_small, 17, np.where(_fixed, _e + 1, 1))  # digits before the point
-_MIN_DIGITS = np.where(_fixed & ~_small, _e + 1, 1)  # the integer digits, zeros or not
+# The digits' layout, by the row (E - _E0) * 17 + zeros of a float whose 17
+# digits end in `zeros` zeros: it writes `written` digits (at least its
+# integer digits, zeros or not), `head` of them before the point.  The m-th
+# group holds digits 4m+1 .. 4m+4: _BEFORE[m] keeps the first
+# (head - 4m - 1) bytes of its word, which precede the point, and _AFTER[m]
+# the bytes from there up to the (written - 4m - 1)-th, which follow it.
+_written = np.maximum(17 - np.arange(17), np.where(_fixed & ~_small, _e + 1, 1)[:, None])
+_head = np.minimum(np.where(_small, 17, np.where(_fixed, _e + 1, 1))[:, None], _written)
+_BEFORE = [_keep[_head + 15 - 4 * m].ravel() for m in range(4)]
+_AFTER = [(_keep[_written + 15 - 4 * m] ^ _keep[_head + 15 - 4 * m]).ravel() for m in range(4)]
+_POINT_AT = (_POINT * (_written > _head)).ravel()
 _PREFIX0 = _words(np.stack([0 * _e, 0 * _e, 48 * _small, 46 * _small], 1))
 _PREFIX1 = _words(np.stack([48 * (_small & (_e <= -2)), 48 * (_small & (_e <= -3)),
                             48 * (_small & (_e <= -4)), 0 * _e], 1))
 _EXPONENT = _words(np.stack([101 * ~_fixed, np.where(_e < 0, 45, 43) * ~_fixed,
                              (48 + abs(_e) // 10) * ~_fixed, (48 + abs(_e) % 10) * ~_fixed], 1))
-_POINT, _SIGN, _COMMA, _NEWLINE = _words([[0, 0, 0, 46], [0, 45, 0, 0], [44, 0, 0, 0], [10, 0, 0, 0]])
-del _digit, _d4, _z, _e, _fixed, _small
+del _digit, _d4, _z, _keep, _e, _fixed, _small, _written, _head
 
 
 def _scaled(a, q):
@@ -415,9 +425,9 @@ def _scaled(a, q):
     return fp.astype(np.int64) + ft.astype(np.int64), t - ft
 
 
-def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
+def _format_block(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     """The "%.17g" texts of the floats x, each preceded by its separator word
-    in seps, as one byte string.
+    in seps, as one uint8 array of their bytes.
 
     Method: for 1e-30 <= |x| <= 1e30, E = floor(log10|x|) and the 17
     significant digits are N = round(|x| * 10**(16 - E)).  The product is a
@@ -432,16 +442,18 @@ def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
     Where the product lies within the error bound of 10**16 or 10**17, N
     rounds to 10**16 or 10**17 either way, and both give the digit 1 at the
     right exponent (10**17 carries into E + 1, as "%.17g" does).  Any N
-    still out of range is left to "%.17g" too, as are 0, -0, nan, +-inf and
-    |x| outside [1e-30, 1e30].  The digits are then laid out as "%.17g"
-    lays them out: fixed notation for -4 <= E < 17, exponent notation
-    otherwise, trailing zeros of the fraction and a bare point dropped, the
-    sign taken from the sign bit.
+    still out of range is left to "%.17g" too, as are nan, +-inf and
+    |x| outside [1e-30, 1e30] other than 0.  A zero takes N = 0 at E = 0,
+    the one digit 0.  The digits are then laid out as "%.17g" lays them
+    out: fixed notation for -4 <= E < 17, exponent notation otherwise,
+    trailing zeros of the fraction and a bare point dropped, the sign taken
+    from the sign bit, so -0.0 reads "-0".
     """
     n = len(x)
     a = np.abs(x)
+    zero = a == 0
     ok = (a >= 1e-30) & (a <= 1e30)  # false on 0, nan and inf
-    a[~ok] = 1.0
+    a[~ok] = 1.0  # whose digits are N = 10**16 at E = 0
     E = np.floor(np.log10(a)).astype(np.int64)
     F, frac = _scaled(a, 16 - E)
     off = (F < 10 ** 16).astype(np.int64) - (F >= 10 ** 17)
@@ -451,13 +463,17 @@ def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
         F[redo], frac[redo] = _scaled(a[redo], 16 - E[redo])
     N = F + (frac >= 0.5)
     carry = np.flatnonzero(N == 10 ** 17)
-    N[carry] = 10 ** 16
-    E[carry] += 1
+    if len(carry):
+        N[carry] = 10 ** 16
+        E[carry] += 1
     ok &= (np.abs(frac - 0.5) > 1e-6) & (N >= 10 ** 16) & (N < 10 ** 17)
+    ok |= zero
 
-    # N = d0 g1 g2 g3 g4 in groups of four digits
+    # N = d0 g1 g2 g3 g4 in groups of four digits; a zero's N = 10**16
+    # becomes d0 = 0 and no other digit, so it reads "0" or "-0"
     d0 = N // 10 ** 16
     low = N - d0 * 10 ** 16
+    d0 -= zero
     g12 = low // 10 ** 8
     g34 = low - g12 * 10 ** 8
     g1 = g12 // 10 ** 4
@@ -466,20 +482,16 @@ def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
     t1, t2, t3, t4 = (_TRAILING0.take(g) for g in groups)
     zeros = t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1))
     e = E - _E0
-    digits = np.maximum(17 - zeros, _MIN_DIGITS.take(e))  # digits written
-    head = np.minimum(_HEAD.take(e), digits)  # those before the point
+    layout = e * 17 + zeros
 
     out = np.empty((n, 12), np.uint32)
     out[:, 0] = seps | np.signbit(x) * _SIGN | _PREFIX0.take(e)
     out[:, 1] = _PREFIX1.take(e) | _LEAD.take(d0)
-    # the m-th group holds digits 4m+1 .. 4m+4; keep the first (head - 4m - 1)
-    # bytes before the point and up to (digits - 4m - 1) in all
-    before, upto = head + 15, digits + 15
     for m, g in enumerate(groups):
         w = _DIGITS4.take(g)
-        out[:, 2 + m] = w_before = w & _KEEP.take(before - 4 * m)
-        out[:, 7 + m] = (w & _KEEP.take(upto - 4 * m)) ^ w_before
-    out[:, 6] = (digits > head) * _POINT
+        out[:, 2 + m] = w & _BEFORE[m].take(layout)
+        out[:, 7 + m] = w & _AFTER[m].take(layout)
+    out[:, 6] = _POINT_AT.take(layout)
     out[:, 11] = _EXPONENT.take(e)
 
     bad = np.flatnonzero(~ok)
@@ -489,17 +501,19 @@ def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
         fields[bad, 1:] = 0
         fields[bad, 1:25] = text.view(np.uint8).reshape(len(bad), 24)
     flat = out.view(np.uint8).ravel()
-    return flat[flat != 0].tobytes()
+    return flat[flat != 0]
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
     """A table of floats (a 2-D array, or rows that make one) with a header
     row, comma separators and LF line endings.  Every float reads as
     "%.17g" % x would print it, byte for byte, but is formatted on numpy
-    arrays a block of rows of at most BLOCK samples (floats) at a time, one
-    write per block."""
+    arrays a block of rows at a time, one write per block.  A block holds at
+    most BLOCK // 2 floats: the formatter's temporaries take some 300 bytes
+    a float, and at BLOCK floats they outgrow what the heap keeps between
+    blocks, so every block faulted its pages in afresh."""
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    parts = blocks(rows, len(header))
+    parts = blocks(rows, 2 * len(header))  # half of BLOCK floats a block
     seps = np.full((len(parts[0]) if parts else 0, len(header)), _COMMA)
     seps[:, 0] = _NEWLINE
     seps = seps.ravel()
@@ -550,11 +564,14 @@ def _chain_and_extension(sc: Scenario):
     is checked against.  The params pass check's gate, in check's order:
     the bound, then a moebius_* or sector_* row's params and the companion
     its value reads (its chain is built from the companion, so any other
-    would extend a different map)."""
+    would extend a different map), and a phi_like* or bazilevic* row's
+    Q(0) = 0."""
     f, companion, params = sc.pieces()
     bound = require_bound(sc.criterion, params)
     require_chain_companion(sc.criterion, companion, params)
-    chain = build_chain(criterion_spec(sc.criterion).construction, f, companion, params)
+    construction = criterion_spec(sc.criterion).construction
+    require_fixed_origin(construction, companion)
+    chain = build_chain(construction, f, companion, params)
     return chain, ExtensionMap(chain), bound
 
 

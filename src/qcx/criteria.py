@@ -378,6 +378,21 @@ def _require_gamma_delta(params: CriterionParams) -> tuple[complex, complex]:
     return g, d
 
 
+# The origin hypothesis of the phi_like and bazilevic constructions, and its message.
+_FIXED_ORIGIN = {"phi_like": "phi_like needs Phi(0) = 0 (Q(0) = 0 for a companion)",
+                 "bazilevic": "bazilevic needs Q(0) = 0"}
+
+
+def require_fixed_origin(construction: str, q) -> None:
+    """Require q(0) = 0 of the companion Q (or a direct Phi) of a phi_like*
+    or bazilevic* row, whose construction names the message: Q(f(w))/w has
+    a pole at 0 unless Q(0) = 0, and Phi = Q/Q' of a companion vanishes at 0
+    exactly where Q does.  Other constructions need nothing."""
+    message = _FIXED_ORIGIN.get(construction)
+    if message is not None and abs(q.jet(0j).value) > 1e-12:
+        raise PreconditionError(message)
+
+
 def require_comparison_map(params: CriterionParams) -> AnalyticMap:
     """The Bazilevic comparison map p: the params' p once `check_starlike`
     holds it, else the identity, which is starlike."""
@@ -483,9 +498,7 @@ def _sector_nw(f, q, params):
 def _phi_like(f, phi, params):
     if phi is None:
         raise PreconditionError("phi_like needs a companion (or direct Phi)")
-    # Phi = Q/Q' of a companion vanishes at 0 exactly where Q does
-    if abs(phi.jet(0j).value) > 1e-12:
-        raise PreconditionError("phi_like needs Phi(0) = 0 (Q(0) = 0 for a companion)")
+    require_fixed_origin("phi_like", phi)
     return lambda z: phi_like_value(f, phi, z)
 
 
@@ -493,9 +506,7 @@ def _bazilevic(f, psi, params):
     if psi is None:
         raise PreconditionError("bazilevic needs a companion (or direct Psi)")
     if isinstance(psi, CompanionMap):
-        # Q(f(w))/w has a pole at 0 unless Q(0) = 0
-        if abs(psi.jet(0j).value) > 1e-12:
-            raise PreconditionError("bazilevic needs Q(0) = 0")
+        require_fixed_origin("bazilevic", psi)
         f, psi = psi.after(f), None  # the value of G = Q o f with Psi = 1
     p = require_comparison_map(params)
     s = params.s

@@ -128,8 +128,11 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
                 signs = np.copysign(1.0, seam(_stencil(z, h))).reshape(-1, 4)
             skipped = (signs != signs[:, :1]).any(axis=1)  # stencil straddles the seam
         kept = np.flatnonzero(~skipped)
-        dz, dzb = wirtinger(f, z[kept], h)
+        whole = len(kept) == len(z)
+        dz, dzb = wirtinger(f, z if whole else z[kept], h)
         degenerate = np.abs(dz) < _DEGENERATE_DZ  # degenerate Jacobian
+        if whole and not degenerate.any():  # every sample counts: mu is the ratio
+            return dzb / dz, skipped, degenerate
         flagged = np.zeros(len(z), bool)
         flagged[kept[degenerate]] = True
         mu = np.full(len(z), np.nan, complex)

@@ -3,6 +3,11 @@
 Cells are laid out in the (angle, radius) parameter rectangle, colored on a
 linear scale over [0, max value] with the scale printed in a legend.  No
 external assets, inline styles only, deterministic formatting.
+
+The cells' text is built once a map from one template with the fill of a
+non-finite value, #cccccc, in every cell; each finite cell's six hex digits
+are then written over it on a byte array, at offsets summed from the
+lengths of the cells' x and y, and the cells go to the file in one write.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float]
     finite = np.isfinite(values)
     vmax = float(values[finite].max()) if finite.any() else 0.0
     scale = vmax if vmax > 0 else 1.0
-    fills = np.full(values.shape, "#cccccc")
-    fills[finite] = _colors(values[finite] / scale)
 
     cell_w, cell_h = 6, 4
     width = len(angles) * cell_w + 140
@@ -55,30 +58,36 @@ def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float]
     bar_h = 120
     steps = 24
     legend = _colors(np.array([1 - s / (steps - 1) for s in range(steps)]))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(
+
+    # the cells row after row, larger radii on top; a finite cell's hex
+    # digits end 4 bytes ('"/>\n') before the cell does
+    xs = [str(x0 + j * cell_w) for j in range(len(angles))]
+    ys = [str(y0 + (len(radii) - 1 - i) * cell_h) for i in range(len(radii))]
+    cell = f'<rect x="{{x}}" y="{{y}}" width="{cell_w}" height="{cell_h}" fill="#cccccc"/>\n'
+    row_t = "".join(cell.replace("{x}", x) for x in xs).split("{y}")  # a row around its y's
+    cells = bytearray("".join([y.join(row_t) for y in ys]), "ascii")
+    # a cell's length: the template's less "{x}" and "{y}", plus its x and y
+    size = (len(cell) - 6 + np.array([len(y) for y in ys])[:, None]
+            + np.array([len(x) for x in xs]))
+    at = np.cumsum(size).reshape(size.shape)[finite] - 10  # where the digits start
+    codes = _colors(values[finite] / scale).view(np.uint32).reshape(-1, 7)  # "#rrggbb"
+    np.frombuffer(cells, np.uint8)[at[:, None] + np.arange(6)] = codes[:, 1:]
+
+    with open(path, "wb") as fh:
+        fh.write((
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">\n'
             f'<rect width="{width}" height="{height}" fill="white"/>\n'
             f'<text x="10" y="20" font-family="monospace" font-size="13">{title}</text>\n'
-        )
-        # one template for every row: the cells' x are fixed, y is filled in
-        # per row and the fills per cell
-        row_t = "".join(
-            f'<rect x="{x0 + j * cell_w}" y="{{y}}" width="{cell_w}" height="{cell_h}" '
-            'fill="%s"/>\n'
-            for j in range(len(angles))
-        )
-        for i, row in enumerate(fills.tolist()):
-            y = y0 + (len(radii) - 1 - i) * cell_h  # larger radii on top
-            fh.write(row_t.replace("{y}", str(y)) % tuple(row))
+        ).encode("ascii"))
+        fh.write(cells)
         # legend: vertical gradient bar with min/max labels
         fh.write("".join(
             f'<rect x="{lx}" y="{y0 + s * bar_h // steps}" width="16" '
             f'height="{bar_h // steps + 1}" fill="{fill}"/>\n'
             for s, fill in enumerate(legend)
-        ))
-        fh.write(
+        ).encode("ascii"))
+        fh.write((
             f'<text x="{lx + 22}" y="{y0 + 10}" font-family="monospace" '
             f'font-size="11">{vmax:.6g}</text>\n'
             f'<text x="{lx + 22}" y="{y0 + bar_h}" font-family="monospace" '
@@ -88,4 +97,4 @@ def write_heatmap_svg(path: str, radii: Sequence[float], angles: Sequence[float]
             f'<text x="10" y="{y0 + len(radii) * cell_h + 16}" font-family="monospace" '
             f'font-size="11">x: angle 0..2pi, y: radius {radii[0]:.6g}..{radii[-1]:.6g}</text>\n'
             "</svg>\n"
-        )
+        ).encode("ascii"))

@@ -515,7 +515,9 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
     assert max(sizes["validate"]) == BLOCK // len(times) * len(times)
     assert max(sizes["extension"]) == BLOCK
     assert max(sizes["stencil"]) == BLOCK
-    assert max(sizes["csv"]) == BLOCK // 5 * 5
+    # the CSV writer's blocks hold half a BLOCK of floats, which keeps its
+    # temporaries resident between blocks: 409 rows of 5
+    assert max(sizes["csv"]) == BLOCK // 2 // 5 * 5 == 2045
 
 
 # -- CLI output files against a recording made before the array path ---------------------

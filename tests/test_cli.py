@@ -275,32 +275,48 @@ def test_check_precondition_exit_code(tmp_path, capsys):
     assert "sector" in err
 
 
-def test_bazilevic_companion_must_fix_the_origin(tmp_path, capsys):
+def _refused_by_every_command(tmp_path, capsys, doc) -> str:
+    """The one error line check, extend and beltrami print for doc, each
+    exiting 2 before any report."""
+    path = write_scenario(tmp_path, doc)
+    errors = set()
+    for command in ("check", "extend", "beltrami"):
+        code, out, err = run([command, "--scenario", path], capsys)
+        assert code == 2, command
+        assert "report" not in out, command
+        errors.add(err)
+    assert len(errors) == 1, errors
+    return errors.pop()
+
+
+@pytest.mark.parametrize("criterion, params", [
+    ("bazilevic", {"s": [1.0, 0.5]}),
+    ("bazilevic_udisk", {"s": [1.0, 0.5], "k": 0.6, "k_prime": 0.6})])
+def test_bazilevic_companion_must_fix_the_origin(tmp_path, capsys, criterion, params):
     # Q(f(w))/w has a pole at 0 unless Q(0) = 0: named before any scan, not
-    # a branch-tracking failure after walking into the pole
+    # a branch-tracking failure after walking into the pole; extend and
+    # beltrami printed "bazilevic chain needs Q(0) = 0"
     doc = json.loads(json.dumps(BASE))
-    doc["criterion"] = "bazilevic"
+    doc["criterion"] = criterion
     doc["companion"] = {"kind": "moebius", "beta": [0.1, 0.0]}
-    doc["params"] = {"s": [1.0, 0.5]}
-    code, _, err = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
-    assert code == 2
-    assert "bazilevic needs Q(0) = 0" in err
-    assert "branch tracking" not in err
+    doc["params"] = params
+    assert _refused_by_every_command(tmp_path, capsys, doc) == \
+        "error: bazilevic needs Q(0) = 0\n"
 
 
 @pytest.mark.parametrize("criterion, params", [
     ("phi_like", {}), ("phi_like_udisk", {"k": 0.5, "k_prime": 0.5})])
 def test_phi_like_companion_must_fix_the_origin(tmp_path, capsys, criterion, params):
     # Phi = Q/Q' vanishes at 0 only where Q does: the scan reported the
-    # origin limit f'(0)/Phi'(0) = -1 as the value at 0j, and exit 1
+    # origin limit f'(0)/Phi'(0) = -1 as the value at 0j, and exit 1;
+    # extend and beltrami printed "phi_like chain needs Q(0) = 0"
     doc = json.loads(json.dumps(BASE))
     doc["criterion"] = criterion
     doc["function"] = {"kind": "polynomial", "coefficients": [[0.2, 0.0]]}
     doc["companion"] = {"kind": "moebius", "pole": [-3.0, 0.0]}
     doc["params"] = params
-    code, out, err = run(["check", "--scenario", write_scenario(tmp_path, doc)], capsys)
-    assert (code, err) == (2, "error: phi_like needs Phi(0) = 0 (Q(0) = 0 for a companion)\n")
-    assert "report" not in out
+    assert _refused_by_every_command(tmp_path, capsys, doc) == \
+        "error: phi_like needs Phi(0) = 0 (Q(0) = 0 for a companion)\n"
 
 
 def test_check_csv_written(tmp_path, capsys):

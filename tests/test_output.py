@@ -3,6 +3,7 @@ write_csv prints is "%.17g" % x byte for byte, and write_heatmap_svg writes
 what a per-cell f-string writer with "#%06x" fills writes."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcx import cli
 from qcx.cli import write_csv
 from qcx.svg import _ANCHORS, _colors, write_heatmap_svg
 
@@ -95,6 +97,47 @@ def test_csv_random_bit_patterns_match_percent_17g(tmp_path):
 
 def test_csv_without_rows_is_the_header(tmp_path):
     assert _written(tmp_path / "empty.csv", np.empty((0, 3))) == b"c0,c1,c2\n"
+
+
+@pytest.mark.parametrize("width", [4, 5])
+def test_csv_zeros_in_blocks_match_percent_17g(tmp_path, monkeypatch, width):
+    # 0 and -0 are formatted on the arrays: at either end of a block, as a
+    # whole block, and among the values "%.17g" itself still formats
+    sizes = []  # the float counts of the blocks write_csv formats
+    format_block = cli._format_block
+    monkeypatch.setattr(cli, "_format_block",
+                        lambda x, seps: sizes.append(x.size) or format_block(x, seps))
+    write_csv(str(tmp_path / "probe.csv"), ["c"] * width, np.ones((10_000, width)))
+    n = sizes[0]  # floats in a full block
+    assert n % width == 0
+    rng = np.random.default_rng(width)
+    ends = rng.standard_normal(n)
+    ends[[0, -1]] = 0.0, -0.0
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    pool = [0.0, -0.0] * 40 + [math.nan, math.inf, -math.inf, 5e-324, -5e-324] + _edge_values()
+    mixed = rng.choice(pool, n)
+    mixed[[0, -1]] = -0.0, 0.0
+    tail = rng.standard_normal(n // width // 2 * width)
+    tail[[0, -1]] = -0.0, 0.0
+    table = np.concatenate([ends, zeros, mixed, tail]).reshape(-1, width)
+    assert np.signbit(table).any() and (table == 0).sum() > n
+    sizes.clear()
+    assert _written(tmp_path / "zeros.csv", table) == _percent(table)
+    assert sizes == [n, n, n, len(tail)]
+
+
+def test_csv_working_set_stays_under_a_megabyte(tmp_path):
+    # an extend table's shape: at blocks of 4096 floats the formatter's
+    # temporaries peaked at 1,297 KB, which the heap gave back and faulted
+    # in again block after block; half-size blocks peak near 600 KB
+    rows = np.random.default_rng(11).standard_normal((3072, 4))
+    tracemalloc.start()
+    try:
+        write_csv(str(tmp_path / "table.csv"), ["a", "b", "c", "d"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,25 @@ def test_seam_skipping():
     assert est.skipped == (0,)
 
 
+def test_mixed_block_flags_skips_and_divides_the_rest():
+    # one block: regular samples, one whose dz vanishes (f = (z - z1)^2 +
+    # 0.1 conj(z) at z1) and one whose stencil straddles the seam Re z = 0.5
+    z1, h = 0.2 - 0.3j, 1e-3
+    fn = lambda z: (z - z1) ** 2 + 0.1 * z.conjugate()
+    pts = np.array([0.3 + 0.2j, -0.4 + 0.1j, z1, 0.5 + 0.1j, 1.5 - 0.5j, -2 + 1j])
+    est = beltrami_on_grid(fn, pts, h=h, seam=lambda w: w.real - 0.5)
+    assert (est.flagged, est.skipped) == ((2,), (3,))
+    assert np.flatnonzero(np.isnan(est.mu)).tolist() == [2, 3]
+    regular = [0, 1, 4, 5]
+    dz, dzb = wirtinger(fn, pts[regular], h)
+    assert est.mu[regular].tobytes() == (dzb / dz).tobytes()
+    # the regular samples alone: nothing flagged or skipped, the same ratios
+    alone = beltrami_on_grid(fn, pts[regular], h=h, seam=lambda w: w.real - 0.5)
+    assert (alone.flagged, alone.skipped) == ((), ())
+    assert alone.mu.tobytes() == (dzb / dz).tobytes()
+    assert alone.sup_abs_mu == est.sup_abs_mu == np.abs(dzb / dz).max()
+
+
 def test_step_halving_stability():
     f = PolynomialMap([1, 0.25])
     ext = ExtensionMap(build_chain("nw", f, CompanionMap.identity()))
