@@ -25,8 +25,7 @@ import numpy as np
 
 from .branches import BranchTrackingError
 from .criteria import (CriterionParams, PreconditionError, criterion_spec,
-                       evaluate_criterion, require_bound, require_chain_companion,
-                       require_fixed_origin)
+                       evaluate_criterion, require_bound, require_chain_companion)
 from .grids import AnnulusGrid, DiskGrid, blocks
 from .jets import DomainError
 from .loewner import (
@@ -564,14 +563,12 @@ def _chain_and_extension(sc: Scenario):
     is checked against.  The params pass check's gate, in check's order:
     the bound, then a moebius_* or sector_* row's params and the companion
     its value reads (its chain is built from the companion, so any other
-    would extend a different map), and a phi_like* or bazilevic* row's
-    Q(0) = 0."""
+    would extend a different map), and then `build_chain`'s own gate, which
+    holds a phi_like* or bazilevic* row to Q(0) = 0."""
     f, companion, params = sc.pieces()
     bound = require_bound(sc.criterion, params)
     require_chain_companion(sc.criterion, companion, params)
-    construction = criterion_spec(sc.criterion).construction
-    require_fixed_origin(construction, companion)
-    chain = build_chain(construction, f, companion, params)
+    chain = build_chain(criterion_spec(sc.criterion).construction, f, companion, params)
     return chain, ExtensionMap(chain), bound
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .branches import ratio_branch, tracked_log, tracked_ratio_log
 from .grids import DiskGrid, blocks
-from .jets import (PreconditionError, accepts_point, finite_where, first_where, piecewise,
-                   principal_log)
+from .jets import (PreconditionError, accepts_point, extremum, finite_where, first_where,
+                   piecewise, principal_log)
 from .maps import AnalyticMap, CompanionMap, IdentityMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin, u_disk_ratio
@@ -262,38 +262,37 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
     `value_fn` is elementwise on a 1-D complex array: the scan hands it the
     grid a block of points at a time (`grids.blocks`), then the refinement
     patch as one more block.  `score` turns a block of values into real
-    scores (by default the values are the scores).  The worst point is the
-    first maximum in input order.  The criterion passes when the final sup is <= threshold (or
-    < threshold when `strict`); a non-finite score fails the scan at the
-    first offending point in input order.  With `ratio`, smallest_bound is
-    the sup of ratio(values): None when the grid pass fails, the grid pass's
-    alone when the refinement pass fails.  A `rows` list receives every
-    scan as an (n, 2) complex array of (z, value) rows.
+    scores (by default the values are the scores).  The sup is the exact max
+    over both passes, and the worst point is named by `jets.extremum`'s rule:
+    the first point, in grid order and then the patch's, whose score lies
+    within its tolerance of the sup.  The criterion passes when the sup is
+    <= threshold (or < threshold when `strict`); a non-finite score fails the
+    scan at the first offending point in input order.  With `ratio`,
+    smallest_bound is the sup of ratio(values): None when the grid pass
+    fails, the grid pass's alone when the refinement pass fails.  A `rows`
+    list receives every scan as an (n, 2) complex array of (z, value) rows.
     """
 
     def scan(points):
+        """A pass's scores, the first point whose score is not finite (None
+        if there is none) and the sup of ratio(values) (-inf without one)."""
         values = np.concatenate(ordered_map(value_fn, blocks(points)))
         if rows is not None:
             rows.append(np.column_stack([points, values]))
         sc = score(values)
         bad = first_where(~np.isfinite(sc), points)
-        if bad is not None:
-            return False, _INF, bad, -_INF
-        i = int(np.argmax(sc))
-        return True, sc[i], points[i], -_INF if ratio is None else np.max(ratio(values))
+        return sc, bad, -_INF if ratio is None or bad is not None else np.max(ratio(values))
 
     points = grid.points()
     with np.errstate(all="ignore"):
-        ok, sup, worst, bound = scan(points)
-        n = len(points)
-        if ok:
-            patch = _refined_neighborhood(grid, worst)
-            ok, sup2, worst2, bound2 = scan(patch)
-            n += len(patch)
+        sc, bad, bound = scan(points)
+        if bad is None:
+            patch = _refined_neighborhood(grid, extremum(sc, points)[1])
+            sc2, bad, bound2 = scan(patch)
+            sc, points = np.concatenate([sc, sc2]), np.concatenate([points, patch])
             bound = max(bound, bound2)
-            if sup2 > sup:  # a failing pass's sup is inf
-                sup, worst = sup2, worst2
-    sup = float(sup)
+    ok = bad is None
+    sup, worst = extremum(sc, points) if ok else (_INF, bad)
     return CriterionReport(
         criterion=criterion,
         sup_value=sup,
@@ -302,7 +301,7 @@ def sup_over_grid(value_fn: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
         passed=bool(ok and (sup < threshold if strict else sup <= threshold)),
         margin=threshold - sup if math.isfinite(sup) else -_INF,
         worst_point=complex(worst),
-        samples=n,
+        samples=len(points),
         smallest_bound=(float(bound) if ratio is not None and math.isfinite(bound)
                         else None),
     )
@@ -385,9 +384,10 @@ _FIXED_ORIGIN = {"phi_like": "phi_like needs Phi(0) = 0 (Q(0) = 0 for a companio
 
 def require_fixed_origin(construction: str, q) -> None:
     """Require q(0) = 0 of the companion Q (or a direct Phi) of a phi_like*
-    or bazilevic* row, whose construction names the message: Q(f(w))/w has
-    a pole at 0 unless Q(0) = 0, and Phi = Q/Q' of a companion vanishes at 0
-    exactly where Q does.  Other constructions need nothing."""
+    or bazilevic* row, or of a chain's G = Q o f, whose construction names
+    the message: Q(f(w))/w has a pole at 0 unless Q(0) = 0, and Phi = Q/Q'
+    of a companion vanishes at 0 exactly where Q does.  Other constructions
+    need nothing.  The one Q(0) = 0 gate of `check` and of every chain."""
     message = _FIXED_ORIGIN.get(construction)
     if message is not None and abs(q.jet(0j).value) > 1e-12:
         raise PreconditionError(message)

@@ -11,7 +11,8 @@ entry point that also takes a single point carries `accepts_point`, the one
 place that tells a point from an array: it evaluates the point as the
 one-element array [z] and returns element 0 of each result, as a Python
 number.  So a point's value is, bit for bit, that point's element of a
-block.  `first_where` finds the point a guard names, `piecewise` and
+block.  `first_where` finds the point a guard names, `extremum` the point
+a sup or a min names (the one tie rule), `piecewise` and
 `finite_where` (inf where a denominator vanishes) evaluate a formula only
 where it applies, and `principal_log` is the one complex log of an array.
 """
@@ -19,6 +20,7 @@ where it applies, and `principal_log` is the one complex log of an array.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +85,44 @@ def accepts_point(name: str):
     return decorate
 
 
+def _element(z, shape: tuple, i: int):
+    """Element i, in row-major order, of z broadcast to `shape`, as a Python
+    number."""
+    if np.shape(z) != shape:
+        z = np.broadcast_to(z, shape)
+    return z.flat[i].item()
+
+
 def first_where(bad: np.ndarray, z: np.ndarray):
     """The first point of z, in input order, at which the mask `bad` holds,
     as a Python number (None if there is none)."""
     if not np.count_nonzero(bad):
         return None
-    return np.broadcast_to(z, bad.shape).flat[int(np.argmax(bad))].item()
+    return _element(z, bad.shape, int(np.argmax(bad)))
+
+
+EXTREMUM_RTOL = 1e-12
+
+
+def extremum(scores: np.ndarray, z, least: bool = False):
+    """(value, point): the max of `scores` (the min with `least`), exactly,
+    and the first point of z, in input order, whose score lies within
+    EXTREMUM_RTOL * max(1, |value|) of that value, as a Python number.  z is
+    broadcast against the scores; a tuple of such arrays names a point by a
+    tuple of their elements there.  An infinite value names the first point
+    that attains it.
+
+    The one tie rule of the package: points whose scores tie up to rounding
+    (conjugate twins, the times of a chain whose p does not depend on t)
+    are named by their order, not by the last bit of their scores.  The
+    scores must be non-empty and comparable (no NaN)."""
+    best = float(scores.min() if least else scores.max())
+    slack = EXTREMUM_RTOL * max(1.0, abs(best)) if math.isfinite(best) else 0.0
+    # the extremum itself is near it, so argmax finds the first near score
+    i = int(np.argmax(scores <= best + slack if least else scores >= best - slack))
+    if isinstance(z, tuple):
+        return best, tuple(_element(part, scores.shape, i) for part in z)
+    return best, _element(z, scores.shape, i)
 
 
 def piecewise(cond: np.ndarray, if_true, if_false, x: np.ndarray) -> np.ndarray:

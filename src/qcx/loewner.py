@@ -44,9 +44,10 @@ import numpy as np
 
 # tracked_log is not called here; perfbench/tracing.py wraps this module's name
 from .branches import BranchTrackingError, ratio_branch, tracked_log  # noqa: F401
-from .criteria import CriterionParams, PreconditionError, require_comparison_map
+from .criteria import (CriterionParams, PreconditionError, require_comparison_map,
+                       require_fixed_origin)
 from .grids import DiskGrid, blocks
-from .jets import accepts_point, finite_where, principal_log
+from .jets import accepts_point, extremum, finite_where, principal_log
 from .maps import AnalyticMap, CompanionMap
 from .parallel import ordered_map
 from .udisk import u_disk_margin
@@ -74,6 +75,7 @@ class LoewnerChain:
         self.f = f
         self.q = q
         self.g = q.after(f)  # G = Q o f: every chain reads G's jet
+        require_fixed_origin(self.construction, self.g)
         self.params = params
         # the smallest analyticity radius of the maps evaluated at z
         self.analyticity_radius = f.analyticity_radius
@@ -182,11 +184,6 @@ class NWChain(LoewnerChain):
 class PhiLikeChain(LoewnerChain):
     construction = "phi_like"
 
-    def __init__(self, f, q, params):
-        super().__init__(f, q, params)
-        if abs(self._g0.value) > 1e-12:
-            raise PreconditionError("phi_like chain needs Q(0) = 0")
-
     def _evaluate(self, z, t, partials):
         et = np.exp(t)
         jg = self.g.jet(z)
@@ -207,8 +204,6 @@ class BazilevicChain(LoewnerChain):
 
     def __init__(self, f, q, params):
         super().__init__(f, q, params)
-        if abs(self._g0.value) > 1e-12:
-            raise PreconditionError("bazilevic chain needs Q(0) = 0")
         self.p = require_comparison_map(params)  # the p the bazilevic rows read
         self.analyticity_radius = min(f.analyticity_radius, self.p.analyticity_radius)
         self._gz = ratio_branch(self.g)  # anchored at log G'(0)
@@ -332,8 +327,9 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
 
     Each block of points is evaluated at every time in one call, the times
     a column against the block.  The reductions keep the order of a loop
-    with the times outer and the points in grid order: ties go to the first
-    minimum, and failures are listed time by time, each in grid order."""
+    with the times outer and the points in grid order: each minimum's (z, t)
+    is the first in that order within `jets.extremum`'s tolerance of it, and
+    failures are listed time by time, each in grid order."""
     grid = grid or DiskGrid()
     times = tuple(times) if times is not None else default_times()
     grid_points = grid.points()
@@ -356,18 +352,21 @@ def validate_chain(chain: LoewnerChain, grid: DiskGrid | None = None,
     p_ok, g_ok = np.isfinite(p), np.isfinite(g)
     growth_max = float(g.max(initial=0.0, where=p_ok & g_ok))
 
-    def least(x):
-        """The least x where p is finite and its (z, t), the first minimum in
-        times-outer order; (inf, (0j, 0.0)) when p is finite nowhere."""
-        x = np.where(p_ok, x, _INF)
-        low = float(x.min(initial=_INF))
-        if low == _INF:
-            return low, (0j, 0.0)
-        r, j = divmod(int(np.argmin(x)), x.shape[1])
-        return low, (grid_points.item(j), times[live[r]])
+    # each minimum over the samples where p is finite, and its (z, t) by
+    # `jets.extremum`'s rule in times-outer order: the point and the index
+    # of the time of a sample
+    at = (grid_points, np.array(live, int)[:, None])
 
-    re_min, re_arg = least(p.real)
-    um_min, um_arg = (least(u_disk_margin(np.where(p_ok, p, 0), dilatation_bound))
+    def minimum(x):
+        """The least x where p is finite, and its (z, t); (inf, (0j, 0.0))
+        when p is finite nowhere."""
+        if not p_ok.any():
+            return _INF, (0j, 0.0)
+        low, (z, i) = extremum(np.where(p_ok, x, _INF), at, least=True)
+        return low, (z, times[i])
+
+    re_min, re_arg = minimum(p.real)
+    um_min, um_arg = (minimum(u_disk_margin(np.where(p_ok, p, 0), dilatation_bound))
                       if dilatation_bound is not None else (None, None))
 
     # failures time by time: a1(t) = 0, or the non-finite samples in grid order

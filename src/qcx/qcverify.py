@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import AnnulusGrid, DiskGrid, blocks
-from .jets import DomainError, accepts_point, first_where
+from .jets import DomainError, accepts_point, extremum, first_where
 from .parallel import ordered_map
 
 _DEGENERATE_DZ = 1e-10
@@ -98,6 +98,10 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
                      seam: Callable[[np.ndarray], np.ndarray] | None = None) -> BeltramiEstimate:
     """Estimate the Beltrami coefficient of f on every grid sample.
 
+    sup_abs_mu is the max of |mu| over the samples that count (neither
+    flagged nor skipped), and worst_point the first of them, in grid order,
+    whose |mu| lies within `jets.extremum`'s tolerance of it.
+
     Parameters
     ----------
     f : callable
@@ -142,25 +146,25 @@ def beltrami_on_grid(f: Callable[[np.ndarray], np.ndarray],
     empty = (np.empty(0, complex), np.empty(0, bool), np.empty(0, bool))
     parts = ordered_map(one, blocks(points, 4)) or [empty]
     mu, skipped, flagged = (np.concatenate(column) for column in zip(*parts))
-    # the sup and its first maximizer over the samples that count; with no
-    # positive |mu| the worst point is the first sample
+    # a sample that does not count scores -1, never within tolerance of a
+    # sup >= 0; when no sample counts the sup is 0 at the first sample
     size = np.where(skipped | flagged, -1.0, np.abs(mu))
-    sup = float(size.max(initial=0.0))
-    worst = int(np.argmax(size)) if sup > 0 else 0
+    sup, worst = extremum(size, points) if len(points) else (0.0, 0j)
     return BeltramiEstimate(
         points=points,
         mu=mu,
-        sup_abs_mu=sup,
-        worst_point=complex(points[worst]) if len(points) else 0j,
+        sup_abs_mu=max(sup, 0.0),
+        worst_point=complex(worst),
         h=float(h),
         flagged=tuple(np.flatnonzero(flagged).tolist()),
         skipped=tuple(np.flatnonzero(skipped).tolist()),
     )
 
 
-def stable_beltrami(f: Callable[[complex], complex],
-                    grid, h: float = 1e-5,
-                    seam: Callable[[complex], float] | None = None):
+def stable_beltrami(f: Callable[[np.ndarray], np.ndarray],
+                    grid: AnnulusGrid | DiskGrid | Sequence[complex],
+                    h: float = 1e-5,
+                    seam: Callable[[np.ndarray], np.ndarray] | None = None):
     """Beltrami estimate plus the mandatory step-halving stability gate.
 
     Returns (estimate_at_h, estimate_at_h/2, stable, delta) where stable

@@ -28,7 +28,7 @@ import numpy as np
 
 from .grids import DiskGrid, blocks
 from .jets import (DomainError, Jet2, PreconditionError, accepts_point, complex_array,
-                   first_where, piecewise)
+                   extremum, first_where, piecewise)
 from .maps import AnalyticMap, CompanionMap
 
 _TWO_PI = 2 * math.pi
@@ -233,16 +233,15 @@ class SectorExtension:
 def sup_abs_on_boundary(f: AnalyticMap) -> float:
     """Estimate sup |f| over the disk by scanning 1024 angles of a
     near-boundary circle, with one angular refinement pass around the
-    maximizer."""
+    maximizer `jets.extremum` names on the circle."""
     radius = min(1 - 1e-3, 0.999 * f.analyticity_radius)
     theta = _TWO_PI * np.arange(1024) / 1024
     ring = np.abs(f.jet(radius * np.exp(1j * theta)).value)
-    best_j = int(np.argmax(ring))  # the first maximizer
+    best, center = extremum(ring, theta)
     step = _TWO_PI / 1024
-    center = best_j * step
     theta = center - step + 2 * step * np.arange(64) / 63
     window = np.abs(f.jet(radius * np.exp(1j * theta)).value)
-    return float(max(ring[best_j], window.max()))
+    return max(best, float(window.max()))
 
 
 def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,

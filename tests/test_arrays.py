@@ -396,12 +396,24 @@ def test_validation_evaluates_partials_once_per_block_of_points(monkeypatch):
     assert calls == {"partials": n_blocks, "ratio": n_blocks, "branch": n_blocks}
 
 
+def _first_least(x, zt):
+    """The least entry of a (time x point) array and the (z, t) of its first
+    entry, times outer, within 1e-12 * max(1, |least|) of it: the one tie
+    rule, written out here; (inf, (0j, 0.0)) when p is finite nowhere."""
+    low = float(x.min(initial=math.inf))
+    if low == math.inf:
+        return low, (0j, 0.0)
+    near = np.flatnonzero(x.ravel() <= low + 1e-12 * max(1.0, abs(low)))
+    return low, zt[near[0]]
+
+
 def _per_time_validation(chain, grid, times, bound):
     """validate_chain's minima, growth and non-finite failures the way it
     found them before it took a column of times: the times outer, each one
-    call on the whole grid, ties to the first minimum."""
+    call on the whole grid.  The minima are read off the (time x point)
+    arrays of Re p and the U(k) margin, inf where p is not finite."""
     pts = grid.points()
-    re_min, re_arg, um_min, um_arg, growth = math.inf, (0j, 0.0), math.inf, (0j, 0.0), 0.0
+    re_rows, um_rows, zt, growth = [], [], [], 0.0
     failures = []
     for t in times:
         a1 = chain.a1(t)
@@ -415,17 +427,12 @@ def _per_time_validation(chain, grid, times, bound):
         for i in np.flatnonzero(~(p_ok & g_ok)):
             what = "|F/a1|" if p_ok[i] else "transition ratio"
             failures.append(f"{what} not finite at z={pts[i]!r}, t={t}")
-        if not p_ok.any():
-            continue
-        z, p, g = pts[p_ok], p[p_ok], g[p_ok]
-        i = int(np.argmin(p.real))
-        if p.real[i] < re_min:
-            re_min, re_arg = float(p.real[i]), (z[i], t)
-        margin = u_disk_margin(p, bound)
-        i = int(np.argmin(margin))
-        if margin[i] < um_min:
-            um_min, um_arg = float(margin[i]), (z[i], t)
-        growth = max(growth, float(g.max(initial=0.0, where=np.isfinite(g))))
+        re_rows.append(np.where(p_ok, p.real, math.inf))
+        um_rows.append(np.where(p_ok, u_disk_margin(np.where(p_ok, p, 0), bound), math.inf))
+        zt += [(z, t) for z in pts.tolist()]
+        growth = max(growth, float(g.max(initial=0.0, where=p_ok & g_ok)))
+    re_min, re_arg = _first_least(np.array(re_rows), zt)
+    um_min, um_arg = _first_least(np.array(um_rows), zt)
     return re_min, re_arg, um_min, um_arg, growth, tuple(failures)
 
 

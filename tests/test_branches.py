@@ -885,7 +885,7 @@ def test_validation_keeps_time_major_ties_and_failure_order(monkeypatch):
                                 (z2, 0.0): inf, (z0, 1.5): inf})
         val = validate_chain(chain, grid, times)
         assert chain.points == 3  # once per point, not once per (point, time)
-        assert val.re_p_argmin == (z1, 0.0)  # the first minimum in time-major order
+        assert val.re_p_argmin == (z1, 0.0)  # the first of the tied minima, times outer
         assert val.failures == (f"transition ratio not finite at z={complex(z2)!r}, t=0.0",
                                 "a1(-1.0) = 0",
                                 f"transition ratio not finite at z={complex(z0)!r}, t=1.5",

@@ -629,11 +629,38 @@ GOLDEN_REPORTS = {
     # conjugate up to the rounding of their angles, and f has real
     # coefficients in a sector symmetric about the real axis: in exact
     # arithmetic their scores tie, in floating point they differ by 1e-16,
-    # and the block scan's rounding favours the point above the axis
+    # and the tie rule (`jets.extremum`) names the first of the two in grid
+    # order, the point above the axis, whichever scores higher
     "sector_nw": (True, -0.08284064816463754, 0.0, False, 0.08284064816463754, -0.4949999999999998, 0.8573651497465943, 153, 0.6921888235674949, 0.9444444444444445),
     "phi_like_udisk": (True, -0.506644518272425, 0.0, False, 0.506644518272425, -0.99, 1.2124003311558797e-16, 153, 0.19681908548707766, 0.5),
     "bazilevic_udisk": (True, -0.7030000000000001, 0.0, False, 0.7030000000000001, -0.99, 1.2124003311558797e-16, 153, 0.10987791342952273, 0.5),
 }
+
+
+def test_a_real_coefficient_scan_names_the_same_twin_after_a_one_ulp_change():
+    # |f| of f = z - 0.3 z^3 peaks on the outer ring at +-i r, a pair of grid
+    # points conjugate up to the rounding of their angles: one ulp either
+    # way moves the sup, not the point named, the upper twin, first in grid
+    # order
+    grid = DiskGrid(8, 16, 1e-2)
+
+    def scan(nudged, toward):
+        rows = []
+
+        def value(z):
+            v = np.abs(z - 0.3 * z ** 3)
+            return np.where(nudged(z), np.nextafter(v, toward), v)
+
+        report = sup_over_grid(value, grid, 2.0, rows=rows)
+        assert report.sup_value == max(r[:, 1].real.max() for r in rows)
+        return report.worst_point
+
+    upper = scan(lambda z: z.imag < 0, 0.0)  # the lower twin a ulp lower
+    assert upper.imag > 0 and abs(abs(upper) - grid.max_radius) < 1e-15
+    assert abs(upper.real) < 1e-15
+    assert scan(lambda z: z.imag < 0, math.inf) == upper  # the lower twin a ulp higher
+    assert scan(lambda z: z.imag > 0, 0.0) == upper  # the upper twin a ulp lower
+    assert scan(lambda z: z.imag > 0, math.inf) == upper
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA)

@@ -21,7 +21,7 @@ from qcx import (
     ScaledMap,
     SpiralMap,
 )
-from qcx.jets import principal_log
+from qcx.jets import EXTREMUM_RTOL, extremum, principal_log
 
 CATALOG_MAPS = [
     ("identity", IdentityMap()),
@@ -155,6 +155,47 @@ def test_principal_log_takes_np_logs_branch_cut():
     with np.errstate(divide="ignore"):
         at_zero = principal_log(np.array([0j]))
     assert at_zero[0].real == -math.inf
+
+
+# -- the one tie rule ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0.7, -3.25, 1e9, 1e-300])
+def test_extremum_names_the_first_of_two_scores_one_ulp_apart(value):
+    up = np.nextafter(value, math.inf)
+    z = np.array([0.5j, -0.5j, 2.0])
+    for scores in ([value, up, -5.0], [up, value, -5.0]):
+        # the value is the exact extremum, the point the first within the
+        # tolerance, whichever of the two rounds higher
+        assert extremum(np.array(scores), z) == (up, 0.5j)
+        assert extremum(np.array(scores) - 10, z, least=True) == (-5.0 - 10, 2.0)
+        assert extremum(-np.array(scores), z, least=True) == (-up, 0.5j)
+
+
+def test_extremum_tolerance_is_relative_past_one_and_absolute_below():
+    z = np.array([1, 2, 3])
+    rtol = EXTREMUM_RTOL
+    assert rtol == 1e-12
+    # within rtol * max(1, |extremum|) of it: the first point is named
+    assert extremum(np.array([1e6 - 0.5e6 * rtol, 1e6, 0.0]), z) == (1e6, 1)
+    assert extremum(np.array([0.5e-12 - 0.9 * rtol, 0.5e-12, 0.0]), z) == (0.5e-12, 1)
+    # further than that: the extremum's own point
+    assert extremum(np.array([1e6 - 2e6 * rtol, 1e6, 0.0]), z) == (1e6, 2)
+    assert extremum(np.array([1e-3, 1e-3 + 2 * rtol, 0.0]), z) == (1e-3 + 2 * rtol, 2)
+    low = -1.0 - 0.5 * rtol
+    assert extremum(np.array([0.0, -1.0, low]), z, least=True) == (low, 2)
+    # the extremum of a 2-D array, its point by the row-major order of z
+    # broadcast against it
+    scores = np.array([[0.0, 2.0, 1.0], [2.0, 2.0, 0.0]])
+    assert extremum(scores, z) == (2.0, 2)
+    assert extremum(scores, np.arange(6).reshape(2, 3) * 1.5, least=True) == (0.0, 0.0)
+    # a tuple of arrays broadcast against the scores names a tuple
+    assert extremum(scores, (z, np.array([[0.5], [1.5]]))) == (2.0, (2, 0.5))
+    assert extremum(scores[::-1], (z, np.array([[0.5], [1.5]]))) == (2.0, (1, 0.5))
+    # an infinite extremum: the first point that attains it
+    assert extremum(np.array([1.0, math.inf, math.inf]), z) == (math.inf, 2)
+    assert extremum(np.array([math.inf, -math.inf, -math.inf]), z, least=True) == (-math.inf, 2)
+    assert extremum(np.full(3, math.inf), z, least=True) == (math.inf, 1)
 
 
 @pytest.mark.parametrize("name,f", CATALOG_MAPS)

@@ -109,11 +109,11 @@ def test_bazilevic_initial_slice():
 def test_construction_preconditions():
     with pytest.raises(PreconditionError):
         build_chain("unknown", IdentityMap(), CompanionMap.identity())
-    # phi_like needs Q(0) = 0
+    # phi_like and bazilevic need Q(0) = 0, named by check's own line
     q_shifted = CompanionMap(IdentityMap() + 1.0, 0.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^phi_like needs Phi\(0\) = 0 \(Q\(0\) = 0"):
         build_chain("phi_like", IdentityMap(), q_shifted)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^bazilevic needs Q\(0\) = 0$"):
         build_chain("bazilevic", IdentityMap(), q_shifted,
                     CriterionParams(s=1 + 0j))
     # gen_becker/nw tolerate a constant term
@@ -338,6 +338,20 @@ def test_validate_phi_like_chain():
     val = validate_chain(ch, GRID, default_times(), dilatation_bound=None)
     assert val.ok
     assert val.re_p_min > 0
+
+
+def test_phi_like_validation_names_the_first_time_of_a_tie():
+    # p = G/(zG') of a phi-like chain is the same at every t, so the minima
+    # of Re p and of the U(k) margin tie across the times up to rounding:
+    # the tie rule names t = 0, while the first exact minimum of the rounded
+    # values lies at t = 0.3 for Re p and at t = 1.6 for the margin
+    ch = build_chain("phi_like", PolynomialMap([1, 0.25]), CompanionMap.identity())
+    val = validate_chain(ch, GRID, default_times(), dilatation_bound=0.5)
+    assert val.re_p_argmin == (0.999 + 0j, 0.0)
+    assert val.u_margin_argmin[1] == 0.0
+    at0 = validate_chain(ch, GRID, (0.0, 1.0), dilatation_bound=0.5)
+    assert at0.re_p_argmin == val.re_p_argmin
+    assert at0.u_margin_argmin == val.u_margin_argmin
 
 
 def test_validate_bazilevic_chain():

@@ -317,6 +317,59 @@ def test_the_guard_sees_a_complex_logarithm(tmp_path):
     assert sorted(lines) == [6, 7, 7, 8, 10]
 
 
+# -- the guard: one extremum rule ---------------------------------------------------
+
+# the one arg-reduction outside jets.py, which names no worst point: the grid
+# ring nearest the worst point's radius
+_NEAREST_RING = {("criteria.py", "_refined_neighborhood")}
+_ARG_REDUCTIONS = {"argmax", "argmin", "nanargmax", "nanargmin"}
+
+
+def _arg_reductions(path: Path) -> list[str]:
+    """Lines of a source file that name an arg-reduction (np.argmax, an
+    array's .argmin(), a bare argmax, called or passed on), but for
+    _NEAREST_RING's lookup.  jets.py may: `jets.extremum` names every worst
+    point and argmin by the one tie rule, and `jets.first_where` the first
+    point of a mask."""
+    if path.name == "jets.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) in _NEAREST_RING:
+            allowed.update(range(node.lineno, node.end_lineno + 1))
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    return [f"{path.name}:{node.lineno}: {name(node)}" for node in ast.walk(tree)
+            if name(node) in _ARG_REDUCTIONS and node.lineno not in allowed]
+
+
+def test_only_the_extremum_helper_names_a_worst_point():
+    sites = [s for path in sorted(SRC.glob("*.py")) for s in _arg_reductions(path)]
+    assert sites == []
+
+
+def test_the_guard_sees_an_arg_reduction(tmp_path):
+    source = tmp_path / "criteria.py"
+    source.write_text(
+        "import numpy as np\n"
+        "from numpy import argmin as argmin\n"
+        "def _refined_neighborhood(radii, r):\n"
+        "    return int(np.argmin(np.abs(radii - r)))\n"
+        "def scan(sc, x):\n"
+        "    i = int(np.argmax(sc))\n"
+        "    j = sc.argmin() + argmin(x)\n"
+        "    pick = np.nanargmax\n"
+        "    return i, j, pick, np.max(sc)\n")
+    lines = [int(s.split(":")[1]) for s in _arg_reductions(source)]
+    assert sorted(lines) == [6, 7, 7, 8]
+    jets = tmp_path / "jets.py"
+    jets.write_text(source.read_text())
+    assert _arg_reductions(jets) == []
+
+
 # -- the guard: one place builds G = Q o f ------------------------------------------
 
 

@@ -240,14 +240,14 @@ def test_sup_abs_estimate():
 
 
 def _sup_abs_per_point(f, n_angles=1024):
-    """sup_abs_on_boundary point by point: the ring's first maximizer, then
-    the 64-point window around it.  Returns (estimate, window points)."""
+    """sup_abs_on_boundary point by point: the ring's first angle within
+    1e-12 * max(1, sup) of its sup (the one tie rule), then the 64-point
+    window around it.  Returns (estimate, window points)."""
     radius = min(1 - 1e-3, 0.999 * f.analyticity_radius)
-    best, best_j = -1.0, 0
-    for j in range(n_angles):
-        v = abs(f.jet(radius * cmath.exp(2j * math.pi * j / n_angles)).value)
-        if v > best:
-            best, best_j = v, j
+    ring = [abs(f.jet(radius * cmath.exp(2j * math.pi * j / n_angles)).value)
+            for j in range(n_angles)]
+    best = max(ring)
+    best_j = next(j for j, v in enumerate(ring) if v >= best - 1e-12 * max(1.0, best))
     step = 2 * math.pi / n_angles
     window = [radius * cmath.exp(1j * (best_j * step - step + 2 * step * j / 63))
               for j in range(64)]
