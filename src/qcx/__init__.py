@@ -5,7 +5,7 @@ Becker/Ahlfors bound, derivative conditions against the disk family U(k),
 phi-like and Bazilevic-type positivity) through companion maps, builds the
 explicit expanding chains each condition induces, materializes the
 plane extension, and verifies quasiconformality by finite-difference
-Beltrami estimation.
+Beltrami estimation; qcx.output writes its CSV tables and SVG heat maps.
 """
 
 from .jets import DomainError, Jet2, PreconditionError, compose
@@ -64,6 +64,6 @@ from .sector import (
     p_extension_inverse,
     sup_abs_on_boundary,
 )
-from .svg import write_heatmap_svg
+from .output import write_heatmap_svg
 
 __version__ = "0.1.0"

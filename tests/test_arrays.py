@@ -46,12 +46,12 @@ from qcx import (
     validate_chain,
     wirtinger,
 )
-from qcx import cli
-from qcx.cli import main, write_csv
+from qcx import output
+from qcx.cli import main
 from qcx.criteria import sup_over_grid
 from qcx.grids import BLOCK, blocks
 from qcx.loewner import CONSTRUCTIONS
-from qcx.svg import write_heatmap_svg
+from qcx.output import write_csv, write_heatmap_svg
 
 ROOT = Path(__file__).resolve().parents[1]
 H = 1e-5
@@ -510,8 +510,8 @@ def test_no_array_call_sees_more_than_block_samples(tmp_path, monkeypatch):
     beltrami_on_grid(lambda z: sizes["stencil"].append(z.size) or z + 0.1 * z.conjugate(),
                      AnnulusGrid(128, 256, 1.001, 3.0))
 
-    format_block = cli._format_block
-    monkeypatch.setattr(cli, "_format_block",
+    format_block = output._format_block
+    monkeypatch.setattr(output, "_format_block",
                         lambda x, seps: sizes["csv"].append(x.size) or format_block(x, seps))
     write_csv(str(tmp_path / "t.csv"), ["a", "b", "c", "d", "e"],
               np.zeros((grid.points().size, 5)))

@@ -165,6 +165,41 @@ def test_malformed_scenario_value_is_an_input_error(tmp_path, capsys, command, f
     assert err.startswith(f"error: {field}: expected ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("criterion", ["nw"]),
+    ("criterion", {"a": 1}),
+    ("output.prefix", None),
+    ("output.prefix", ["a", 1]),
+    ("output.prefix", "../escaped"),
+    ("output.prefix", ""),
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_a_malformed_criterion_or_prefix_is_an_input_error(tmp_path, capsys, field, value):
+    # a list or object criterion raised TypeError (unhashable) with a
+    # traceback; a prefix was read by str(), so null wrote None_check.csv
+    # and "../escaped" wrote escaped_check.csv outside --out
+    sc = write_scenario(tmp_path, _with(BASE, field, value))
+    for command in ("check", "extend", "beltrami"):
+        code, out, err = run([command, "--scenario", sc, "--out", str(tmp_path / "out")],
+                             capsys)
+        assert (code, out) == (2, ""), command
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {field}: expected "), err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+def test_a_scenario_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # the UnicodeDecodeError escaped main: a traceback and exit 1, the code
+    # of a numerical fail
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(BASE).encode("utf-16-le"))
+    code, out, err = run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
 @pytest.mark.parametrize("patch, message", [
     ({"function": 5}, "function must be a JSON object"),
     ({"params": {"p": 3}}, "params.p must be a JSON object"),

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcx import cli
-from qcx.cli import write_csv
-from qcx.svg import _ANCHORS, _colors, write_heatmap_svg
+from qcx import output
+from qcx.output import _ANCHORS, _colors, write_csv, write_heatmap_svg
 
 
 def _table(rows) -> np.ndarray:
@@ -104,8 +103,8 @@ def test_csv_zeros_in_blocks_match_percent_17g(tmp_path, monkeypatch, width):
     # 0 and -0 are formatted on the arrays: at either end of a block, as a
     # whole block, and among the values "%.17g" itself still formats
     sizes = []  # the float counts of the blocks write_csv formats
-    format_block = cli._format_block
-    monkeypatch.setattr(cli, "_format_block",
+    format_block = output._format_block
+    monkeypatch.setattr(output, "_format_block",
                         lambda x, seps: sizes.append(x.size) or format_block(x, seps))
     write_csv(str(tmp_path / "probe.csv"), ["c"] * width, np.ones((10_000, width)))
     n = sizes[0]  # floats in a full block
@@ -244,6 +243,6 @@ def test_svg_matches_the_per_cell_writer(tmp_path, shape):
     grids.append(holes)
     for k, values in enumerate(grids):
         new, old = tmp_path / f"new{k}.svg", tmp_path / f"old{k}.svg"
-        write_heatmap_svg(str(new), radii, angles, values, title=f"case {k}", label="|mu|")
+        write_heatmap_svg(str(new), radii, angles, values, title=f"case {k}")
         _per_cell_svg(str(old), radii, angles, values, title=f"case {k}", label="|mu|")
         assert new.read_bytes() == old.read_bytes()

@@ -412,6 +412,56 @@ def test_the_guard_sees_a_composite(tmp_path):
     assert _composites(maps) == []
 
 
+# -- the guard: one module writes files ----------------------------------------------
+
+
+def _file_writes(path: Path) -> list[str]:
+    """Lines of a source file that open a file to write it: open or io.open
+    with a mode holding w, a, x or + (or a mode that is not a literal), or a
+    path's write_text / write_bytes.  Only output.py may: every byte a --out
+    file holds is its."""
+    if path.name == "output.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def writes(node):
+        fn = node.func
+        if isinstance(fn, ast.Attribute) and fn.attr in ("write_text", "write_bytes"):
+            return True
+        if not (isinstance(fn, ast.Name) and fn.id == "open"
+                or isinstance(fn, ast.Attribute) and fn.attr == "open"
+                and isinstance(fn.value, ast.Name) and fn.value.id == "io"):
+            return False
+        modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+        return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes)
+
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+            for node in ast.walk(tree) if isinstance(node, ast.Call) and writes(node)]
+
+
+def test_only_output_writes_a_file():
+    sites = [s for path in sorted(SRC.glob("*.py")) for s in _file_writes(path)]
+    assert sites == []
+
+
+def test_the_guard_sees_a_file_write(tmp_path):
+    source = tmp_path / "cli.py"
+    source.write_text(
+        "import io\n"
+        "def f(path, mode):\n"
+        "    with open(path) as fh, open(path, 'r', encoding='utf-8') as gh:\n"
+        "        fh.write(gh.read())\n"
+        "    open(path, 'wb').close()\n"
+        "    open(path, mode=mode), io.open(path, 'a'), open(path, 'r+')\n"
+        "    path.write_text('x')\n")
+    lines = [int(s.split(":")[1]) for s in _file_writes(source)]
+    assert sorted(lines) == [5, 6, 6, 6, 7]
+    output = tmp_path / "output.py"
+    output.write_text(source.read_text())
+    assert _file_writes(output) == []
+
+
 # -- the guard: a message names a point as a Python number ---------------------------
 
 
