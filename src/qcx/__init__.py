@@ -23,18 +23,16 @@ from .maps import (
     SpiralMap,
 )
 from .grids import AnnulusGrid, DiskGrid
-from .udisk import u_disk_center_radius, u_disk_margin, u_disk_ratio
+from .udisk import u_disk_margin, u_disk_ratio
 from .criteria import (
     ALL_CRITERIA,
     CriterionParams,
     CriterionReport,
     check_starlike,
     evaluate_criterion,
-    gen_bazilevic_value,
     gen_becker_value,
     nw_value,
     phi_like_value,
-    sector_nw_value,
     sup_over_grid,
 )
 from .loewner import (

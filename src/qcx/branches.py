@@ -58,7 +58,7 @@ the order of the blocks that grew them.  No jet call sees more than
 `tracked_log` continues along [0, z] one point at a time, by sampled turns
 alone, subdividing while a step turns by more than _MAX_STEP_IMAG.  It
 shares nothing with the lattice: it is the per-point oracle of the
-criteria's value functions and of `BranchLattice.log`.
+tests.
 """
 
 from __future__ import annotations
@@ -184,11 +184,10 @@ class FactoredRatio:
     log m'(0) + sum e_j Log(1 - w/r_j).  At every |w| < |r_j|, 1 - w/r_j
     lies in the right half-plane, where the principal Log is continuous, so
     on a disk that holds no root this is the branch continued from the
-    origin that a `BranchLattice` of the same ratio tracks: the same `fn`,
+    origin that a `BranchLattice` of the same ratio tracks: the same
     `anchor` and `log`, without the walk."""
 
     def __init__(self, m, roots, exponents):
-        self.fn = lambda w: m.jet(w).value / w
         self.anchor = _ratio_anchor(m)
         self._map = m
         self._factors = tuple(zip(roots, exponents))
@@ -196,7 +195,7 @@ class FactoredRatio:
     @accepts_point("z")
     def log(self, z: np.ndarray) -> np.ndarray:
         """The log, elementwise at a 1-D array.  A point at or past m's
-        analyticity radius raises m's DomainError, as fn does."""
+        analyticity radius raises m's DomainError, as m.jet does."""
         if (np.abs(z) >= self._map.analyticity_radius).any():
             self._map.jet(z)
         out = np.full(z.shape, self.anchor)
@@ -232,9 +231,8 @@ class BranchLattice:
     """log(m(w)/w) of a jet-capable map m, continued from the origin, where
     it is `anchor`, once for every query to share.
 
-    `log(z)` answers a point or a 1-D array of points; `fn` evaluates the
-    ratio m(w)/w, for the per-point oracles.  Each ray grows on its own,
-    only as far out as a query needs.
+    `log(z)` answers a point or a 1-D array of points.  Each ray grows on
+    its own, only as far out as a query needs.
     """
 
     RAYS = 256
@@ -244,7 +242,6 @@ class BranchLattice:
                       for angle in _TWO_PI * np.arange(RAYS) / RAYS])
 
     def __init__(self, m, anchor: complex):
-        self.fn = lambda w: m.jet(w).value / w
         self.anchor = anchor
         self._map = m
         # ring -> ray -> log g at the node; NaN on the rings a ray has not
@@ -349,8 +346,7 @@ class BranchLattice:
     @accepts_point("z")
     def log(self, z: np.ndarray) -> np.ndarray:
         """log(m(z)/z) continued from the origin, elementwise on a 1-D
-        array: each query takes one step from its node.  Its per-point
-        oracle is `tracked_log(self.fn, z, self.anchor)`."""
+        array: each query takes one step from its node."""
         zs = z.astype(complex, copy=False)
         with np.errstate(all="ignore"):
             ring, ray = self._node(zs)

@@ -316,9 +316,9 @@ def load_scenario(path: str, args) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     sc = Scenario(doc)
-    if args.grid_radial:
+    if args.grid_radial is not None:
         sc.grid["radial"] = args.grid_radial
-    if args.grid_angular:
+    if args.grid_angular is not None:
         sc.grid["angular"] = args.grid_angular
     sc.check_ranges()
     return sc
@@ -494,8 +494,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcx", description=__doc__)
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--scenario", required=True)
-    parser.add_argument("--grid-radial", type=int, default=0)
-    parser.add_argument("--grid-angular", type=int, default=0)
+    parser.add_argument("--grid-radial", type=int)
+    parser.add_argument("--grid-angular", type=int)
     parser.add_argument("--out", default="")
     parser.add_argument("--svg", action="store_true")
     return parser

@@ -24,7 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import ratio_branch, tracked_log, tracked_ratio_log
+# tracked_log and tracked_ratio_log are not called here; perfbench/tracing.py
+# wraps this module's names
+from .branches import ratio_branch, tracked_log, tracked_ratio_log  # noqa: F401
 from .grids import DiskGrid, blocks
 from .jets import (PreconditionError, accepts_point, extremum, finite_where, first_where,
                    piecewise, principal_log)
@@ -189,46 +191,6 @@ def nw_value(f: AnalyticMap, q: CompanionMap, z: np.ndarray) -> np.ndarray:
     """G'(z) = Q'(f(z)) f'(z) for G = Q o f: the derivative condition tested
     against U(k')."""
     return q.after(f).jet(z).d1
-
-
-@accepts_point("z")
-def _bazilevic_from_logs(f: AnalyticMap, psi, s: complex, z: np.ndarray,
-                         lg, lp) -> np.ndarray:
-    """The Bazilevic value at z given the logs of its two ratios there, with
-    Psi = 1 when `psi` is None."""
-    jf = f.jet(z)
-    power = np.exp((s - 1) * lg - s.real * lp)
-    if psi is None:
-        return jf.d1 * power
-    return jf.d1 * power * psi.jet(jf.value).value
-
-
-def gen_bazilevic_value(f: AnalyticMap, psi, s: complex, p: AnalyticMap,
-                        z: complex) -> complex:
-    """f'(z) (f/z)^{s-1} / (p/z)^{alpha} * Psi(f(z)), branch-tracked from 0.
-
-    `psi` is either an AnalyticMap used directly as Psi, or a CompanionMap Q,
-    in which case the value is that of G = Q o f with Psi = 1,
-    G'(z) (G/z)^{s-1} / (p/z)^{alpha}.  Each call tracks both logs from the
-    origin with `tracked_ratio_log`, at one point: the per-point oracle of
-    the criterion scan, which takes both logs from `ratio_branch`.
-    """
-    if isinstance(psi, CompanionMap):
-        f, psi = psi.after(f), None
-    return _bazilevic_from_logs(f, psi, s, z, tracked_ratio_log(f, z),
-                                tracked_ratio_log(p, z))
-
-
-def sector_nw_value(f: AnalyticMap, w0: complex, a: float, z: complex) -> complex:
-    """f'(z) * (1 - f(z)/w0)^{1/a - 1}, branch tracked along [0, z]: the
-    per-point oracle of the criterion scan, which takes the closed form
-    `_sector_log`."""
-    jf = f.jet(z)
-    expo = 1 / a - 1
-    if z == 0:
-        return jf.d1
-    lg = tracked_log(lambda w: 1 - f.jet(w).value / w0, z, 0j)
-    return jf.d1 * cmath.exp(expo * lg)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +477,11 @@ def _bazilevic(f, psi, params):
     @_quiet
     @accepts_point("z")
     def value(z):
-        return _bazilevic_from_logs(f, psi, s, z, g.log(z), pz.log(z))
+        power = np.exp((s - 1) * g.log(z) - s.real * pz.log(z))
+        jf = f.jet(z)
+        if psi is None:
+            return jf.d1 * power
+        return jf.d1 * power * psi.jet(jf.value).value
 
     return value
 

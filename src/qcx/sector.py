@@ -209,14 +209,6 @@ class SectorExtension:
         zeta = p_extension_inverse(sec.a, v / self._scale)
         return sec.w0 + zeta / sec._rot
 
-    @accepts_point("w")
-    def seam_indicator(self, w: np.ndarray) -> np.ndarray:
-        """Positive inside the sector, negative outside, zero on the rays."""
-        ang = self.sector.local_angle(w)
-        opening = math.pi * self.sector.a
-        return np.where(ang < opening, np.minimum(ang, opening - ang),
-                        -np.minimum(ang - opening, _TWO_PI - ang))
-
     @accepts_point("v")
     def image_seam(self, v: np.ndarray) -> np.ndarray:
         """Sign changes where the inverse switches branch (the real axis of
@@ -257,6 +249,8 @@ def fit_sector(f: AnalyticMap, w0: complex, z0: complex = 0j,
     w0 = complex(w0)
     z0 = complex(z0)
     big_r = sup_abs_on_boundary(f) if radius is None else float(radius)
+    if not big_r > 0:
+        raise PreconditionError(f"enclosing radius R must be positive, got {big_r!r}")
     dist = abs(w0 - z0)
     if dist <= big_r:
         raise PreconditionError(

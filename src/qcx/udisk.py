@@ -39,9 +39,3 @@ def u_disk_ratio(w: np.ndarray) -> np.ndarray:
     where |w-1| = 2)."""
     num, den = abs(w - 1), abs(w + 1)
     return np.divide(num, den, out=np.full(den.shape, math.inf), where=den != 0)
-
-
-def u_disk_center_radius(k: float) -> tuple[float, float]:
-    k = _check_k(k)
-    d = 1 - k * k
-    return (1 + k * k) / d, 2 * k / d

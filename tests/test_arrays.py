@@ -277,11 +277,9 @@ def test_sector_extension_matches_scalar_calls(normalized):
     v = ext(w)
     _assert_matches(v, [ext(complex(u)) for u in w])
     _assert_matches(ext.inverse(v), [ext.inverse(complex(u)) for u in v])
-    # the seam indicators are angles and imaginary parts that vanish on the
-    # seams: a point's is its element of the block, to the bit
-    for got, want in ((ext.seam_indicator(w), [ext.seam_indicator(complex(u)) for u in w]),
-                      (ext.image_seam(v), [ext.image_seam(complex(u)) for u in v])):
-        assert np.array_equal(got, want)
+    # the image seam is an imaginary part that vanishes on the seam: a
+    # point's is its element of the block, to the bit
+    assert np.array_equal(ext.image_seam(v), [ext.image_seam(complex(u)) for u in v])
     # off the rays, where an ulp of the angle cannot decide it, containment agrees
     inside = sector.contains(grid)
     assert inside.any() and not inside.all()
@@ -333,8 +331,11 @@ def test_beltrami_on_grid_matches_per_point_wirtinger(case):
     elif case == "composed":
         f, seam = _sector_composition()
     else:  # the quarter-plane extension is not smooth on the rays arg w = 0, pi/2
-        f = SectorExtension(SectorDomain(0, 0, 0.5))
-        seam = f.seam_indicator
+        sector = SectorDomain(0, 0, 0.5)
+        f = SectorExtension(sector)
+        # changes sign on both rays: at arg w = pi/2 and where the local
+        # angle wraps from 2 pi to 0
+        seam = lambda w: sector.local_angle(w) - math.pi * sector.a  # noqa: E731
     est = beltrami_on_grid(f, grid, H, seam)
     sup, flagged, skipped = _per_point_beltrami(f, grid.points(), H, seam)
     assert abs(est.sup_abs_mu - sup) <= 1e-9

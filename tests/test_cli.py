@@ -266,6 +266,17 @@ def test_grid_override_below_two_radii_is_an_input_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--grid-radial", "--grid-angular"])
+def test_a_zero_grid_override_is_an_input_error(tmp_path, capsys, flag):
+    # 0 is a value given, not the absence of one: the scenario's own grid
+    # does not stand in for it
+    code, out, err = run(["check", "--scenario", write_scenario(tmp_path, BASE),
+                          flag, "0"], capsys)
+    assert code == 2
+    assert err == "error: grid: grid needs at least 2 radii and 1 angle\n"
+    assert out == ""
+
+
 def test_consecutive_calls_share_the_parser_but_no_state(tmp_path, capsys):
     assert make_parser() is make_parser()
     sc = write_scenario(tmp_path, BASE)
@@ -475,6 +486,16 @@ def test_fit_sector(tmp_path, capsys):
     assert "rotation_convention" in out
     a_line = [l for l in out.splitlines() if l.startswith("a=")][0]
     assert abs(float(a_line[2:]) - 1 / 3) < 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_fit_sector_refuses_a_non_positive_radius_by_name(tmp_path, capsys, radius):
+    doc = {"version": 1, "function": {"kind": "identity"},
+           "params": {"w0": [-2.0, 0.0], "R": radius}}
+    code, _, err = run(["fit-sector", "--scenario", write_scenario(tmp_path, doc)],
+                       capsys)
+    assert code == 2
+    assert err == f"error: enclosing radius R must be positive, got {radius!r}\n"
 
 
 def test_fit_sector_vertex_inside(tmp_path, capsys):

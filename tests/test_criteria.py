@@ -30,11 +30,9 @@ from qcx import (
     SpiralMap,
     check_starlike,
     evaluate_criterion,
-    gen_bazilevic_value,
     gen_becker_value,
     nw_value,
     phi_like_value,
-    sector_nw_value,
     sup_over_grid,
     tracked_ratio_log,
     u_disk_margin,
@@ -43,6 +41,8 @@ from qcx.branches import ratio_branch, tracked_log
 from qcx.criteria import CRITERIA, _refined_neighborhood
 from qcx.grids import BLOCK, blocks
 from qcx.sector import SectorDomain, companion_from_sector
+
+import oracles
 
 SMALL_GRID = DiskGrid(24, 48, 1e-3)
 
@@ -249,14 +249,20 @@ def test_nw_large_perturbation_fails():
 # -- Bazilevic-type --------------------------------------------------------------
 
 
+def _bazilevic(f, psi, s, p=None):
+    """The bazilevic row's value for f, Psi (or a companion), s and p, the
+    identity when None."""
+    return CRITERIA["bazilevic"].build(f, psi, CriterionParams(s=s, p=p))
+
+
 def test_bazilevic_trivial():
-    v = gen_bazilevic_value(IdentityMap(), ConstMap(1.0), 1 + 0j, IdentityMap(), 0.3 + 0.2j)
+    v = _bazilevic(IdentityMap(), ConstMap(1.0), 1 + 0j)(0.3 + 0.2j)
     assert abs(v - 1) < 1e-14
 
 
 def test_bazilevic_constant_rotation():
     psi = ConstMap(cmath.exp(1j * math.pi / 4))
-    v = gen_bazilevic_value(IdentityMap(), psi, 1 + 0j, IdentityMap(), 0.5j)
+    v = _bazilevic(IdentityMap(), psi, 1 + 0j)(0.5j)
     assert abs(v.real - math.cos(math.pi / 4)) < 1e-14
     assert v.real > 0
 
@@ -264,8 +270,9 @@ def test_bazilevic_constant_rotation():
 def test_bazilevic_koebe_pair():
     # f = p = koebe, s = 1, Psi = 1: the value collapses to z k'/k = (1+z)/(1-z)
     f = KoebeMap()
+    value = _bazilevic(f, ConstMap(1.0), 1 + 0j, f)
     for z in random_disk_points(30, rmax=0.9, seed=6):
-        v = gen_bazilevic_value(f, ConstMap(1.0), 1 + 0j, f, z)
+        v = value(z)
         expected = (1 + z) / (1 - z)
         assert abs(v - expected) < 1e-9
     rep = evaluate_criterion("bazilevic", f, ConstMap(1.0),
@@ -278,10 +285,9 @@ def test_bazilevic_complex_exponent_matches_companion_route():
     s = 1.3 + 0.4j
     f = PolynomialMap([1, 0.2])
     q = CompanionMap.identity()  # Psi = (w/w)^{s-1} * 1 = 1
+    via_q, direct = _bazilevic(f, q, s), _bazilevic(f, ConstMap(1.0), s)
     for z in random_disk_points(20, rmax=0.8, seed=7):
-        via_q = gen_bazilevic_value(f, q, s, IdentityMap(), z)
-        direct = gen_bazilevic_value(f, ConstMap(1.0), s, IdentityMap(), z)
-        assert abs(via_q - direct) < 1e-11
+        assert abs(via_q(z) - direct(z)) < 1e-11
 
 
 class _TwistMap(AnalyticMap):
@@ -423,7 +429,7 @@ def _sector_nw_scan_and_oracle(f, w0, lambda0, a, grid):
     value = CRITERIA["sector_nw"].build(
         f, None, CriterionParams(k=0.5, w0=w0, lambda0=lambda0, a=a))
     points = grid.points()
-    return value(points), [sector_nw_value(f, w0, a, complex(z)) for z in points]
+    return value(points), [oracles.sector_nw(f, w0, a, complex(z)) for z in points]
 
 
 def _holds_every_path(f, sector, points, steps=192):
@@ -817,10 +823,10 @@ def test_block_closures_match_per_point_calls(criterion, f, psi, params):
     # and the branch tracked from the origin at each point, with no lattice
     if criterion == "sector_nw":
         def oracle(z):
-            return sector_nw_value(f, params.w0, params.a, z)
+            return oracles.sector_nw(f, params.w0, params.a, z)
     else:
         def oracle(z):
-            return gen_bazilevic_value(f, psi, params.s, params.p or IdentityMap(), z)
+            return oracles.bazilevic(f, psi, params.s, params.p or IdentityMap(), z)
     for z, v in zip(points, value(points)):
         assert _close(v, oracle(complex(z))), z
 

@@ -401,16 +401,16 @@ def test_partials_match_finite_differences_all_constructions():
 def test_bazilevic_ratio_is_reciprocal_of_criterion_at_t_zero():
     # for the matching chain, 1/p(z, 0) equals the criterion value (the disk
     # family U(k) is inversion-invariant, which is why either form certifies)
-    from qcx import gen_bazilevic_value
-
     m = MoebiusMap(5, 0, -1, 5)  # Q(w) = 5w/(5-w): Q(0) = 0, Q'(0) = 1
     q = CompanionMap.from_moebius(m)
     f = PolynomialMap([1, 0.15])
     s = 1.2 + 0.4j
-    ch = build_chain("bazilevic", f, q, CriterionParams(s=s))
+    params = CriterionParams(s=s)
+    ch = build_chain("bazilevic", f, q, params)
+    value = CRITERIA["bazilevic"].build(f, q, params)
     for z, _ in random_zt(30, 21, rmax=0.9):
         p0 = ch.transition_ratio(z, 0.0)
-        crit = gen_bazilevic_value(f, q, s, IdentityMap(), z)
+        crit = value(z)
         assert abs(crit - 1 / p0) < 1e-11
 
 

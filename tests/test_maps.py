@@ -16,7 +16,6 @@ from qcx import (
     KoebeMap,
     MoebiusMap,
     PolynomialMap,
-    u_disk_center_radius,
     u_disk_margin,
     u_disk_ratio,
 )
@@ -123,10 +122,9 @@ def test_u_disk_center():
 
 
 def test_u_disk_boundary_point():
-    # center + radius for k = 0.5 sits at w = 5/3 + 4/3 = 3 with margin 0
-    c, r = u_disk_center_radius(0.5)
-    w = c + r
-    assert abs(w - 3) < 1e-12
+    # U(0.5) has center 5/3 and radius 4/3: its point w = 5/3 + 4/3 = 3 has
+    # margin 0
+    w = 3 + 0j
     assert abs(u_disk_margin(w, 0.5)) < 1e-12
     assert abs(u_disk_ratio(w) - 0.5) < 1e-12
 
@@ -211,13 +209,3 @@ def test_grid_validation():
         DiskGrid(1, 8)
     with pytest.raises(ValueError):
         AnnulusGrid(8, 8, 0.9, 2.0)
-
-
-def test_u_disk_center_radius_consistent_with_margin():
-    rng = random.Random(23)
-    for _ in range(200):
-        k = rng.uniform(0.05, 0.95)
-        c, r = u_disk_center_radius(k)
-        w = complex(rng.uniform(-4, 6), rng.uniform(-5, 5))
-        geometric = abs(w - c) <= r
-        assert geometric == (u_disk_margin(w, k) >= 0)

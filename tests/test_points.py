@@ -134,7 +134,6 @@ def _cases():
         ext = SectorExtension(SECTOR, normalized=normalized)
         cases += [(f"sector_extension_{normalized}", ext, PLANE),
                   (f"sector_extension_{normalized}.inverse", ext.inverse, PLANE),
-                  (f"sector_extension_{normalized}.seam_indicator", ext.seam_indicator, PLANE),
                   (f"sector_extension_{normalized}.image_seam", ext.image_seam, PLANE)]
     cases += [("sector.contains", SECTOR.contains, PLANE),
               ("sector.local_angle", SECTOR.local_angle, PLANE)]

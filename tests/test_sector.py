@@ -306,6 +306,13 @@ def test_failing_fit_names_the_point_a_per_point_loop_names():
     assert str(info.value) == want
 
 
+def test_fit_refuses_a_non_positive_enclosing_radius_by_name():
+    # R <= 0, given or estimated, makes an opening a <= 0: the error names R
+    for f, radius in ((ConstMap(0.3), 0.0), (ConstMap(0.3), -1.0), (ConstMap(0.0), None)):
+        with pytest.raises(PreconditionError, match="enclosing radius R must be positive"):
+            fit_sector(f, -2, radius=radius)
+
+
 def test_fit_identity_vertex_minus_two():
     # enclosing radius 1 against |w0| = 2: opening 2*arcsin(1/2) = pi/3, a = 1/3
     sec, r_used = fit_sector(IdentityMap(), -2, radius=1.0)
